@@ -17,7 +17,6 @@ import yaml
 
 from .errors import ConfigParseError, ConfigValidationError
 
-RUN_MODES = ("train", "predict", "evaluate")
 TASK_TYPES = ("binary", "multiclass", "multilabel")
 
 # Defaults from the baseline training recipe.
@@ -32,9 +31,7 @@ DEFAULT_DROPOUT = 0.1
 
 @dataclass(frozen=True)
 class RunSection:
-    mode: str = "train"
     seed: int = 42
-    checkpoint_path: str | None = None
 
 
 @dataclass(frozen=True)
@@ -44,7 +41,6 @@ class DataSection:
     cube_manifests: dict[str, str] = field(default_factory=dict)
     batch_size: int = DEFAULT_BATCH_SIZE
     patch_size: int = 32
-    num_workers: int = 0
     split_path: str | None = None
 
 
@@ -58,7 +54,6 @@ class TaskSection:
 @dataclass(frozen=True)
 class TrainerSection:
     epochs: int = DEFAULT_EPOCHS
-    device: str = "cpu"
     log_interval: int = 1
     output_dir: str = "runs"
 
@@ -69,7 +64,6 @@ class EncoderSection:
     name: str = "micro_conv2d"
     input_channels: int = 3
     embedding_dim: int = 64
-    pretrained: bool = False
 
 
 @dataclass(frozen=True)
@@ -96,12 +90,9 @@ class ModelSection:
 
 @dataclass(frozen=True)
 class OptimizerSection:
-    name: str = "adamw"
     lr: float = DEFAULT_LR
     weight_decay: float = 0.0
-    scheduler: str = "cosine"
     t_max: int = DEFAULT_T_MAX
-    loss: str = "weighted_bce_logits"
     pos_weight: float = DEFAULT_POS_WEIGHT
 
 
@@ -148,8 +139,6 @@ def _build_model_section(raw: dict) -> ModelSection:
 
 def validate_config(cfg: ExperimentConfig) -> None:
     """Raise ConfigValidationError on the first violated constraint."""
-    if cfg.run.mode not in RUN_MODES:
-        raise ConfigValidationError(f"run.mode: {cfg.run.mode!r} not in {RUN_MODES}")
     if cfg.task.type not in TASK_TYPES:
         raise ConfigValidationError(f"task.type: {cfg.task.type!r} not in {TASK_TYPES}")
     if cfg.task.num_classes < 1:
@@ -165,8 +154,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigValidationError("data.batch_size: must be >= 1")
     if cfg.data.patch_size < 1:
         raise ConfigValidationError("data.patch_size: must be >= 1")
-    if cfg.data.num_workers < 0:
-        raise ConfigValidationError("data.num_workers: must be >= 0")
     if not (0.0 <= cfg.model.fusion.dropout < 1.0):
         raise ConfigValidationError("model.fusion.dropout: must be in [0, 1)")
     if cfg.model.fusion.hidden_dim < 1:

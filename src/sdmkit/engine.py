@@ -21,7 +21,6 @@ import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import expit, softmax
 
 from .config import ExperimentConfig, config_digest, render_config
 from .errors import CheckpointMismatchError, SdmkitError, ShapeError
@@ -46,12 +45,6 @@ class TrainState:
 
 
 @dataclass(frozen=True)
-class LossSpec:
-    kind: str = "weighted_bce_logits"
-    pos_weight: float = 10.0
-
-
-@dataclass(frozen=True)
 class ScheduleSpec:
     eta_max: float
     eta_min: float = 0.0
@@ -61,6 +54,18 @@ class ScheduleSpec:
 def _check_binary(labels: np.ndarray) -> None:
     if not np.all((labels == 0) | (labels == 1)):
         raise SdmkitError("labels must be binary (0/1)")
+
+
+def expit(z: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid; exactly 0 or 1, without a warning, once exp overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shifted by the row max so exp never overflows."""
+    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def weighted_bce_logits(logits: np.ndarray, labels: np.ndarray,
@@ -130,13 +135,9 @@ class AdamW:
         return True
 
 
-def make_batches(n: int, batch_size: int, shuffle: bool, seed: int, epoch: int = 0,
-                 workers: int = 0) -> list[np.ndarray]:
-    """Partition indices 0..n-1 into batches.
-
-    The sequence depends only on (seed, epoch); the workers argument is
-    accepted for the dataloader contract but batch order never varies with it.
-    """
+def make_batches(n: int, batch_size: int, shuffle: bool, seed: int,
+                 epoch: int = 0) -> list[np.ndarray]:
+    """Partition indices 0..n-1 into batches; the order depends only on (seed, epoch)."""
     if n < 1:
         raise SdmkitError("empty sample source")
     if batch_size > n:
@@ -164,7 +165,7 @@ def collate(source, indices) -> dict:
 
 def link_function(task_type: str, logits: np.ndarray) -> np.ndarray:
     if task_type == "multiclass":
-        return softmax(logits, axis=-1)
+        return softmax(logits)
     return expit(logits)
 
 
@@ -233,7 +234,7 @@ def load_checkpoint(path: str, model, cfg: ExperimentConfig,
     return TrainState(**meta["state"])
 
 
-def _epoch_loss_pass(model, source, batches, loss_spec: LossSpec, optimizer=None,
+def _epoch_loss_pass(model, source, batches, pos_weight: float, optimizer=None,
                      lr: float = 0.0, training: bool = False):
     """Run one pass; returns (mean loss, score rows, label rows, survey ids)."""
     total, count = 0.0, 0
@@ -242,10 +243,10 @@ def _epoch_loss_pass(model, source, batches, loss_spec: LossSpec, optimizer=None
         batch = collate(source, batch_idx)
         logits = model.forward(batch, training=training)
         labels = batch["labels"]
-        loss = weighted_bce_logits(logits, labels, loss_spec.pos_weight)
+        loss = weighted_bce_logits(logits, labels, pos_weight)
         if training:
             if math.isfinite(loss):
-                model.backward(weighted_bce_logits_grad(logits, labels, loss_spec.pos_weight))
+                model.backward(weighted_bce_logits_grad(logits, labels, pos_weight))
                 optimizer.step(model.named_params(), lr)
         else:
             scores.append(expit(logits))
@@ -266,7 +267,7 @@ def fit(cfg: ExperimentConfig, model, train_source, val_source,
     seed = cfg.run.seed
     if hasattr(model, "set_dropout_rng"):
         model.set_dropout_rng(np.random.default_rng([seed, 1]))
-    loss_spec = LossSpec(kind=cfg.optimizer.loss, pos_weight=cfg.optimizer.pos_weight)
+    pos_weight = cfg.optimizer.pos_weight
     sched = ScheduleSpec(eta_max=cfg.optimizer.lr, t_max=cfg.optimizer.t_max)
     optimizer = AdamW(weight_decay=cfg.optimizer.weight_decay)
     root = out_root or cfg.trainer.output_dir
@@ -289,11 +290,10 @@ def fit(cfg: ExperimentConfig, model, train_source, val_source,
             lr = cosine_lr(epoch, sched)
             state.epoch, state.lr_current = epoch, lr
             train_batches = make_batches(
-                len(train_source), cfg.data.batch_size, shuffle=True, seed=seed,
-                epoch=epoch, workers=cfg.data.num_workers,
+                len(train_source), cfg.data.batch_size, shuffle=True, seed=seed, epoch=epoch
             )
             train_loss, _, _, _ = _epoch_loss_pass(
-                model, train_source, train_batches, loss_spec, optimizer, lr, training=True
+                model, train_source, train_batches, pos_weight, optimizer, lr, training=True
             )
             if not math.isfinite(train_loss):
                 raise SdmkitError(
@@ -304,7 +304,7 @@ def fit(cfg: ExperimentConfig, model, train_source, val_source,
                 len(val_source), cfg.data.batch_size, shuffle=False, seed=seed
             )
             val_loss, scores, labels, ids = _epoch_loss_pass(
-                model, val_source, val_batches, loss_spec, training=False
+                model, val_source, val_batches, pos_weight, training=False
             )
             preds = [
                 PredictionSet.from_scores(sid, scores[i], cfg.task.top_k)

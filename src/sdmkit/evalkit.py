@@ -12,7 +12,6 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import AlignmentError, DegenerateLabelsError, SdmkitError, ShapeError
 
@@ -103,6 +102,22 @@ def topk_prf(predictions, labels: np.ndarray, averaging: str) -> tuple[float, fl
     return float(p_c.mean()), float(r_c.mean()), float(f_c.mean())
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array, ties sharing the mean of their ranks.
+
+    Any NaN makes every rank NaN, so an AUC over it is NaN too.
+    """
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    if np.isnan(xs[-1:]).any():  # argsort puts NaNs last
+        return np.full(x.size, np.nan)
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    ends = np.append(starts[1:], x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    return ranks
+
+
 def binary_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Mann-Whitney AUC with average ranks for ties."""
     scores = np.asarray(scores, dtype=float).ravel()
@@ -112,7 +127,7 @@ def binary_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError("AUC undefined: labels contain a single class")
-    ranks = rankdata(scores, method="average")
+    ranks = _average_ranks(scores)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 

@@ -1,10 +1,8 @@
-"""Convolution kernels with two interchangeable backends.
+"""Convolution kernels: 2-D forward and backward passes via im2col.
 
 The micro encoders spend nearly all of their time in 2-D convolution
-forward/backward passes, so those carry numba @njit implementations with
-a pure-numpy (im2col) fallback. Set SDMKIT_DISABLE_NUMBA=1 to force the
-numpy path; both backends produce results equal to float64 round-off.
-benchmarks/bench_kernels.py times the two side by side.
+forward/backward passes. Both are a stride-trick im2col view followed by a
+BLAS-backed einsum.
 
 All arrays are float64; x is (N, C, H, W), w is (F, C, KH, KW), stride is
 a positive int, no padding.
@@ -12,20 +10,7 @@ a positive int, no padding.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_DISABLE = os.environ.get("SDMKIT_DISABLE_NUMBA", "0").lower() in ("1", "true", "yes")
-
-try:
-    if _DISABLE:
-        raise ImportError
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
 
 
 def conv2d_out_shape(h: int, w: int, kh: int, kw: int, stride: int) -> tuple[int, int]:
@@ -46,7 +31,7 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     return windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, oh * ow)
 
 
-def _conv2d_forward_numpy(x, w, b, stride):
+def conv2d_forward(x, w, b, stride):
     n, c, h, wid = x.shape
     f, _, kh, kw = w.shape
     oh, ow = conv2d_out_shape(h, wid, kh, kw, stride)
@@ -56,7 +41,7 @@ def _conv2d_forward_numpy(x, w, b, stride):
     return out.reshape(n, f, oh, ow)
 
 
-def _conv2d_backward_numpy(x, w, dout, stride):
+def conv2d_backward(x, w, dout, stride):
     n, c, h, wid = x.shape
     f, _, kh, kw = w.shape
     oh, ow = dout.shape[2], dout.shape[3]
@@ -76,78 +61,5 @@ def _conv2d_backward_numpy(x, w, dout, stride):
     return dx, dw, db
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _conv2d_forward_njit(x, w, b, stride):  # pragma: no cover - compiled
-        n, c, h, wid = x.shape
-        f, _, kh, kw = w.shape
-        oh = (h - kh) // stride + 1
-        ow = (wid - kw) // stride + 1
-        out = np.empty((n, f, oh, ow), dtype=np.float64)
-        for ni in range(n):
-            for fi in range(f):
-                for oi in range(oh):
-                    for oj in range(ow):
-                        acc = b[fi]
-                        for ci in range(c):
-                            for ki in range(kh):
-                                for kj in range(kw):
-                                    acc += (
-                                        w[fi, ci, ki, kj]
-                                        * x[ni, ci, oi * stride + ki, oj * stride + kj]
-                                    )
-                        out[ni, fi, oi, oj] = acc
-        return out
-
-    @njit(cache=True)
-    def _conv2d_backward_njit(x, w, dout, stride):  # pragma: no cover - compiled
-        n, c, h, wid = x.shape
-        f, _, kh, kw = w.shape
-        oh = dout.shape[2]
-        ow = dout.shape[3]
-        dx = np.zeros_like(x)
-        dw = np.zeros_like(w)
-        db = np.zeros(f, dtype=np.float64)
-        for ni in range(n):
-            for fi in range(f):
-                for oi in range(oh):
-                    for oj in range(ow):
-                        g = dout[ni, fi, oi, oj]
-                        db[fi] += g
-                        for ci in range(c):
-                            for ki in range(kh):
-                                for kj in range(kw):
-                                    dw[fi, ci, ki, kj] += (
-                                        g * x[ni, ci, oi * stride + ki, oj * stride + kj]
-                                    )
-                                    dx[ni, ci, oi * stride + ki, oj * stride + kj] += (
-                                        g * w[fi, ci, ki, kj]
-                                    )
-        return dx, dw, db
-
-    def conv2d_forward(x, w, b, stride=1):
-        return _conv2d_forward_njit(
-            np.ascontiguousarray(x), np.ascontiguousarray(w), np.ascontiguousarray(b), stride
-        )
-
-    def conv2d_backward(x, w, dout, stride=1):
-        return _conv2d_backward_njit(
-            np.ascontiguousarray(x),
-            np.ascontiguousarray(w),
-            np.ascontiguousarray(dout),
-            stride,
-        )
-
-else:
-    conv2d_forward = _conv2d_forward_numpy
-    conv2d_backward = _conv2d_backward_numpy
-
-
 def backend_name() -> str:
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-# exposed for cross-backend tests and benchmarks
-conv2d_forward_numpy = _conv2d_forward_numpy
-conv2d_backward_numpy = _conv2d_backward_numpy
+    return "numpy"

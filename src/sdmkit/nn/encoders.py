@@ -23,13 +23,6 @@ class Encoder(Sequential):
         self.input_channels = input_channels
 
 
-class CubeEncoder(Encoder):
-    """Encoder for (N, B, Q, Y) cube batches; bands act as conv channels."""
-
-    def forward(self, x, training=False):
-        return super().forward(x, training=training)
-
-
 def _micro_conv2d(input_channels: int, embedding_dim: int, rng: np.random.Generator):
     # two stride-2 convs then pooled linear head; expects side >= 7
     return Encoder(
@@ -48,8 +41,9 @@ def _micro_conv2d(input_channels: int, embedding_dim: int, rng: np.random.Genera
 
 def _micro_conv3d(input_channels: int, embedding_dim: int, rng: np.random.Generator,
                   steps: int = 4, years: int = 3):
+    # (N, B, Q, Y) cube batches: bands act as conv channels
     kh, kw = min(3, steps), min(3, years)
-    return CubeEncoder(
+    return Encoder(
         [
             Conv2d(input_channels, 8, (kh, kw), 1, rng),
             ReLU(),

@@ -136,7 +136,6 @@ def default_config_yaml(data_dir: str, n_species: int = 20, epochs: int = 10,
     """Config document wired to a make_synthetic output directory."""
     return f"""\
 run:
-  mode: train
   seed: {seed}
 data:
   observations: {os.path.join(data_dir, 'observations.csv')}

@@ -326,11 +326,10 @@ def test_criterion_10_round_trips(smoke_run, tmp_path):
     # checkpoint save -> predict equals in-training forward to 1e-6
     fresh = build_model(cfg, data.cube_shapes())
     preds = engine.predict(cfg, fresh, os.path.join(run_dir, "last.ckpt"), val)
-    from scipy.special import expit
-
+    sigmoid = np.vectorize(lambda z: 1.0 / (1.0 + math.exp(-z)))
     batches = make_batches(len(val), cfg.data.batch_size, shuffle=False, seed=cfg.run.seed)
     direct = np.concatenate([
-        expit(model.forward(engine.collate(val, b), training=False)) for b in batches
+        sigmoid(model.forward(engine.collate(val, b), training=False)) for b in batches
     ])
     pred_ok = np.allclose(np.stack([p.scores for p in preds]), direct, atol=1e-6)
     ok = cfg_ok and cube_ok and split_ok and pred_ok

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -142,3 +144,19 @@ def test_predict_digest_mismatch(synthetic_dir, tmp_path, capsys):
                  "--weights", os.path.join(run_dir, "best.ckpt"),
                  "--out", str(tmp_path / "p.csv")]) == 1
     assert "digest" in capsys.readouterr().err
+
+
+def test_cli_import_loads_only_declared_deps():
+    # importing the CLI may load the standard library and the declared runtime
+    # deps (numpy, pyyaml) only; Cython extensions add their runtime modules
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys; before = {m.split('.')[0] for m in sys.modules}; import sdmkit.cli; "
+             "print(' '.join({m.split('.')[0] for m in sys.modules} - before "
+             "- set(sys.stdlib_module_names)))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    loaded = {m for m in result.stdout.split()
+              if m != "cython_runtime" and not m.startswith("_cython_")}
+    assert loaded == {"sdmkit", "numpy", "yaml"}

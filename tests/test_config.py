@@ -1,6 +1,8 @@
 import dataclasses
+import re
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,9 +70,30 @@ def test_missing_required_section():
         parse_config("data:\n  observations: x\n")
 
 
-def test_bad_mode_rejected():
-    with pytest.raises(ConfigValidationError, match="run.mode"):
-        parse_config(MINIMAL + "run:\n  mode: frobnicate\n")
+# keys that no code reads; each must be rejected as unknown
+REMOVED_KEYS = {
+    "run.mode": "train",
+    "run.checkpoint_path": "last.ckpt",
+    "data.num_workers": 0,
+    "trainer.device": "cpu",
+    "model.encoders.patch.pretrained": False,
+    "optimizer.name": "sgd",
+    "optimizer.scheduler": "cosine",
+    "optimizer.loss": "weighted_bce_logits",
+}
+
+
+@pytest.mark.parametrize("path", sorted(REMOVED_KEYS))
+def test_removed_key_rejected(path):
+    doc = yaml.safe_load(MINIMAL)
+    *sections, key = path.split(".")
+    node = doc
+    for name in sections:
+        node = node.setdefault(name, {})
+    node[key] = REMOVED_KEYS[path]
+    where = ".".join(sections)
+    with pytest.raises(ConfigValidationError, match=re.escape(f"{where}: unknown key(s) ['{key}']")):
+        parse_config(yaml.safe_dump(doc))
 
 
 def test_modifier_target_must_be_positive_int():
@@ -132,4 +155,4 @@ def test_validation_rejects_every_invariant_violation(epochs, batch, top_k, num_
 def test_defaults_never_override_explicit():
     cfg = parse_config(MINIMAL + "trainer:\n  epochs: 3\n")
     assert cfg.trainer.epochs == 3
-    assert cfg.trainer.device == "cpu"  # untouched default
+    assert cfg.trainer.log_interval == 1  # untouched default

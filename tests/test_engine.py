@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,44 @@ class TestWeightedBce:
             assert grad[idx] == pytest.approx(fd, rel=1e-6, abs=1e-10)
 
 
+class TestLinkFunctions:
+    Z = np.array([[1e4, -1e4, 0.0], [-1e4, 1e4, 2.0]])
+
+    def test_expit_saturates_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = engine.expit(self.Z)
+        np.testing.assert_array_equal(got[:, :2], [[1.0, 0.0], [0.0, 1.0]])
+        assert got[0, 2] == 0.5
+        assert got[1, 2] == pytest.approx(1.0 / (1.0 + math.exp(-2.0)), abs=1e-15)
+
+    def test_bce_grad_finite_at_extreme_logits(self):
+        y = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            grad = weighted_bce_logits_grad(self.Z, y, 10.0)
+        assert np.all(np.isfinite(grad))
+        # correct saturated logits give zero gradient, wrong ones the full weight
+        assert grad[0, 0] == 0.0 and grad[0, 1] == 0.0
+        assert grad[1, 0] == pytest.approx(-10.0 / self.Z.size)
+        assert grad[1, 1] == pytest.approx(1.0 / self.Z.size)
+
+    def test_multiclass_softmax_saturates_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            probs = engine.link_function("multiclass", self.Z)
+        assert np.all(np.isfinite(probs))
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-15)
+        np.testing.assert_array_equal(probs, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+    def test_softmax_rows_sum_to_one(self):
+        z = np.random.default_rng(0).normal(scale=5.0, size=(6, 9))
+        probs = engine.softmax(z)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-14)
+        ref = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(probs, ref, rtol=1e-12)
+
+
 class TestCosineLr:
     SPEC = ScheduleSpec(eta_max=2.5e-4, t_max=25)
 
@@ -125,10 +164,10 @@ class TestMakeBatches:
         batches = make_batches(10, 4, shuffle=False, seed=0)
         assert [len(b) for b in batches] == [4, 4, 2]
 
-    def test_worker_count_irrelevant(self):
+    def test_same_seed_and_epoch_same_batches(self):
         for epoch in range(3):
-            a = make_batches(50, 8, shuffle=True, seed=3, epoch=epoch, workers=1)
-            b = make_batches(50, 8, shuffle=True, seed=3, epoch=epoch, workers=4)
+            a = make_batches(50, 8, shuffle=True, seed=3, epoch=epoch)
+            b = make_batches(50, 8, shuffle=True, seed=3, epoch=epoch)
             for x, y in zip(a, b):
                 np.testing.assert_array_equal(x, y)
 
@@ -243,13 +282,12 @@ class TestCheckpointAndPredict:
             out_path=str(tmp_path / "predictions.csv"),
         )
         # reloading last.ckpt must reproduce the trained model's forward
-        from scipy.special import expit
-
+        sigmoid = np.vectorize(lambda z: 1.0 / (1.0 + math.exp(-z)))
         batches = make_batches(len(val), cfg.data.batch_size, shuffle=False, seed=cfg.run.seed)
         direct = []
         for bidx in batches:
             batch = engine.collate(val, bidx)
-            direct.append(expit(model.forward(batch, training=False)))
+            direct.append(sigmoid(model.forward(batch, training=False)))
         direct = np.concatenate(direct)
         got = np.stack([p.scores for p in preds])
         np.testing.assert_allclose(got, direct, atol=1e-6)

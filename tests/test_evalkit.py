@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from sdmkit.errors import AlignmentError, DegenerateLabelsError, SdmkitError
 from sdmkit.evalkit import (
     PredictionSet,
+    _average_ranks,
     binary_auc,
     evaluate,
     multilabel_auc,
@@ -34,6 +35,14 @@ def oracle_pairwise_auc(scores, labels):
             elif p == q:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def oracle_average_ranks(values):
+    """1-based rank of each value: values below it, plus the mean position
+    among its equals."""
+    return [
+        sum(v < x for v in values) + (sum(v == x for v in values) + 1) / 2 for x in values
+    ]
 
 
 def oracle_prf(topk_sets, label_sets, k, s, averaging):
@@ -209,6 +218,19 @@ class TestBinaryAuc:
             got = binary_auc(scores, labels)
             want = oracle_pairwise_auc(list(scores), list(labels))
             assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 200])
+    @pytest.mark.parametrize("levels", [3, 101])
+    def test_average_ranks_match_oracle(self, n, levels):
+        rng = np.random.default_rng(n * 1000 + levels)
+        for _ in range(5):
+            scores = rng.integers(0, levels, size=n) / (levels - 1)
+            got = _average_ranks(scores)
+            assert got.tolist() == oracle_average_ranks(scores.tolist())
+
+    def test_nan_score_gives_nan(self):
+        assert np.isnan(binary_auc([0.1, np.nan, 0.3, 0.2], [0, 1, 1, 0]))
+        assert np.isnan(binary_auc([np.nan, np.nan, 0.3, 0.2], [0, 1, 1, 0]))
 
     @given(st.integers(0, 10000))
     @settings(max_examples=30, deadline=None)

@@ -12,25 +12,6 @@ def random_case(seed, n=2, c=3, h=12, w=12, f=4, k=3, stride=2):
     return x, wgt, b, stride
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_forward_backends_agree(seed):
-    x, w, b, stride = random_case(seed)
-    a = kernels.conv2d_forward(x, w, b, stride)
-    ref = kernels.conv2d_forward_numpy(x, w, b, stride)
-    np.testing.assert_allclose(a, ref, atol=1e-10)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_backward_backends_agree(seed):
-    x, w, b, stride = random_case(seed)
-    out = kernels.conv2d_forward_numpy(x, w, b, stride)
-    dout = np.random.default_rng(seed + 100).normal(size=out.shape)
-    got = kernels.conv2d_backward(x, w, dout, stride)
-    ref = kernels.conv2d_backward_numpy(x, w, dout, stride)
-    for g, r in zip(got, ref):
-        np.testing.assert_allclose(g, r, atol=1e-10)
-
-
 def test_forward_matches_direct_convolution():
     x, w, b, stride = random_case(7, n=1, c=2, h=6, w=6, f=2, k=3, stride=1)
     out = kernels.conv2d_forward(x, w, b, stride)
@@ -75,9 +56,9 @@ def test_nonsquare_kernel():
     b = rng.normal(size=3)
     out = kernels.conv2d_forward(x, w, b, 1)
     assert out.shape == (2, 3, 2, 19)
-    ref = kernels.conv2d_forward_numpy(x, w, b, 1)
-    np.testing.assert_allclose(out, ref, atol=1e-10)
-
-
-def test_env_flag_documented_backend():
-    assert kernels.backend_name() in ("numba", "numpy")
+    for ni in range(2):
+        for fi in range(3):
+            for oi in range(2):
+                for oj in range(19):
+                    acc = b[fi] + np.sum(w[fi] * x[ni, :, oi : oi + 3, oj : oj + 3])
+                    assert out[ni, fi, oi, oj] == pytest.approx(acc, abs=1e-12)
