@@ -174,6 +174,10 @@ class RasterLayer:
         if self.pixel_size_x <= 0 or self.pixel_size_y == 0:
             raise FormatError(f"raster {self.name!r}: invalid pixel sizes")
 
+    def missing(self, values: np.ndarray) -> np.ndarray:
+        """True where values hold this layer's nodata value or NaN."""
+        return (values == self.nodata) | np.isnan(values)
+
     def pixel_of(self, lon: float, lat: float) -> tuple[int, int]:
         """Map a WGS84 point to (row, col) in this layer's grid."""
         x, y = transform_point(lon, lat, self.crs)
@@ -259,8 +263,8 @@ def extract_patch(layers, spec: PatchSpec, lon: float, lat: float) -> np.ndarray
     """Cut a (C, side, side) patch around a WGS84 point.
 
     The point is transformed into each layer's CRS and mapped to pixel
-    indices by the floor convention; out-of-bounds and nodata pixels take
-    fill_value; per-layer normalization is applied last.
+    indices by the floor convention; out-of-bounds, nodata and NaN pixels
+    take fill_value; per-layer normalization is applied last.
     """
     by_name = {layer.name: layer for layer in layers}
     missing = [n for n in spec.layer_names if n not in by_name]
@@ -280,7 +284,7 @@ def extract_patch(layers, spec: PatchSpec, lon: float, lat: float) -> np.ndarray
         if rs < re and cs < ce:
             any_overlap = True
             block = layer.values[rs:re, cs:ce].astype(np.float64)
-            block = np.where(block == layer.nodata, spec.fill_value, block)
+            block = np.where(layer.missing(block), spec.fill_value, block)
             patch[rs - r0 : re - r0, cs - c0 : ce - c0] = block
         if spec.normalize and name in spec.normalize:
             mean, std = spec.normalize[name]

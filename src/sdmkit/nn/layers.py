@@ -1,8 +1,10 @@
 """Minimal float64 layer zoo with explicit forward/backward passes.
 
 Layers cache whatever the backward pass needs on forward; one backward per
-forward, single-threaded. Parameter init is fan-in uniform (+-1/sqrt(fan_in))
-from a caller-supplied numpy Generator so runs are reproducible end to end.
+forward, single-threaded. That contract is what lets Conv2d keep the im2col
+columns of a training forward and overwrite them in its backward. Parameter
+init is fan-in uniform (+-1/sqrt(fan_in)) from a caller-supplied numpy
+Generator so runs are reproducible end to end.
 """
 
 from __future__ import annotations
@@ -80,11 +82,15 @@ class Conv2d(Module):
             raise ShapeError(
                 f"Conv2d expects (N, {self.in_channels}, H, W), got {x.shape}"
             )
+        cols = kernels.im2col(x, *self.kernel_size, self.stride)
         self._x = x
-        return kernels.conv2d_forward(x, self.params["w"], self.params["b"], self.stride)
+        self._cols = cols if training else None
+        return kernels.conv2d_forward(x, self.params["w"], self.params["b"], self.stride, cols)
 
     def backward(self, dout):
-        dx, dw, db = kernels.conv2d_backward(self._x, self.params["w"], dout, self.stride)
+        # backward overwrites the columns, so they serve one backward only
+        cols, self._cols = self._cols, None
+        dx, dw, db = kernels.conv2d_backward(self._x, self.params["w"], dout, self.stride, cols)
         self.grads["w"] = dw
         self.grads["b"] = db
         return dx

@@ -12,7 +12,7 @@ import os
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import SdmkitError, ShapeError
+from .errors import DataError, SdmkitError, ShapeError
 from .geodata import (
     ObservationTable,
     PatchSpec,
@@ -51,6 +51,14 @@ class LoadedData:
         )
 
 
+def _valid_stats(layer) -> tuple[float, float]:
+    """(mean, std) of a raster's pixels that are neither nodata nor NaN."""
+    valid = layer.values[~layer.missing(layer.values)]
+    if valid.size == 0:
+        raise DataError(f"raster {layer.name!r}: no valid pixel (all nodata or NaN)")
+    return float(valid.mean()), float(valid.std()) or 1.0
+
+
 def load_data(cfg: ExperimentConfig) -> LoadedData:
     if not cfg.data.observations or not os.path.exists(cfg.data.observations):
         raise SdmkitError(f"data.observations: file not found: {cfg.data.observations!r}")
@@ -58,9 +66,7 @@ def load_data(cfg: ExperimentConfig) -> LoadedData:
     layers, patch_spec = [], None
     if cfg.data.raster_manifest:
         layers = load_raster_manifest(cfg.data.raster_manifest)
-        normalize = {
-            l.name: (float(l.values.mean()), float(l.values.std()) or 1.0) for l in layers
-        }
+        normalize = {l.name: _valid_stats(l) for l in layers}
         patch_spec = PatchSpec(
             side=cfg.data.patch_size,
             layer_names=tuple(l.name for l in layers),

@@ -1,10 +1,13 @@
+import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdmkit.config import parse_config
 from sdmkit.errors import (
     DataError,
     FormatError,
@@ -21,10 +24,14 @@ from sdmkit.geodata import (
     extract_patch,
     load_cubes,
     load_observations,
+    load_raster,
     make_dataset,
     save_cubes,
+    save_raster,
     transform_point,
 )
+from sdmkit.pipeline import load_data
+from sdmkit.synthetic import default_config_yaml, make_synthetic
 from conftest import make_table
 
 
@@ -132,6 +139,21 @@ class TestExtractPatch:
         )
         spec = PatchSpec(side=1, layer_names=("toy",), fill_value=-1.0)
         assert extract_patch([layer], spec, 2.5, 1.5)[0, 0, 0] == -1.0
+
+    def test_nan_pixels_filled(self, toy_raster):
+        # NaN never equals anything, so it must be masked on its own
+        for nodata in (math.nan, -9999.0):
+            values = toy_raster.values.copy()
+            values[1:3, 1] = math.nan
+            layer = RasterLayer(
+                name="toy", width=4, height=4, origin_x=0, origin_y=4,
+                pixel_size_x=1, pixel_size_y=-1, crs="EPSG:4326",
+                nodata=nodata, values=values,
+            )
+            spec = PatchSpec(side=3, layer_names=("toy",), fill_value=-1.0)
+            patch = extract_patch([layer], spec, 1.5, 2.5)[0]
+            expected = np.array([[0, 1, 2], [4, -1, 6], [8, -1, 10]], dtype=float)
+            np.testing.assert_array_equal(patch, expected)
 
     def test_normalization_applied_last(self, toy_raster):
         spec = PatchSpec(side=1, layer_names=("toy",), normalize={"toy": (10.0, 2.0)})
@@ -303,3 +325,38 @@ class TestMakeDataset:
             make_dataset(table, layers=[toy_raster],
                          patch_spec=PatchSpec(side=1, layer_names=("toy",)),
                          cube_maps={"cube": {}})
+
+
+class TestNormalizationStats:
+    """load_data derives each layer's (mean, std) from its valid pixels only."""
+
+    @pytest.fixture
+    def synthetic(self, tmp_path):
+        data_dir = str(tmp_path)
+        make_synthetic(data_dir, n_surveys=40, num_species=5, seed=1)
+        return data_dir, parse_config(default_config_yaml(data_dir, n_species=5))
+
+    def replace_chan0(self, data_dir, values):
+        header = os.path.join(data_dir, "chan0.json")
+        layer = load_raster(header)
+        save_raster(dataclasses.replace(layer, values=values.astype(np.float32)), header)
+
+    def test_nodata_and_nan_excluded(self, synthetic):
+        data_dir, cfg = synthetic
+        rng = np.random.default_rng(0)
+        values = rng.normal(5.0, 1.0, size=(128, 128))
+        values[:32] = -9999.0  # 25% nodata
+        values[32, :8] = math.nan
+        self.replace_chan0(data_dir, values)
+        valid = values[32:].astype(np.float32)
+        valid = valid[~np.isnan(valid)]
+        mean, std = load_data(cfg).patch_spec.normalize["chan0"]
+        assert mean == pytest.approx(5.0, abs=0.05)
+        assert mean == pytest.approx(float(valid.mean()), rel=1e-6)
+        assert std == pytest.approx(float(valid.std()), rel=1e-6)
+
+    def test_no_valid_pixel_names_raster(self, synthetic):
+        data_dir, cfg = synthetic
+        self.replace_chan0(data_dir, np.full((128, 128), -9999.0))
+        with pytest.raises(DataError, match="chan0"):
+            load_data(cfg)
