@@ -12,19 +12,20 @@ so toggling one never perturbs the others.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .config import ExperimentConfig, config_digest, render_config
 from .errors import CheckpointMismatchError, SdmkitError, ShapeError
-from .evalkit import MetricReport, PredictionSet, evaluate
+from .evalkit import MetricReport, PredictionSet, evaluate, top_k
+from .geodata import collate
 
 log = logging.getLogger(__name__)
 
@@ -149,20 +150,6 @@ def make_batches(n: int, batch_size: int, shuffle: bool, seed: int,
     return [indices[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-def collate(source, indices) -> dict:
-    """Stack samples into a batch dict keyed by modality."""
-    samples = [source[int(i)] for i in indices]
-    batch: dict = {"survey_ids": [s.survey_id for s in samples]}
-    if samples[0].patch is not None:
-        batch["patch"] = np.stack([s.patch for s in samples])
-    for name in samples[0].cubes:
-        batch[name] = np.stack([s.cubes[name] for s in samples])
-    batch["location"] = np.array([s.coords for s in samples], dtype=float)
-    if samples[0].label is not None:
-        batch["labels"] = np.stack([s.label for s in samples])
-    return batch
-
-
 def link_function(task_type: str, logits: np.ndarray) -> np.ndarray:
     if task_type == "multiclass":
         return softmax(logits)
@@ -176,6 +163,27 @@ def arch_digest(cfg: ExperimentConfig) -> str:
     import hashlib
 
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
+
+
+@contextmanager
+def _replaced_on_success(path: str, mode: str, **kwargs):
+    """Open a temporary file next to path and move it onto path only once the
+    block completes, so a failed write leaves the previous file intact."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _prediction_sets(survey_ids, scores: np.ndarray, k: int) -> list[PredictionSet]:
+    """One PredictionSet per row of an (N, S) score matrix, from one top_k call."""
+    topk = top_k(scores, k)
+    return [PredictionSet(sid, scores[i], topk[i]) for i, sid in enumerate(survey_ids)]
 
 
 def save_checkpoint(path: str, model, optimizer: AdamW | None, state: TrainState,
@@ -195,10 +203,8 @@ def save_checkpoint(path: str, model, optimizer: AdamW | None, state: TrainState
         "opt_t": optimizer.t if optimizer is not None else 0,
     }
     arrays["meta"] = np.array(json.dumps(meta))
-    buf = io.BytesIO()
-    np.savez(buf, **arrays)
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    with _replaced_on_success(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def load_checkpoint(path: str, model, cfg: ExperimentConfig,
@@ -306,10 +312,7 @@ def fit(cfg: ExperimentConfig, model, train_source, val_source,
             val_loss, scores, labels, ids = _epoch_loss_pass(
                 model, val_source, val_batches, pos_weight, training=False
             )
-            preds = [
-                PredictionSet.from_scores(sid, scores[i], cfg.task.top_k)
-                for i, sid in enumerate(ids)
-            ]
+            preds = _prediction_sets(ids, scores, cfg.task.top_k)
             report = evaluate(preds, labels, cfg.task.top_k, label_ids=ids)
             row = [epoch, repr(lr), repr(train_loss), repr(val_loss)]
             row += [repr(getattr(report, col)) for col in METRIC_COLUMNS]
@@ -339,8 +342,7 @@ def predict(cfg: ExperimentConfig, model, weights_path: str, test_source,
         batch = collate(test_source, batch_idx)
         logits = model.forward(batch, training=False)
         scores = link_function(cfg.task.type, logits)
-        for i, sid in enumerate(batch["survey_ids"]):
-            predictions.append(PredictionSet.from_scores(sid, scores[i], cfg.task.top_k))
+        predictions += _prediction_sets(batch["survey_ids"], scores, cfg.task.top_k)
     if out_path:
         save_predictions(predictions, out_path)
     return predictions
@@ -348,15 +350,14 @@ def predict(cfg: ExperimentConfig, model, weights_path: str, test_source,
 
 def save_predictions(predictions: list[PredictionSet], path: str) -> None:
     """predictions.csv: surveyId, topk ids (rank order), all class scores."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replaced_on_success(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["surveyId", "topk", "scores"])
-        for pred in predictions:
-            writer.writerow([
-                pred.survey_id,
-                " ".join(str(int(i)) for i in pred.topk),
-                " ".join(repr(float(s)) for s in pred.scores),
-            ])
+        writer.writerows(
+            [pred.survey_id, " ".join(map(str, pred.topk.tolist())),
+             " ".join(map(repr, pred.scores.tolist()))]
+            for pred in predictions
+        )
 
 
 def load_predictions(path: str) -> list[PredictionSet]:

@@ -6,9 +6,16 @@ transforming the point into each layer's CRS rather than warping the
 raster) and per-survey time-series cubes (bands x steps x years blocks
 pre-extracted at the observation locations).
 
+Patches are cut a batch at a time by extract_patches: each point is
+transformed once per distinct CRS, layers sharing a grid (CRS, origin, pixel
+sizes, shape) share one flat window index and out-of-bounds mask, each layer is
+gathered with one take, and fill and normalization run over the whole
+(N, C, side, side) array. A batch of training or prediction samples is built
+by collate; a single sample is a batch of one.
+
 File formats (all little-endian, sizes bit-exact):
   observations  CSV with header surveyId,lon,lat,speciesId, one row per
-                (survey, species) pair
+                (survey, species) pair; a survey's rows repeat its lon,lat
   raster        JSON header (width, height, origin_x, origin_y,
                 pixel_size_x, pixel_size_y, crs, nodata, name) next to a
                 .f32 file of float32 row-major values, north-up
@@ -112,7 +119,11 @@ class ObservationTable:
 
 
 def load_observations(path: str, num_classes: int) -> ObservationTable:
-    """Load an observation CSV, grouping species rows per survey."""
+    """Load an observation CSV, grouping species rows per survey.
+
+    Every row of a survey must repeat its coordinates; a conflicting row
+    raises DataError.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"surveyId", "lon", "lat", "speciesId"}
@@ -121,7 +132,7 @@ def load_observations(path: str, num_classes: int) -> ObservationTable:
                 f"{path}: missing column(s) "
                 f"{sorted(required - set(reader.fieldnames or []))}"
             )
-        grouped: dict[str, dict] = {}
+        grouped: dict[str, tuple] = {}  # surveyId -> (lon, lat, first row, species set)
         for i, row in enumerate(reader, start=2):
             sid = row["surveyId"]
             lon, lat = float(row["lon"]), float(row["lat"])
@@ -133,12 +144,19 @@ def load_observations(path: str, num_classes: int) -> ObservationTable:
                 raise DataError(
                     f"{path} row {i}: speciesId {species} outside [0, {num_classes})"
                 )
-            entry = grouped.setdefault(sid, {"lon": lon, "lat": lat, "species": set()})
+            entry = grouped.get(sid)
+            if entry is None:
+                entry = grouped[sid] = (lon, lat, i, set())
+            elif entry[0] != lon or entry[1] != lat:
+                raise DataError(
+                    f"{path} row {i}: survey {sid!r} at ({lon}, {lat}) conflicts with "
+                    f"({entry[0]}, {entry[1]}) in row {entry[2]}"
+                )
             if species is not None:
-                entry["species"].add(species)
+                entry[3].add(species)
     records = tuple(
-        ObservationRecord(sid, e["lon"], e["lat"], frozenset(e["species"]))
-        for sid, e in grouped.items()
+        ObservationRecord(sid, lon, lat, frozenset(species))
+        for sid, (lon, lat, _, species) in grouped.items()
     )
     return ObservationTable(records=records, num_classes=num_classes)
 
@@ -177,13 +195,6 @@ class RasterLayer:
     def missing(self, values: np.ndarray) -> np.ndarray:
         """True where values hold this layer's nodata value or NaN."""
         return (values == self.nodata) | np.isnan(values)
-
-    def pixel_of(self, lon: float, lat: float) -> tuple[int, int]:
-        """Map a WGS84 point to (row, col) in this layer's grid."""
-        x, y = transform_point(lon, lat, self.crs)
-        col = math.floor((x - self.origin_x) / self.pixel_size_x)
-        row = math.floor((y - self.origin_y) / self.pixel_size_y)
-        return row, col
 
 
 def save_raster(layer: RasterLayer, header_path: str) -> None:
@@ -259,44 +270,78 @@ class PatchSpec:
                     raise DataError(f"normalize std for {name!r} must be > 0")
 
 
-def extract_patch(layers, spec: PatchSpec, lon: float, lat: float) -> np.ndarray:
-    """Cut a (C, side, side) patch around a WGS84 point.
+def _window_index(layer: RasterLayer, xs: np.ndarray, ys: np.ndarray, side: int):
+    """Flat (N, side, side) pixel indices of the windows around points given in
+    the layer's CRS, clipped into the grid, and the mask of out-of-bounds pixels."""
+    half = side // 2
+    offsets = np.arange(side) - half
+    # clipping the centre keeps the int cast in range and leaves every window
+    # that misses the grid still missing it
+    col = np.clip(np.floor((xs - layer.origin_x) / layer.pixel_size_x), -side, layer.width + side)
+    row = np.clip(np.floor((ys - layer.origin_y) / layer.pixel_size_y), -side, layer.height + side)
+    cols = col.astype(np.intp)[:, None] + offsets
+    rows = row.astype(np.intp)[:, None] + offsets
+    outside = ((rows < 0) | (rows >= layer.height))[:, :, None] | (
+        (cols < 0) | (cols >= layer.width))[:, None, :]
+    flat = (np.clip(rows, 0, layer.height - 1)[:, :, None] * layer.width
+            + np.clip(cols, 0, layer.width - 1)[:, None, :])
+    return flat, outside
 
-    The point is transformed into each layer's CRS and mapped to pixel
+
+def extract_patches(layers, spec: PatchSpec, lons, lats) -> np.ndarray:
+    """Cut (N, C, side, side) patches around N WGS84 points.
+
+    Each point is transformed into each layer's CRS and mapped to pixel
     indices by the floor convention; out-of-bounds, nodata and NaN pixels
-    take fill_value; per-layer normalization is applied last.
+    take fill_value; per-layer normalization is applied last. A point that
+    misses every layer is logged once, or raises OutOfExtentError under
+    oob_policy="error".
     """
     by_name = {layer.name: layer for layer in layers}
     missing = [n for n in spec.layer_names if n not in by_name]
     if missing:
         raise MissingModalityError(f"patch layers not loaded: {missing}")
-    side = spec.side
-    half = side // 2
-    out = np.empty((len(spec.layer_names), side, side), dtype=np.float64)
-    any_overlap = False
-    for ci, name in enumerate(spec.layer_names):
-        layer = by_name[name]
-        row, col = layer.pixel_of(lon, lat)
-        r0, c0 = row - half, col - half
-        patch = np.full((side, side), spec.fill_value, dtype=np.float64)
-        rs, re = max(r0, 0), min(r0 + side, layer.height)
-        cs, ce = max(c0, 0), min(c0 + side, layer.width)
-        if rs < re and cs < ce:
-            any_overlap = True
-            block = layer.values[rs:re, cs:ce].astype(np.float64)
-            block = np.where(layer.missing(block), spec.fill_value, block)
-            patch[rs - r0 : re - r0, cs - c0 : ce - c0] = block
-        if spec.normalize and name in spec.normalize:
-            mean, std = spec.normalize[name]
-            patch = (patch - mean) / std
-        out[ci] = patch
-    if not any_overlap:
+    chosen = [by_name[n] for n in spec.layer_names]
+    lons = np.asarray(lons, dtype=np.float64)
+    lats = np.asarray(lats, dtype=np.float64)
+    n, side = len(lons), spec.side
+    points = {}  # crs -> (xs, ys)
+    for crs in dict.fromkeys(layer.crs for layer in chosen):
+        xy = [transform_point(lon, lat, crs) for lon, lat in zip(lons.tolist(), lats.tolist())]
+        points[crs] = np.array(xy, dtype=np.float64).reshape(n, 2).T
+    windows = {}  # grid -> (flat index, out-of-bounds mask)
+    out = np.empty((n, len(chosen), side, side), dtype=np.float64)
+    to_fill = np.empty(out.shape, dtype=bool)
+    overlaps = np.zeros(n, dtype=bool)
+    for ci, layer in enumerate(chosen):
+        grid = (layer.crs, layer.origin_x, layer.origin_y, layer.pixel_size_x,
+                layer.pixel_size_y, layer.width, layer.height)
+        if grid not in windows:
+            windows[grid] = _window_index(layer, *points[layer.crs], side)
+            overlaps |= ~windows[grid][1].all(axis=(1, 2))
+        flat, outside = windows[grid]
+        out[:, ci] = layer.values.take(flat)
+        np.logical_or(outside, layer.missing(out[:, ci]), out=to_fill[:, ci])
+    np.copyto(out, spec.fill_value, where=to_fill)
+    if spec.normalize:
+        # x - 0.0 and x / 1.0 are exact, so channels without stats are unchanged
+        stats = [spec.normalize.get(layer.name, (0.0, 1.0)) for layer in chosen]
+        mean, std = (np.array(v, dtype=np.float64)[:, None, None] for v in zip(*stats))
+        out -= mean
+        out /= std
+    for i in np.flatnonzero(~overlaps).tolist():
+        lon, lat = lons[i].item(), lats[i].item()
         if spec.oob_policy == "error":
             raise OutOfExtentError(
                 f"point ({lon}, {lat}) outside the extent of every patch layer"
             )
         log.warning("point (%s, %s) outside all patch layers; filled", lon, lat)
     return out
+
+
+def extract_patch(layers, spec: PatchSpec, lon: float, lat: float) -> np.ndarray:
+    """Cut a (C, side, side) patch around a WGS84 point: extract_patches for one point."""
+    return extract_patches(layers, spec, [lon], [lat])[0]
 
 
 @dataclass(frozen=True)
@@ -398,13 +443,13 @@ def build_time_series_cubes(
         raise CoverageError(f"missing (band, step, year) combinations: {gaps[:10]}")
     if band_names is None:
         band_names = [f"band{i}" for i in range(b)]
-    cubes = {}
-    for rec in table.records:
-        cube = np.empty((b, q, y), dtype=np.float32)
-        for (bi, qi, yi), layer in by_tag.items():
-            spec = PatchSpec(side=1, layer_names=(layer.name,))
-            cube[bi, qi, yi] = extract_patch([layer], spec, rec.lon, rec.lat)[0, 0, 0]
-        cubes[rec.survey_id] = cube
+    lons = [rec.lon for rec in table.records]
+    lats = [rec.lat for rec in table.records]
+    values = np.empty((len(table.records), b, q, y), dtype=np.float32)
+    for (bi, qi, yi), layer in by_tag.items():
+        spec = PatchSpec(side=1, layer_names=(layer.name,))
+        values[:, bi, qi, yi] = extract_patches([layer], spec, lons, lats)[:, 0, 0, 0]
+    cubes = {rec.survey_id: values[i] for i, rec in enumerate(table.records)}
     save_cubes(cubes, band_names, manifest_path)
 
 
@@ -445,25 +490,38 @@ class SampleSource:
         return len(self.table.records)
 
     def __getitem__(self, index: int) -> MultiModalSample:
-        rec = self.table.records[index]
-        patch = None
-        if self.patch_spec is not None:
-            patch = extract_patch(self.layers, self.patch_spec, rec.lon, rec.lat)
-        cubes = {
-            modality: cube_map[rec.survey_id].values.astype(np.float64)
-            for modality, cube_map in self.cube_maps.items()
-        }
-        label = None
-        if self.labels_mode == "train":
-            label = np.zeros(self.table.num_classes, dtype=np.float64)
-            label[sorted(rec.species_ids)] = 1.0
+        batch = collate(self, [index])
         return MultiModalSample(
-            survey_id=rec.survey_id,
-            patch=patch,
-            cubes=cubes,
-            coords=(rec.lon, rec.lat),
-            label=label,
+            survey_id=batch["survey_ids"][0],
+            patch=batch["patch"][0] if "patch" in batch else None,
+            cubes={modality: batch[modality][0] for modality in self.cube_maps},
+            coords=tuple(batch["location"][0].tolist()),
+            label=batch["labels"][0] if "labels" in batch else None,
         )
+
+
+def collate(source: SampleSource, indices) -> dict:
+    """Build the batch dict of the samples at indices: survey_ids, patch
+    (B, C, side, side), one (B, *cube shape) array per cube modality, location
+    (B, 2) as (lon, lat), and in train mode multi-hot labels (B, num_classes);
+    arrays are float64."""
+    records = [source.table.records[int(i)] for i in indices]
+    batch: dict = {"survey_ids": [rec.survey_id for rec in records]}
+    location = np.array([(rec.lon, rec.lat) for rec in records], dtype=np.float64)
+    if source.patch_spec is not None:
+        batch["patch"] = extract_patches(source.layers, source.patch_spec,
+                                         location[:, 0], location[:, 1])
+    for modality, cube_map in source.cube_maps.items():
+        batch[modality] = np.stack([cube_map[rec.survey_id].values for rec in records],
+                                   dtype=np.float64)
+    batch["location"] = location
+    if source.labels_mode == "train":
+        labels = np.zeros((len(records), source.table.num_classes), dtype=np.float64)
+        rows = [i for i, rec in enumerate(records) for _ in rec.species_ids]
+        cols = [sp for rec in records for sp in rec.species_ids]
+        labels[rows, cols] = 1.0
+        batch["labels"] = labels
+    return batch
 
 
 def make_dataset(

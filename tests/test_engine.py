@@ -20,6 +20,7 @@ from sdmkit.engine import (
     weighted_bce_logits_grad,
 )
 from sdmkit.errors import CheckpointMismatchError, SdmkitError, ShapeError
+from sdmkit.evalkit import PredictionSet, top_k
 from sdmkit.nn import build_encoder, build_mme
 from sdmkit.pipeline import build_model, load_data, resolve_split
 from sdmkit.synthetic import default_config_yaml, make_synthetic
@@ -195,6 +196,26 @@ def tiny_experiment(tmp_path_factory):
     return cfg, data, train, val
 
 
+def test_collate_matches_per_sample_stack(tiny_experiment):
+    cfg, data, train, val = tiny_experiment
+    indices = np.array([len(val) - 1, 0, 7, 3, 3, 11])
+    for source in (val, data.source_for(labels_mode="predict")):
+        batch = engine.collate(source, indices)
+        items = [source[int(i)] for i in indices]
+        assert batch["survey_ids"] == [s.survey_id for s in items]
+        assert np.array_equal(batch["patch"], np.stack([s.patch for s in items]))
+        assert set(data.cube_maps) == {"cube_a", "cube_b"}
+        for name in data.cube_maps:
+            assert np.array_equal(batch[name], np.stack([s.cubes[name] for s in items]))
+        assert np.array_equal(batch["location"], np.array([s.coords for s in items]))
+        if source.labels_mode == "train":
+            assert np.array_equal(batch["labels"], np.stack([s.label for s in items]))
+            for row, i in zip(batch["labels"], indices):
+                assert np.flatnonzero(row).tolist() == sorted(source.table.records[i].species_ids)
+        else:
+            assert "labels" not in batch
+
+
 def read_metrics(run_dir):
     with open(os.path.join(run_dir, "metrics.csv"), newline="") as fh:
         return list(csv.DictReader(fh))
@@ -291,6 +312,8 @@ class TestCheckpointAndPredict:
         direct = np.concatenate(direct)
         got = np.stack([p.scores for p in preds])
         np.testing.assert_allclose(got, direct, atol=1e-6)
+        for p in preds:
+            np.testing.assert_array_equal(p.topk, top_k(p.scores, cfg.task.top_k))
 
     def test_prediction_file_round_trip(self, tiny_experiment, tmp_path):
         cfg, data, train, val = tiny_experiment
@@ -311,3 +334,53 @@ class TestCheckpointAndPredict:
         from sdmkit.evalkit import top_k
 
         assert list(top_k(np.zeros(10), 4)) == [0, 1, 2, 3]
+
+
+class TestAtomicWrites:
+    """A write that fails midway leaves the previous file and no temporary file."""
+
+    def test_failed_prediction_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "predictions.csv"
+        preds = [PredictionSet.from_scores(f"s{i}", np.array([0.1, 0.7, 0.2]), 2)
+                 for i in range(3)]
+        engine.save_predictions(preds, str(path))
+        before = path.read_bytes()
+        real_writer = csv.writer
+
+        class FailingWriter:  # fails on the third row, after the header and one row
+            def __init__(self, fh):
+                self.inner, self.rows = real_writer(fh), 0
+
+            def writerow(self, row):
+                self.rows += 1
+                if self.rows == 3:
+                    raise OSError("disk full")
+                self.inner.writerow(row)
+
+            def writerows(self, rows):
+                for row in rows:
+                    self.writerow(row)
+
+        monkeypatch.setattr(engine.csv, "writer", FailingWriter)
+        with pytest.raises(OSError, match="disk full"):
+            engine.save_predictions(preds[::-1], str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["predictions.csv"]
+
+    def test_failed_checkpoint_write_keeps_previous_file(self, tiny_experiment, tmp_path,
+                                                         monkeypatch):
+        cfg, data, _, _ = tiny_experiment
+        model = build_model(cfg, data.cube_shapes())
+        path = tmp_path / "last.ckpt"
+        save_checkpoint(str(path), model, None, TrainState(), cfg)
+        before = path.read_bytes()
+
+        def failing_savez(file, **arrays):
+            file.write(before[:100])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(engine.np, "savez", failing_savez)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(str(path), model, None, TrainState(epoch=1), cfg)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["last.ckpt"]

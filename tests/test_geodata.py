@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 import os
 
@@ -22,6 +23,7 @@ from sdmkit.geodata import (
     TaggedLayer,
     build_time_series_cubes,
     extract_patch,
+    extract_patches,
     load_cubes,
     load_observations,
     load_raster,
@@ -68,6 +70,11 @@ class TestLoadObservations:
     def test_species_out_of_range(self, tmp_path):
         path = write_obs(tmp_path, ["s1,0,0,12"])
         with pytest.raises(DataError):
+            load_observations(path, num_classes=10)
+
+    def test_conflicting_duplicate_rejected(self, tmp_path):
+        path = write_obs(tmp_path, ["s1,3.0,43.0,5", "s2,1.0,1.0,2", "s1,3.5,43.0,7"])
+        with pytest.raises(DataError, match=r"obs\.csv row 4: survey 's1'.*row 2"):
             load_observations(path, num_classes=10)
 
 
@@ -186,6 +193,100 @@ class TestExtractPatch:
                 lat = layer.origin_y + (row + rng.uniform(0, 1)) * layer.pixel_size_y
                 got = extract_patch([layer], spec, lon, lat)[0, 0, 0]
                 assert got == float(layer.values[row, col])
+
+
+def make_grid_layers(seed):
+    """Layers a and b share an EPSG:4326 grid, c has its own EPSG:4326 grid and m
+    sits on an EPSG:3857 grid with another origin and pixel size. About 10% of
+    pixels are nodata, 10% NaN."""
+    rng = np.random.default_rng(seed)
+
+    def values(h, w, nodata):
+        v = rng.normal(size=(h, w)).astype(np.float32)
+        v[rng.random((h, w)) < 0.1] = nodata
+        v[rng.random((h, w)) < 0.1] = math.nan
+        return v
+
+    wgs = dict(width=10, height=8, origin_x=0.0, origin_y=10.0,
+               pixel_size_x=0.5, pixel_size_y=-0.5, crs="EPSG:4326")
+    merc = dict(width=9, height=7, origin_x=150_000.0, origin_y=1_050_000.0,
+                pixel_size_x=40_000.0, pixel_size_y=-60_000.0, crs="EPSG:3857")
+    return [
+        RasterLayer(name="a", nodata=-9999.0, values=values(8, 10, -9999.0), **wgs),
+        RasterLayer(name="b", nodata=math.nan, values=values(8, 10, math.nan), **wgs),
+        RasterLayer(name="c", width=6, height=5, origin_x=1.3, origin_y=9.1, pixel_size_x=0.7,
+                    pixel_size_y=-0.9, crs="EPSG:4326", nodata=-9999.0,
+                    values=values(5, 6, -9999.0)),
+        RasterLayer(name="m", nodata=-1.0, values=values(7, 9, -1.0), **merc),
+    ]
+
+
+def oracle_patch(layers, spec, lon, lat):
+    """One point's patch by direct indexing, pixel by pixel."""
+    by_name = {layer.name: layer for layer in layers}
+    half = spec.side // 2
+    out = np.empty((len(spec.layer_names), spec.side, spec.side))
+    for ci, name in enumerate(spec.layer_names):
+        layer = by_name[name]
+        x, y = transform_point(lon, lat, layer.crs)
+        col0 = math.floor((x - layer.origin_x) / layer.pixel_size_x) - half
+        row0 = math.floor((y - layer.origin_y) / layer.pixel_size_y) - half
+        for i in range(spec.side):
+            for j in range(spec.side):
+                r, c = row0 + i, col0 + j
+                v = spec.fill_value
+                if 0 <= r < layer.height and 0 <= c < layer.width:
+                    pixel = float(layer.values[r, c])
+                    if pixel != layer.nodata and not math.isnan(pixel):
+                        v = pixel
+                if spec.normalize and name in spec.normalize:
+                    mean, std = spec.normalize[name]
+                    v = (v - mean) / std
+                out[ci, i, j] = v
+    return out
+
+
+class TestExtractPatches:
+    NAMES = ["a", "b", "c", "m"]
+    STATS = {"a": (0.25, 2.0), "b": (-1.0, 0.5), "c": (0.5, 3.0), "m": (3.0, 1.5)}
+
+    # the grids cover about lon 0..5, lat 5.6..10; the drawn points fall inside,
+    # across an edge, or wholly outside every layer
+    @given(
+        seed=st.integers(0, 2**16),
+        names=st.permutations(NAMES).flatmap(
+            lambda p: st.integers(1, len(p)).map(lambda k: tuple(p[:k]))),
+        side=st.integers(1, 5),
+        fill_value=st.sampled_from([0.0, -2.5, 7.0]),
+        normalized=st.sets(st.sampled_from(NAMES)),
+        points=st.lists(st.tuples(st.floats(-4, 9), st.floats(2, 14)), min_size=1, max_size=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_direct_indexing_oracle(self, seed, names, side, fill_value, normalized,
+                                            points):
+        layers = make_grid_layers(seed)
+        spec = PatchSpec(side=side, layer_names=names, fill_value=fill_value,
+                         normalize={n: self.STATS[n] for n in normalized})
+        lons, lats = zip(*points)
+        got = extract_patches(layers, spec, lons, lats)
+        expected = np.stack([oracle_patch(layers, spec, lon, lat) for lon, lat in points])
+        assert got.shape == (len(points), len(names), side, side)
+        assert np.array_equal(got, expected)
+
+    def test_batch_out_of_extent_policy(self, toy_raster, caplog):
+        # a point inside only one of the two layers is neither an error nor warned about
+        far = dataclasses.replace(toy_raster, name="far", origin_x=10.0)
+        spec = PatchSpec(side=1, layer_names=("toy", "far"))
+        lons, lats = [2.5, 50.0, 12.5, -20.0], [1.5, 1.5, 1.5, -20.0]
+        with caplog.at_level(logging.WARNING, logger="sdmkit.geodata"):
+            extract_patches([toy_raster, far], spec, lons, lats)
+        assert [r.getMessage() for r in caplog.records] == [
+            "point (50.0, 1.5) outside all patch layers; filled",
+            "point (-20.0, -20.0) outside all patch layers; filled",
+        ]
+        strict = dataclasses.replace(spec, oob_policy="error")
+        with pytest.raises(OutOfExtentError, match=r"\(50\.0, 1\.5\)"):
+            extract_patches([toy_raster, far], strict, lons, lats)
 
 
 class TestCubes:
