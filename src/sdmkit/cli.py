@@ -75,14 +75,14 @@ def cmd_evaluate(args) -> int:
     predictions = engine.load_predictions(args.predictions)
     if not predictions:
         raise SdmkitError(f"{args.predictions}: no prediction rows")
-    num_classes = predictions[0].scores.size
+    num_classes = predictions.scores.shape[1]
     table = load_observations(args.labels, num_classes)
     by_id = {r.survey_id: r for r in table.records}
     labels = np.zeros((len(predictions), num_classes))
-    for i, pred in enumerate(predictions):
-        rec = by_id.get(pred.survey_id)
+    for i, sid in enumerate(predictions.survey_ids):
+        rec = by_id.get(sid)
         if rec is None:
-            raise SdmkitError(f"survey {pred.survey_id!r} has predictions but no labels")
+            raise SdmkitError(f"survey {sid!r} has predictions but no labels")
         labels[i, sorted(rec.species_ids)] = 1.0
     report = evalkit.evaluate(predictions, labels, args.k)
     evalkit.write_report(report, json_path, txt_path)

@@ -23,8 +23,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .config import ExperimentConfig, config_digest, render_config
-from .errors import CheckpointMismatchError, SdmkitError, ShapeError
-from .evalkit import MetricReport, PredictionSet, evaluate, top_k
+from .errors import CheckpointMismatchError, FormatError, SdmkitError, ShapeError
+from .evalkit import Predictions, evaluate
 from .geodata import collate
 
 log = logging.getLogger(__name__)
@@ -131,8 +131,8 @@ class AdamW:
             m += (1 - self.beta1) * grad
             v *= self.beta2
             v += (1 - self.beta2) * grad * grad
+            param *= 1 - lr * self.weight_decay  # decays theta_{t-1}, before the update
             param -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            param -= lr * self.weight_decay * param
         return True
 
 
@@ -178,12 +178,6 @@ def _replaced_on_success(path: str, mode: str, **kwargs):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
-
-
-def _prediction_sets(survey_ids, scores: np.ndarray, k: int) -> list[PredictionSet]:
-    """One PredictionSet per row of an (N, S) score matrix, from one top_k call."""
-    topk = top_k(scores, k)
-    return [PredictionSet(sid, scores[i], topk[i]) for i, sid in enumerate(survey_ids)]
 
 
 def save_checkpoint(path: str, model, optimizer: AdamW | None, state: TrainState,
@@ -312,8 +306,8 @@ def fit(cfg: ExperimentConfig, model, train_source, val_source,
             val_loss, scores, labels, ids = _epoch_loss_pass(
                 model, val_source, val_batches, pos_weight, training=False
             )
-            preds = _prediction_sets(ids, scores, cfg.task.top_k)
-            report = evaluate(preds, labels, cfg.task.top_k, label_ids=ids)
+            preds = Predictions.from_scores(ids, scores, cfg.task.top_k)
+            report = evaluate(preds, labels, cfg.task.top_k)
             row = [epoch, repr(lr), repr(train_loss), repr(val_loss)]
             row += [repr(getattr(report, col)) for col in METRIC_COLUMNS]
             writer.writerow(row)
@@ -332,42 +326,54 @@ def fit(cfg: ExperimentConfig, model, train_source, val_source,
 
 
 def predict(cfg: ExperimentConfig, model, weights_path: str, test_source,
-            out_path: str | None = None) -> list[PredictionSet]:
+            out_path: str | None = None) -> Predictions:
     """Load a checkpoint and score every survey in the test source."""
     load_checkpoint(weights_path, model, cfg)
     batches = make_batches(len(test_source), cfg.data.batch_size, shuffle=False,
                            seed=cfg.run.seed)
-    predictions = []
+    ids, scores = [], []
     for batch_idx in batches:
         batch = collate(test_source, batch_idx)
         logits = model.forward(batch, training=False)
-        scores = link_function(cfg.task.type, logits)
-        predictions += _prediction_sets(batch["survey_ids"], scores, cfg.task.top_k)
+        ids += batch["survey_ids"]
+        scores.append(link_function(cfg.task.type, logits))
+    predictions = Predictions.from_scores(ids, np.concatenate(scores), cfg.task.top_k)
     if out_path:
         save_predictions(predictions, out_path)
     return predictions
 
 
-def save_predictions(predictions: list[PredictionSet], path: str) -> None:
+def save_predictions(predictions: Predictions, path: str) -> None:
     """predictions.csv: surveyId, topk ids (rank order), all class scores."""
     with _replaced_on_success(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["surveyId", "topk", "scores"])
         writer.writerows(
-            [pred.survey_id, " ".join(map(str, pred.topk.tolist())),
-             " ".join(map(repr, pred.scores.tolist()))]
-            for pred in predictions
+            [sid, " ".join(map(str, topk)), " ".join(map(repr, scores))]
+            for sid, topk, scores in zip(predictions.survey_ids, predictions.topk.tolist(),
+                                         predictions.scores.tolist())
         )
 
 
-def load_predictions(path: str) -> list[PredictionSet]:
-    predictions = []
+def load_predictions(path: str) -> Predictions:
+    """Read a predictions.csv; every row must hold as many top-k ids and
+    scores as the first one."""
+    ids, topks, scores = [], [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or {"surveyId", "topk", "scores"} - set(reader.fieldnames):
             raise SdmkitError(f"{path}: not a predictions.csv file")
-        for row in reader:
-            topk = np.array([int(t) for t in row["topk"].split()])
-            scores = np.array([float(s) for s in row["scores"].split()])
-            predictions.append(PredictionSet(row["surveyId"], scores, topk))
-    return predictions
+        for line, row in enumerate(reader, start=2):
+            topk = np.array([int(t) for t in row["topk"].split()], dtype=np.int64)
+            row_scores = np.array([float(s) for s in row["scores"].split()])
+            if topks and (topk.size, row_scores.size) != (topks[0].size, scores[0].size):
+                raise FormatError(
+                    f"{path} row {line}: {topk.size} top-k ids and {row_scores.size} "
+                    f"scores, row 2 has {topks[0].size} and {scores[0].size}"
+                )
+            ids.append(row["surveyId"])
+            topks.append(topk)
+            scores.append(row_scores)
+    if not ids:
+        return Predictions([], np.empty((0, 0)), np.empty((0, 0), dtype=np.int64))
+    return Predictions(ids, np.stack(scores), np.stack(topks))

@@ -1,4 +1,4 @@
-"""Multilabel evaluation: Top-K prediction sets, precision/recall/F1 and
+"""Multilabel evaluation: Top-K predictions, precision/recall/F1 and
 rank-based ROC-AUC at micro, samples, and macro averaging.
 
 Conventions: Top-K tie-break is ascending class index; macro P/R/F1 average
@@ -30,37 +30,42 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PredictionSet:
-    survey_id: str
-    scores: np.ndarray  # (S,)
-    topk: np.ndarray  # (k,) indices, rank order
+class Predictions:
+    """Scores and top-k class indices of N surveys, one row per survey."""
+
+    survey_ids: list[str]
+    scores: np.ndarray  # (N, S)
+    topk: np.ndarray  # (N, k) indices, rank order
+
+    def __post_init__(self):
+        n = len(self.survey_ids)
+        if not (self.scores.ndim == self.topk.ndim == 2
+                and self.scores.shape[0] == self.topk.shape[0] == n):
+            raise ShapeError(f"{n} survey ids vs scores {self.scores.shape}, "
+                             f"top-k {self.topk.shape}")
+
+    def __len__(self) -> int:
+        return len(self.survey_ids)
 
     @classmethod
-    def from_scores(cls, survey_id: str, scores: np.ndarray, k: int) -> "PredictionSet":
-        return cls(survey_id=survey_id, scores=np.asarray(scores), topk=top_k(scores, k))
+    def from_scores(cls, survey_ids, scores: np.ndarray, k: int) -> "Predictions":
+        scores = np.asarray(scores)
+        return cls(list(survey_ids), scores, top_k(scores, k))
 
 
-def _topk_matrix(predictions) -> np.ndarray:
-    ks = {len(p.topk) for p in predictions}
-    if len(ks) != 1:
-        raise ShapeError(f"predictions disagree on k: {sorted(ks)}")
-    return np.stack([p.topk for p in predictions])
-
-
-def topk_prf(predictions, labels: np.ndarray, averaging: str) -> tuple[float, float, float]:
+def topk_prf(topk: np.ndarray, labels: np.ndarray, averaging: str) -> tuple[float, float, float]:
     """Top-K precision/recall/F1 under the requested averaging.
 
-    labels is an (N, S) multi-hot matrix aligned with the prediction list.
+    topk is an (N, k) matrix of class indices and labels the (N, S) multi-hot
+    matrix of the same surveys.
     """
     if averaging not in AVERAGINGS:
         raise SdmkitError(f"averaging {averaging!r} not in {AVERAGINGS}")
+    topk = np.asarray(topk)
     labels = np.asarray(labels)
-    if len(predictions) != labels.shape[0]:
-        raise ShapeError(
-            f"{len(predictions)} predictions vs {labels.shape[0]} label rows"
-        )
+    if topk.shape[0] != labels.shape[0]:
+        raise ShapeError(f"{topk.shape[0]} top-k rows vs {labels.shape[0]} label rows")
     n, s = labels.shape
-    topk = _topk_matrix(predictions)
     k = topk.shape[1]
     # (N, S) indicator of top-k membership
     in_topk = np.zeros((n, s), dtype=bool)
@@ -102,41 +107,59 @@ def topk_prf(predictions, labels: np.ndarray, averaging: str) -> tuple[float, fl
     return float(p_c.mean()), float(r_c.mean()), float(f_c.mean())
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of a 1-D array, ties sharing the mean of their ranks.
+def _row_aucs(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mann-Whitney AUC of each row of an (R, M) score matrix, ties sharing
+    their average rank.
 
-    Any NaN makes every rank NaN, so an AUC over it is NaN too.
+    Returns (auc, defined): defined marks the rows holding both label
+    values; the others get NaN, and so does any row with a NaN score.
     """
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    if np.isnan(xs[-1:]).any():  # argsort puts NaNs last
-        return np.full(x.size, np.nan)
-    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
-    ends = np.append(starts[1:], x.size)
-    ranks = np.empty(x.size)
-    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
-    return ranks
+    r, m = scores.shape
+    pos = labels > 0.5
+    n_pos = pos.sum(axis=1)
+    n_neg = m - n_pos
+    defined = (n_pos > 0) & (n_neg > 0)
+    order = np.argsort(scores, axis=1, kind="stable")
+    order += (np.arange(r) * m)[:, None]  # flat indices: np.take beats take_along_axis
+    sorted_pos = np.take(pos, order)
+    xs = np.take(scores, order)
+    nan_row = np.isnan(xs[:, -1:]).any(axis=1)  # argsort puts NaNs last
+    # a tie group starts at each row's first entry and wherever the value changes
+    new_group = np.ones((r, m), dtype=bool)
+    np.not_equal(xs[:, 1:], xs[:, :-1], out=new_group[:, 1:])
+    del order, xs  # the (R, M) float and index arrays, before the per-group ones
+    starts = np.flatnonzero(new_group)
+    ends = np.append(starts[1:], r * m)
+    row = starts // m
+    group_pos = np.add.reduceat(sorted_pos.ravel(), starts, dtype=np.int64)
+    # 1-based average rank of the group within its row; every value is a
+    # multiple of 1/2 below 2**52, so the sums below are exact in any order
+    mean_rank = (starts + ends + 1 - 2 * row * m) / 2
+    rank_sum = np.bincount(row, weights=group_pos * mean_rank, minlength=r)
+    auc = np.full(r, np.nan)
+    auc[defined] = ((rank_sum - n_pos * (n_pos + 1) / 2)[defined]
+                    / (n_pos * n_neg)[defined])
+    auc[nan_row] = np.nan
+    return auc, defined
 
 
 def binary_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Mann-Whitney AUC with average ranks for ties."""
-    scores = np.asarray(scores, dtype=float).ravel()
-    labels = np.asarray(labels).ravel()
-    pos = labels > 0.5
-    n_pos = int(pos.sum())
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    scores = np.asarray(scores, dtype=float).reshape(1, -1)
+    labels = np.asarray(labels).reshape(1, -1)
+    if scores.shape != labels.shape:
+        raise ShapeError(f"{scores.size} scores vs {labels.size} labels")
+    auc, defined = _row_aucs(scores, labels)
+    if not defined[0]:
         raise DegenerateLabelsError("AUC undefined: labels contain a single class")
-    ranks = _average_ranks(scores)
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+    return float(auc[0])
 
 
-def multilabel_auc(scores: np.ndarray, labels: np.ndarray, averaging: str,
-                   return_skipped: bool = False):
+def multilabel_auc(scores: np.ndarray, labels: np.ndarray, averaging: str) -> tuple[float, int]:
     """AUC over an (N, S) score/label pair at the requested averaging.
 
-    macro skips classes and samples skips rows lacking both label values;
-    the skip count is returned when return_skipped is set.
+    Returns (auc, skipped): samples skips the rows and macro the classes
+    lacking both label values; micro skips nothing.
     """
     if averaging not in AVERAGINGS:
         raise SdmkitError(f"averaging {averaging!r} not in {AVERAGINGS}")
@@ -144,32 +167,15 @@ def multilabel_auc(scores: np.ndarray, labels: np.ndarray, averaging: str,
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
         raise ShapeError(f"scores {scores.shape} vs labels {labels.shape}")
-    skipped = 0
     if averaging == "micro":
-        auc = binary_auc(scores.ravel(), labels.ravel())
-    elif averaging == "macro":
-        vals = []
-        for c in range(scores.shape[1]):
-            col = labels[:, c] > 0.5
-            if col.any() and not col.all():
-                vals.append(binary_auc(scores[:, c], labels[:, c]))
-            else:
-                skipped += 1
-        if not vals:
-            raise DegenerateLabelsError("macro AUC: no class has both label values")
-        auc = float(np.mean(vals))
-    else:
-        vals = []
-        for i in range(scores.shape[0]):
-            row = labels[i] > 0.5
-            if row.any() and not row.all():
-                vals.append(binary_auc(scores[i], labels[i]))
-            else:
-                skipped += 1
-        if not vals:
-            raise DegenerateLabelsError("samples AUC: no row has both label values")
-        auc = float(np.mean(vals))
-    return (auc, skipped) if return_skipped else auc
+        return binary_auc(scores, labels), 0
+    if averaging == "macro":
+        scores, labels = scores.T, labels.T
+    aucs, defined = _row_aucs(scores, labels)
+    if not defined.any():
+        unit = "class" if averaging == "macro" else "row"
+        raise DegenerateLabelsError(f"{averaging} AUC: no {unit} has both label values")
+    return float(np.mean(aucs[defined])), int(defined.size - defined.sum())
 
 
 @dataclass(frozen=True)
@@ -193,48 +199,23 @@ class MetricReport:
         return asdict(self)
 
 
-def evaluate(predictions, labels: np.ndarray, k: int,
-             label_ids: list[str] | None = None) -> MetricReport:
-    """Fill the full 12-slot metric report for aligned predictions/labels."""
+def evaluate(predictions: Predictions, labels: np.ndarray, k: int) -> MetricReport:
+    """Fill the full 12-slot metric report for predictions and the (N, S)
+    labels of the same surveys, in the same order."""
     if not predictions:
         raise AlignmentError("empty prediction list")
     labels = np.asarray(labels)
     if len(predictions) != labels.shape[0]:
-        raise AlignmentError(
-            f"{len(predictions)} predictions vs {labels.shape[0]} label rows"
-        )
-    if label_ids is not None:
-        for i, (pred, sid) in enumerate(zip(predictions, label_ids)):
-            if pred.survey_id != sid:
-                raise AlignmentError(
-                    f"row {i}: prediction survey {pred.survey_id!r} != label survey {sid!r}"
-                )
-    preds = [
-        p if len(p.topk) == k else PredictionSet.from_scores(p.survey_id, p.scores, k)
-        for p in predictions
-    ]
-    scores = np.stack([p.scores for p in preds])
-    values = {}
+        raise AlignmentError(f"{len(predictions)} predictions vs {labels.shape[0]} label rows")
+    topk = predictions.topk if predictions.topk.shape[1] == k else top_k(predictions.scores, k)
+    values, skipped = {}, {}
     for avg in AVERAGINGS:
-        p, r, f1 = topk_prf(preds, labels, avg)
-        auc, skipped = multilabel_auc(scores, labels, avg, return_skipped=True)
-        values[avg] = dict(auc=auc, precision=p, recall=r, f1=f1, skipped=skipped)
-    return MetricReport(
-        micro_auc=values["micro"]["auc"],
-        micro_precision=values["micro"]["precision"],
-        micro_recall=values["micro"]["recall"],
-        micro_f1=values["micro"]["f1"],
-        samples_auc=values["samples"]["auc"],
-        samples_precision=values["samples"]["precision"],
-        samples_recall=values["samples"]["recall"],
-        samples_f1=values["samples"]["f1"],
-        macro_auc=values["macro"]["auc"],
-        macro_precision=values["macro"]["precision"],
-        macro_recall=values["macro"]["recall"],
-        macro_f1=values["macro"]["f1"],
-        skipped_samples=values["samples"]["skipped"],
-        skipped_classes=values["macro"]["skipped"],
-    )
+        p, r, f1 = topk_prf(topk, labels, avg)
+        auc, skipped[avg] = multilabel_auc(predictions.scores, labels, avg)
+        values.update({f"{avg}_auc": auc, f"{avg}_precision": p, f"{avg}_recall": r,
+                       f"{avg}_f1": f1})
+    return MetricReport(**values, skipped_samples=skipped["samples"],
+                        skipped_classes=skipped["macro"])
 
 
 def write_report(report: MetricReport, json_path: str, txt_path: str) -> None:

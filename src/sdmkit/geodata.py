@@ -320,8 +320,10 @@ def extract_patches(layers, spec: PatchSpec, lons, lats) -> np.ndarray:
             windows[grid] = _window_index(layer, *points[layer.crs], side)
             overlaps |= ~windows[grid][1].all(axis=(1, 2))
         flat, outside = windows[grid]
-        out[:, ci] = layer.values.take(flat)
-        np.logical_or(outside, layer.missing(out[:, ci]), out=to_fill[:, ci])
+        values = layer.values.take(flat)
+        # nodata is matched in the raster's own dtype: -3.4e38 is not exact in float32
+        np.logical_or(outside, layer.missing(values), out=to_fill[:, ci])
+        out[:, ci] = values
     np.copyto(out, spec.fill_value, where=to_fill)
     if spec.normalize:
         # x - 0.0 and x / 1.0 are exact, so channels without stats are unchanged

@@ -77,9 +77,17 @@ def load_data(cfg: ExperimentConfig) -> LoadedData:
 
 
 def resolve_split(cfg: ExperimentConfig, table: ObservationTable) -> SpatialSplit:
-    if cfg.data.split_path and os.path.exists(cfg.data.split_path):
-        return load_split(cfg.data.split_path)
-    return block_holdout(table, seed=cfg.run.seed)
+    """The config's split file, which must assign every survey of the table
+    (it may list more), or else a block holdout."""
+    path = cfg.data.split_path
+    if not (path and os.path.exists(path)):
+        return block_holdout(table, seed=cfg.run.seed)
+    split = load_split(path)
+    omitted = [sid for sid in table.survey_ids() if sid not in split.assignment]
+    if omitted:
+        raise DataError(f"{path}: omits {len(omitted)} of the {len(table)} surveys in the "
+                        f"observation table, first {omitted[0]!r}")
+    return split
 
 
 class SingleModalityModel(Module):

@@ -22,7 +22,7 @@ from sdmkit.engine import (
     weighted_bce_logits,
     weighted_bce_logits_grad,
 )
-from sdmkit.evalkit import PredictionSet, binary_auc, multilabel_auc, top_k, topk_prf
+from sdmkit.evalkit import binary_auc, multilabel_auc, top_k, topk_prf
 from sdmkit.geodata import PatchSpec, RasterLayer, extract_patch, load_cubes, save_cubes
 from sdmkit.nn import build_encoder, build_mme, modify_first_layer, modify_last_layer
 from sdmkit.pipeline import build_model, load_data, resolve_split
@@ -45,11 +45,11 @@ def test_criterion_1_metric_oracle_equivalence():
     worst = 0.0
     for _ in range(100):
         n, s, k, scores, labels = random_instance(rng, n_max=200, s_max=50, k_max=10)
-        preds = [PredictionSet(f"s{i}", scores[i], top_k(scores[i], k)) for i in range(n)]
-        topk_sets = [set(p.topk.tolist()) for p in preds]
+        topk = top_k(scores, k)
+        topk_sets = [set(row) for row in topk.tolist()]
         label_sets = [set(np.flatnonzero(labels[i]).tolist()) for i in range(n)]
         for avg in ("micro", "samples", "macro"):
-            got = np.array(topk_prf(preds, labels, avg))
+            got = np.array(topk_prf(topk, labels, avg))
             want = np.array(oracle_prf(topk_sets, label_sets, k, s, avg))
             worst = max(worst, float(np.max(np.abs(got - want))))
             if avg == "micro":
@@ -62,7 +62,7 @@ def test_criterion_1_metric_oracle_equivalence():
                 vals = [oracle_pairwise_auc(scores[i].tolist(), labels[i].tolist())
                         for i in range(n) if 0 < labels[i].sum() < s]
                 want_auc = float(np.mean(vals))
-            got_auc = multilabel_auc(scores, labels, avg)
+            got_auc, _ = multilabel_auc(scores, labels, avg)
             worst = max(worst, abs(got_auc - want_auc))
     elapsed = time.time() - t0
     report(1, worst <= 1e-12 and elapsed < 30,
@@ -72,11 +72,8 @@ def test_criterion_1_metric_oracle_equivalence():
 def test_criterion_2_hand_values():
     """Worked toy case and the 4-point AUC example hit the exact values."""
     labels = np.array([[0, 1, 1, 0], [1, 0, 0, 0]], dtype=float)
-    preds = [
-        PredictionSet("a", np.array([0.1, 0.9, 0.2, 0.8]), np.array([1, 3])),
-        PredictionSet("b", np.array([0.9, 0.1, 0.8, 0.2]), np.array([0, 2])),
-    ]
-    p, r, f1 = topk_prf(preds, labels, "micro")
+    topk = np.array([[1, 3], [0, 2]])  # top-2 of scores [.1 .9 .2 .8] and [.9 .1 .8 .2]
+    p, r, f1 = topk_prf(topk, labels, "micro")
     auc = binary_auc([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1])
     ok = (
         abs(p - 0.5) < 1e-15
@@ -93,9 +90,9 @@ def test_criterion_3_micro_samples_precision_identity():
     worst = 0.0
     for _ in range(25):
         n, s, k, scores, labels = random_instance(rng, n_max=100, s_max=30, k_max=8)
-        preds = [PredictionSet(f"s{i}", scores[i], top_k(scores[i], k)) for i in range(n)]
-        micro_p = topk_prf(preds, labels, "micro")[0]
-        samples_p = topk_prf(preds, labels, "samples")[0]
+        topk = top_k(scores, k)
+        micro_p = topk_prf(topk, labels, "micro")[0]
+        samples_p = topk_prf(topk, labels, "samples")[0]
         worst = max(worst, abs(micro_p - samples_p))
     report(3, worst <= 1e-15, f"(max |micro P - samples P| = {worst:.2e})")
 
@@ -331,6 +328,6 @@ def test_criterion_10_round_trips(smoke_run, tmp_path):
     direct = np.concatenate([
         sigmoid(model.forward(engine.collate(val, b), training=False)) for b in batches
     ])
-    pred_ok = np.allclose(np.stack([p.scores for p in preds]), direct, atol=1e-6)
+    pred_ok = np.allclose(preds.scores, direct, atol=1e-6)
     ok = cfg_ok and cube_ok and split_ok and pred_ok
     report(10, ok, f"(config {cfg_ok}, cubes {cube_ok}, split {split_ok}, predict {pred_ok})")

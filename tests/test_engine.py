@@ -19,8 +19,8 @@ from sdmkit.engine import (
     weighted_bce_logits,
     weighted_bce_logits_grad,
 )
-from sdmkit.errors import CheckpointMismatchError, SdmkitError, ShapeError
-from sdmkit.evalkit import PredictionSet, top_k
+from sdmkit.errors import CheckpointMismatchError, FormatError, SdmkitError, ShapeError
+from sdmkit.evalkit import Predictions, top_k
 from sdmkit.nn import build_encoder, build_mme
 from sdmkit.pipeline import build_model, load_data, resolve_split
 from sdmkit.synthetic import default_config_yaml, make_synthetic
@@ -147,6 +147,17 @@ class TestAdamW:
         opt = AdamW(weight_decay=0.01)
         opt.step([("w", w, np.zeros(4))], lr=0.5)
         np.testing.assert_allclose(w, 2.0 * (1 - 0.5 * 0.01), atol=1e-15)
+
+    def test_decay_applies_to_previous_weights(self):
+        # theta_1 = theta_0 (1 - lr wd) - lr g / (|g| + eps): the first step's
+        # bias-corrected moments are g and g^2
+        theta = np.array([2.0, -1.0, 0.5])
+        g = np.array([0.3, -4.0, 1e-3])
+        lr, wd, eps = 0.1, 0.5, 1e-8
+        w = theta.copy()
+        AdamW(weight_decay=wd, eps=eps).step([("w", w, g)], lr=lr)
+        np.testing.assert_allclose(w, theta * (1 - lr * wd) - lr * g / (np.abs(g) + eps),
+                                   rtol=1e-12)
 
     def test_nonfinite_grad_skips_step(self, caplog):
         import logging
@@ -310,10 +321,9 @@ class TestCheckpointAndPredict:
             batch = engine.collate(val, bidx)
             direct.append(sigmoid(model.forward(batch, training=False)))
         direct = np.concatenate(direct)
-        got = np.stack([p.scores for p in preds])
-        np.testing.assert_allclose(got, direct, atol=1e-6)
-        for p in preds:
-            np.testing.assert_array_equal(p.topk, top_k(p.scores, cfg.task.top_k))
+        np.testing.assert_allclose(preds.scores, direct, atol=1e-6)
+        for scores, topk in zip(preds.scores, preds.topk):
+            np.testing.assert_array_equal(topk, top_k(scores, cfg.task.top_k))
 
     def test_prediction_file_round_trip(self, tiny_experiment, tmp_path):
         cfg, data, train, val = tiny_experiment
@@ -323,12 +333,19 @@ class TestCheckpointAndPredict:
         preds = engine.predict(cfg, build_model(cfg, data.cube_shapes()),
                                os.path.join(run_dir, "best.ckpt"), val, out_path=out)
         loaded = engine.load_predictions(out)
-        assert [p.survey_id for p in loaded] == [p.survey_id for p in preds]
-        np.testing.assert_allclose(
-            np.stack([p.scores for p in loaded]), np.stack([p.scores for p in preds])
-        )
-        for a, b in zip(loaded, preds):
-            np.testing.assert_array_equal(a.topk, b.topk)
+        assert loaded.survey_ids == preds.survey_ids
+        np.testing.assert_array_equal(loaded.scores, preds.scores)
+        np.testing.assert_array_equal(loaded.topk, preds.topk)
+
+    @pytest.mark.parametrize("rows", [
+        ["a,1 0,0.1 0.7 0.2", "b,1 0,0.5 0.5 0.1", "c,1,0.7 0.1 0.2"],
+        ["a,1 0,0.1 0.7 0.2", "b,1 0,0.5 0.5 0.1", "c,1 0,0.7 0.1"],
+    ])
+    def test_ragged_prediction_rows_rejected(self, tmp_path, rows):
+        path = tmp_path / "predictions.csv"
+        path.write_text("\n".join(["surveyId,topk,scores", *rows]) + "\n")
+        with pytest.raises(FormatError, match=r"predictions\.csv row 4\b"):
+            engine.load_predictions(str(path))
 
     def test_equal_logits_topk_tie_rule(self):
         from sdmkit.evalkit import top_k
@@ -341,8 +358,8 @@ class TestAtomicWrites:
 
     def test_failed_prediction_write_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "predictions.csv"
-        preds = [PredictionSet.from_scores(f"s{i}", np.array([0.1, 0.7, 0.2]), 2)
-                 for i in range(3)]
+        scores = np.array([[0.1, 0.7, 0.2], [0.4, 0.3, 0.9], [0.6, 0.5, 0.8]])
+        preds = Predictions.from_scores([f"s{i}" for i in range(3)], scores, 2)
         engine.save_predictions(preds, str(path))
         before = path.read_bytes()
         real_writer = csv.writer
@@ -363,7 +380,8 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(engine.csv, "writer", FailingWriter)
         with pytest.raises(OSError, match="disk full"):
-            engine.save_predictions(preds[::-1], str(path))
+            engine.save_predictions(Predictions.from_scores(["t", "u", "v"], scores, 1),
+                                    str(path))
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["predictions.csv"]
 

@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdmkit.errors import AlignmentError, DegenerateLabelsError, SdmkitError
+from sdmkit.errors import AlignmentError, DegenerateLabelsError, SdmkitError, ShapeError
 from sdmkit.evalkit import (
-    PredictionSet,
-    _average_ranks,
+    Predictions,
+    _row_aucs,
     binary_auc,
     evaluate,
     multilabel_auc,
@@ -80,6 +82,43 @@ def oracle_prf(topk_sets, label_sets, k, s, averaging):
     return sum(pcs) / s, sum(rcs) / s, sum(fcs) / s
 
 
+def oracle_unit_aucs(scores, labels, averaging):
+    """Pairwise AUC of each unit (all entries, each row or each column) that
+    holds both label values, NaN for such a unit holding a NaN score; and the
+    number of rows or columns skipped for lacking a label value."""
+    if averaging == "micro":
+        units = [(scores.ravel(), labels.ravel())]
+    elif averaging == "samples":
+        units = list(zip(scores, labels))
+    else:
+        units = list(zip(scores.T, labels.T))
+    vals = [
+        math.nan if np.isnan(s).any() else oracle_pairwise_auc(s.tolist(), y.tolist())
+        for s, y in units
+        if 0 < y.sum() < y.size
+    ]
+    return vals, 0 if averaging == "micro" else len(units) - len(vals)
+
+
+@st.composite
+def tie_heavy_matrices(draw):
+    """(R, M) scores on 2-5 levels, labels with some constant rows and
+    columns, and a NaN score in some rows."""
+    r, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    levels = draw(st.integers(2, 5))
+    cells = st.lists(st.integers(0, levels - 1), min_size=r * m, max_size=r * m)
+    scores = np.array(draw(cells), dtype=float).reshape(r, m) / levels
+    bits = st.lists(st.booleans(), min_size=r * m, max_size=r * m)
+    labels = np.array(draw(bits), dtype=float).reshape(r, m)
+    for i in draw(st.lists(st.integers(0, r - 1), max_size=2)):
+        labels[i] = draw(st.sampled_from([0.0, 1.0]))
+    for j in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+        labels[:, j] = draw(st.sampled_from([0.0, 1.0]))
+    for i in draw(st.lists(st.integers(0, r - 1), max_size=2)):
+        scores[i, draw(st.integers(0, m - 1))] = math.nan
+    return scores, labels
+
+
 def random_instance(rng, n_max=200, s_max=50, k_max=10):
     n = int(rng.integers(2, n_max + 1))
     s = int(rng.integers(max(3, k_max), s_max + 1))
@@ -137,45 +176,38 @@ class TestTopkPrf:
     def toy(self):
         # N=2, S=4, k=2; Y0={1,2}, top0={1,3}; Y1={0}, top1={0,2}
         labels = np.array([[0, 1, 1, 0], [1, 0, 0, 0]], dtype=float)
-        preds = [
-            PredictionSet("a", np.array([0.1, 0.9, 0.2, 0.8]), np.array([1, 3])),
-            PredictionSet("b", np.array([0.9, 0.1, 0.8, 0.2]), np.array([0, 2])),
-        ]
-        return preds, labels
+        return np.array([[1, 3], [0, 2]]), labels
 
     def test_micro_hand_values(self):
-        preds, labels = self.toy()
-        p, r, f1 = topk_prf(preds, labels, "micro")
+        topk, labels = self.toy()
+        p, r, f1 = topk_prf(topk, labels, "micro")
         assert p == pytest.approx(0.5)
         assert r == pytest.approx(2 / 3)
         assert f1 == pytest.approx(4 / 7)
 
     def test_samples_hand_values(self):
-        preds, labels = self.toy()
-        p, r, f1 = topk_prf(preds, labels, "samples")
+        topk, labels = self.toy()
+        p, r, f1 = topk_prf(topk, labels, "samples")
         assert p == pytest.approx(0.5)
         assert r == pytest.approx(0.75)
         assert f1 == pytest.approx((0.5 + 2 / 3) / 2)
 
     def test_perfect_predictions(self):
         labels = np.array([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=float)
-        preds = [
-            PredictionSet("a", np.array([0.9, 0.8, 0.1, 0.0]), np.array([0, 1])),
-            PredictionSet("b", np.array([0.0, 0.1, 0.9, 0.8]), np.array([2, 3])),
-        ]
+        topk = np.array([[0, 1], [2, 3]])
         for avg in ("micro", "samples", "macro"):
-            p, r, f1 = topk_prf(preds, labels, avg)
+            p, r, f1 = topk_prf(topk, labels, avg)
             assert (p, r, f1) == (1.0, 1.0, 1.0)
 
     def test_matches_oracle_randomized(self):
         rng = np.random.default_rng(42)
         for _ in range(30):
             n, s, k, scores, labels = random_instance(rng, n_max=60, s_max=25, k_max=8)
-            preds = [PredictionSet(f"s{i}", scores[i], top_k(scores[i], k)) for i in range(n)]
-            topk_sets = [set(p.topk.tolist()) for p in preds]
+            topk = top_k(scores, k)
+            topk_sets = [set(row) for row in topk.tolist()]
             label_sets = [set(np.flatnonzero(labels[i]).tolist()) for i in range(n)]
             for avg in ("micro", "samples", "macro"):
-                got = topk_prf(preds, labels, avg)
+                got = topk_prf(topk, labels, avg)
                 want = oracle_prf(topk_sets, label_sets, k, s, avg)
                 np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -183,10 +215,10 @@ class TestTopkPrf:
         # micro P * (N*k) == micro R * sum|Y| == sum TP exactly
         rng = np.random.default_rng(1)
         n, s, k, scores, labels = random_instance(rng, n_max=50, s_max=20, k_max=5)
-        preds = [PredictionSet(f"s{i}", scores[i], top_k(scores[i], k)) for i in range(n)]
-        p, r, _ = topk_prf(preds, labels, "micro")
-        tp = sum(len(set(pr.topk.tolist()) & set(np.flatnonzero(labels[i]).tolist()))
-                 for i, pr in enumerate(preds))
+        topk = top_k(scores, k)
+        p, r, _ = topk_prf(topk, labels, "micro")
+        tp = sum(len(set(row) & set(np.flatnonzero(labels[i]).tolist()))
+                 for i, row in enumerate(topk.tolist()))
         assert p * (n * k) == pytest.approx(tp, abs=1e-9)
         assert r * labels.sum() == pytest.approx(tp, abs=1e-9)
 
@@ -202,6 +234,11 @@ class TestBinaryAuc:
 
     def test_all_ties(self):
         assert binary_auc([0.5, 0.5, 0.5, 0.5], [0, 1, 0, 1]) == 0.5
+
+    def test_length_mismatch_rejected(self):
+        for labels in ([0, 1], [0, 1, 1, 0]):
+            with pytest.raises(ShapeError):
+                binary_auc([0.1, 0.2, 0.3], labels)
 
     def test_single_class_error(self):
         with pytest.raises(DegenerateLabelsError):
@@ -222,11 +259,17 @@ class TestBinaryAuc:
     @pytest.mark.parametrize("n", [1, 2, 200])
     @pytest.mark.parametrize("levels", [3, 101])
     def test_average_ranks_match_oracle(self, n, levels):
+        # row i holds a -inf negative, then the n scores with only score i
+        # positive, so its AUC is rank_i / n
         rng = np.random.default_rng(n * 1000 + levels)
         for _ in range(5):
             scores = rng.integers(0, levels, size=n) / (levels - 1)
-            got = _average_ranks(scores)
-            assert got.tolist() == oracle_average_ranks(scores.tolist())
+            rows = np.hstack([np.full((n, 1), -np.inf), np.tile(scores, (n, 1))])
+            labels = np.hstack([np.zeros((n, 1)), np.eye(n)])
+            auc, defined = _row_aucs(rows, labels)
+            assert defined.all()
+            want = oracle_average_ranks(scores.tolist())
+            assert (n * auc).tolist() == pytest.approx(want, abs=1e-9)
 
     def test_nan_score_gives_nan(self):
         assert np.isnan(binary_auc([0.1, np.nan, 0.3, 0.2], [0, 1, 1, 0]))
@@ -250,13 +293,13 @@ class TestMultilabelAuc:
     def test_perfect_scores(self):
         labels = np.array([[1, 0, 1], [0, 1, 0]], dtype=float)
         for avg in ("micro", "samples", "macro"):
-            assert multilabel_auc(labels.copy(), labels, avg) == 1.0
+            assert multilabel_auc(labels.copy(), labels, avg) == (1.0, 0)
 
     def test_single_sample_inverted(self):
         labels = np.array([[1, 0]], dtype=float)
         scores = np.array([[0.2, 0.9]])
-        assert multilabel_auc(scores, labels, "micro") == 0.0
-        assert multilabel_auc(scores, labels, "samples") == 0.0
+        assert multilabel_auc(scores, labels, "micro") == (0.0, 0)
+        assert multilabel_auc(scores, labels, "samples") == (0.0, 0)
 
     def test_matches_oracle_50x20(self):
         rng = np.random.default_rng(7)
@@ -264,7 +307,7 @@ class TestMultilabelAuc:
         labels = (rng.random((50, 20)) < 0.5).astype(float)
         labels[:, 0] = 1  # one degenerate class to exercise skipping
         for avg in ("micro", "samples", "macro"):
-            got, skipped = multilabel_auc(scores, labels, avg, return_skipped=True)
+            got, skipped = multilabel_auc(scores, labels, avg)
             if avg == "micro":
                 want = oracle_pairwise_auc(scores.ravel().tolist(), labels.ravel().tolist())
             elif avg == "macro":
@@ -284,16 +327,49 @@ class TestMultilabelAuc:
                 want = float(np.mean(vals))
             assert got == pytest.approx(want, abs=1e-12)
 
+    @given(tie_heavy_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_unit_oracle_with_ties_skips_and_nans(self, case):
+        scores, labels = case
+        for avg in ("micro", "samples", "macro"):
+            vals, want_skipped = oracle_unit_aucs(scores, labels, avg)
+            if not vals:
+                with pytest.raises(DegenerateLabelsError):
+                    multilabel_auc(scores, labels, avg)
+                continue
+            got, skipped = multilabel_auc(scores, labels, avg)
+            assert skipped == want_skipped
+            if any(math.isnan(v) for v in vals):
+                assert math.isnan(got)
+            else:
+                assert got == pytest.approx(sum(vals) / len(vals), abs=1e-12)
+
 
 # ---- evaluate -------------------------------------------------------------
+
+class TestPredictions:
+    def test_from_scores_one_row_per_survey(self):
+        scores = np.array([[0.1, 0.9, 0.5], [0.7, 0.2, 0.7]])
+        preds = Predictions.from_scores(("a", "b"), scores, 2)
+        assert len(preds) == 2 and preds.survey_ids == ["a", "b"]
+        np.testing.assert_array_equal(preds.topk, [[1, 2], [0, 2]])
+
+    @pytest.mark.parametrize("scores, topk", [
+        (np.zeros((3, 4)), np.zeros((2, 1), dtype=int)),  # row counts disagree
+        (np.zeros((2, 4)), np.zeros((3, 1), dtype=int)),
+        (np.zeros(4), np.zeros((2, 1), dtype=int)),  # ranks
+        (np.zeros((2, 4)), np.zeros(2, dtype=int)),
+    ])
+    def test_shape_mismatch_rejected(self, scores, topk):
+        with pytest.raises(ShapeError):
+            Predictions(["a", "b"], scores, topk)
+
 
 class TestEvaluate:
     def test_toy_report(self):
         labels = np.array([[0, 1, 1, 0], [1, 0, 0, 0]], dtype=float)
-        preds = [
-            PredictionSet("a", np.array([0.1, 0.9, 0.2, 0.8]), np.array([1, 3])),
-            PredictionSet("b", np.array([0.9, 0.1, 0.8, 0.2]), np.array([0, 2])),
-        ]
+        preds = Predictions(["a", "b"], np.array([[0.1, 0.9, 0.2, 0.8], [0.9, 0.1, 0.8, 0.2]]),
+                            np.array([[1, 3], [0, 2]]))
         report = evaluate(preds, labels, k=2)
         assert report.micro_precision == pytest.approx(0.5)
         assert report.micro_recall == pytest.approx(2 / 3)
@@ -303,18 +379,22 @@ class TestEvaluate:
         assert report.micro_f1 == pytest.approx(2 * p * r / (p + r))
 
     def test_empty_predictions(self):
+        empty = Predictions([], np.zeros((0, 3)), np.zeros((0, 1), dtype=np.int64))
         with pytest.raises(AlignmentError):
-            evaluate([], np.zeros((0, 3)), k=1)
+            evaluate(empty, np.zeros((0, 3)), k=1)
 
-    def test_id_misalignment(self):
-        preds = [PredictionSet("a", np.array([1.0, 0.0]), np.array([0]))]
-        with pytest.raises(AlignmentError, match="a"):
-            evaluate(preds, np.array([[1.0, 0.0]]), k=1, label_ids=["b"])
+    def test_topk_recomputed_for_other_k(self):
+        rng = np.random.default_rng(5)
+        n, s, k, scores, labels = random_instance(rng, n_max=30, s_max=12, k_max=5)
+        ids = [f"s{i}" for i in range(n)]
+        stored = Predictions.from_scores(ids, scores, 1 if k > 1 else 2)
+        assert evaluate(stored, labels, k) == evaluate(Predictions.from_scores(ids, scores, k),
+                                                       labels, k)
 
     def test_all_values_in_unit_interval(self):
         rng = np.random.default_rng(3)
         n, s, k, scores, labels = random_instance(rng, n_max=40, s_max=15, k_max=5)
-        preds = [PredictionSet(f"s{i}", scores[i], top_k(scores[i], k)) for i in range(n)]
+        preds = Predictions.from_scores([f"s{i}" for i in range(n)], scores, k)
         report = evaluate(preds, labels, k)
         for field, value in report.to_dict().items():
             if field.startswith("skipped"):

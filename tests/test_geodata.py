@@ -162,6 +162,20 @@ class TestExtractPatch:
             expected = np.array([[0, 1, 2], [4, -1, 6], [8, -1, 10]], dtype=float)
             np.testing.assert_array_equal(patch, expected)
 
+    def test_float32_nodata_not_exact_in_float64_filled(self, toy_raster):
+        # -3.4e38 rounds to another value in float32; the pixel must still
+        # count as nodata, as it does in the normalization statistics
+        values = toy_raster.values.copy()
+        values[2, 2] = -3.4e38
+        layer = RasterLayer(
+            name="toy", width=4, height=4, origin_x=0, origin_y=4,
+            pixel_size_x=1, pixel_size_y=-1, crs="EPSG:4326",
+            nodata=-3.4e38, values=values,
+        )
+        assert layer.missing(layer.values).sum() == 1
+        spec = PatchSpec(side=1, layer_names=("toy",), fill_value=-1.0)
+        assert extract_patch([layer], spec, 2.5, 1.5)[0, 0, 0] == -1.0
+
     def test_normalization_applied_last(self, toy_raster):
         spec = PatchSpec(side=1, layer_names=("toy",), normalize={"toy": (10.0, 2.0)})
         assert extract_patch([toy_raster], spec, 2.5, 1.5)[0, 0, 0] == 0.0

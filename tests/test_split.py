@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from sdmkit.errors import DegenerateSplitError, FormatError
+from sdmkit.config import parse_config
+from sdmkit.errors import DataError, DegenerateSplitError, FormatError
+from sdmkit.pipeline import resolve_split
 from sdmkit.split import block_holdout, cell_index, load_split, save_split
+from sdmkit.synthetic import default_config_yaml
 from conftest import make_table
 
 CELL = 1.0 / 6.0
@@ -125,3 +130,28 @@ class TestSplitRoundTrip:
         path = tmp_path / "split.csv"
         path.write_text("surveyId,partition,cx,cy\na,train,0,0\nb,val,1,0\nc,train,0,1\n")
         assert len(load_split(str(path)).assignment) == 3
+
+
+class TestResolveSplit:
+    def config(self, tmp_path, split_path):
+        cfg = parse_config(default_config_yaml(str(tmp_path)))
+        return dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, split_path=split_path))
+
+    def test_split_missing_a_survey_rejected(self, tmp_path):
+        table = uniform_table(np.random.default_rng(0), n=60)
+        path = tmp_path / "split.csv"
+        save_split(block_holdout(table, seed=1), str(path))
+        header, *rows = path.read_text().splitlines()
+        dropped = rows.pop(17).split(",")[0]
+        path.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(DataError, match=rf"split\.csv.* 1 of the 60 .*'{dropped}'"):
+            resolve_split(self.config(tmp_path, str(path)), table)
+
+    def test_split_may_list_surveys_beyond_the_table(self, tmp_path):
+        table = uniform_table(np.random.default_rng(0), n=60)
+        path = tmp_path / "split.csv"
+        save_split(block_holdout(table, seed=1), str(path))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("elsewhere,train,0,0\n")
+        split = resolve_split(self.config(tmp_path, str(path)), table)
+        assert len(split.assignment) == 61
