@@ -14,12 +14,11 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import engine, evalkit
 from .config import load_config
 from .errors import SdmkitError
-from .geodata import TaggedLayer, build_time_series_cubes, load_observations, load_raster
+from .geodata import (TaggedLayer, build_time_series_cubes, load_observations, load_raster,
+                      multi_hot, read_csv)
 from .pipeline import build_model, load_data, resolve_split
 from .split import block_holdout, save_split
 from .synthetic import default_config_yaml, make_synthetic
@@ -46,10 +45,8 @@ def cmd_train(args) -> int:
     val_source = data.source_for(split.partition("val"))
     model = build_model(cfg, data.cube_shapes())
     run_dir = engine.fit(cfg, model, train_source, val_source, out_root=args.out)
-    with open(os.path.join(run_dir, "metrics.csv"), encoding="utf-8") as fh:
-        rows = fh.read().strip().splitlines()
-    header = rows[0].split(",")
-    best = min(float(r.split(",")[header.index("val_loss")]) for r in rows[1:])
+    metrics = read_csv(os.path.join(run_dir, "metrics.csv"), ("val_loss",))
+    best = min(float(loss) for _, (loss,) in metrics)
     print(run_dir)
     print(f"best val loss: {best}", file=sys.stderr)
     return 0
@@ -78,12 +75,10 @@ def cmd_evaluate(args) -> int:
     num_classes = predictions.scores.shape[1]
     table = load_observations(args.labels, num_classes)
     by_id = {r.survey_id: r for r in table.records}
-    labels = np.zeros((len(predictions), num_classes))
-    for i, sid in enumerate(predictions.survey_ids):
-        rec = by_id.get(sid)
-        if rec is None:
-            raise SdmkitError(f"survey {sid!r} has predictions but no labels")
-        labels[i, sorted(rec.species_ids)] = 1.0
+    unlabeled = [sid for sid in predictions.survey_ids if sid not in by_id]
+    if unlabeled:
+        raise SdmkitError(f"survey {unlabeled[0]!r} has predictions but no labels")
+    labels = multi_hot([by_id[sid] for sid in predictions.survey_ids], num_classes)
     report = evalkit.evaluate(predictions, labels, args.k)
     evalkit.write_report(report, json_path, txt_path)
     print(json_path)

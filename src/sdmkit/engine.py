@@ -25,7 +25,7 @@ import numpy as np
 from .config import ExperimentConfig, config_digest, render_config
 from .errors import CheckpointMismatchError, FormatError, SdmkitError, ShapeError
 from .evalkit import Predictions, evaluate
-from .geodata import collate
+from .geodata import collate, parse_field, read_csv
 
 log = logging.getLogger(__name__)
 
@@ -356,24 +356,40 @@ def save_predictions(predictions: Predictions, path: str) -> None:
 
 
 def load_predictions(path: str) -> Predictions:
-    """Read a predictions.csv; every row must hold as many top-k ids and
-    scores as the first one."""
-    ids, topks, scores = [], [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or {"surveyId", "topk", "scores"} - set(reader.fieldnames):
-            raise SdmkitError(f"{path}: not a predictions.csv file")
-        for line, row in enumerate(reader, start=2):
-            topk = np.array([int(t) for t in row["topk"].split()], dtype=np.int64)
-            row_scores = np.array([float(s) for s in row["scores"].split()])
-            if topks and (topk.size, row_scores.size) != (topks[0].size, scores[0].size):
-                raise FormatError(
-                    f"{path} row {line}: {topk.size} top-k ids and {row_scores.size} "
-                    f"scores, row 2 has {topks[0].size} and {scores[0].size}"
-                )
-            ids.append(row["surveyId"])
-            topks.append(topk)
-            scores.append(row_scores)
-    if not ids:
+    """Read a predictions.csv. Each survey has one row, every row holds as
+    many top-k ids and scores as the first one, and a row's top-k ids are
+    distinct class indices below the score count."""
+    row_of, topks, scores = {}, [], []  # surveyId -> row number, in file order
+    for i, (sid, topk, row_scores) in read_csv(path, ("surveyId", "topk", "scores")):
+        topk = parse_field(path, i, "topk", _int_array, topk)
+        row_scores = parse_field(path, i, "scores", _float_array, row_scores)
+        if topks and (topk.size, row_scores.size) != (topks[0].size, scores[0].size):
+            raise FormatError(
+                f"{path} row {i}: {topk.size} top-k ids and {row_scores.size} "
+                f"scores, row 2 has {topks[0].size} and {scores[0].size}"
+            )
+        if row_of.setdefault(sid, i) != i:
+            raise FormatError(f"{path} row {i}: survey {sid!r} already in row {row_of[sid]}")
+        topks.append(topk)
+        scores.append(row_scores)
+    if not row_of:
         return Predictions([], np.empty((0, 0)), np.empty((0, 0), dtype=np.int64))
-    return Predictions(ids, np.stack(scores), np.stack(topks))
+    topk, scores = np.stack(topks), np.stack(scores)
+    ranked = np.sort(topk, axis=1)
+    bad = (((topk < 0) | (topk >= scores.shape[1])).any(axis=1)
+           | (ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
+    if bad.any():
+        rows = np.array(list(row_of.values()))[bad]
+        raise FormatError(
+            f"{path} row {rows[0]}, column topk: ids {topk[bad][0].tolist()} are not distinct "
+            f"class indices in [0, {scores.shape[1]}) ({rows.size} such rows)"
+        )
+    return Predictions(list(row_of), scores, topk)
+
+
+def _int_array(text: str) -> np.ndarray:
+    return np.array(text.split(), dtype=np.int64)
+
+
+def _float_array(text: str) -> np.ndarray:
+    return np.array(text.split(), dtype=np.float64)

@@ -26,7 +26,7 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
         raise SdmkitError(f"k={k} outside [1, {s}]")
     # stable sort on index after negating scores gives the tie-break for free
     order = np.argsort(-scores, axis=-1, kind="stable")
-    return order[..., :k]
+    return order[..., :k].copy()  # a view would keep the whole index array alive
 
 
 @dataclass(frozen=True)

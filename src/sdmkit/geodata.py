@@ -22,6 +22,15 @@ File formats (all little-endian, sizes bit-exact):
   cubes         JSON manifest (surveys, shape [B,Q,Y], bands, payload)
                 next to a float32 payload of one block per survey in
                 manifest order
+  split         CSV with header surveyId,partition,cx,cy, one row per survey
+  predictions   CSV with header surveyId,topk,scores, one row per survey;
+                topk holds k class ids in rank order, scores one value per
+                class, both space-separated
+
+The three CSV tables are read by read_csv: columns are found by header name
+(extra columns are ignored), blank lines are skipped, every row must hold as
+many fields as the header, and parse_field turns a bad field into a
+FormatError naming the file, the row (the header is row 1) and the column.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,42 +127,66 @@ class ObservationTable:
         )
 
 
+def read_csv(path: str, columns):
+    """Stream (row number, fields of the named columns) over a CSV table's
+    non-blank rows; the header is row 1."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        row = 0  # rows read so far, the header included
+        try:
+            header = next(reader, [])
+            row = 1
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise FormatError(f"{path} row 1: missing column(s) {missing}")
+            index = [header.index(c) for c in columns]
+            for fields in reader:
+                if not fields:
+                    continue
+                row += 1
+                if len(fields) != len(header):
+                    raise FormatError(f"{path} row {row}: {len(fields)} fields, "
+                                      f"the header has {len(header)}")
+                yield row, [fields[i] for i in index]
+        except csv.Error as exc:
+            raise FormatError(f"{path} row {row + 1}: {exc}") from None
+        except UnicodeDecodeError as exc:  # decoded in blocks, so the row is not known
+            raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def parse_field(path: str, row: int, column: str, parse, text: str):
+    """parse(text), with a ValueError or OverflowError raised as a FormatError
+    naming the file, the row and the column."""
+    try:
+        return parse(text)
+    except (ValueError, OverflowError) as exc:
+        raise FormatError(f"{path} row {row}, column {column}: {exc}") from None
+
+
 def load_observations(path: str, num_classes: int) -> ObservationTable:
     """Load an observation CSV, grouping species rows per survey.
 
     Every row of a survey must repeat its coordinates; a conflicting row
     raises DataError.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"surveyId", "lon", "lat", "speciesId"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise FormatError(
-                f"{path}: missing column(s) "
-                f"{sorted(required - set(reader.fieldnames or []))}"
+    grouped: dict[str, tuple] = {}  # surveyId -> (lon, lat, first row, species set)
+    for i, (sid, lon, lat, species) in read_csv(path, ("surveyId", "lon", "lat", "speciesId")):
+        lon, lat = parse_field(path, i, "lon", float, lon), parse_field(path, i, "lat", float, lat)
+        if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
+            raise DataError(f"{path} row {i}: coordinate ({lon}, {lat}) out of range")
+        species = parse_field(path, i, "speciesId", int, species) if species.strip() else None
+        if species is not None and not (0 <= species < num_classes):
+            raise DataError(f"{path} row {i}: speciesId {species} outside [0, {num_classes})")
+        entry = grouped.get(sid)
+        if entry is None:
+            entry = grouped[sid] = (lon, lat, i, set())
+        elif entry[0] != lon or entry[1] != lat:
+            raise DataError(
+                f"{path} row {i}: survey {sid!r} at ({lon}, {lat}) conflicts with "
+                f"({entry[0]}, {entry[1]}) in row {entry[2]}"
             )
-        grouped: dict[str, tuple] = {}  # surveyId -> (lon, lat, first row, species set)
-        for i, row in enumerate(reader, start=2):
-            sid = row["surveyId"]
-            lon, lat = float(row["lon"]), float(row["lat"])
-            if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
-                raise DataError(f"{path} row {i}: coordinate ({lon}, {lat}) out of range")
-            species_field = row["speciesId"].strip()
-            species = int(species_field) if species_field != "" else None
-            if species is not None and not (0 <= species < num_classes):
-                raise DataError(
-                    f"{path} row {i}: speciesId {species} outside [0, {num_classes})"
-                )
-            entry = grouped.get(sid)
-            if entry is None:
-                entry = grouped[sid] = (lon, lat, i, set())
-            elif entry[0] != lon or entry[1] != lat:
-                raise DataError(
-                    f"{path} row {i}: survey {sid!r} at ({lon}, {lat}) conflicts with "
-                    f"({entry[0]}, {entry[1]}) in row {entry[2]}"
-                )
-            if species is not None:
-                entry[3].add(species)
+        if species is not None:
+            entry[3].add(species)
     records = tuple(
         ObservationRecord(sid, lon, lat, frozenset(species))
         for sid, (lon, lat, _, species) in grouped.items()
@@ -455,24 +488,15 @@ def build_time_series_cubes(
     save_cubes(cubes, band_names, manifest_path)
 
 
-@dataclass(frozen=True)
-class MultiModalSample:
-    survey_id: str
-    patch: np.ndarray | None  # (C, side, side)
-    cubes: dict[str, np.ndarray]  # modality name -> (B, Q, Y)
-    coords: tuple[float, float]  # (lon, lat), for location encoders
-    label: np.ndarray | None  # multi-hot (num_classes,), None in predict mode
-
-
 @dataclass
 class SampleSource:
-    """Indexed, length-known source of aligned multimodal samples."""
+    """Aligned multimodal samples of an observation table, batched by collate."""
 
     table: ObservationTable
-    layers: list = field(default_factory=list)
-    patch_spec: PatchSpec | None = None
-    cube_maps: dict[str, dict[str, TimeSeriesCube]] = field(default_factory=dict)
-    labels_mode: str = "train"  # "train" | "predict"
+    layers: list
+    patch_spec: PatchSpec | None
+    cube_maps: dict[str, dict[str, TimeSeriesCube]]
+    labels_mode: str  # "train" | "predict"
 
     def __post_init__(self):
         for modality, cube_map in self.cube_maps.items():
@@ -491,15 +515,14 @@ class SampleSource:
     def __len__(self):
         return len(self.table.records)
 
-    def __getitem__(self, index: int) -> MultiModalSample:
-        batch = collate(self, [index])
-        return MultiModalSample(
-            survey_id=batch["survey_ids"][0],
-            patch=batch["patch"][0] if "patch" in batch else None,
-            cubes={modality: batch[modality][0] for modality in self.cube_maps},
-            coords=tuple(batch["location"][0].tolist()),
-            label=batch["labels"][0] if "labels" in batch else None,
-        )
+
+def multi_hot(records, num_classes: int) -> np.ndarray:
+    """(len(records), num_classes) float64 labels, 1.0 at each record's species."""
+    labels = np.zeros((len(records), num_classes), dtype=np.float64)
+    counts = [len(rec.species_ids) for rec in records]
+    cols = np.fromiter((sp for rec in records for sp in rec.species_ids), np.intp, sum(counts))
+    labels[np.repeat(np.arange(len(records)), counts), cols] = 1.0
+    return labels
 
 
 def collate(source: SampleSource, indices) -> dict:
@@ -518,25 +541,6 @@ def collate(source: SampleSource, indices) -> dict:
                                    dtype=np.float64)
     batch["location"] = location
     if source.labels_mode == "train":
-        labels = np.zeros((len(records), source.table.num_classes), dtype=np.float64)
-        rows = [i for i, rec in enumerate(records) for _ in rec.species_ids]
-        cols = [sp for rec in records for sp in rec.species_ids]
-        labels[rows, cols] = 1.0
-        batch["labels"] = labels
+        batch["labels"] = multi_hot(records, source.table.num_classes)
     return batch
 
-
-def make_dataset(
-    table: ObservationTable,
-    layers=None,
-    patch_spec: PatchSpec | None = None,
-    cube_maps=None,
-    labels_mode: str = "train",
-) -> SampleSource:
-    return SampleSource(
-        table=table,
-        layers=layers or [],
-        patch_spec=patch_spec,
-        cube_maps=cube_maps or {},
-        labels_mode=labels_mode,
-    )

@@ -16,10 +16,10 @@ from .errors import DataError, SdmkitError, ShapeError
 from .geodata import (
     ObservationTable,
     PatchSpec,
+    SampleSource,
     load_cubes,
     load_observations,
     load_raster_manifest,
-    make_dataset,
 )
 from .nn import build_mme, build_encoder, modify_first_layer, modify_last_layer, strip_head
 from .nn.layers import Module
@@ -42,13 +42,7 @@ class LoadedData:
 
     def source_for(self, survey_ids=None, labels_mode: str = "train"):
         table = self.table if survey_ids is None else self.table.subset(survey_ids)
-        return make_dataset(
-            table,
-            layers=self.layers,
-            patch_spec=self.patch_spec,
-            cube_maps=self.cube_maps,
-            labels_mode=labels_mode,
-        )
+        return SampleSource(table, self.layers, self.patch_spec, self.cube_maps, labels_mode)
 
 
 def _valid_stats(layer) -> tuple[float, float]:

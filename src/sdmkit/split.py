@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSplitError, FormatError
-from .geodata import ObservationTable
+from .geodata import ObservationTable, parse_field, read_csv
 
 DEFAULT_CELL_SIZE = 1.0 / 6.0  # 10 arcminutes
 DEFAULT_VAL_FRACTION = 0.15
@@ -33,9 +33,6 @@ def cell_index(lon: float, lat: float, cell_size: float = DEFAULT_CELL_SIZE) -> 
 class SpatialSplit:
     assignment: dict[str, str]  # survey_id -> "train" | "val"
     cell_of: dict[str, tuple[int, int]]
-    cell_size: float
-    seed: int
-    target_val_fraction: float
 
     def partition(self, name: str) -> list[str]:
         return [sid for sid, part in self.assignment.items() if part == name]
@@ -81,13 +78,7 @@ def block_holdout(
     assignment = {
         sid: ("val" if cell in val_cells else "train") for sid, cell in cell_of.items()
     }
-    return SpatialSplit(
-        assignment=assignment,
-        cell_of=cell_of,
-        cell_size=cell_size,
-        seed=seed,
-        target_val_fraction=target_val_fraction,
-    )
+    return SpatialSplit(assignment=assignment, cell_of=cell_of)
 
 
 def save_split(split: SpatialSplit, path: str) -> None:
@@ -99,32 +90,19 @@ def save_split(split: SpatialSplit, path: str) -> None:
             writer.writerow([sid, part, cx, cy])
 
 
-def load_split(
-    path: str,
-    cell_size: float = DEFAULT_CELL_SIZE,
-    seed: int = 0,
-    target_val_fraction: float = DEFAULT_VAL_FRACTION,
-) -> SpatialSplit:
-    """Load a split CSV; "test" is accepted as an alias of "val"."""
+def load_split(path: str) -> SpatialSplit:
+    """Load a split CSV; "test" is accepted as an alias of "val". A survey
+    listed on two rows raises FormatError."""
     assignment: dict[str, str] = {}
     cell_of: dict[str, tuple[int, int]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"surveyId", "partition", "cx", "cy"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise FormatError(f"{path}: missing column(s) in split file")
-        for i, row in enumerate(reader, start=2):
-            part = row["partition"]
-            if part == "test":
-                part = "val"
-            if part not in ("train", "val"):
-                raise FormatError(f"{path} row {i}: unknown partition token {part!r}")
-            assignment[row["surveyId"]] = part
-            cell_of[row["surveyId"]] = (int(row["cx"]), int(row["cy"]))
-    return SpatialSplit(
-        assignment=assignment,
-        cell_of=cell_of,
-        cell_size=cell_size,
-        seed=seed,
-        target_val_fraction=target_val_fraction,
-    )
+    first_row: dict[str, int] = {}
+    for i, (sid, part, cx, cy) in read_csv(path, ("surveyId", "partition", "cx", "cy")):
+        if first_row.setdefault(sid, i) != i:
+            raise FormatError(f"{path} row {i}: survey {sid!r} already in row {first_row[sid]}")
+        part = "val" if part == "test" else part
+        if part not in ("train", "val"):
+            raise FormatError(f"{path} row {i}, column partition: unknown partition token "
+                              f"{part!r}")
+        assignment[sid] = part
+        cell_of[sid] = (parse_field(path, i, "cx", int, cx), parse_field(path, i, "cy", int, cy))
+    return SpatialSplit(assignment=assignment, cell_of=cell_of)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -36,9 +37,13 @@ def test_make_synthetic_deterministic(tmp_path):
 def test_train_produces_artifacts(synthetic_dir, tmp_path, capsys):
     cfg = os.path.join(synthetic_dir, "config.yaml")
     assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == 0
-    run_dir = capsys.readouterr().out.strip().splitlines()[-1]
+    out = capsys.readouterr()
+    run_dir = out.out.strip().splitlines()[-1]
     for artifact in ("metrics.csv", "best.ckpt", "last.ckpt", "config.yaml"):
         assert os.path.exists(os.path.join(run_dir, artifact))
+    with open(os.path.join(run_dir, "metrics.csv"), newline="") as fh:
+        losses = [float(row["val_loss"]) for row in csv.DictReader(fh)]
+    assert f"best val loss: {min(losses)}" in out.err
 
 
 def test_train_missing_data_path(tmp_path, capsys):
@@ -96,6 +101,21 @@ def test_evaluate_empty_predictions(tmp_path, synthetic_dir):
     assert main(["evaluate", "--predictions", str(pred),
                  "--labels", os.path.join(synthetic_dir, "observations.csv"),
                  "--k", "2"]) == 1
+
+
+@pytest.mark.parametrize("rows", [
+    ["s00000,1 0,0.9 0.8 0.1", "s00001,0 1,0.9 abc 0.1"],
+    ["s00000,1 0,0.9 0.8 0.1", "s00001,0 7,0.9 0.8 0.1"],
+    ["s00000,1 0,0.9 0.8 0.1", "s00001,0 1,0.9 0.8"],
+    ["s00000,1 0,0.9 0.8 0.1", "s00000,0 1,0.9 0.8 0.1"],
+])
+def test_evaluate_bad_predictions_one_error_line(tmp_path, synthetic_dir, capsys, rows):
+    pred = tmp_path / "p.csv"
+    pred.write_text("\n".join(["surveyId,topk,scores", *rows]) + "\n")
+    assert main(["evaluate", "--predictions", str(pred),
+                 "--labels", os.path.join(synthetic_dir, "observations.csv"), "--k", "2"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {pred} row 3")
 
 
 def test_evaluate_k_too_large(tmp_path, synthetic_dir):

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdmkit import engine
 from sdmkit.config import parse_config
@@ -208,19 +210,18 @@ def tiny_experiment(tmp_path_factory):
 
 
 def test_collate_matches_per_sample_stack(tiny_experiment):
+    """A batch equals the stacked batches of one of its samples."""
     cfg, data, train, val = tiny_experiment
     indices = np.array([len(val) - 1, 0, 7, 3, 3, 11])
     for source in (val, data.source_for(labels_mode="predict")):
         batch = engine.collate(source, indices)
-        items = [source[int(i)] for i in indices]
-        assert batch["survey_ids"] == [s.survey_id for s in items]
-        assert np.array_equal(batch["patch"], np.stack([s.patch for s in items]))
+        items = [engine.collate(source, [i]) for i in indices]
+        assert batch["survey_ids"] == [s["survey_ids"][0] for s in items]
         assert set(data.cube_maps) == {"cube_a", "cube_b"}
-        for name in data.cube_maps:
-            assert np.array_equal(batch[name], np.stack([s.cubes[name] for s in items]))
-        assert np.array_equal(batch["location"], np.array([s.coords for s in items]))
+        for name in ["patch", "location", *data.cube_maps]:
+            assert np.array_equal(batch[name], np.concatenate([s[name] for s in items]))
         if source.labels_mode == "train":
-            assert np.array_equal(batch["labels"], np.stack([s.label for s in items]))
+            assert np.array_equal(batch["labels"], np.concatenate([s["labels"] for s in items]))
             for row, i in zip(batch["labels"], indices):
                 assert np.flatnonzero(row).tolist() == sorted(source.table.records[i].species_ids)
         else:
@@ -346,6 +347,40 @@ class TestCheckpointAndPredict:
         path.write_text("\n".join(["surveyId,topk,scores", *rows]) + "\n")
         with pytest.raises(FormatError, match=r"predictions\.csv row 4\b"):
             engine.load_predictions(str(path))
+
+    @pytest.mark.parametrize("bad_id", ["7", "-1"])
+    def test_topk_id_outside_classes_rejected(self, tmp_path, bad_id):
+        path = tmp_path / "predictions.csv"
+        path.write_text(f"surveyId,topk,scores\na,1,0.1 0.7\nb,{bad_id},0.6 0.5\n")
+        with pytest.raises(FormatError, match=r"predictions\.csv row 3, column topk: .*\[0, 2\)"):
+            engine.load_predictions(str(path))
+
+    def test_topk_id_repeated_rejected(self, tmp_path):
+        path = tmp_path / "predictions.csv"
+        path.write_text("surveyId,topk,scores\na,1 0,0.1 0.7 0.2\nb,2 2,0.5 0.1 0.9\n")
+        with pytest.raises(FormatError, match=r"predictions\.csv row 3, column topk: ids \[2, 2\]"):
+            engine.load_predictions(str(path))
+
+    def test_survey_on_two_rows_rejected(self, tmp_path):
+        path = tmp_path / "predictions.csv"
+        path.write_text("surveyId,topk,scores\na,1,0.1 0.7\nb,0,0.6 0.5\na,1,0.2 0.3\n")
+        with pytest.raises(FormatError, match=r"predictions\.csv row 4: survey 'a' already in row 2"):
+            engine.load_predictions(str(path))
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(width=64) | st.decimals(places=4, allow_nan=False,
+                                                             allow_infinity=False),
+                           min_size=1, max_size=20),
+           ids=st.lists(st.integers(-2**63, 2**63 - 1), max_size=20))
+    def test_row_parse_bit_equal_to_python(self, values, ids):
+        """Each row's fields are parsed by one numpy call; it must read repr output
+        and short decimals exactly as float() and int() do."""
+        text = [repr(v) if isinstance(v, float) else str(v) for v in values]
+        parsed = engine._float_array(" ".join(text))
+        expected = np.array([float(t) for t in text])
+        assert parsed.dtype == np.float64
+        assert parsed.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+        assert engine._int_array(" ".join(map(str, ids))).tolist() == ids
 
     def test_equal_logits_topk_tie_rule(self):
         from sdmkit.evalkit import top_k

@@ -146,6 +146,11 @@ class TestTopK:
         scores = np.array([0.3, 0.8, 0.1])
         assert list(top_k(scores, 3)) == [1, 0, 2]
 
+    def test_returns_owned_array(self):
+        scores = np.random.default_rng(0).random((50, 20))
+        assert top_k(scores, 5).base is None
+        assert top_k(scores[0], 5).base is None
+
     def test_k_too_large(self):
         with pytest.raises(SdmkitError):
             top_k(np.zeros(3), 4)

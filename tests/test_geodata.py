@@ -20,19 +20,24 @@ from sdmkit.errors import (
 from sdmkit.geodata import (
     PatchSpec,
     RasterLayer,
+    SampleSource,
     TaggedLayer,
+    TimeSeriesCube,
     build_time_series_cubes,
+    collate,
     extract_patch,
     extract_patches,
     load_cubes,
     load_observations,
     load_raster,
-    make_dataset,
+    multi_hot,
     save_cubes,
     save_raster,
     transform_point,
 )
+from sdmkit.engine import load_predictions
 from sdmkit.pipeline import load_data
+from sdmkit.split import load_split
 from sdmkit.synthetic import default_config_yaml, make_synthetic
 from conftest import make_table
 
@@ -76,6 +81,75 @@ class TestLoadObservations:
         path = write_obs(tmp_path, ["s1,3.0,43.0,5", "s2,1.0,1.0,2", "s1,3.5,43.0,7"])
         with pytest.raises(DataError, match=r"obs\.csv row 4: survey 's1'.*row 2"):
             load_observations(path, num_classes=10)
+
+
+# The three CSV readers: (loader, a valid table as header and two rows, a numeric column).
+CSV_READERS = {
+    "observations": (lambda path: load_observations(path, num_classes=10),
+                     ["surveyId,lon,lat,speciesId", "s1,3.0,43.0,5", "s2,1.0,1.0,2"], "lat"),
+    "split": (load_split, ["surveyId,partition,cx,cy", "s1,train,0,0", "s2,val,1,0"], "cy"),
+    "predictions": (load_predictions,
+                    ["surveyId,topk,scores", "s1,1 0,0.1 0.7 0.2", "s2,0 2,0.5 0.1 0.3"],
+                    "scores"),
+}
+
+
+class TestReadCsv:
+    @pytest.mark.parametrize("reader", CSV_READERS)
+    @pytest.mark.parametrize("case", ["non_numeric", "short_row", "extra_field",
+                                      "missing_column"])
+    def test_malformed_file_rejected(self, tmp_path, reader, case):
+        load, lines, column = CSV_READERS[reader]
+        table = [line.split(",") for line in lines]
+        at, width = table[0].index(column), len(table[0])
+        if case == "non_numeric":
+            table[2][at] += "x"
+            expected = f"row 3, column {column}: "
+        elif case == "short_row":
+            del table[2][-1]
+            expected = f"row 3: {width - 1} fields, the header has {width}"
+        elif case == "extra_field":
+            table[2].append("9")
+            expected = f"row 3: {width + 1} fields, the header has {width}"
+        else:
+            for row in table:
+                del row[at]
+            expected = f"row 1: missing column(s) ['{column}']"
+        path = tmp_path / f"{reader}.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in table))
+        with pytest.raises(FormatError) as err:
+            load(str(path))
+        assert str(err.value).startswith(f"{path} {expected}")
+
+    @pytest.mark.parametrize("reader", CSV_READERS)
+    def test_blank_lines_and_extra_columns_ignored(self, tmp_path, reader):
+        load, lines, _ = CSV_READERS[reader]
+        plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+        plain.write_text("\n".join(lines) + "\n")
+        header, first, second = lines
+        padded.write_text(f"note,{header}\n\na,{first}\n\n\nb,{second}\n\n")
+        a, b = load(str(plain)), load(str(padded))
+        if reader == "predictions":
+            assert a.survey_ids == b.survey_ids
+            assert np.array_equal(a.scores, b.scores) and np.array_equal(a.topk, b.topk)
+        else:
+            assert a == b
+
+    def test_row_numbers_skip_blank_lines(self, tmp_path):
+        path = write_obs(tmp_path, ["s1,3.0,43.0,5", "", "s2,1.0,abc,2"])
+        with pytest.raises(FormatError, match=r"obs\.csv row 3, column lat: .*'abc'"):
+            load_observations(path, num_classes=10)
+
+    def test_csv_error_names_row(self, tmp_path):
+        path = write_obs(tmp_path, ["s1,3.0,43.0,5", "s2" + "0" * 200_000 + ",1.0,1.0,2"])
+        with pytest.raises(FormatError, match=r"obs\.csv row 3: field larger than field limit"):
+            load_observations(path, num_classes=10)
+
+    def test_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_bytes(b"surveyId,lon,lat,speciesId\ns\xe9,3.0,43.0,5\n")
+        with pytest.raises(FormatError, match=r"obs\.csv: not UTF-8 text"):
+            load_observations(str(path), num_classes=10)
 
 
 class TestTransformPoint:
@@ -398,6 +472,8 @@ class TestBuildCubes:
 
 
 class TestMakeDataset:
+    """A SampleSource over a table, a raster and a cube map, batched by collate."""
+
     def make_source(self, toy_raster, labels_mode="train"):
         table = make_table(
             [(0.5, 3.5, {0, 2}), (1.5, 2.5, {1}), (2.5, 1.5, {3}),
@@ -405,41 +481,39 @@ class TestMakeDataset:
         )
         spec = PatchSpec(side=1, layer_names=("toy",))
         cube_map = {
-            r.survey_id: __import__("sdmkit.geodata", fromlist=["TimeSeriesCube"]).TimeSeriesCube(
+            r.survey_id: TimeSeriesCube(
                 r.survey_id, np.full((1, 2, 2), float(i), dtype=np.float32), ("b0",)
             )
             for i, r in enumerate(table.records)
         }
-        return make_dataset(table, layers=[toy_raster], patch_spec=spec,
-                            cube_maps={"cube": cube_map}, labels_mode=labels_mode)
+        return SampleSource(table, [toy_raster], spec, {"cube": cube_map}, labels_mode)
 
     def test_length(self, toy_raster):
         assert len(self.make_source(toy_raster)) == 5
 
     def test_deterministic_items(self, toy_raster):
         source = self.make_source(toy_raster)
-        a, b = source[3], source[3]
-        np.testing.assert_array_equal(a.patch, b.patch)
-        np.testing.assert_array_equal(a.label, b.label)
+        a, b = collate(source, [3]), collate(source, [3])
+        np.testing.assert_array_equal(a["patch"], b["patch"])
+        np.testing.assert_array_equal(a["labels"], b["labels"])
 
     def test_multi_hot_encoding(self, toy_raster):
-        source = self.make_source(toy_raster)
-        sample = source[0]
-        assert sample.label.sum() == 2
-        assert sample.label[0] == 1 and sample.label[2] == 1
+        label = collate(self.make_source(toy_raster), [0])["labels"][0]
+        assert label.sum() == 2
+        assert label[0] == 1 and label[2] == 1
 
     def test_multi_hot_sum_property(self, toy_raster):
         source = self.make_source(toy_raster)
-        for i in range(len(source)):
-            sample = source[i]
-            assert sample.label.sum() == len(source.table.records[i].species_ids)
+        labels = collate(source, range(len(source)))["labels"]
+        for label, rec in zip(labels, source.table.records):
+            assert label.sum() == len(rec.species_ids)
+        np.testing.assert_array_equal(labels, multi_hot(source.table.records, 5))
 
     def test_missing_cube_survey(self, toy_raster):
         table = make_table([(0.5, 3.5, {0})])
         with pytest.raises(MissingModalityError, match="s0"):
-            make_dataset(table, layers=[toy_raster],
-                         patch_spec=PatchSpec(side=1, layer_names=("toy",)),
-                         cube_maps={"cube": {}})
+            SampleSource(table, [toy_raster], PatchSpec(side=1, layer_names=("toy",)),
+                         {"cube": {}}, "train")
 
 
 class TestNormalizationStats:

@@ -126,6 +126,12 @@ class TestSplitRoundTrip:
         with pytest.raises(FormatError, match="holdout"):
             load_split(str(path))
 
+    def test_survey_on_two_rows_rejected(self, tmp_path):
+        path = tmp_path / "split.csv"
+        path.write_text("surveyId,partition,cx,cy\na,train,0,0\nb,val,1,0\na,val,0,0\n")
+        with pytest.raises(FormatError, match=r"split\.csv row 4: survey 'a' already in row 2"):
+            load_split(str(path))
+
     def test_hand_written_three_rows(self, tmp_path):
         path = tmp_path / "split.csv"
         path.write_text("surveyId,partition,cx,cy\na,train,0,0\nb,val,1,0\nc,train,0,1\n")
