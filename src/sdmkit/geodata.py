@@ -29,8 +29,10 @@ File formats (all little-endian, sizes bit-exact):
 
 The three CSV tables are read by read_csv: columns are found by header name
 (extra columns are ignored), blank lines are skipped, every row must hold as
-many fields as the header, and parse_field turns a bad field into a
-FormatError naming the file, the row (the header is row 1) and the column.
+many fields as the header, a field may hold up to 2**31 - 1 characters (one
+scores field per survey, whatever the class count), and parse_field turns a
+bad field into a FormatError naming the file, the row (the header is row 1)
+and the column.
 """
 
 from __future__ import annotations
@@ -130,6 +132,9 @@ class ObservationTable:
 def read_csv(path: str, columns):
     """Stream (row number, fields of the named columns) over a CSV table's
     non-blank rows; the header is row 1."""
+    # the default 131 072-character limit is one scores field of ~6 600 classes;
+    # 2**31 - 1 fits a C long on every platform
+    csv.field_size_limit(2**31 - 1)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         row = 0  # rows read so far, the header included

@@ -12,7 +12,9 @@ BLAS GEMMs:
   next conv) accepts any strides.
 - ``conv2d_backward`` takes the forward's columns when the caller kept them,
   computes the weight gradient from them, then overwrites them with the
-  column gradient before col2im scatters it into a channels-last dx.
+  column gradient before col2im scatters it into a channels-last dx. With
+  ``input_grad=False`` it stops after dw and db and returns None for dx,
+  for a conv whose input gradient nothing reads (an encoder's first conv).
 
 All arrays are float64; x is (N, C, H, W) of any memory layout, w is
 (F, C, KH, KW), stride is a positive int, no padding.
@@ -64,9 +66,10 @@ def conv2d_forward(x, w, b, stride, cols=None):
     return out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
 
 
-def conv2d_backward(x, w, dout, stride, cols=None):
+def conv2d_backward(x, w, dout, stride, cols=None, input_grad=True):
     """Returns (dx, dw, db). cols, if given, is im2col(x, KH, KW, stride) and is
-    overwritten with the column gradient; x is left unchanged."""
+    overwritten with the column gradient; x is left unchanged. With
+    input_grad=False, dx is None and neither the column GEMM nor col2im runs."""
     n, c, h, wid = x.shape
     f, _, kh, kw = w.shape
     oh, ow = dout.shape[2], dout.shape[3]
@@ -75,6 +78,8 @@ def conv2d_backward(x, w, dout, stride, cols=None):
     d2 = dout.transpose(0, 2, 3, 1).reshape(n * oh * ow, f)
     dw = (d2.T @ cols).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
     db = d2.sum(axis=0)
+    if not input_grad:
+        return None, dw, db
     dcols = np.matmul(d2, _wmat(w), out=cols).reshape(n, oh, ow, kh, kw, c)
     # col2im: scatter-add each kernel tap into a channels-last dx
     dx = np.zeros((n, h, wid, c))

@@ -27,7 +27,7 @@ def _micro_conv2d(input_channels: int, embedding_dim: int, rng: np.random.Genera
     # two stride-2 convs then pooled linear head; expects side >= 7
     return Encoder(
         [
-            Conv2d(input_channels, 8, 3, 2, rng),
+            Conv2d(input_channels, 8, 3, 2, rng, input_grad=False),
             ReLU(),
             Conv2d(8, 16, 3, 2, rng),
             ReLU(),
@@ -45,7 +45,7 @@ def _micro_conv3d(input_channels: int, embedding_dim: int, rng: np.random.Genera
     kh, kw = min(3, steps), min(3, years)
     return Encoder(
         [
-            Conv2d(input_channels, 8, (kh, kw), 1, rng),
+            Conv2d(input_channels, 8, (kh, kw), 1, rng, input_grad=False),
             ReLU(),
             GlobalAvgPool2d(),
             Linear(8, embedding_dim, rng),

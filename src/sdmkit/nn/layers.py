@@ -65,13 +65,21 @@ class Linear(Module):
 
 
 class Conv2d(Module):
-    def __init__(self, in_channels, out_channels, kernel_size, stride, rng):
+    """2-D convolution over (N, C, H, W) batches, no padding.
+
+    input_grad=False makes backward return None instead of dx. The built-in
+    encoders set it on their first conv: its input is the data batch, which
+    nothing trains, and dx there is most of the conv backward's cost.
+    """
+
+    def __init__(self, in_channels, out_channels, kernel_size, stride, rng, input_grad=True):
         super().__init__()
         kh, kw = (kernel_size, kernel_size) if isinstance(kernel_size, int) else kernel_size
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = (kh, kw)
         self.stride = stride
+        self.input_grad = input_grad
         fan_in = in_channels * kh * kw
         self.params["w"] = fanin_uniform(rng, (out_channels, in_channels, kh, kw), fan_in)
         self.params["b"] = fanin_uniform(rng, (out_channels,), fan_in)
@@ -90,7 +98,8 @@ class Conv2d(Module):
     def backward(self, dout):
         # backward overwrites the columns, so they serve one backward only
         cols, self._cols = self._cols, None
-        dx, dw, db = kernels.conv2d_backward(self._x, self.params["w"], dout, self.stride, cols)
+        dx, dw, db = kernels.conv2d_backward(self._x, self.params["w"], dout, self.stride, cols,
+                                             input_grad=self.input_grad)
         self.grads["w"] = dw
         self.grads["b"] = db
         return dx

@@ -276,6 +276,25 @@ class TestFit:
             losses.append([float(r["train_loss"]) for r in read_metrics(run_dir)])
         np.testing.assert_allclose(losses[0], losses[1], atol=1e-6)
 
+    def test_rerun_writes_identical_metrics_and_checkpoints(self, tiny_experiment, tmp_path):
+        """Two fits from fresh models at one seed write the same metrics.csv bytes
+        and the same checkpoint arrays (the benchmark rejects a run otherwise)."""
+        cfg, data, train, val = tiny_experiment
+        runs = [engine.fit(cfg, build_model(cfg, data.cube_shapes()), train, val,
+                           out_root=str(tmp_path / str(run))) for run in range(2)]
+        metrics = []
+        for run in runs:
+            with open(os.path.join(run, "metrics.csv"), "rb") as fh:
+                metrics.append(fh.read())
+        assert metrics[0] == metrics[1]
+        for name in ("last.ckpt", "best.ckpt"):
+            with np.load(os.path.join(runs[0], name)) as a, \
+                    np.load(os.path.join(runs[1], name)) as b:
+                keys = sorted(set(a.files) - {"meta"})
+                assert keys and keys == sorted(set(b.files) - {"meta"})
+                for key in keys:
+                    np.testing.assert_array_equal(a[key], b[key], err_msg=f"{name} {key}")
+
 
 class TestCheckpointAndPredict:
     def test_round_trip_weights(self, tiny_experiment, tmp_path):
@@ -334,6 +353,19 @@ class TestCheckpointAndPredict:
         preds = engine.predict(cfg, build_model(cfg, data.cube_shapes()),
                                os.path.join(run_dir, "best.ckpt"), val, out_path=out)
         loaded = engine.load_predictions(out)
+        assert loaded.survey_ids == preds.survey_ids
+        np.testing.assert_array_equal(loaded.scores, preds.scores)
+        np.testing.assert_array_equal(loaded.topk, preds.topk)
+
+    def test_many_class_prediction_file_round_trip(self, tmp_path):
+        """A scores field of 7 000 classes is longer than the csv module's default
+        field limit (131 072 characters); the file must still load."""
+        scores = np.random.default_rng(4).random((2, 7_000))
+        assert len(" ".join(map(repr, scores[0]))) > 131_072
+        preds = Predictions.from_scores(["a", "b"], scores, 5)
+        path = str(tmp_path / "predictions.csv")
+        engine.save_predictions(preds, path)
+        loaded = engine.load_predictions(path)
         assert loaded.survey_ids == preds.survey_ids
         np.testing.assert_array_equal(loaded.scores, preds.scores)
         np.testing.assert_array_equal(loaded.topk, preds.topk)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import logging
 import math
@@ -140,10 +141,27 @@ class TestReadCsv:
         with pytest.raises(FormatError, match=r"obs\.csv row 3, column lat: .*'abc'"):
             load_observations(path, num_classes=10)
 
-    def test_csv_error_names_row(self, tmp_path):
-        path = write_obs(tmp_path, ["s1,3.0,43.0,5", "s2" + "0" * 200_000 + ",1.0,1.0,2"])
-        with pytest.raises(FormatError, match=r"obs\.csv row 3: field larger than field limit"):
+    def test_csv_error_names_row(self, tmp_path, monkeypatch):
+        """A csv.Error becomes a FormatError naming the row. With the field limit
+        at 2**31 - 1 a real file needs a 2 GiB field to raise one, so the parser
+        is made to fail on row 3."""
+        real_reader = csv.reader
+
+        def failing_reader(fh):
+            for i, fields in enumerate(real_reader(fh)):
+                if i == 2:
+                    raise csv.Error("injected parse error")
+                yield fields
+
+        monkeypatch.setattr(csv, "reader", failing_reader)
+        path = write_obs(tmp_path, ["s1,3.0,43.0,5", "s2,1.0,1.0,2"])
+        with pytest.raises(FormatError, match=r"obs\.csv row 3: injected parse error"):
             load_observations(path, num_classes=10)
+
+    def test_field_longer_than_default_csv_limit(self, tmp_path):
+        """Python's csv module stops at 131 072 characters a field by default."""
+        path = write_obs(tmp_path, ["s1,3.0,43.0,5", "s2" + "0" * 200_000 + ",1.0,1.0,2"])
+        assert load_observations(path, num_classes=10).survey_ids() == ["s1", "s2" + "0" * 200_000]
 
     def test_not_utf8_rejected(self, tmp_path):
         path = tmp_path / "obs.csv"

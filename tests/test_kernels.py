@@ -81,6 +81,24 @@ def test_backward_matches_finite_differences(case):
         assert dw[idx] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
+@pytest.mark.parametrize("with_cols", [False, True], ids=["no-cols", "forward-cols"])
+@pytest.mark.parametrize("case", CASES)
+def test_backward_without_input_grad(case, with_cols):
+    """input_grad=False returns no dx and the full call's dw and db, bit for bit,
+    whether backward builds its own columns or gets the forward's."""
+    x, w, _, stride, dout = make_case(case)
+
+    def cols():  # backward overwrites the columns it is given, so each call gets its own
+        return kernels.im2col(x, *w.shape[2:], stride) if with_cols else None
+
+    _, dw, db = kernels.conv2d_backward(x, w, dout, stride, cols())
+    dx_skipped, dw_skipped, db_skipped = kernels.conv2d_backward(
+        x, w, dout, stride, cols(), input_grad=False)
+    assert dx_skipped is None
+    np.testing.assert_array_equal(dw_skipped, dw)
+    np.testing.assert_array_equal(db_skipped, db)
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_conv2d_layer_matches_kernels(case):
     """A training forward keeps its columns for backward, which must give the

@@ -214,6 +214,64 @@ class TestMme:
             assert moved, modality
 
 
+class TestFirstConvSkipsInputGrad:
+    """The encoders' first conv computes only dw and db; nothing reads its dx."""
+
+    ENCODERS = {  # name -> (input shape of one sample, factory kwargs)
+        "micro_conv2d": ((4, 16, 16), {}),
+        "micro_conv3d": ((6, 4, 21), {"steps": 4, "years": 21}),
+    }
+
+    @pytest.mark.parametrize("new_channels", [None, 7])
+    @pytest.mark.parametrize("name", ENCODERS)
+    def test_first_conv_returns_no_input_grad(self, name, new_channels):
+        shape, kwargs = self.ENCODERS[name]
+        enc = build_encoder("builtin", name, shape[0], 16, rng(), **kwargs)
+        if new_channels is not None:  # surgery swaps the weights, not the layer
+            modify_first_layer(enc, new_channels)
+            shape = (new_channels, *shape[1:])
+        convs = [layer for layer in enc.layers if isinstance(layer, Conv2d)]
+        assert [conv.input_grad for conv in convs] == [False] + [True] * (len(convs) - 1)
+        out = enc.forward(np.random.default_rng(1).normal(size=(3, *shape)), training=True)
+        assert enc.backward(np.ones_like(out)) is None
+        assert convs[0].grads["w"].shape == (8, shape[0], *convs[0].kernel_size)
+        assert np.any(convs[0].grads["w"])
+
+    def test_fusion_grads_equal_with_every_input_grad(self):
+        """Every FusionModel gradient is bit-identical to the same model's with
+        every conv computing dx."""
+
+        def build():
+            r = rng()
+            encoders = {
+                "patch": build_encoder("builtin", "micro_conv2d", 4, 16, r),
+                "cube": build_encoder("builtin", "micro_conv3d", 3, 16, r, steps=4, years=5),
+                "vector": build_encoder("builtin", "micro_mlp", 10, 16, r),
+            }
+            return build_mme(encoders, num_classes=6, hidden_dim=32, dropout_p=0.1, rng=r)
+
+        skipping, full = build(), build()
+        forced = [layer for enc in full.encoders.values() for layer in enc.layers
+                  if isinstance(layer, Conv2d) and not layer.input_grad]
+        assert len(forced) == 2
+        for conv in forced:
+            conv.input_grad = True
+        g = np.random.default_rng(3)
+        batch = {"patch": g.normal(size=(5, 4, 16, 16)), "cube": g.normal(size=(5, 3, 4, 5)),
+                 "vector": g.normal(size=(5, 10))}
+        labels = (g.random((5, 6)) < 0.3).astype(float)
+        for model in (skipping, full):
+            model.set_dropout_rng(np.random.default_rng(9))
+            logits = model.forward(batch, training=True)
+            model.backward(weighted_bce_logits_grad(logits, labels, 10.0))
+        pairs = list(zip(skipping.named_params(), full.named_params()))
+        assert len(pairs) == 18
+        for (name, _, grad), (full_name, _, full_grad) in pairs:
+            assert name == full_name
+            assert np.any(grad), name
+            np.testing.assert_array_equal(grad, full_grad, err_msg=name)
+
+
 class TestLocationEncoder:
     def test_zero_point_features(self):
         enc = sinusoidal_location_encoder(8, 3, seed=0)
