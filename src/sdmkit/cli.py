@@ -99,6 +99,12 @@ def cmd_split(args) -> int:
 
 
 def cmd_build_cubes(args) -> int:
+    try:
+        shape = tuple(int(x) for x in args.shape.split(","))
+    except ValueError:
+        shape = ()
+    if len(shape) != 3:
+        raise SdmkitError(f"--shape must be B,Q,Y integers, got {args.shape!r}")
     _check_clobber(args.out, args.force)
     with open(args.layers, encoding="utf-8") as fh:
         entries = json.load(fh)
@@ -111,9 +117,6 @@ def cmd_build_cubes(args) -> int:
         for e in entries
     ]
     table = load_observations(args.observations, args.num_classes)
-    shape = tuple(int(x) for x in args.shape.split(","))
-    if len(shape) != 3:
-        raise SdmkitError("--shape must be B,Q,Y")
     build_time_series_cubes(tagged, table, shape, args.out)
     print(args.out)
     return 0

@@ -265,8 +265,7 @@ def fit(cfg: ExperimentConfig, model, train_source, val_source,
         out_root: str | None = None) -> str:
     """Train per the config; returns the unique run directory."""
     seed = cfg.run.seed
-    if hasattr(model, "set_dropout_rng"):
-        model.set_dropout_rng(np.random.default_rng([seed, 1]))
+    model.set_dropout_rng(np.random.default_rng([seed, 1]))
     pos_weight = cfg.optimizer.pos_weight
     sched = ScheduleSpec(eta_max=cfg.optimizer.lr, t_max=cfg.optimizer.t_max)
     optimizer = AdamW(weight_decay=cfg.optimizer.weight_decay)

@@ -13,10 +13,9 @@ from .encoders import (
     available_encoders,
     build_encoder,
     register_encoder,
-    sinusoidal_location_encoder,
 )
 from .surgery import modify_first_layer, modify_last_layer, strip_head
-from .fusion import FusionModel, build_mme
+from .fusion import FusionModel
 
 __all__ = [
     "Conv2d",
@@ -31,10 +30,8 @@ __all__ = [
     "available_encoders",
     "build_encoder",
     "register_encoder",
-    "sinusoidal_location_encoder",
     "modify_first_layer",
     "modify_last_layer",
     "strip_head",
     "FusionModel",
-    "build_mme",
 ]

@@ -11,16 +11,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import RegistryError
-from .layers import Conv2d, Flatten, GlobalAvgPool2d, Linear, Module, ReLU, Sequential
+from .layers import Conv2d, Flatten, GlobalAvgPool2d, Linear, ReLU, Sequential
 
 
 class Encoder(Sequential):
     """Sequential feature extractor exposing its embedding width."""
 
-    def __init__(self, layers, embedding_dim: int, input_channels: int):
+    def __init__(self, layers, embedding_dim: int):
         super().__init__(layers)
         self.embedding_dim = embedding_dim
-        self.input_channels = input_channels
 
 
 def _micro_conv2d(input_channels: int, embedding_dim: int, rng: np.random.Generator):
@@ -35,7 +34,6 @@ def _micro_conv2d(input_channels: int, embedding_dim: int, rng: np.random.Genera
             Linear(16, embedding_dim, rng),
         ],
         embedding_dim=embedding_dim,
-        input_channels=input_channels,
     )
 
 
@@ -51,7 +49,6 @@ def _micro_conv3d(input_channels: int, embedding_dim: int, rng: np.random.Genera
             Linear(8, embedding_dim, rng),
         ],
         embedding_dim=embedding_dim,
-        input_channels=input_channels,
     )
 
 
@@ -65,7 +62,6 @@ def _micro_mlp(input_channels: int, embedding_dim: int, rng: np.random.Generator
             Linear(128, embedding_dim, rng),
         ],
         embedding_dim=embedding_dim,
-        input_channels=input_channels,
     )
 
 
@@ -98,24 +94,16 @@ def build_encoder(provider: str, name: str, input_channels: int, embedding_dim: 
     return factory(input_channels, embedding_dim, rng, **kwargs)
 
 
-class SinusoidalLocationEncoder(Module):
+class SinusoidalLocationEncoder(Linear):
     """Deterministic location encoder: multi-frequency sin/cos features of
-    (lon, lat) in radians through a seeded affine map."""
+    (lon, lat) in radians through a Linear seeded by default_rng(seed)."""
 
     def __init__(self, embedding_dim: int, num_frequencies: int, seed: int = 0):
-        super().__init__()
         if embedding_dim < 1 or num_frequencies < 1:
             raise ValueError("embedding_dim and num_frequencies must be >= 1")
+        super().__init__(4 * num_frequencies, embedding_dim, np.random.default_rng(seed))
         self.embedding_dim = embedding_dim
         self.num_frequencies = num_frequencies
-        self.input_channels = 2
-        rng = np.random.default_rng(seed)
-        feat_dim = 4 * num_frequencies
-        from .layers import fanin_uniform
-
-        self.params["w"] = fanin_uniform(rng, (embedding_dim, feat_dim), feat_dim)
-        self.params["b"] = fanin_uniform(rng, (embedding_dim,), feat_dim)
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
 
     def features(self, coords: np.ndarray) -> np.ndarray:
         lam = np.radians(coords[:, 0:1])
@@ -127,21 +115,14 @@ class SinusoidalLocationEncoder(Module):
         return np.concatenate(parts, axis=1)
 
     def forward(self, coords, training=False):
-        self._feats = self.features(np.asarray(coords, dtype=np.float64))
-        return self._feats @ self.params["w"].T + self.params["b"]
+        return super().forward(self.features(np.asarray(coords, dtype=np.float64)))
 
     def backward(self, dout):
-        self.grads["w"] = dout.T @ self._feats
-        self.grads["b"] = dout.sum(axis=0)
+        super().backward(dout)
         return np.zeros((dout.shape[0], 2))  # coordinates are not trainable
 
     def encode(self, lon: float, lat: float) -> np.ndarray:
         return self.forward(np.array([[lon, lat]]))[0]
-
-
-def sinusoidal_location_encoder(embedding_dim: int, num_frequencies: int,
-                                seed: int = 0) -> SinusoidalLocationEncoder:
-    return SinusoidalLocationEncoder(embedding_dim, num_frequencies, seed)
 
 
 def _location_factory(input_channels, embedding_dim, rng, num_frequencies=8):

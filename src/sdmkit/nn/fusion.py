@@ -1,5 +1,9 @@
 """Late-fusion multimodal model: per-modality encoders, concatenation,
-dropout, and a two-layer classification head."""
+dropout, and a two-layer classification head.
+
+Its children are enc.<modality> for each encoder, then head, so parameters
+are named enc.patch.0.w ... head.3.b; checkpoints key on those names.
+"""
 
 from __future__ import annotations
 
@@ -13,37 +17,31 @@ class FusionModel(Module):
     """Concatenate modality embeddings, then dropout -> affine -> ReLU -> affine.
 
     forward takes a dict modality name -> batch array matching each
-    encoder's expected input; dropout draws from a dedicated rng stream
-    settable via set_dropout_rng.
+    encoder's expected input. The fused width is the sum of the encoders'
+    embedding_dim; head init draws from rng (default_rng(0) if None).
     """
 
-    def __init__(self, encoders: dict[str, Module], fused_dim: int, hidden_dim: int,
-                 num_classes: int, dropout_p: float, rng: np.random.Generator):
+    def __init__(self, encoders: dict[str, Module], num_classes: int, hidden_dim: int = 256,
+                 dropout_p: float = 0.1, rng: np.random.Generator | None = None):
         super().__init__()
+        if rng is None:
+            rng = np.random.default_rng(0)
         self.encoders = dict(encoders)
         self.modalities = list(encoders)
-        self.dims = [enc.embedding_dim for enc in encoders.values()]
-        if sum(self.dims) != fused_dim:
-            raise ShapeError(
-                f"fusion dims {self.dims} sum to {sum(self.dims)}, expected {fused_dim}"
-            )
         self.num_classes = num_classes
+        in_dim = sum(enc.embedding_dim for enc in self.encoders.values())
         self.head = Sequential(
             [
                 Dropout(dropout_p),
-                Linear(fused_dim, hidden_dim, rng),
+                Linear(in_dim, hidden_dim, rng),
                 ReLU(),
                 Linear(hidden_dim, num_classes, rng),
             ]
         )
 
-    def set_dropout_rng(self, rng: np.random.Generator) -> None:
-        for layer in self.head.dropout_layers():
-            layer.rng = rng
-        for enc in self.encoders.values():
-            if isinstance(enc, Sequential):
-                for layer in enc.dropout_layers():
-                    layer.rng = rng
+    def children(self):
+        pairs = [(f"enc.{name}", self.encoders[name]) for name in self.modalities]
+        return pairs + [("head", self.head)]
 
     def forward(self, batch: dict[str, np.ndarray], training: bool = False) -> np.ndarray:
         embeddings = []
@@ -63,26 +61,7 @@ class FusionModel(Module):
     def backward(self, dlogits: np.ndarray) -> None:
         dfused = self.head.backward(dlogits)
         offset = 0
-        for name, dim in zip(self.modalities, self.dims):
+        for name in self.modalities:
+            dim = self.encoders[name].embedding_dim
             self.encoders[name].backward(dfused[:, offset : offset + dim])
             offset += dim
-
-    def named_params(self, prefix: str = ""):
-        for name in self.modalities:
-            yield from self.encoders[name].named_params(prefix=f"{prefix}enc.{name}.")
-        yield from self.head.named_params(prefix=f"{prefix}head.")
-
-
-def build_mme(encoders: dict[str, Module], num_classes: int, hidden_dim: int = 256,
-              dropout_p: float = 0.1, rng: np.random.Generator | None = None) -> FusionModel:
-    if rng is None:
-        rng = np.random.default_rng(0)
-    fused_dim = sum(enc.embedding_dim for enc in encoders.values())
-    return FusionModel(
-        encoders=encoders,
-        fused_dim=fused_dim,
-        hidden_dim=hidden_dim,
-        num_classes=num_classes,
-        dropout_p=dropout_p,
-        rng=rng,
-    )

@@ -4,7 +4,9 @@ Layers cache whatever the backward pass needs on forward; one backward per
 forward, single-threaded. That contract is what lets Conv2d keep the im2col
 columns of a training forward and overwrite them in its backward. Parameter
 init is fan-in uniform (+-1/sqrt(fan_in)) from a caller-supplied numpy
-Generator so runs are reproducible end to end.
+Generator so runs are reproducible end to end. A model is a tree of
+Modules: containers override only children(), and named_params, modules and
+set_dropout_rng walk the tree through it.
 """
 
 from __future__ import annotations
@@ -33,12 +35,26 @@ class Module:
     def backward(self, dout):
         raise NotImplementedError
 
-    def __call__(self, x, training: bool = False):
-        return self.forward(x, training=training)
+    def children(self):
+        """(name, submodule) pairs, in parameter order; leaves have none."""
+        return ()
+
+    def modules(self):
+        """This module, then every submodule depth first."""
+        yield self
+        for _, child in self.children():
+            yield from child.modules()
 
     def named_params(self, prefix: str = ""):
         for key, val in self.params.items():
-            yield (prefix + key if prefix else key), val, self.grads[key]
+            yield prefix + key, val, self.grads[key]
+        for name, child in self.children():
+            yield from child.named_params(prefix=f"{prefix}{name}.")
+
+    def set_dropout_rng(self, rng: np.random.Generator) -> None:
+        for module in self.modules():
+            if isinstance(module, Dropout):
+                module.rng = rng
 
     def param_count(self) -> int:
         return int(sum(v.size for _, v, _ in self.named_params()))
@@ -168,13 +184,5 @@ class Sequential(Module):
             dout = layer.backward(dout)
         return dout
 
-    def named_params(self, prefix: str = ""):
-        for i, layer in enumerate(self.layers):
-            yield from layer.named_params(prefix=f"{prefix}{i}.")
-
-    def dropout_layers(self):
-        for layer in self.layers:
-            if isinstance(layer, Dropout):
-                yield layer
-            elif isinstance(layer, Sequential):
-                yield from layer.dropout_layers()
+    def children(self):
+        return [(str(i), layer) for i, layer in enumerate(self.layers)]

@@ -1,8 +1,9 @@
 """The three model modifiers: first-layer width, last-layer width, head strip.
 
 All three operate on Sequential-style models in place and return the model
-for chaining. They locate the first Conv2d / the trailing Linear by walking
-the layer list, so any registry-built encoder qualifies.
+for chaining. The first Conv2d is the first in model.modules(), at any
+depth; the trailing Linear is looked up in the top-level layer list. Any
+registry-built encoder qualifies.
 """
 
 from __future__ import annotations
@@ -12,21 +13,9 @@ import logging
 import numpy as np
 
 from ..errors import SurgeryError
-from .layers import Conv2d, Linear, Sequential, fanin_uniform
+from .layers import Conv2d, Linear, Sequential
 
 log = logging.getLogger(__name__)
-
-
-def _find_first_conv(model: Sequential) -> Conv2d:
-    for layer in model.layers:
-        if isinstance(layer, Conv2d):
-            return layer
-        if isinstance(layer, Sequential):
-            try:
-                return _find_first_conv(layer)
-            except SurgeryError:
-                continue
-    raise SurgeryError("model has no identifiable first spatial layer")
 
 
 def modify_first_layer(model: Sequential, new_channels: int) -> Sequential:
@@ -39,7 +28,9 @@ def modify_first_layer(model: Sequential, new_channels: int) -> Sequential:
     """
     if new_channels < 1:
         raise SurgeryError("new_channels must be >= 1")
-    conv = _find_first_conv(model)
+    conv = next((m for m in model.modules() if isinstance(m, Conv2d)), None)
+    if conv is None:
+        raise SurgeryError("model has no identifiable first spatial layer")
     c_old = conv.in_channels
     if new_channels == c_old:
         return model

@@ -21,7 +21,7 @@ from .geodata import (
     load_observations,
     load_raster_manifest,
 )
-from .nn import build_mme, build_encoder, modify_first_layer, modify_last_layer, strip_head
+from .nn import FusionModel, build_encoder, modify_first_layer, modify_last_layer, strip_head
 from .nn.layers import Module
 from .split import SpatialSplit, block_holdout, load_split
 
@@ -71,11 +71,13 @@ def load_data(cfg: ExperimentConfig) -> LoadedData:
 
 
 def resolve_split(cfg: ExperimentConfig, table: ObservationTable) -> SpatialSplit:
-    """The config's split file, which must assign every survey of the table
-    (it may list more), or else a block holdout."""
+    """The config's split file, which must exist and assign every survey of
+    the table (it may list more); a block holdout only if no file is set."""
     path = cfg.data.split_path
-    if not (path and os.path.exists(path)):
+    if not path:
         return block_holdout(table, seed=cfg.run.seed)
+    if not os.path.exists(path):
+        raise DataError(f"data.split_path: file not found: {path!r}")
     split = load_split(path)
     omitted = [sid for sid in table.survey_ids() if sid not in split.assignment]
     if omitted:
@@ -98,13 +100,8 @@ class SingleModalityModel(Module):
     def backward(self, dout):
         return self.net.backward(dout)
 
-    def named_params(self, prefix: str = ""):
-        yield from self.net.named_params(prefix=f"{prefix}{self.modality}.")
-
-    def set_dropout_rng(self, rng):
-        if hasattr(self.net, "dropout_layers"):
-            for layer in self.net.dropout_layers():
-                layer.rng = rng
+    def children(self):
+        return [(self.modality, self.net)]
 
 
 def _encoder_kwargs(name: str, cube_shapes, modality: str) -> dict:
@@ -128,7 +125,7 @@ def build_model(cfg: ExperimentConfig, cube_shapes: dict | None = None):
             )
             for modality, enc in cfg.model.encoders.items()
         }
-        return build_mme(
+        return FusionModel(
             encoders,
             num_classes=cfg.task.num_classes,
             hidden_dim=cfg.model.fusion.hidden_dim,

@@ -24,7 +24,7 @@ from sdmkit.engine import (
 )
 from sdmkit.evalkit import binary_auc, multilabel_auc, top_k, topk_prf
 from sdmkit.geodata import PatchSpec, RasterLayer, extract_patch, load_cubes, save_cubes
-from sdmkit.nn import build_encoder, build_mme, modify_first_layer, modify_last_layer
+from sdmkit.nn import FusionModel, build_encoder, modify_first_layer, modify_last_layer
 from sdmkit.pipeline import build_model, load_data, resolve_split
 from sdmkit.split import block_holdout, cell_index, load_split, save_split
 from sdmkit.synthetic import default_config_yaml, make_synthetic
@@ -121,7 +121,7 @@ def test_criterion_5_gradient_check():
         "cube_a": build_encoder("builtin", "micro_conv3d", 2, 16, rng, steps=4, years=3),
         "cube_b": build_encoder("builtin", "micro_conv3d", 2, 16, rng, steps=4, years=3),
     }
-    model = build_mme(encoders, num_classes=6, hidden_dim=32, dropout_p=0.0, rng=rng)
+    model = FusionModel(encoders, num_classes=6, hidden_dim=32, dropout_p=0.0, rng=rng)
     g = np.random.default_rng(1)
     batch = {
         "patch": g.normal(size=(2, 4, 10, 10)),
@@ -250,7 +250,7 @@ def test_criterion_8_model_surgery_shape_suite():
         "b": build_encoder("builtin", "micro_mlp", 10, 64, rng),
         "c": build_encoder("builtin", "micro_mlp", 10, 128, rng),
     }
-    mme = build_mme(encoders, num_classes=20, hidden_dim=256, dropout_p=0.0, rng=rng)
+    mme = FusionModel(encoders, num_classes=20, hidden_dim=256, dropout_p=0.0, rng=rng)
     for n in (1, 2, 7):
         batch = {k: np.zeros((n, 10)) for k in "abc"}
         ok &= mme.forward(batch).shape == (n, 20)

@@ -154,6 +154,18 @@ def test_build_cubes_round_trip(synthetic_dir, tmp_path):
     assert next(iter(cubes.values())).values.shape == (2, 1, 1)
 
 
+@pytest.mark.parametrize("shape", ["2,x,3", "2,1"])
+def test_build_cubes_bad_shape_one_error_line(synthetic_dir, tmp_path, capsys, shape):
+    layers_path = tmp_path / "tagged.json"
+    layers_path.write_text("[]")
+    assert main(["build-cubes", "--layers", str(layers_path),
+                 "--observations", os.path.join(synthetic_dir, "observations.csv"),
+                 "--num-classes", "8", "--shape", shape,
+                 "--out", str(tmp_path / "built.json")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: --shape must be B,Q,Y integers, got '{shape}'"]
+
+
 def test_predict_digest_mismatch(synthetic_dir, tmp_path, capsys):
     cfg = os.path.join(synthetic_dir, "config.yaml")
     assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == 0

@@ -23,7 +23,6 @@ from sdmkit.engine import (
 )
 from sdmkit.errors import CheckpointMismatchError, FormatError, SdmkitError, ShapeError
 from sdmkit.evalkit import Predictions, top_k
-from sdmkit.nn import build_encoder, build_mme
 from sdmkit.pipeline import build_model, load_data, resolve_split
 from sdmkit.synthetic import default_config_yaml, make_synthetic
 
@@ -469,3 +468,30 @@ class TestAtomicWrites:
             save_checkpoint(str(path), model, None, TrainState(epoch=1), cfg)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["last.ckpt"]
+
+
+def test_single_modality_model_fits_and_predicts(tmp_path):
+    """model.name micro_conv2d on the one patch encoder: params under the
+    modality name, a 2-epoch fit, and one prediction row per survey."""
+    data_dir = str(tmp_path / "data")
+    make_synthetic(data_dir, n_surveys=200, num_species=20, seed=7)
+    yaml_text = default_config_yaml(data_dir, epochs=2)
+    head, _, tail = yaml_text.partition("    cube_a:\n")
+    yaml_text = (head + tail[tail.index("  fusion:"):]).replace("name: mme", "name: micro_conv2d")
+    cfg = parse_config(yaml_text)
+    assert list(cfg.model.encoders) == ["patch"]
+    data = load_data(cfg)
+    model = build_model(cfg, data.cube_shapes())
+    assert [name for name, _, _ in model.named_params()] == [
+        f"patch.{i}.{p}" for i in (0, 2, 5) for p in ("w", "b")]
+    split = resolve_split(cfg, data.table)
+    run_dir = engine.fit(cfg, model, data.source_for(split.partition("train")),
+                         data.source_for(split.partition("val")), out_root=str(tmp_path / "runs"))
+    assert len(read_metrics(run_dir)) == 2
+    source = data.source_for(labels_mode="predict")
+    out = str(tmp_path / "predictions.csv")
+    preds = engine.predict(cfg, build_model(cfg, data.cube_shapes()),
+                           os.path.join(run_dir, "best.ckpt"), source, out_path=out)
+    assert preds.survey_ids == data.table.survey_ids()
+    assert preds.scores.shape == (200, 20)
+    assert engine.load_predictions(out).survey_ids == preds.survey_ids

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
+from sdmkit.config import parse_config
 from sdmkit.engine import AdamW, weighted_bce_logits, weighted_bce_logits_grad
 from sdmkit.errors import RegistryError, ShapeError, SurgeryError
 from sdmkit.nn import (
+    FusionModel,
+    SinusoidalLocationEncoder,
     build_encoder,
-    build_mme,
     modify_first_layer,
     modify_last_layer,
-    sinusoidal_location_encoder,
     strip_head,
 )
-from sdmkit.nn.layers import Conv2d, Linear, ReLU, Sequential
+from sdmkit.nn.layers import Conv2d, Dropout, Linear, ReLU, Sequential
+from sdmkit.pipeline import build_model
+from sdmkit.synthetic import CUBE_SHAPE, default_config_yaml
 
 
 def rng():
@@ -138,7 +141,7 @@ class TestStripHead:
         enc = build_encoder("builtin", "micro_mlp", 10, 16, r)
         strip_head(enc)
         enc.embedding_dim = 128
-        model = build_mme({"flat": enc}, num_classes=5, hidden_dim=32, dropout_p=0.0, rng=r)
+        model = FusionModel({"flat": enc}, num_classes=5, hidden_dim=32, dropout_p=0.0, rng=r)
         out = model.forward({"flat": np.zeros((3, 10))})
         assert out.shape == (3, 5)
 
@@ -151,8 +154,8 @@ class TestMme:
             "b": build_encoder("builtin", "micro_mlp", 10, 64, r),
             "c": build_encoder("builtin", "micro_mlp", 10, 128, r),
         }
-        return build_mme(encoders, num_classes=classes, hidden_dim=256,
-                         dropout_p=dropout, rng=r)
+        return FusionModel(encoders, num_classes=classes, hidden_dim=256,
+                           dropout_p=dropout, rng=r)
 
     def batch(self, n=2):
         g = np.random.default_rng(5)
@@ -248,7 +251,7 @@ class TestFirstConvSkipsInputGrad:
                 "cube": build_encoder("builtin", "micro_conv3d", 3, 16, r, steps=4, years=5),
                 "vector": build_encoder("builtin", "micro_mlp", 10, 16, r),
             }
-            return build_mme(encoders, num_classes=6, hidden_dim=32, dropout_p=0.1, rng=r)
+            return FusionModel(encoders, num_classes=6, hidden_dim=32, dropout_p=0.1, rng=r)
 
         skipping, full = build(), build()
         forced = [layer for enc in full.encoders.values() for layer in enc.layers
@@ -272,33 +275,70 @@ class TestFirstConvSkipsInputGrad:
             np.testing.assert_array_equal(grad, full_grad, err_msg=name)
 
 
+class TestModelTree:
+    """Parameter names, dropout seeding and the first-conv lookup all follow
+    Module.children."""
+
+    def default_mme(self):
+        cfg = parse_config(default_config_yaml("data"))
+        return build_model(cfg, {"cube_a": CUBE_SHAPE, "cube_b": CUBE_SHAPE})
+
+    def test_default_mme_param_names_in_order(self):
+        expected = [f"{part}.{i}.{p}"
+                    for part, layers in [("enc.patch", (0, 2, 5)), ("enc.cube_a", (0, 3)),
+                                         ("enc.cube_b", (0, 3)), ("head", (1, 3))]
+                    for i in layers for p in ("w", "b")]
+        assert len(expected) == 18
+        assert [name for name, _, _ in self.default_mme().named_params()] == expected
+
+    def test_set_dropout_rng_reaches_every_dropout(self):
+        model = self.default_mme()
+        model.encoders["patch"].layers.insert(1, Dropout(0.2))
+        dropouts = [m for m in model.modules() if isinstance(m, Dropout)]
+        assert dropouts == [model.encoders["patch"].layers[1], model.head.layers[0]]
+        g = np.random.default_rng(11)
+        model.set_dropout_rng(g)
+        assert all(d.rng is g for d in dropouts)
+
+    def test_modify_first_layer_finds_nested_conv(self):
+        r = rng()
+        inner = Conv2d(3, 2, 3, 1, r)
+        model = Sequential([Sequential([ReLU(), Sequential([]), inner]), Conv2d(2, 2, 1, 1, r)])
+        modify_first_layer(model, 5)
+        assert inner.in_channels == 5
+        assert inner.params["w"].shape == (2, 5, 3, 3)
+        assert model.forward(np.ones((1, 5, 4, 4))).shape == (1, 2, 2, 2)
+        with pytest.raises(SurgeryError, match="no identifiable first spatial layer"):
+            modify_first_layer(Sequential([Sequential([Linear(2, 2, r)])]), 5)
+
+
 class TestLocationEncoder:
     def test_zero_point_features(self):
-        enc = sinusoidal_location_encoder(8, 3, seed=0)
+        enc = SinusoidalLocationEncoder(8, 3, seed=0)
         feats = enc.features(np.array([[0.0, 0.0]]))[0]
         np.testing.assert_allclose(feats, np.tile([0, 1, 0, 1], 3), atol=1e-15)
 
     def test_determinism(self):
-        enc = sinusoidal_location_encoder(16, 4, seed=3)
+        enc = SinusoidalLocationEncoder(16, 4, seed=3)
         a = enc.encode(3.05, 43.61)
         b = enc.encode(3.05, 43.61)
         np.testing.assert_array_equal(a, b)
 
     def test_injectivity_probe(self):
-        enc = sinusoidal_location_encoder(16, 6, seed=1)
+        enc = SinusoidalLocationEncoder(16, 6, seed=1)
         g = np.random.default_rng(2)
         for _ in range(20):
             lon, lat = g.uniform(-90, 90, size=2)
             assert not np.allclose(enc.encode(lon, lat), enc.encode(lon, lat + 0.01))
 
     def test_same_seed_same_encoder(self):
-        a = sinusoidal_location_encoder(8, 2, seed=5)
-        b = sinusoidal_location_encoder(8, 2, seed=5)
+        a = SinusoidalLocationEncoder(8, 2, seed=5)
+        b = SinusoidalLocationEncoder(8, 2, seed=5)
         np.testing.assert_array_equal(a.encode(1.0, 2.0), b.encode(1.0, 2.0))
 
     def test_usable_as_mme_modality(self):
-        enc = sinusoidal_location_encoder(32, 4, seed=0)
-        model = build_mme({"location": enc}, num_classes=6, hidden_dim=16,
-                          dropout_p=0.0, rng=rng())
+        enc = SinusoidalLocationEncoder(32, 4, seed=0)
+        model = FusionModel({"location": enc}, num_classes=6, hidden_dim=16,
+                            dropout_p=0.0, rng=rng())
         coords = np.array([[3.05, 43.61], [0.0, 0.0]])
         assert model.forward({"location": coords}).shape == (2, 6)

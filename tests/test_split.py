@@ -153,6 +153,18 @@ class TestResolveSplit:
         with pytest.raises(DataError, match=rf"split\.csv.* 1 of the 60 .*'{dropped}'"):
             resolve_split(self.config(tmp_path, str(path)), table)
 
+    def test_configured_split_file_must_exist(self, tmp_path):
+        table = uniform_table(np.random.default_rng(0), n=60)
+        path = str(tmp_path / "no_such_split.csv")
+        with pytest.raises(DataError, match=r"split_path: file not found: .*no_such_split\.csv"):
+            resolve_split(self.config(tmp_path, path), table)
+
+    def test_block_holdout_only_without_split_path(self, tmp_path):
+        table = uniform_table(np.random.default_rng(0), n=60)
+        cfg = self.config(tmp_path, None)
+        split = resolve_split(cfg, table)
+        assert split.assignment == block_holdout(table, seed=cfg.run.seed).assignment
+
     def test_split_may_list_surveys_beyond_the_table(self, tmp_path):
         table = uniform_table(np.random.default_rng(0), n=60)
         path = tmp_path / "split.csv"
