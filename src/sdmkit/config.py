@@ -169,6 +169,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigValidationError(f"model.encoders.{key}.input_channels: must be >= 1")
         if enc.embedding_dim < 1:
             raise ConfigValidationError(f"model.encoders.{key}.embedding_dim: must be >= 1")
+    if cfg.model.name != "mme" and len(cfg.model.encoders) > 1:
+        raise ConfigValidationError(
+            f"model.name: {cfg.model.name!r} builds one encoder, but model.encoders lists "
+            f"{list(cfg.model.encoders)}; only mme fuses several"
+        )
     if cfg.optimizer.lr <= 0:
         raise ConfigValidationError("optimizer.lr: must be > 0")
     if cfg.optimizer.weight_decay < 0:

@@ -357,9 +357,62 @@ def save_predictions(predictions: Predictions, path: str) -> None:
 def load_predictions(path: str) -> Predictions:
     """Read a predictions.csv. Each survey has one row, every row holds as
     many top-k ids and scores as the first one, and a row's top-k ids are
-    distinct class indices below the score count."""
-    row_of, topks, scores = {}, [], []  # surveyId -> row number, in file order
-    for i, (sid, topk, row_scores) in read_csv(path, ("surveyId", "topk", "scores")):
+    distinct class indices below the score count.
+
+    One CSV pass collects the survey ids and the field texts; then one
+    np.loadtxt call parses each numeric column. Where numpy rejects a column,
+    or skips a blank field, the per-row parse runs instead: it raises the
+    FormatError naming the first bad row, or reads what Python's number
+    syntax accepts but numpy's does not (such as 1_0)."""
+    rows, row_of, topk_texts, score_texts = [], {}, [], []  # row_of: surveyId -> row number
+    try:
+        for i, (sid, topk_text, score_text) in read_csv(path, ("surveyId", "topk", "scores")):
+            rows.append(i)
+            topk_texts.append(topk_text)
+            score_texts.append(score_text)
+            if row_of.setdefault(sid, i) != i:
+                raise FormatError(f"{path} row {i}: survey {sid!r} already in row {row_of[sid]}")
+    except FormatError:
+        # rows are checked in file order: a bad field up to here is reported first
+        _parse_rows(path, rows, topk_texts, score_texts)
+        raise
+    if not rows:
+        return Predictions([], np.empty((0, 0)), np.empty((0, 0), dtype=np.int64))
+    topk = _parse_column(topk_texts, np.int64)
+    scores = _parse_column(score_texts, np.float64)
+    if topk is None or scores is None:
+        topks, scores = _parse_rows(path, rows, topk_texts, score_texts)
+        topk, scores = np.stack(topks), np.stack(scores)
+    ranked = np.sort(topk, axis=1)
+    bad = (((topk < 0) | (topk >= scores.shape[1])).any(axis=1)
+           | (ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
+    if bad.any():
+        bad_rows = np.array(rows)[bad]
+        raise FormatError(
+            f"{path} row {bad_rows[0]}, column topk: ids {topk[bad][0].tolist()} are not distinct "
+            f"class indices in [0, {scores.shape[1]}) ({bad_rows.size} such rows)"
+        )
+    return Predictions(list(row_of), scores, topk)
+
+
+def _parse_column(texts: list[str], dtype) -> np.ndarray | None:
+    """One (rows, values) array of whitespace-separated numbers, or None if
+    numpy rejects a field or the column is not one array of len(texts) rows."""
+    if not texts[0].strip():  # np.loadtxt skips blank lines (and warns if all are)
+        return None
+    try:
+        # comments=None: a '#' would otherwise cut a row short without an error
+        values = np.loadtxt(texts, dtype=dtype, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if len(values) == len(texts) else None
+
+
+def _parse_rows(path, rows, topk_texts, score_texts):
+    """Parse the topk and scores fields row by row, raising a FormatError
+    naming the first bad or ragged row; the per-row arrays otherwise."""
+    topks, scores = [], []
+    for i, topk, row_scores in zip(rows, topk_texts, score_texts):
         topk = parse_field(path, i, "topk", _int_array, topk)
         row_scores = parse_field(path, i, "scores", _float_array, row_scores)
         if topks and (topk.size, row_scores.size) != (topks[0].size, scores[0].size):
@@ -367,23 +420,9 @@ def load_predictions(path: str) -> Predictions:
                 f"{path} row {i}: {topk.size} top-k ids and {row_scores.size} "
                 f"scores, row 2 has {topks[0].size} and {scores[0].size}"
             )
-        if row_of.setdefault(sid, i) != i:
-            raise FormatError(f"{path} row {i}: survey {sid!r} already in row {row_of[sid]}")
         topks.append(topk)
         scores.append(row_scores)
-    if not row_of:
-        return Predictions([], np.empty((0, 0)), np.empty((0, 0), dtype=np.int64))
-    topk, scores = np.stack(topks), np.stack(scores)
-    ranked = np.sort(topk, axis=1)
-    bad = (((topk < 0) | (topk >= scores.shape[1])).any(axis=1)
-           | (ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
-    if bad.any():
-        rows = np.array(list(row_of.values()))[bad]
-        raise FormatError(
-            f"{path} row {rows[0]}, column topk: ids {topk[bad][0].tolist()} are not distinct "
-            f"class indices in [0, {scores.shape[1]}) ({rows.size} such rows)"
-        )
-    return Predictions(list(row_of), scores, topk)
+    return topks, scores
 
 
 def _int_array(text: str) -> np.ndarray:

@@ -4,6 +4,11 @@ rank-based ROC-AUC at micro, samples, and macro averaging.
 Conventions: Top-K tie-break is ascending class index; macro P/R/F1 average
 over all classes with zero-division mapped to 0; AUC uses average ranks for
 ties and skips classes/samples where it is undefined, reporting the counts.
+
+The AUC sorts with numpy's default (unstable) kind: tied scores share their
+average rank, so the order inside a tie group changes neither its bounds nor
+its positive count. Top-K needs a stable sort, whose order inside a tie is
+the ascending class index.
 """
 
 from __future__ import annotations
@@ -119,7 +124,7 @@ def _row_aucs(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.nd
     n_pos = pos.sum(axis=1)
     n_neg = m - n_pos
     defined = (n_pos > 0) & (n_neg > 0)
-    order = np.argsort(scores, axis=1, kind="stable")
+    order = np.argsort(scores, axis=1)
     order += (np.arange(r) * m)[:, None]  # flat indices: np.take beats take_along_axis
     sorted_pos = np.take(pos, order)
     xs = np.take(scores, order)

@@ -101,7 +101,8 @@ class SinusoidalLocationEncoder(Linear):
     def __init__(self, embedding_dim: int, num_frequencies: int, seed: int = 0):
         if embedding_dim < 1 or num_frequencies < 1:
             raise ValueError("embedding_dim and num_frequencies must be >= 1")
-        super().__init__(4 * num_frequencies, embedding_dim, np.random.default_rng(seed))
+        super().__init__(4 * num_frequencies, embedding_dim, np.random.default_rng(seed),
+                         input_grad=False)  # the sin/cos features are not trainable
         self.embedding_dim = embedding_dim
         self.num_frequencies = num_frequencies
 

@@ -101,6 +101,17 @@ def test_modifier_target_must_be_positive_int():
         parse_config(MINIMAL + "model:\n  modifiers:\n    output_dim: -3\n")
 
 
+def test_single_modality_model_with_several_encoders_rejected():
+    doc = MINIMAL + ("model:\n  name: micro_conv2d\n  encoders:\n"
+                     "    patch: {name: micro_conv2d}\n    cube_a: {name: micro_conv3d}\n")
+    with pytest.raises(ConfigValidationError,
+                       match=re.escape("model.name: 'micro_conv2d' builds one encoder, "
+                                       "but model.encoders lists ['patch', 'cube_a']")):
+        parse_config(doc)
+    assert list(parse_config(doc.replace("name: micro_conv2d\n  en", "name: mme\n  en"))
+                .model.encoders) == ["patch", "cube_a"]
+
+
 def test_round_trip_identity():
     cfg = parse_config(MINIMAL + "optimizer:\n  lr: 3.0e-4\nrun:\n  seed: 9\n")
     assert parse_config(render_config(cfg)) == cfg

@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from sdmkit.engine import (
 )
 from sdmkit.errors import CheckpointMismatchError, FormatError, SdmkitError, ShapeError
 from sdmkit.evalkit import Predictions, top_k
+from sdmkit.geodata import parse_field, read_csv
 from sdmkit.pipeline import build_model, load_data, resolve_split
 from sdmkit.synthetic import default_config_yaml, make_synthetic
 
@@ -417,6 +419,127 @@ class TestCheckpointAndPredict:
         from sdmkit.evalkit import top_k
 
         assert list(top_k(np.zeros(10), 4)) == [0, 1, 2, 3]
+
+
+def per_row_load_predictions(path):
+    """The row-by-row predictions reader, one numpy call per field: the
+    reference the column parse of load_predictions must reproduce."""
+    row_of, topks, scores = {}, [], []
+    for i, (sid, topk, row_scores) in read_csv(path, ("surveyId", "topk", "scores")):
+        topk = parse_field(path, i, "topk", engine._int_array, topk)
+        row_scores = parse_field(path, i, "scores", engine._float_array, row_scores)
+        if topks and (topk.size, row_scores.size) != (topks[0].size, scores[0].size):
+            raise FormatError(
+                f"{path} row {i}: {topk.size} top-k ids and {row_scores.size} "
+                f"scores, row 2 has {topks[0].size} and {scores[0].size}"
+            )
+        if row_of.setdefault(sid, i) != i:
+            raise FormatError(f"{path} row {i}: survey {sid!r} already in row {row_of[sid]}")
+        topks.append(topk)
+        scores.append(row_scores)
+    topk, scores = np.stack(topks), np.stack(scores)
+    ranked = np.sort(topk, axis=1)
+    bad = (((topk < 0) | (topk >= scores.shape[1])).any(axis=1)
+           | (ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
+    if bad.any():
+        rows = np.array(list(row_of.values()))[bad]
+        raise FormatError(
+            f"{path} row {rows[0]}, column topk: ids {topk[bad][0].tolist()} are not distinct "
+            f"class indices in [0, {scores.shape[1]}) ({rows.size} such rows)"
+        )
+    return Predictions(list(row_of), scores, topk)
+
+
+def load_outcome(load, path):
+    """The FormatError text, or the ids and the exact dtype, shape and bytes
+    of both arrays."""
+    try:
+        p = load(path)
+    except FormatError as exc:
+        return str(exc)
+    return (p.survey_ids, [(a.dtype.str, a.shape, a.tobytes()) for a in (p.topk, p.scores)])
+
+
+SCORE_TOKENS = (st.floats(width=64).map(repr)
+                | st.decimals(places=2, allow_nan=False, allow_infinity=False).map(str))
+# numbers Python reads but numpy does not, comment marks, ids past int64, non-numbers
+ODD_TOKENS = st.sampled_from(["1_0", "0_1", "٣", "#", "#3", "9223372036854775808",
+                              "-9223372036854775809", "1.0", "nan", "x", "-"])
+
+
+@st.composite
+def prediction_tables(draw):
+    """Rows of (surveyId, top-k tokens, score tokens) of one valid table,
+    then up to three edits: an odd token, a dropped or extra token (ragged),
+    an empty field or a repeated survey id."""
+    n, s = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    k = draw(st.integers(1, s))
+    rows = [[f"s{i}", [str(c) for c in draw(st.permutations(range(s)))[:k]],
+             draw(st.lists(SCORE_TOKENS, min_size=s, max_size=s))] for i in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        row, col = draw(st.sampled_from(rows)), draw(st.sampled_from([1, 2]))
+        edit = draw(st.sampled_from(["odd", "drop", "extra", "empty", "duplicate"]))
+        if edit == "odd" and row[col]:
+            row[col][draw(st.integers(0, len(row[col]) - 1))] = draw(ODD_TOKENS)
+        elif edit == "drop":
+            row[col] = row[col][:-1]
+        elif edit == "extra":
+            row[col].append(draw(SCORE_TOKENS) if col == 2 else "0")
+        elif edit == "empty":
+            row[col] = []
+        elif edit == "duplicate":
+            row[0] = rows[0][0]
+    gaps, pads = st.sampled_from([" ", "  ", "\t", " \t "]), st.sampled_from(["", " ", "\t"])
+    return [[sid] + [draw(pads) + draw(gaps).join(tokens) + draw(pads) for tokens in (topk, sc)]
+            for sid, topk, sc in rows]
+
+
+class TestLoadPredictionsColumnParse:
+    """load_predictions parses each numeric column in one call and falls back
+    to the row-by-row parse; either way it reads what that parse reads."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(table=prediction_tables())
+    def test_equal_to_per_row_parse(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "predictions.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh).writerows([["surveyId", "topk", "scores"], *table])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = load_outcome(engine.load_predictions, path)
+            assert got == load_outcome(per_row_load_predictions, path)
+
+    @pytest.mark.parametrize("topk", ["", "0"])
+    def test_all_empty_scores_column(self, tmp_path, topk):
+        """np.loadtxt warns on a column without data; the per-row parse reads it."""
+        path = str(tmp_path / "predictions.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"surveyId,topk,scores\na,{topk},\nb,{topk}, \n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = load_outcome(engine.load_predictions, path)
+        assert got == load_outcome(per_row_load_predictions, path)
+        if topk:
+            assert got.endswith("row 2, column topk: ids [0] are not distinct class indices "
+                                "in [0, 0) (2 such rows)")
+        else:
+            assert got[0] == ["a", "b"] and got[1][1][1] == (2, 0)
+
+    def test_python_number_syntax_still_read(self, tmp_path):
+        """1_0 and non-ASCII digits fail np.loadtxt and load through the per-row parse."""
+        path = tmp_path / "predictions.csv"
+        path.write_text("surveyId,topk,scores\na,1_0 0,0.5 0_1 0.2 0.1 0.3 0.0 0.1 0.2 0.3 0.4 0.5\n"
+                        "b,٣ 1,1 2 3 4 5 6 7 8 9 10 1_1\n", encoding="utf-8")
+        preds = engine.load_predictions(str(path))
+        assert preds.topk.tolist() == [[10, 0], [3, 1]]
+        assert preds.scores[:, [1, -1]].tolist() == [[1.0, 0.5], [2.0, 11.0]]
+
+    def test_bad_field_before_a_repeated_survey_reported_first(self, tmp_path):
+        path = tmp_path / "predictions.csv"
+        path.write_text("surveyId,topk,scores\na,1,0.1 0.7\nb,0,0.6 x\na,1,0.2 0.3\n")
+        with pytest.raises(FormatError, match=r"predictions\.csv row 3, column scores: "):
+            engine.load_predictions(str(path))
 
 
 class TestAtomicWrites:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -348,6 +349,35 @@ class TestMultilabelAuc:
                 assert math.isnan(got)
             else:
                 assert got == pytest.approx(sum(vals) / len(vals), abs=1e-12)
+
+
+class TestRowAucsSort:
+    def test_default_sort_bit_equal_to_stable(self, monkeypatch):
+        """_row_aucs sorts with numpy's default kind; the same call with a stable
+        argsort gives the same auc and defined bits on tie-heavy rows with NaNs,
+        mixed signed zeros, all-equal rows and single columns, row-wise and
+        transposed (as macro AUC calls it)."""
+        rng = np.random.default_rng(10)
+        stable_argsort = functools.partial(np.argsort, kind="stable")
+        reordered = 0
+        for _ in range(400):
+            r, m = int(rng.integers(1, 9)), int(rng.choice([1, 2, 5, 16, 17, 64, 257]))
+            levels = int(rng.integers(1, 6))
+            scores = rng.integers(0, levels, size=(r, m)) / levels
+            scores[(scores == 0) & (rng.random((r, m)) < 0.5)] = -0.0
+            scores[rng.random(r) < 0.2] = scores[0, 0]
+            nan_rows = rng.random(r) < 0.3
+            scores[nan_rows, rng.integers(0, m, size=nan_rows.sum())] = np.nan
+            labels = (rng.random((r, m)) < rng.uniform(0.0, 1.0)).astype(float)
+            for x, y in ((scores, labels), (scores.T, labels.T)):
+                auc, defined = _row_aucs(x, y)
+                with monkeypatch.context() as patch:
+                    patch.setattr(np, "argsort", stable_argsort)
+                    want_auc, want_defined = _row_aucs(x, y)
+                assert auc.tobytes() == want_auc.tobytes()
+                assert defined.tobytes() == want_defined.tobytes()
+                reordered += not np.array_equal(np.argsort(x, axis=1), stable_argsort(x, axis=1))
+        assert reordered > 0  # the default kind did move tied entries
 
 
 # ---- evaluate -------------------------------------------------------------

@@ -342,3 +342,20 @@ class TestLocationEncoder:
                             dropout_p=0.0, rng=rng())
         coords = np.array([[3.05, 43.61], [0.0, 0.0]])
         assert model.forward({"location": coords}).shape == (2, 6)
+
+    def test_backward_skips_feature_grad(self):
+        """w and b gradients are bit-identical to those of a Linear computing dx
+        with the same weights; only the (N, 2) coordinate zeros come back."""
+        enc = SinusoidalLocationEncoder(8, 3, seed=4)
+        full = Linear(enc.in_dim, enc.out_dim, rng())
+        full.params = {k: v.copy() for k, v in enc.params.items()}
+        coords = np.random.default_rng(5).uniform(-60, 60, size=(7, 2))
+        dout = np.random.default_rng(6).normal(size=(7, 8))
+        enc.forward(coords, training=True)
+        full.forward(enc.features(coords), training=True)
+        assert full.backward(dout).shape == (7, enc.in_dim)
+        np.testing.assert_array_equal(enc.backward(dout), np.zeros((7, 2)))
+        for name in ("w", "b"):
+            assert enc.grads[name].tobytes() == full.grads[name].tobytes()
+        assert enc.input_grad is False
+        assert Linear.backward(enc, dout) is None
