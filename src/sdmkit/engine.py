@@ -17,6 +17,7 @@ import logging
 import math
 import os
 import time
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
@@ -360,10 +361,11 @@ def load_predictions(path: str) -> Predictions:
     distinct class indices below the score count.
 
     One CSV pass collects the survey ids and the field texts; then one
-    np.loadtxt call parses each numeric column. Where numpy rejects a column,
-    or skips a blank field, the per-row parse runs instead: it raises the
-    FormatError naming the first bad row, or reads what Python's number
-    syntax accepts but numpy's does not (such as 1_0)."""
+    np.loadtxt call parses each numeric column. Where numpy rejects or warns
+    about a column, skips a blank field, or a field holds a line break, the
+    per-row parse runs instead: it raises the FormatError naming the first
+    bad row, or reads what Python's number syntax accepts but numpy's does
+    not (such as 1_0)."""
     rows, row_of, topk_texts, score_texts = [], {}, [], []  # row_of: surveyId -> row number
     try:
         for i, (sid, topk_text, score_text) in read_csv(path, ("surveyId", "topk", "scores")):
@@ -397,15 +399,20 @@ def load_predictions(path: str) -> Predictions:
 
 def _parse_column(texts: list[str], dtype) -> np.ndarray | None:
     """One (rows, values) array of whitespace-separated numbers, or None if
-    numpy rejects a field or the column is not one array of len(texts) rows."""
-    if not texts[0].strip():  # np.loadtxt skips blank lines (and warns if all are)
-        return None
+    numpy rejects or warns about a field, or the column is not one array of
+    len(texts) rows."""
+    if any("\n" in text or "\r" in text for text in texts):
+        return None  # numpy's reader may end a row at a line break inside a field
     try:
-        # comments=None: a '#' would otherwise cut a row short without an error
-        values = np.loadtxt(texts, dtype=dtype, comments=None, ndmin=2)
-    except ValueError:
+        with warnings.catch_warnings():
+            # numpy warns where it reads a field the per-row parse rejects (older
+            # numpy casts an int field such as 1.5 from float) or skips every line
+            warnings.simplefilter("error")
+            # comments=None: a '#' would otherwise cut a row short without an error
+            values = np.loadtxt(texts, dtype=dtype, comments=None, ndmin=2)
+    except (ValueError, Warning):
         return None
-    return values if len(values) == len(texts) else None
+    return values if len(values) == len(texts) else None  # blank lines are skipped
 
 
 def _parse_rows(path, rows, topk_texts, score_texts):

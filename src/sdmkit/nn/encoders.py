@@ -101,8 +101,7 @@ class SinusoidalLocationEncoder(Linear):
     def __init__(self, embedding_dim: int, num_frequencies: int, seed: int = 0):
         if embedding_dim < 1 or num_frequencies < 1:
             raise ValueError("embedding_dim and num_frequencies must be >= 1")
-        super().__init__(4 * num_frequencies, embedding_dim, np.random.default_rng(seed),
-                         input_grad=False)  # the sin/cos features are not trainable
+        super().__init__(4 * num_frequencies, embedding_dim, np.random.default_rng(seed))
         self.embedding_dim = embedding_dim
         self.num_frequencies = num_frequencies
 
@@ -119,7 +118,9 @@ class SinusoidalLocationEncoder(Linear):
         return super().forward(self.features(np.asarray(coords, dtype=np.float64)))
 
     def backward(self, dout):
-        super().backward(dout)
+        # Linear.backward without its dout @ w: the sin/cos features are not trainable
+        self.grads["w"] = dout.T @ self._x
+        self.grads["b"] = dout.sum(axis=0)
         return np.zeros((dout.shape[0], 2))  # coordinates are not trainable
 
     def encode(self, lon: float, lat: float) -> np.ndarray:

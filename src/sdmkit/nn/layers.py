@@ -61,13 +61,9 @@ class Module:
 
 
 class Linear(Module):
-    """Affine map over the last axis; input_grad=False makes backward return
-    None instead of dx, as for Conv2d."""
-
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, input_grad=True):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         super().__init__()
         self.in_dim, self.out_dim = in_dim, out_dim
-        self.input_grad = input_grad
         self.params["w"] = fanin_uniform(rng, (out_dim, in_dim), in_dim)
         self.params["b"] = fanin_uniform(rng, (out_dim,), in_dim)
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
@@ -81,7 +77,7 @@ class Linear(Module):
     def backward(self, dout):
         self.grads["w"] = dout.T @ self._x
         self.grads["b"] = dout.sum(axis=0)
-        return dout @ self.params["w"] if self.input_grad else None
+        return dout @ self.params["w"]
 
 
 class Conv2d(Module):

@@ -460,6 +460,16 @@ def load_outcome(load, path):
     return (p.survey_ids, [(a.dtype.str, a.shape, a.tobytes()) for a in (p.topk, p.scores)])
 
 
+def outcome_and_warnings(path):
+    """load_outcome of load_predictions, and every warning it let out. A
+    warning is recorded, not raised, so it cannot send load_predictions to
+    its per-row parse."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = load_outcome(engine.load_predictions, path)
+    return got, [str(w.message) for w in caught]
+
+
 SCORE_TOKENS = (st.floats(width=64).map(repr)
                 | st.decimals(places=2, allow_nan=False, allow_infinity=False).map(str))
 # numbers Python reads but numpy does not, comment marks, ids past int64, non-numbers
@@ -489,7 +499,9 @@ def prediction_tables(draw):
             row[col] = []
         elif edit == "duplicate":
             row[0] = rows[0][0]
-    gaps, pads = st.sampled_from([" ", "  ", "\t", " \t "]), st.sampled_from(["", " ", "\t"])
+    # csv quotes a field holding a line break; numpy's reader would end a row there
+    gaps = st.sampled_from([" ", "  ", "\t", " \t ", "\n", "\r", " \r\n"])
+    pads = st.sampled_from(["", " ", "\t", "\n", "\r\n"])
     return [[sid] + [draw(pads) + draw(gaps).join(tokens) + draw(pads) for tokens in (topk, sc)]
             for sid, topk, sc in rows]
 
@@ -505,10 +517,43 @@ class TestLoadPredictionsColumnParse:
             path = os.path.join(tmp, "predictions.csv")
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 csv.writer(fh).writerows([["surveyId", "topk", "scores"], *table])
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                got = load_outcome(engine.load_predictions, path)
+            got, caught = outcome_and_warnings(path)
             assert got == load_outcome(per_row_load_predictions, path)
+            assert caught == []
+
+    @pytest.mark.parametrize("token", ["1.5", "1.0", "1e0"])
+    def test_float_top_k_id_rejected(self, tmp_path, token):
+        """A top-k id in float syntax is a FormatError naming the row, as in
+        the per-row parse."""
+        path = str(tmp_path / "predictions.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"surveyId,topk,scores\na,0 1,0.1 0.2 0.3\nb,{token} 2,0.4 0.5 0.6\n")
+        got, caught = outcome_and_warnings(path)
+        assert got == load_outcome(per_row_load_predictions, path)
+        assert got.startswith(f"{path} row 3, column topk: ") and token in got
+        assert caught == []
+
+    def test_line_break_inside_field_is_not_a_row(self, tmp_path):
+        """A quoted scores field spanning two lines does not fill the empty
+        field of the next row: the ragged-row FormatError names that row."""
+        path = str(tmp_path / "predictions.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([["surveyId", "topk", "scores"], ["a", "0", "0.1 0.2 0.3 0.4"],
+                                      ["b", "1", "0.1 0.2\n0.3 0.4"], ["c", "2", ""]])
+        got, caught = outcome_and_warnings(path)
+        assert got == load_outcome(per_row_load_predictions, path)
+        assert got == f"{path} row 4: 1 top-k ids and 0 scores, row 2 has 1 and 4"
+        assert caught == []
+
+    def test_comment_mark_is_a_bad_field(self, tmp_path):
+        """A '#' does not cut the row short: the scores field fails to parse."""
+        path = str(tmp_path / "predictions.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("surveyId,topk,scores\na,0,0.1 #0.2\n")
+        got, caught = outcome_and_warnings(path)
+        assert got == load_outcome(per_row_load_predictions, path)
+        assert got.startswith(f"{path} row 2, column scores: ") and "'#0.2'" in got
+        assert caught == []
 
     @pytest.mark.parametrize("topk", ["", "0"])
     def test_all_empty_scores_column(self, tmp_path, topk):
@@ -516,10 +561,9 @@ class TestLoadPredictionsColumnParse:
         path = str(tmp_path / "predictions.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"surveyId,topk,scores\na,{topk},\nb,{topk}, \n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = load_outcome(engine.load_predictions, path)
+        got, caught = outcome_and_warnings(path)
         assert got == load_outcome(per_row_load_predictions, path)
+        assert caught == []
         if topk:
             assert got.endswith("row 2, column topk: ids [0] are not distinct class indices "
                                 "in [0, 0) (2 such rows)")

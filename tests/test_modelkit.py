@@ -343,9 +343,10 @@ class TestLocationEncoder:
         coords = np.array([[3.05, 43.61], [0.0, 0.0]])
         assert model.forward({"location": coords}).shape == (2, 6)
 
-    def test_backward_skips_feature_grad(self):
-        """w and b gradients are bit-identical to those of a Linear computing dx
-        with the same weights; only the (N, 2) coordinate zeros come back."""
+    def test_backward_skips_feature_grad(self, monkeypatch):
+        """w and b gradients are bit-identical to those of Linear.backward with
+        the same weights, and no dout @ w runs: only the (N, 2) coordinate
+        zeros come back."""
         enc = SinusoidalLocationEncoder(8, 3, seed=4)
         full = Linear(enc.in_dim, enc.out_dim, rng())
         full.params = {k: v.copy() for k, v in enc.params.items()}
@@ -354,8 +355,11 @@ class TestLocationEncoder:
         enc.forward(coords, training=True)
         full.forward(enc.features(coords), training=True)
         assert full.backward(dout).shape == (7, enc.in_dim)
+
+        def no_input_grad(self, dout):
+            raise AssertionError("the location encoder computed its feature gradient")
+
+        monkeypatch.setattr(Linear, "backward", no_input_grad)
         np.testing.assert_array_equal(enc.backward(dout), np.zeros((7, 2)))
         for name in ("w", "b"):
             assert enc.grads[name].tobytes() == full.grads[name].tobytes()
-        assert enc.input_grad is False
-        assert Linear.backward(enc, dout) is None
