@@ -62,7 +62,6 @@ class TrainerSection:
 class EncoderSection:
     provider: str = "builtin"
     name: str = "micro_conv2d"
-    input_channels: int = 3
     embedding_dim: int = 64
 
 
@@ -73,18 +72,10 @@ class FusionSection:
 
 
 @dataclass(frozen=True)
-class ModifierSection:
-    input_channels: int | None = None
-    output_dim: int | None = None
-    strip_head: bool = False
-
-
-@dataclass(frozen=True)
 class ModelSection:
     provider: str = "builtin"
     name: str = "mme"
     encoders: dict[str, EncoderSection] = field(default_factory=dict)
-    modifiers: ModifierSection = field(default_factory=ModifierSection)
     fusion: FusionSection = field(default_factory=FusionSection)
 
 
@@ -121,7 +112,6 @@ def _build_section(cls, raw: dict, where: str):
 def _build_model_section(raw: dict) -> ModelSection:
     raw = dict(raw)
     encoders_raw = raw.pop("encoders", {})
-    modifiers_raw = raw.pop("modifiers", {})
     fusion_raw = raw.pop("fusion", {})
     base = _build_section(ModelSection, raw, "model") if raw else ModelSection()
     encoders = {
@@ -132,7 +122,6 @@ def _build_model_section(raw: dict) -> ModelSection:
         provider=base.provider,
         name=base.name,
         encoders=encoders,
-        modifiers=_build_section(ModifierSection, modifiers_raw or {}, "model.modifiers"),
         fusion=_build_section(FusionSection, fusion_raw or {}, "model.fusion"),
     )
 
@@ -158,21 +147,18 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigValidationError("model.fusion.dropout: must be in [0, 1)")
     if cfg.model.fusion.hidden_dim < 1:
         raise ConfigValidationError("model.fusion.hidden_dim: must be >= 1")
-    mods = cfg.model.modifiers
-    for name, val in (("input_channels", mods.input_channels), ("output_dim", mods.output_dim)):
-        if val is not None and (not isinstance(val, int) or val < 1):
-            raise ConfigValidationError(
-                f"model.modifiers.{name}: target dimension must be a positive integer"
-            )
     for key, enc in cfg.model.encoders.items():
-        if enc.input_channels < 1:
-            raise ConfigValidationError(f"model.encoders.{key}.input_channels: must be >= 1")
         if enc.embedding_dim < 1:
             raise ConfigValidationError(f"model.encoders.{key}.embedding_dim: must be >= 1")
     if cfg.model.name != "mme" and len(cfg.model.encoders) > 1:
         raise ConfigValidationError(
             f"model.name: {cfg.model.name!r} builds one encoder, but model.encoders lists "
             f"{list(cfg.model.encoders)}; only mme fuses several"
+        )
+    if cfg.model.name != "mme" and cfg.model.fusion != FusionSection():
+        raise ConfigValidationError(
+            f"model.fusion: model.name {cfg.model.name!r} has no fusion head; "
+            f"only mme reads model.fusion"
         )
     if cfg.optimizer.lr <= 0:
         raise ConfigValidationError("optimizer.lr: must be > 0")

@@ -135,7 +135,8 @@ def read_csv(path: str, columns):
     # the default 131 072-character limit is one scores field of ~6 600 classes;
     # 2**31 - 1 fits a C long on every platform
     csv.field_size_limit(2**31 - 1)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports put first
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         row = 0  # rows read so far, the header included
         try:

@@ -2,11 +2,15 @@
 
 Three small built-ins keep the full pipeline runnable with no network
 access: a 2-D conv stack for raster patches, a cube encoder treating the
-band axis as channels over the (steps, years) plane, and an MLP for flat
-vectors. External providers plug in via register_encoder.
+band axis as channels over the (steps, years) plane, and an MLP over the
+flattened input. External providers plug in via register_encoder. Every
+factory is called as factory(input_shape, embedding_dim, rng), where
+input_shape is the per-sample shape of the modality it encodes.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,11 +26,12 @@ class Encoder(Sequential):
         self.embedding_dim = embedding_dim
 
 
-def _micro_conv2d(input_channels: int, embedding_dim: int, rng: np.random.Generator):
-    # two stride-2 convs then pooled linear head; expects side >= 7
+def _micro_conv2d(input_shape, embedding_dim: int, rng: np.random.Generator):
+    # (N, C, side, side) patch batches: two stride-2 convs then pooled linear
+    # head; expects side >= 7
     return Encoder(
         [
-            Conv2d(input_channels, 8, 3, 2, rng, input_grad=False),
+            Conv2d(input_shape[0], 8, 3, 2, rng, input_grad=False),
             ReLU(),
             Conv2d(8, 16, 3, 2, rng),
             ReLU(),
@@ -37,13 +42,12 @@ def _micro_conv2d(input_channels: int, embedding_dim: int, rng: np.random.Genera
     )
 
 
-def _micro_conv3d(input_channels: int, embedding_dim: int, rng: np.random.Generator,
-                  steps: int = 4, years: int = 3):
+def _micro_conv3d(input_shape, embedding_dim: int, rng: np.random.Generator):
     # (N, B, Q, Y) cube batches: bands act as conv channels
-    kh, kw = min(3, steps), min(3, years)
+    bands, steps, years = input_shape
     return Encoder(
         [
-            Conv2d(input_channels, 8, (kh, kw), 1, rng, input_grad=False),
+            Conv2d(bands, 8, (min(3, steps), min(3, years)), 1, rng, input_grad=False),
             ReLU(),
             GlobalAvgPool2d(),
             Linear(8, embedding_dim, rng),
@@ -52,12 +56,11 @@ def _micro_conv3d(input_channels: int, embedding_dim: int, rng: np.random.Genera
     )
 
 
-def _micro_mlp(input_channels: int, embedding_dim: int, rng: np.random.Generator):
-    # input_channels doubles as the flattened input width
+def _micro_mlp(input_shape, embedding_dim: int, rng: np.random.Generator):
     return Encoder(
         [
             Flatten(),
-            Linear(input_channels, 128, rng),
+            Linear(math.prod(input_shape), 128, rng),
             ReLU(),
             Linear(128, embedding_dim, rng),
         ],
@@ -80,9 +83,10 @@ def available_encoders() -> list[tuple[str, str]]:
     return sorted(_REGISTRY)
 
 
-def build_encoder(provider: str, name: str, input_channels: int, embedding_dim: int,
-                  rng: np.random.Generator | None = None, **kwargs) -> Encoder:
-    """Build a registered encoder; unknown names list what is available."""
+def build_encoder(provider: str, name: str, input_shape: tuple[int, ...], embedding_dim: int,
+                  rng: np.random.Generator | None = None) -> Encoder:
+    """Build a registered encoder for inputs of per-sample shape input_shape
+    (a batch is (N, *input_shape)); unknown names list what is available."""
     try:
         factory = _REGISTRY[(provider, name)]
     except KeyError:
@@ -91,7 +95,7 @@ def build_encoder(provider: str, name: str, input_channels: int, embedding_dim: 
         ) from None
     if rng is None:
         rng = np.random.default_rng(0)
-    return factory(input_channels, embedding_dim, rng, **kwargs)
+    return factory(input_shape, embedding_dim, rng)
 
 
 class SinusoidalLocationEncoder(Linear):
@@ -127,9 +131,9 @@ class SinusoidalLocationEncoder(Linear):
         return self.forward(np.array([[lon, lat]]))[0]
 
 
-def _location_factory(input_channels, embedding_dim, rng, num_frequencies=8):
+def _location_factory(input_shape, embedding_dim, rng):
     seed = int(rng.integers(0, 2**31 - 1))
-    return SinusoidalLocationEncoder(embedding_dim, num_frequencies, seed)
+    return SinusoidalLocationEncoder(embedding_dim, 8, seed)
 
 
 register_encoder("builtin", "sinusoidal_location", _location_factory)

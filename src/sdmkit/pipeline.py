@@ -11,8 +11,8 @@ import os
 
 import numpy as np
 
-from .config import ExperimentConfig
-from .errors import DataError, SdmkitError, ShapeError
+from .config import EncoderSection, ExperimentConfig
+from .errors import ConfigValidationError, DataError, SdmkitError, ShapeError
 from .geodata import (
     ObservationTable,
     PatchSpec,
@@ -21,7 +21,7 @@ from .geodata import (
     load_observations,
     load_raster_manifest,
 )
-from .nn import FusionModel, build_encoder, modify_first_layer, modify_last_layer, strip_head
+from .nn import FusionModel, build_encoder, modify_last_layer
 from .nn.layers import Module
 from .split import SpatialSplit, block_holdout, load_split
 
@@ -33,11 +33,17 @@ class LoadedData:
         self.patch_spec = patch_spec
         self.cube_maps = cube_maps
 
-    def cube_shapes(self) -> dict[str, tuple[int, int, int]]:
+    def cube_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Per-sample shape of every batch modality collate builds: patch
+        (layers, side, side) when rasters are loaded, each cube (B, Q, Y),
+        and location (2,)."""
         shapes = {}
+        if self.patch_spec is not None:
+            side = self.patch_spec.side
+            shapes["patch"] = (len(self.layers), side, side)
         for name, cube_map in self.cube_maps.items():
-            first = next(iter(cube_map.values()))
-            shapes[name] = tuple(first.values.shape)
+            shapes[name] = next(iter(cube_map.values())).values.shape
+        shapes["location"] = (2,)
         return shapes
 
     def source_for(self, survey_ids=None, labels_mode: str = "train"):
@@ -104,25 +110,26 @@ class SingleModalityModel(Module):
         return [(self.modality, self.net)]
 
 
-def _encoder_kwargs(name: str, cube_shapes, modality: str) -> dict:
-    if name == "micro_conv3d" and modality in cube_shapes:
-        _, q, y = cube_shapes[modality]
-        return {"steps": q, "years": y}
-    return {}
+def _input_shape(shapes: dict, modality: str) -> tuple[int, ...]:
+    if modality not in shapes:
+        raise ConfigValidationError(
+            f"model.encoders.{modality}: the data has no {modality!r} modality; "
+            f"it has {sorted(shapes)}"
+        )
+    return shapes[modality]
 
 
-def build_model(cfg: ExperimentConfig, cube_shapes: dict | None = None):
-    """Build the configured model with init drawn from the run seed."""
-    cube_shapes = cube_shapes or {}
+def build_model(cfg: ExperimentConfig, cube_shapes: dict):
+    """Build the configured model with init drawn from the run seed; each
+    encoder takes the per-sample shape of its modality from cube_shapes
+    (LoadedData.cube_shapes)."""
     rng = np.random.default_rng([cfg.run.seed, 0])
     if cfg.model.name == "mme":
         if not cfg.model.encoders:
             raise ShapeError("mme model requires at least one encoder spec")
         encoders = {
-            modality: build_encoder(
-                enc.provider, enc.name, enc.input_channels, enc.embedding_dim, rng,
-                **_encoder_kwargs(enc.name, cube_shapes, modality),
-            )
+            modality: build_encoder(enc.provider, enc.name, _input_shape(cube_shapes, modality),
+                                    enc.embedding_dim, rng)
             for modality, enc in cfg.model.encoders.items()
         }
         return FusionModel(
@@ -132,23 +139,13 @@ def build_model(cfg: ExperimentConfig, cube_shapes: dict | None = None):
             dropout_p=cfg.model.fusion.dropout,
             rng=rng,
         )
-    # single-modality: one encoder reshaped into a classifier via the modifiers
+    # single-modality: one encoder whose last layer becomes the classifier
     if cfg.model.encoders:
         modality, enc = next(iter(cfg.model.encoders.items()))
     else:
         modality = "patch"
-        from .config import EncoderSection
-
         enc = EncoderSection(provider=cfg.model.provider, name=cfg.model.name)
-    net = build_encoder(
-        enc.provider, enc.name, enc.input_channels, enc.embedding_dim, rng,
-        **_encoder_kwargs(enc.name, cube_shapes, modality),
-    )
-    mods = cfg.model.modifiers
-    if mods.input_channels is not None:
-        modify_first_layer(net, mods.input_channels)
-    if mods.strip_head:
-        strip_head(net)
-    out_dim = mods.output_dim if mods.output_dim is not None else cfg.task.num_classes
-    modify_last_layer(net, out_dim, rng)
+    net = build_encoder(enc.provider, enc.name, _input_shape(cube_shapes, modality),
+                        enc.embedding_dim, rng)
+    modify_last_layer(net, cfg.task.num_classes, rng)
     return SingleModalityModel(modality, net)

@@ -158,15 +158,12 @@ model:
   encoders:
     patch:
       name: micro_conv2d
-      input_channels: {N_CHANNELS}
       embedding_dim: 64
     cube_a:
       name: micro_conv3d
-      input_channels: {CUBE_SHAPE[0]}
       embedding_dim: 64
     cube_b:
       name: micro_conv3d
-      input_channels: {CUBE_SHAPE[0]}
       embedding_dim: 64
   fusion:
     dropout: 0.1

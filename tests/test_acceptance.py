@@ -117,9 +117,9 @@ def test_criterion_5_gradient_check():
     t0 = time.time()
     rng = np.random.default_rng(0)
     encoders = {
-        "patch": build_encoder("builtin", "micro_conv2d", 4, 16, rng),
-        "cube_a": build_encoder("builtin", "micro_conv3d", 2, 16, rng, steps=4, years=3),
-        "cube_b": build_encoder("builtin", "micro_conv3d", 2, 16, rng, steps=4, years=3),
+        "patch": build_encoder("builtin", "micro_conv2d", (4, 32, 32), 16, rng),
+        "cube_a": build_encoder("builtin", "micro_conv3d", (2, 4, 3), 16, rng),
+        "cube_b": build_encoder("builtin", "micro_conv3d", (2, 4, 3), 16, rng),
     }
     model = FusionModel(encoders, num_classes=6, hidden_dim=32, dropout_p=0.0, rng=rng)
     g = np.random.default_rng(1)
@@ -233,22 +233,22 @@ def test_criterion_8_model_surgery_shape_suite():
     rng = np.random.default_rng(0)
     ok = True
     # identity case: unchanged channel count is an exact functional no-op
-    enc_id = build_encoder("builtin", "micro_conv2d", 3, 32, np.random.default_rng(1))
+    enc_id = build_encoder("builtin", "micro_conv2d", (3, 32, 32), 32, np.random.default_rng(1))
     x = np.random.default_rng(2).normal(size=(2, 3, 16, 16))
     before = enc_id.forward(x)
     modify_first_layer(enc_id, 3)
     ok &= np.array_equal(enc_id.forward(x), before)
     # 3 -> 6 channels then head to 20 classes
-    enc = build_encoder("builtin", "micro_conv2d", 3, 64, rng)
+    enc = build_encoder("builtin", "micro_conv2d", (3, 32, 32), 64, rng)
     modify_first_layer(enc, 6)
     modify_last_layer(enc, 20, rng)
     for n in (1, 2, 7):
         ok &= enc.forward(np.zeros((n, 6, 32, 32))).shape == (n, 20)
     # MME with dims 64, 64, 128 -> 20 classes at the same batch sizes
     encoders = {
-        "a": build_encoder("builtin", "micro_mlp", 10, 64, rng),
-        "b": build_encoder("builtin", "micro_mlp", 10, 64, rng),
-        "c": build_encoder("builtin", "micro_mlp", 10, 128, rng),
+        "a": build_encoder("builtin", "micro_mlp", (10,), 64, rng),
+        "b": build_encoder("builtin", "micro_mlp", (10,), 64, rng),
+        "c": build_encoder("builtin", "micro_mlp", (10,), 128, rng),
     }
     mme = FusionModel(encoders, num_classes=20, hidden_dim=256, dropout_p=0.0, rng=rng)
     for n in (1, 2, 7):

@@ -77,6 +77,8 @@ REMOVED_KEYS = {
     "data.num_workers": 0,
     "trainer.device": "cpu",
     "model.encoders.patch.pretrained": False,
+    "model.encoders.patch.input_channels": 4,
+    "model.modifiers": {"strip_head": True},
     "optimizer.name": "sgd",
     "optimizer.scheduler": "cosine",
     "optimizer.loss": "weighted_bce_logits",
@@ -96,11 +98,6 @@ def test_removed_key_rejected(path):
         parse_config(yaml.safe_dump(doc))
 
 
-def test_modifier_target_must_be_positive_int():
-    with pytest.raises(ConfigValidationError, match="modifiers"):
-        parse_config(MINIMAL + "model:\n  modifiers:\n    output_dim: -3\n")
-
-
 def test_single_modality_model_with_several_encoders_rejected():
     doc = MINIMAL + ("model:\n  name: micro_conv2d\n  encoders:\n"
                      "    patch: {name: micro_conv2d}\n    cube_a: {name: micro_conv3d}\n")
@@ -110,6 +107,15 @@ def test_single_modality_model_with_several_encoders_rejected():
         parse_config(doc)
     assert list(parse_config(doc.replace("name: micro_conv2d\n  en", "name: mme\n  en"))
                 .model.encoders) == ["patch", "cube_a"]
+
+
+def test_fusion_on_single_modality_model_rejected():
+    doc = MINIMAL + "model:\n  name: micro_conv2d\n  encoders:\n    patch: {name: micro_conv2d}\n"
+    with pytest.raises(ConfigValidationError,
+                       match=re.escape("model.fusion: model.name 'micro_conv2d' has no fusion head")):
+        parse_config(doc + "  fusion: {hidden_dim: 1024}\n")
+    cfg = parse_config(doc)
+    assert parse_config(render_config(cfg)) == cfg  # rendered defaults are accepted
 
 
 def test_round_trip_identity():

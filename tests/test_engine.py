@@ -644,7 +644,7 @@ def test_single_modality_model_fits_and_predicts(tmp_path):
     make_synthetic(data_dir, n_surveys=200, num_species=20, seed=7)
     yaml_text = default_config_yaml(data_dir, epochs=2)
     head, _, tail = yaml_text.partition("    cube_a:\n")
-    yaml_text = (head + tail[tail.index("  fusion:"):]).replace("name: mme", "name: micro_conv2d")
+    yaml_text = (head + tail[tail.index("optimizer:"):]).replace("name: mme", "name: micro_conv2d")
     cfg = parse_config(yaml_text)
     assert list(cfg.model.encoders) == ["patch"]
     data = load_data(cfg)

@@ -95,6 +95,14 @@ CSV_READERS = {
 }
 
 
+def assert_same_table(reader, a, b):
+    if reader == "predictions":
+        assert a.survey_ids == b.survey_ids
+        assert np.array_equal(a.scores, b.scores) and np.array_equal(a.topk, b.topk)
+    else:
+        assert a == b
+
+
 class TestReadCsv:
     @pytest.mark.parametrize("reader", CSV_READERS)
     @pytest.mark.parametrize("case", ["non_numeric", "short_row", "extra_field",
@@ -129,12 +137,27 @@ class TestReadCsv:
         plain.write_text("\n".join(lines) + "\n")
         header, first, second = lines
         padded.write_text(f"note,{header}\n\na,{first}\n\n\nb,{second}\n\n")
-        a, b = load(str(plain)), load(str(padded))
-        if reader == "predictions":
-            assert a.survey_ids == b.survey_ids
-            assert np.array_equal(a.scores, b.scores) and np.array_equal(a.topk, b.topk)
+        assert_same_table(reader, load(str(plain)), load(str(padded)))
+
+    @pytest.mark.parametrize("reader", CSV_READERS)
+    @pytest.mark.parametrize("hazard", ["bom", "crlf", "padded_numbers"])
+    def test_spreadsheet_export_conventions_load(self, tmp_path, reader, hazard):
+        """A UTF-8 byte-order mark, CRLF line endings and numbers padded with
+        spaces read as the plain file does."""
+        load, lines, column = CSV_READERS[reader]
+        plain, exported = tmp_path / "plain.csv", tmp_path / "exported.csv"
+        plain.write_text("\n".join(lines) + "\n")
+        if hazard == "bom":
+            exported.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        elif hazard == "crlf":
+            exported.write_bytes(plain.read_bytes().replace(b"\n", b"\r\n"))
         else:
-            assert a == b
+            table = [line.split(",") for line in lines]
+            at = table[0].index(column)
+            for row in table[1:]:
+                row[at] = f"  {row[at]} "
+            exported.write_text("".join(",".join(row) + "\n" for row in table))
+        assert_same_table(reader, load(str(plain)), load(str(exported)))
 
     def test_row_numbers_skip_blank_lines(self, tmp_path):
         path = write_obs(tmp_path, ["s1,3.0,43.0,5", "", "s2,1.0,abc,2"])

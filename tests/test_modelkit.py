@@ -23,32 +23,32 @@ def rng():
 
 class TestBuildEncoder:
     def test_micro_conv2d_shape(self):
-        enc = build_encoder("builtin", "micro_conv2d", 4, 64, rng())
+        enc = build_encoder("builtin", "micro_conv2d", (4, 32, 32), 64, rng())
         out = enc.forward(np.zeros((2, 4, 32, 32)))
         assert out.shape == (2, 64)
 
     def test_micro_conv3d_shape(self):
-        enc = build_encoder("builtin", "micro_conv3d", 6, 64, rng(), steps=4, years=21)
+        enc = build_encoder("builtin", "micro_conv3d", (6, 4, 21), 64, rng())
         out = enc.forward(np.zeros((2, 6, 4, 21)))
         assert out.shape == (2, 64)
 
     def test_micro_mlp_shape(self):
-        enc = build_encoder("builtin", "micro_mlp", 10, 32, rng())
+        enc = build_encoder("builtin", "micro_mlp", (10,), 32, rng())
         out = enc.forward(np.zeros((3, 10)))
         assert out.shape == (3, 32)
 
     def test_unknown_name_lists_registry(self):
         with pytest.raises(RegistryError, match="micro_conv2d"):
-            build_encoder("builtin", "resnet999", 3, 64, rng())
+            build_encoder("builtin", "resnet999", (3, 32, 32), 64, rng())
 
     def test_finite_parameter_count(self):
-        enc = build_encoder("builtin", "micro_conv2d", 4, 64, rng())
+        enc = build_encoder("builtin", "micro_conv2d", (4, 32, 32), 64, rng())
         assert enc.param_count() > 0
 
 
 class TestModifyFirstLayer:
     def test_identity_when_unchanged(self):
-        enc = build_encoder("builtin", "micro_conv2d", 3, 16, rng())
+        enc = build_encoder("builtin", "micro_conv2d", (3, 32, 32), 16, rng())
         x = np.random.default_rng(1).normal(size=(2, 3, 16, 16))
         before = enc.forward(x)
         modify_first_layer(enc, 3)
@@ -68,45 +68,45 @@ class TestModifyFirstLayer:
         np.testing.assert_allclose(pre6, pre3, atol=1e-12)
 
     def test_adapted_forward_shape(self):
-        enc = build_encoder("builtin", "micro_conv2d", 3, 32, rng())
+        enc = build_encoder("builtin", "micro_conv2d", (3, 32, 32), 32, rng())
         modify_first_layer(enc, 6)
         out = enc.forward(np.zeros((2, 6, 32, 32)))
         assert out.shape == (2, 32)
 
     def test_param_count_delta(self):
-        enc = build_encoder("builtin", "micro_conv2d", 3, 32, rng())
+        enc = build_encoder("builtin", "micro_conv2d", (3, 32, 32), 32, rng())
         before = enc.param_count()
         modify_first_layer(enc, 6)
         # (new - old) * per-channel filter size * num filters
         assert enc.param_count() - before == (6 - 3) * 9 * 8
 
     def test_no_spatial_layer(self):
-        mlp = build_encoder("builtin", "micro_mlp", 10, 8, rng())
+        mlp = build_encoder("builtin", "micro_mlp", (10,), 8, rng())
         with pytest.raises(SurgeryError):
             modify_first_layer(mlp, 4)
 
 
 class TestModifyLastLayer:
     def test_widen_head(self):
-        enc = build_encoder("builtin", "micro_conv2d", 3, 64, rng())
+        enc = build_encoder("builtin", "micro_conv2d", (3, 32, 32), 64, rng())
         modify_last_layer(enc, 11255, rng())
         out = enc.forward(np.zeros((2, 3, 16, 16)))
         assert out.shape == (2, 11255)
 
     def test_same_dim_reinitializes(self):
-        enc = build_encoder("builtin", "micro_conv2d", 3, 64, rng())
+        enc = build_encoder("builtin", "micro_conv2d", (3, 32, 32), 64, rng())
         old_w = enc.layers[-1].params["w"].copy()
         modify_last_layer(enc, 64, np.random.default_rng(99))
         assert enc.layers[-1].params["w"].shape == old_w.shape
         assert not np.array_equal(enc.layers[-1].params["w"], old_w)
 
     def test_binary_head(self):
-        enc = build_encoder("builtin", "micro_mlp", 10, 16, rng())
+        enc = build_encoder("builtin", "micro_mlp", (10,), 16, rng())
         modify_last_layer(enc, 1, rng())
         assert enc.forward(np.zeros((4, 10))).shape == (4, 1)
 
     def test_init_within_fanin_bound(self):
-        enc = build_encoder("builtin", "micro_mlp", 10, 16, rng())
+        enc = build_encoder("builtin", "micro_mlp", (10,), 16, rng())
         modify_last_layer(enc, 5, rng())
         head = enc.layers[-1]
         bound = 1 / np.sqrt(head.in_dim)
@@ -122,7 +122,7 @@ class TestStripHead:
         assert model.forward(np.zeros((2, 20))).shape == (2, 512)
 
     def test_strip_then_rebuild_restores_shape(self):
-        enc = build_encoder("builtin", "micro_mlp", 10, 16, rng())
+        enc = build_encoder("builtin", "micro_mlp", (10,), 16, rng())
         strip_head(enc)
         assert enc.embedding_dim == 128
         enc.layers.append(Linear(128, 16, rng()))
@@ -138,7 +138,7 @@ class TestStripHead:
 
     def test_stripped_encoder_feeds_fusion(self):
         r = rng()
-        enc = build_encoder("builtin", "micro_mlp", 10, 16, r)
+        enc = build_encoder("builtin", "micro_mlp", (10,), 16, r)
         strip_head(enc)
         enc.embedding_dim = 128
         model = FusionModel({"flat": enc}, num_classes=5, hidden_dim=32, dropout_p=0.0, rng=r)
@@ -150,9 +150,9 @@ class TestMme:
     def build(self, dropout=0.0, classes=20):
         r = rng()
         encoders = {
-            "a": build_encoder("builtin", "micro_mlp", 10, 64, r),
-            "b": build_encoder("builtin", "micro_mlp", 10, 64, r),
-            "c": build_encoder("builtin", "micro_mlp", 10, 128, r),
+            "a": build_encoder("builtin", "micro_mlp", (10,), 64, r),
+            "b": build_encoder("builtin", "micro_mlp", (10,), 64, r),
+            "c": build_encoder("builtin", "micro_mlp", (10,), 128, r),
         }
         return FusionModel(encoders, num_classes=classes, hidden_dim=256,
                            dropout_p=dropout, rng=r)
@@ -220,16 +220,16 @@ class TestMme:
 class TestFirstConvSkipsInputGrad:
     """The encoders' first conv computes only dw and db; nothing reads its dx."""
 
-    ENCODERS = {  # name -> (input shape of one sample, factory kwargs)
-        "micro_conv2d": ((4, 16, 16), {}),
-        "micro_conv3d": ((6, 4, 21), {"steps": 4, "years": 21}),
+    ENCODERS = {  # name -> input shape of one sample
+        "micro_conv2d": (4, 16, 16),
+        "micro_conv3d": (6, 4, 21),
     }
 
     @pytest.mark.parametrize("new_channels", [None, 7])
     @pytest.mark.parametrize("name", ENCODERS)
     def test_first_conv_returns_no_input_grad(self, name, new_channels):
-        shape, kwargs = self.ENCODERS[name]
-        enc = build_encoder("builtin", name, shape[0], 16, rng(), **kwargs)
+        shape = self.ENCODERS[name]
+        enc = build_encoder("builtin", name, shape, 16, rng())
         if new_channels is not None:  # surgery swaps the weights, not the layer
             modify_first_layer(enc, new_channels)
             shape = (new_channels, *shape[1:])
@@ -247,9 +247,9 @@ class TestFirstConvSkipsInputGrad:
         def build():
             r = rng()
             encoders = {
-                "patch": build_encoder("builtin", "micro_conv2d", 4, 16, r),
-                "cube": build_encoder("builtin", "micro_conv3d", 3, 16, r, steps=4, years=5),
-                "vector": build_encoder("builtin", "micro_mlp", 10, 16, r),
+                "patch": build_encoder("builtin", "micro_conv2d", (4, 32, 32), 16, r),
+                "cube": build_encoder("builtin", "micro_conv3d", (3, 4, 5), 16, r),
+                "vector": build_encoder("builtin", "micro_mlp", (10,), 16, r),
             }
             return FusionModel(encoders, num_classes=6, hidden_dim=32, dropout_p=0.1, rng=r)
 
@@ -281,7 +281,7 @@ class TestModelTree:
 
     def default_mme(self):
         cfg = parse_config(default_config_yaml("data"))
-        return build_model(cfg, {"cube_a": CUBE_SHAPE, "cube_b": CUBE_SHAPE})
+        return build_model(cfg, {"patch": (4, 32, 32), "cube_a": CUBE_SHAPE, "cube_b": CUBE_SHAPE})
 
     def test_default_mme_param_names_in_order(self):
         expected = [f"{part}.{i}.{p}"
