@@ -132,7 +132,8 @@ class AdamW:
             m += (1 - self.beta1) * grad
             v *= self.beta2
             v += (1 - self.beta2) * grad * grad
-            param *= 1 - lr * self.weight_decay  # decays theta_{t-1}, before the update
+            if self.weight_decay:  # decays theta_{t-1}, before the update
+                param *= 1 - lr * self.weight_decay
             param -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
         return True
 
@@ -204,7 +205,8 @@ def save_checkpoint(path: str, model, optimizer: AdamW | None, state: TrainState
 
 def load_checkpoint(path: str, model, cfg: ExperimentConfig,
                     optimizer: AdamW | None = None) -> TrainState:
-    """Restore weights into model, checking the architecture digest and shapes."""
+    """Restore weights into model, checking the architecture digest and each
+    param's shape and dtype."""
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         if meta["arch_digest"] != arch_digest(cfg):
@@ -220,6 +222,10 @@ def load_checkpoint(path: str, model, cfg: ExperimentConfig,
             elif stored[name].shape != param.shape:
                 mismatches.append(
                     f"{name}: checkpoint {stored[name].shape} vs model {param.shape}"
+                )
+            elif stored[name].dtype != param.dtype:
+                mismatches.append(
+                    f"{name}: checkpoint dtype {stored[name].dtype} vs model {param.dtype}"
                 )
         if mismatches:
             raise CheckpointMismatchError(f"{path}: " + "; ".join(mismatches))
@@ -237,9 +243,11 @@ def load_checkpoint(path: str, model, cfg: ExperimentConfig,
 
 def _epoch_loss_pass(model, source, batches, pos_weight: float, optimizer=None,
                      lr: float = 0.0, training: bool = False):
-    """Run one pass; returns (mean loss, score rows, label rows, survey ids)."""
+    """Run one pass; returns (mean loss, score rows, label rows, survey ids).
+    Losses and scores are computed in float64 from the model's logits; the
+    loss gradient goes back in the logits' dtype."""
     total, count = 0.0, 0
-    scores, labels_all, ids = [], [], []
+    logits_all, labels_all, ids = [], [], []
     for batch_idx in batches:
         batch = collate(source, batch_idx)
         logits = model.forward(batch, training=training)
@@ -247,10 +255,11 @@ def _epoch_loss_pass(model, source, batches, pos_weight: float, optimizer=None,
         loss = weighted_bce_logits(logits, labels, pos_weight)
         if training:
             if math.isfinite(loss):
-                model.backward(weighted_bce_logits_grad(logits, labels, pos_weight))
+                grad = weighted_bce_logits_grad(logits, labels, pos_weight)
+                model.backward(grad.astype(logits.dtype, copy=False))
                 optimizer.step(model.named_params(), lr)
         else:
-            scores.append(expit(logits))
+            logits_all.append(logits)
             labels_all.append(labels)
             ids.extend(batch["survey_ids"])
         if math.isfinite(loss):
@@ -259,7 +268,8 @@ def _epoch_loss_pass(model, source, batches, pos_weight: float, optimizer=None,
     mean = total / count if count else math.nan
     if training:
         return mean, None, None, None
-    return mean, np.concatenate(scores), np.concatenate(labels_all), ids
+    scores = expit(np.concatenate(logits_all, dtype=np.float64))
+    return mean, scores, np.concatenate(labels_all), ids
 
 
 def fit(cfg: ExperimentConfig, model, train_source, val_source,
@@ -327,17 +337,18 @@ def fit(cfg: ExperimentConfig, model, train_source, val_source,
 
 def predict(cfg: ExperimentConfig, model, weights_path: str, test_source,
             out_path: str | None = None) -> Predictions:
-    """Load a checkpoint and score every survey in the test source."""
+    """Load a checkpoint and score every survey in the test source; the
+    scores are computed in float64 from the model's logits."""
     load_checkpoint(weights_path, model, cfg)
     batches = make_batches(len(test_source), cfg.data.batch_size, shuffle=False,
                            seed=cfg.run.seed)
-    ids, scores = [], []
+    ids, logits = [], []
     for batch_idx in batches:
         batch = collate(test_source, batch_idx)
-        logits = model.forward(batch, training=False)
+        logits.append(model.forward(batch, training=False))
         ids += batch["survey_ids"]
-        scores.append(link_function(cfg.task.type, logits))
-    predictions = Predictions.from_scores(ids, np.concatenate(scores), cfg.task.top_k)
+    scores = link_function(cfg.task.type, np.concatenate(logits, dtype=np.float64))
+    predictions = Predictions.from_scores(ids, scores, cfg.task.top_k)
     if out_path:
         save_predictions(predictions, out_path)
     return predictions

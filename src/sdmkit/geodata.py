@@ -10,8 +10,10 @@ Patches are cut a batch at a time by extract_patches: each point is
 transformed once per distinct CRS, layers sharing a grid (CRS, origin, pixel
 sizes, shape) share one flat window index and out-of-bounds mask, each layer is
 gathered with one take, and fill and normalization run over the whole
-(N, C, side, side) array. A batch of training or prediction samples is built
-by collate; a single sample is a batch of one.
+(N, C, side, side) array. For training and prediction the layers are
+normalized once (normalize_layers), so a batch's patches are only gathered and
+out-of-bounds filled. A batch of training or prediction samples is built by
+collate, in COMPUTE_DTYPE; a single sample is a batch of one.
 
 File formats (all little-endian, sizes bit-exact):
   observations  CSV with header surveyId,lon,lat,speciesId, one row per
@@ -38,6 +40,7 @@ and the column.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -57,6 +60,10 @@ from .errors import (
 )
 
 log = logging.getLogger(__name__)
+
+# dtype of the patch and cube arrays collate builds and of the model's params
+# and grads (pipeline.build_model casts them); losses, scores and metrics stay float64
+COMPUTE_DTYPE = np.float32
 
 _WEB_MERCATOR_R = 6378137.0
 _WEB_MERCATOR_MAX_LAT = 85.06
@@ -327,20 +334,21 @@ def _window_index(layer: RasterLayer, xs: np.ndarray, ys: np.ndarray, side: int)
     return flat, outside
 
 
-def extract_patches(layers, spec: PatchSpec, lons, lats) -> np.ndarray:
-    """Cut (N, C, side, side) patches around N WGS84 points.
+def extract_patches(layers, spec: PatchSpec, lons, lats, normalized: bool = False) -> np.ndarray:
+    """Cut (N, C, side, side) float64 patches around N WGS84 points.
 
     Each point is transformed into each layer's CRS and mapped to pixel
     indices by the floor convention; out-of-bounds, nodata and NaN pixels
     take fill_value; per-layer normalization is applied last. A point that
     misses every layer is logged once, or raises OutOfExtentError under
     oob_policy="error".
+
+    normalized=True takes layers from normalize_layers(layers, spec): their
+    pixels are only gathered, out-of-bounds pixels take each channel's
+    normalized fill_value, and the patches are in COMPUTE_DTYPE, equal bit
+    for bit to the float64 patches of the raw layers cast to it.
     """
-    by_name = {layer.name: layer for layer in layers}
-    missing = [n for n in spec.layer_names if n not in by_name]
-    if missing:
-        raise MissingModalityError(f"patch layers not loaded: {missing}")
-    chosen = [by_name[n] for n in spec.layer_names]
+    chosen = _chosen_layers(layers, spec)
     lons = np.asarray(lons, dtype=np.float64)
     lats = np.asarray(lats, dtype=np.float64)
     n, side = len(lons), spec.side
@@ -349,8 +357,8 @@ def extract_patches(layers, spec: PatchSpec, lons, lats) -> np.ndarray:
         xy = [transform_point(lon, lat, crs) for lon, lat in zip(lons.tolist(), lats.tolist())]
         points[crs] = np.array(xy, dtype=np.float64).reshape(n, 2).T
     windows = {}  # grid -> (flat index, out-of-bounds mask)
-    out = np.empty((n, len(chosen), side, side), dtype=np.float64)
-    to_fill = np.empty(out.shape, dtype=bool)
+    out = np.empty((n, len(chosen), side, side),
+                   dtype=COMPUTE_DTYPE if normalized else np.float64)
     overlaps = np.zeros(n, dtype=bool)
     for ci, layer in enumerate(chosen):
         grid = (layer.crs, layer.origin_x, layer.origin_y, layer.pixel_size_x,
@@ -360,13 +368,16 @@ def extract_patches(layers, spec: PatchSpec, lons, lats) -> np.ndarray:
             overlaps |= ~windows[grid][1].all(axis=(1, 2))
         flat, outside = windows[grid]
         values = layer.values.take(flat)
-        # nodata is matched in the raster's own dtype: -3.4e38 is not exact in float32
-        np.logical_or(outside, layer.missing(values), out=to_fill[:, ci])
         out[:, ci] = values
-    np.copyto(out, spec.fill_value, where=to_fill)
-    if spec.normalize:
+        if normalized:  # missing pixels were filled before the normalization
+            mean, std = _layer_stats(spec, layer.name)
+            np.copyto(out[:, ci], (spec.fill_value - mean) / std, where=outside)
+        else:
+            # nodata is matched in the raster's own dtype: -3.4e38 is not exact in float32
+            np.copyto(out[:, ci], spec.fill_value, where=outside | layer.missing(values))
+    if spec.normalize and not normalized:
         # x - 0.0 and x / 1.0 are exact, so channels without stats are unchanged
-        stats = [spec.normalize.get(layer.name, (0.0, 1.0)) for layer in chosen]
+        stats = [_layer_stats(spec, layer.name) for layer in chosen]
         mean, std = (np.array(v, dtype=np.float64)[:, None, None] for v in zip(*stats))
         out -= mean
         out /= std
@@ -377,6 +388,35 @@ def extract_patches(layers, spec: PatchSpec, lons, lats) -> np.ndarray:
                 f"point ({lon}, {lat}) outside the extent of every patch layer"
             )
         log.warning("point (%s, %s) outside all patch layers; filled", lon, lat)
+    return out
+
+
+def _chosen_layers(layers, spec: PatchSpec) -> list[RasterLayer]:
+    by_name = {layer.name: layer for layer in layers}
+    missing = [n for n in spec.layer_names if n not in by_name]
+    if missing:
+        raise MissingModalityError(f"patch layers not loaded: {missing}")
+    return [by_name[n] for n in spec.layer_names]
+
+
+def _layer_stats(spec: PatchSpec, name: str) -> tuple[float, float]:
+    return (spec.normalize or {}).get(name, (0.0, 1.0))
+
+
+def normalize_layers(layers, spec: PatchSpec) -> list[RasterLayer]:
+    """spec's layers with their values normalized once, for
+    extract_patches(..., normalized=True): missing pixels take fill_value,
+    then (v - mean) / std runs in float64 and is cast to COMPUTE_DTYPE. The
+    results have no nodata value; the raw layers are left unchanged."""
+    out = []
+    for layer in _chosen_layers(layers, spec):
+        mean, std = _layer_stats(spec, layer.name)
+        values = layer.values.astype(np.float64)
+        values[layer.missing(layer.values)] = spec.fill_value
+        values -= mean
+        values /= std
+        out.append(dataclasses.replace(layer, nodata=math.nan,
+                                       values=values.astype(COMPUTE_DTYPE)))
     return out
 
 
@@ -496,13 +536,17 @@ def build_time_series_cubes(
 
 @dataclass
 class SampleSource:
-    """Aligned multimodal samples of an observation table, batched by collate."""
+    """Aligned multimodal samples of an observation table, batched by collate.
+
+    normalized tells that layers came from normalize_layers(raw, patch_spec).
+    """
 
     table: ObservationTable
     layers: list
     patch_spec: PatchSpec | None
     cube_maps: dict[str, dict[str, TimeSeriesCube]]
     labels_mode: str  # "train" | "predict"
+    normalized: bool = False
 
     def __post_init__(self):
         for modality, cube_map in self.cube_maps.items():
@@ -535,16 +579,17 @@ def collate(source: SampleSource, indices) -> dict:
     """Build the batch dict of the samples at indices: survey_ids, patch
     (B, C, side, side), one (B, *cube shape) array per cube modality, location
     (B, 2) as (lon, lat), and in train mode multi-hot labels (B, num_classes);
-    arrays are float64."""
+    patch and cubes are COMPUTE_DTYPE, location and labels float64."""
     records = [source.table.records[int(i)] for i in indices]
     batch: dict = {"survey_ids": [rec.survey_id for rec in records]}
     location = np.array([(rec.lon, rec.lat) for rec in records], dtype=np.float64)
     if source.patch_spec is not None:
-        batch["patch"] = extract_patches(source.layers, source.patch_spec,
-                                         location[:, 0], location[:, 1])
+        patches = extract_patches(source.layers, source.patch_spec, location[:, 0],
+                                  location[:, 1], normalized=source.normalized)
+        batch["patch"] = patches.astype(COMPUTE_DTYPE, copy=False)
     for modality, cube_map in source.cube_maps.items():
         batch[modality] = np.stack([cube_map[rec.survey_id].values for rec in records],
-                                   dtype=np.float64)
+                                   dtype=COMPUTE_DTYPE)
     batch["location"] = location
     if source.labels_mode == "train":
         batch["labels"] = multi_hot(records, source.table.num_classes)

@@ -16,8 +16,10 @@ BLAS GEMMs:
   ``input_grad=False`` it stops after dw and db and returns None for dx,
   for a conv whose input gradient nothing reads (an encoder's first conv).
 
-All arrays are float64; x is (N, C, H, W) of any memory layout, w is
-(F, C, KH, KW), stride is a positive int, no padding.
+Arrays are float32 or float64. Every result, dx included, is float32 when x,
+w and dout all are, so a float32 conv never widens to float64; x is
+(N, C, H, W) of any memory layout, w is (F, C, KH, KW), stride is a positive
+int, no padding.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def conv2d_backward(x, w, dout, stride, cols=None, input_grad=True):
         return None, dw, db
     dcols = np.matmul(d2, _wmat(w), out=cols).reshape(n, oh, ow, kh, kw, c)
     # col2im: scatter-add each kernel tap into a channels-last dx
-    dx = np.zeros((n, h, wid, c))
+    dx = np.zeros((n, h, wid, c), dtype=dcols.dtype)
     for i in range(kh):
         for j in range(kw):
             dx[:, i : i + oh * stride : stride, j : j + ow * stride : stride] += dcols[

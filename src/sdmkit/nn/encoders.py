@@ -100,7 +100,8 @@ def build_encoder(provider: str, name: str, input_shape: tuple[int, ...], embedd
 
 class SinusoidalLocationEncoder(Linear):
     """Deterministic location encoder: multi-frequency sin/cos features of
-    (lon, lat) in radians through a Linear seeded by default_rng(seed)."""
+    (lon, lat) in radians through a Linear seeded by default_rng(seed). The
+    features are computed in float64 and cast to the params' dtype."""
 
     def __init__(self, embedding_dim: int, num_frequencies: int, seed: int = 0):
         if embedding_dim < 1 or num_frequencies < 1:
@@ -119,7 +120,8 @@ class SinusoidalLocationEncoder(Linear):
         return np.concatenate(parts, axis=1)
 
     def forward(self, coords, training=False):
-        return super().forward(self.features(np.asarray(coords, dtype=np.float64)))
+        features = self.features(np.asarray(coords, dtype=np.float64))
+        return super().forward(features.astype(self.params["w"].dtype, copy=False))
 
     def backward(self, dout):
         # Linear.backward without its dout @ w: the sin/cos features are not trainable

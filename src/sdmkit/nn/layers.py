@@ -1,12 +1,18 @@
-"""Minimal float64 layer zoo with explicit forward/backward passes.
+"""Minimal layer zoo with explicit forward/backward passes.
 
 Layers cache whatever the backward pass needs on forward; one backward per
 forward, single-threaded. That contract is what lets Conv2d keep the im2col
 columns of a training forward and overwrite them in its backward. Parameter
 init is fan-in uniform (+-1/sqrt(fan_in)) from a caller-supplied numpy
 Generator so runs are reproducible end to end. A model is a tree of
-Modules: containers override only children(), and named_params, modules and
-set_dropout_rng walk the tree through it.
+Modules: containers override only children(), and named_params, modules,
+cast_params and set_dropout_rng walk the tree through it.
+
+Params are created in float64; cast_params moves a whole tree to another
+dtype (pipeline.build_model casts to float32). Every layer computes in the
+dtype of its params and inputs and makes nothing wider, so a float32 model
+fed float32 batches runs in float32 throughout, and a float64 one (as the
+finite-difference tests build) in float64.
 """
 
 from __future__ import annotations
@@ -50,6 +56,13 @@ class Module:
             yield prefix + key, val, self.grads[key]
         for name, child in self.children():
             yield from child.named_params(prefix=f"{prefix}{name}.")
+
+    def cast_params(self, dtype) -> None:
+        """Cast every param and grad of the tree to dtype."""
+        for module in self.modules():
+            for store in (module.params, module.grads):
+                for key, val in store.items():
+                    store[key] = val.astype(dtype, copy=False)
 
     def set_dropout_rng(self, rng: np.random.Generator) -> None:
         for module in self.modules():
@@ -143,7 +156,8 @@ class Dropout(Module):
             self._mask = None
             return x
         keep = 1.0 - self.p
-        self._mask = (self.rng.random(x.shape) < keep) / keep
+        self._mask = (self.rng.random(x.shape) < keep).astype(x.dtype)
+        self._mask /= keep
         return x * self._mask
 
     def backward(self, dout):

@@ -43,6 +43,9 @@ def modify_first_layer(model: Sequential, new_channels: int) -> Sequential:
 
 
 def _last_linear_index(model: Sequential) -> int:
+    if not isinstance(model, Sequential):
+        raise SurgeryError(f"{type(model).__name__} is not a Sequential layer stack, so it has "
+                           f"no last layer to replace or strip")
     for i in range(len(model.layers) - 1, -1, -1):
         if isinstance(model.layers[i], Linear):
             return i

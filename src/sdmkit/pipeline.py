@@ -1,8 +1,9 @@
 """Wire a parsed config into concrete data sources and a model.
 
 This is the glue the CLI uses: load every modality named in the data
-section, derive the patch normalization from the rasters, realize the
-spatial split, and build the configured model with seeded init.
+section, derive the patch normalization from the rasters and normalize them
+once, realize the spatial split, and build the configured model with seeded
+init in COMPUTE_DTYPE.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ import numpy as np
 from .config import EncoderSection, ExperimentConfig
 from .errors import ConfigValidationError, DataError, SdmkitError, ShapeError
 from .geodata import (
+    COMPUTE_DTYPE,
     ObservationTable,
     PatchSpec,
     SampleSource,
     load_cubes,
     load_observations,
     load_raster_manifest,
+    normalize_layers,
 )
 from .nn import FusionModel, build_encoder, modify_last_layer
 from .nn.layers import Module
@@ -27,11 +30,15 @@ from .split import SpatialSplit, block_holdout, load_split
 
 
 class LoadedData:
+    """The loaded tables. layers are the rasters as read; the sources cut
+    patches from patch_layers, the same rasters normalized once by patch_spec."""
+
     def __init__(self, table: ObservationTable, layers, patch_spec, cube_maps):
         self.table = table
         self.layers = layers
         self.patch_spec = patch_spec
         self.cube_maps = cube_maps
+        self.patch_layers = normalize_layers(layers, patch_spec) if patch_spec is not None else []
 
     def cube_shapes(self) -> dict[str, tuple[int, ...]]:
         """Per-sample shape of every batch modality collate builds: patch
@@ -48,7 +55,8 @@ class LoadedData:
 
     def source_for(self, survey_ids=None, labels_mode: str = "train"):
         table = self.table if survey_ids is None else self.table.subset(survey_ids)
-        return SampleSource(table, self.layers, self.patch_spec, self.cube_maps, labels_mode)
+        return SampleSource(table, self.patch_layers, self.patch_spec, self.cube_maps,
+                            labels_mode, normalized=True)
 
 
 def _valid_stats(layer) -> tuple[float, float]:
@@ -120,9 +128,9 @@ def _input_shape(shapes: dict, modality: str) -> tuple[int, ...]:
 
 
 def build_model(cfg: ExperimentConfig, cube_shapes: dict):
-    """Build the configured model with init drawn from the run seed; each
-    encoder takes the per-sample shape of its modality from cube_shapes
-    (LoadedData.cube_shapes)."""
+    """Build the configured model with init drawn from the run seed, its
+    params and grads in COMPUTE_DTYPE; each encoder takes the per-sample
+    shape of its modality from cube_shapes (LoadedData.cube_shapes)."""
     rng = np.random.default_rng([cfg.run.seed, 0])
     if cfg.model.name == "mme":
         if not cfg.model.encoders:
@@ -132,20 +140,24 @@ def build_model(cfg: ExperimentConfig, cube_shapes: dict):
                                     enc.embedding_dim, rng)
             for modality, enc in cfg.model.encoders.items()
         }
-        return FusionModel(
+        model = FusionModel(
             encoders,
             num_classes=cfg.task.num_classes,
             hidden_dim=cfg.model.fusion.hidden_dim,
             dropout_p=cfg.model.fusion.dropout,
             rng=rng,
         )
-    # single-modality: one encoder whose last layer becomes the classifier
-    if cfg.model.encoders:
-        modality, enc = next(iter(cfg.model.encoders.items()))
     else:
-        modality = "patch"
-        enc = EncoderSection(provider=cfg.model.provider, name=cfg.model.name)
-    net = build_encoder(enc.provider, enc.name, _input_shape(cube_shapes, modality),
-                        enc.embedding_dim, rng)
-    modify_last_layer(net, cfg.task.num_classes, rng)
-    return SingleModalityModel(modality, net)
+        # single-modality: one encoder whose last layer becomes the classifier
+        if cfg.model.encoders:
+            modality, enc = next(iter(cfg.model.encoders.items()))
+        else:
+            modality = "patch"
+            enc = EncoderSection(provider=cfg.model.provider, name=cfg.model.name)
+        net = build_encoder(enc.provider, enc.name, _input_shape(cube_shapes, modality),
+                            enc.embedding_dim, rng)
+        modify_last_layer(net, cfg.task.num_classes, rng)
+        model = SingleModalityModel(modality, net)
+    # init draws in float64 and casts once, so the draws do not depend on the dtype
+    model.cast_params(COMPUTE_DTYPE)
+    return model

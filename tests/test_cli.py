@@ -6,9 +6,13 @@ import sys
 
 import numpy as np
 import pytest
+import yaml
 
+from sdmkit import engine
 from sdmkit.cli import main
+from sdmkit.config import load_config
 from sdmkit.geodata import load_cubes
+from sdmkit.pipeline import build_model, load_data
 from sdmkit.split import load_split
 
 
@@ -176,6 +180,41 @@ def test_predict_digest_mismatch(synthetic_dir, tmp_path, capsys):
                  "--weights", os.path.join(run_dir, "best.ckpt"),
                  "--out", str(tmp_path / "p.csv")]) == 1
     assert "digest" in capsys.readouterr().err
+
+
+def error_lines(capsys) -> list[str]:
+    return [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+
+
+def test_predict_rejects_checkpoint_of_another_dtype(synthetic_dir, tmp_path, capsys):
+    cfg_path = os.path.join(synthetic_dir, "config.yaml")
+    cfg = load_config(cfg_path)
+    model = build_model(cfg, load_data(cfg).cube_shapes())
+    model.cast_params(np.float64)
+    weights = str(tmp_path / "float64.ckpt")
+    engine.save_checkpoint(weights, model, None, engine.TrainState(), cfg)
+    assert main(["predict", "--config", cfg_path, "--weights", weights,
+                 "--out", str(tmp_path / "p.csv")]) == 1
+    errors = error_lines(capsys)
+    assert len(errors) == 1
+    assert "enc.patch.0.w: checkpoint dtype float64 vs model float32" in errors[0]
+    assert not os.path.exists(tmp_path / "p.csv")
+
+
+def test_train_location_only_single_modality_one_error_line(synthetic_dir, tmp_path, capsys):
+    # the location encoder is one Linear, not a layer stack whose last layer
+    # could become the classifier
+    with open(os.path.join(synthetic_dir, "config.yaml")) as fh:
+        doc = yaml.safe_load(fh)
+    doc["model"] = {"name": "sinusoidal_location",
+                    "encoders": {"location": {"name": "sinusoidal_location"}}}
+    cfg_path = tmp_path / "location.yaml"
+    cfg_path.write_text(yaml.safe_dump(doc))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "runs")]) == 1
+    errors = error_lines(capsys)
+    assert len(errors) == 1
+    assert errors[0].startswith("error: SinusoidalLocationEncoder is not a Sequential")
+    assert not os.path.exists(tmp_path / "runs")
 
 
 def test_cli_import_loads_only_declared_deps():

@@ -662,3 +662,36 @@ def test_single_modality_model_fits_and_predicts(tmp_path):
     assert preds.survey_ids == data.table.survey_ids()
     assert preds.scores.shape == (200, 20)
     assert engine.load_predictions(out).survey_ids == preds.survey_ids
+
+
+def test_training_step_stays_float32(tmp_path):
+    """One training step of an mme model over patch, both cubes and location,
+    with dropout, leaves every param, grad and AdamW moment in float32, and
+    every encoder returns float32: nothing in the step widens to float64."""
+    data_dir = str(tmp_path)
+    make_synthetic(data_dir, n_surveys=60, num_species=6, seed=2)
+    yaml_text = default_config_yaml(data_dir, n_species=6, patch_size=16).replace(
+        "  fusion:\n    dropout: 0.1",
+        "    location:\n      name: sinusoidal_location\n      embedding_dim: 16\n"
+        "  fusion:\n    dropout: 0.5")
+    cfg = parse_config(yaml_text)
+    data = load_data(cfg)
+    model = build_model(cfg, data.cube_shapes())
+    outputs = {}
+    for name, encoder in model.encoders.items():
+        def recorded(x, training=False, name=name, forward=encoder.forward):
+            outputs[name] = forward(x, training=training)
+            return outputs[name]
+
+        encoder.forward = recorded
+    model.set_dropout_rng(np.random.default_rng(0))
+    optimizer = AdamW()
+    engine._epoch_loss_pass(model, data.source_for(), [np.arange(32)], 10.0, optimizer,
+                            lr=1e-3, training=True)
+    assert optimizer.t == 1
+    assert sorted(outputs) == ["cube_a", "cube_b", "location", "patch"]
+    for name, out in outputs.items():
+        assert out.dtype == np.float32, name
+    for name, param, grad in model.named_params():
+        dtypes = (param.dtype, grad.dtype, optimizer.m[name].dtype, optimizer.v[name].dtype)
+        assert dtypes == (np.float32,) * 4, name

@@ -32,6 +32,7 @@ from sdmkit.geodata import (
     load_observations,
     load_raster,
     multi_hot,
+    normalize_layers,
     save_cubes,
     save_raster,
     transform_point,
@@ -418,6 +419,63 @@ class TestExtractPatches:
             extract_patches([toy_raster, far], strict, lons, lats)
 
 
+class TestNormalizedLayers:
+    """collate cuts patches from layers normalized once (normalize_layers);
+    they equal the float64 patches of the raw layers cast to float32, bit for
+    bit, and out-of-extent points are warned about or rejected as before."""
+
+    STATS = {"a": (0.25, 2.0), "b": (-1.0, 0.5), "m": (3.0, 1.5), "f": (-0.5, 0.75)}
+    # inside every EPSG:4326 grid, on the west edge of a and b (their origin),
+    # on the south-east corner of c, and outside every layer
+    POINTS = [(2.3, 8.1), (0.0, 9.2), (5.5, 4.6), (1.1, 6.7), (-20.0, -20.0)]
+
+    def layers(self):
+        layers = make_grid_layers(4)
+        # -3.4e38 is not exact in float32, so its pixels hold float32(-3.4e38)
+        values = layers[0].values.copy()
+        values[::3, ::2] = -3.4e38
+        return layers + [dataclasses.replace(layers[0], name="f", nodata=-3.4e38,
+                                             values=values)]
+
+    def spec(self, **kwargs):
+        # c has no stats, so it is filled but not normalized
+        return PatchSpec(side=5, layer_names=("a", "b", "c", "m", "f"), fill_value=-2.5,
+                         normalize=self.STATS, **kwargs)
+
+    def source(self, layers, spec):
+        table = make_table([(lon, lat, {0}) for lon, lat in self.POINTS])
+        return SampleSource(table, normalize_layers(layers, spec), spec, {}, "predict",
+                            normalized=True)
+
+    def test_collate_equals_cast_float64_patches(self, caplog):
+        layers, spec = self.layers(), self.spec()
+        assert (layers[-1].values == np.float32(-3.4e38)).sum() > 0
+        raw = [layer.values.copy() for layer in layers]
+        lons, lats = zip(*self.POINTS)
+        expected = extract_patches(layers, spec, lons, lats).astype(np.float32)
+        source = self.source(layers, spec)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="sdmkit.geodata"):
+            patches = collate(source, range(len(self.POINTS)))["patch"]
+        assert caplog.messages == ["point (-20.0, -20.0) outside all patch layers; filled"]
+        assert patches.dtype == np.float32
+        assert patches.tobytes() == expected.tobytes()
+        # the normalized layers hold no NaN; the raw ones are left as they were
+        assert not any(np.isnan(layer.values).any() for layer in source.layers)
+        for layer, values in zip(layers, raw):
+            assert layer.values.tobytes() == values.tobytes()
+        # the edge point's patches are partly filled, the outside point's wholly
+        filled = np.isnan(extract_patches(layers, PatchSpec(5, spec.layer_names, math.nan),
+                                          lons, lats))
+        assert filled[1, :2].any() and not filled[1, :2].all()
+        assert filled[-1].all() and not filled[0].all()
+
+    def test_out_of_extent_error_policy(self):
+        spec = self.spec(oob_policy="error")
+        with pytest.raises(OutOfExtentError, match=r"\(-20\.0, -20\.0\)"):
+            collate(self.source(self.layers(), spec), range(len(self.POINTS)))
+
+
 class TestCubes:
     def test_save_load_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -584,6 +642,23 @@ class TestNormalizationStats:
         assert mean == pytest.approx(5.0, abs=0.05)
         assert mean == pytest.approx(float(valid.mean()), rel=1e-6)
         assert std == pytest.approx(float(valid.std()), rel=1e-6)
+
+    def test_sources_cut_from_normalized_rasters(self, synthetic):
+        """load_data keeps the rasters as read and gives its sources the layers
+        normalized once; their float32 patches are the cast float64 ones."""
+        data_dir, cfg = synthetic
+        values = np.random.default_rng(3).normal(5.0, 1.0, size=(128, 128))
+        values[:, :4] = -9999.0
+        values[60:70, 60:70] = math.nan
+        self.replace_chan0(data_dir, values)
+        data = load_data(cfg)
+        assert data.layers[0].values.tobytes() == values.astype(np.float32).tobytes()
+        source = data.source_for(labels_mode="predict")
+        recs = source.table.records
+        patches = collate(source, range(len(recs)))["patch"]
+        expected = extract_patches(data.layers, data.patch_spec, [r.lon for r in recs],
+                                   [r.lat for r in recs])
+        assert patches.tobytes() == expected.astype(np.float32).tobytes()
 
     def test_no_valid_pixel_names_raster(self, synthetic):
         data_dir, cfg = synthetic
