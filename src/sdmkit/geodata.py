@@ -403,20 +403,29 @@ def _layer_stats(spec: PatchSpec, name: str) -> tuple[float, float]:
     return (spec.normalize or {}).get(name, (0.0, 1.0))
 
 
+_NORMALIZE_BLOCK_PIXELS = 1 << 20
+
+
 def normalize_layers(layers, spec: PatchSpec) -> list[RasterLayer]:
     """spec's layers with their values normalized once, for
     extract_patches(..., normalized=True): missing pixels take fill_value,
     then (v - mean) / std runs in float64 and is cast to COMPUTE_DTYPE. The
-    results have no nodata value; the raw layers are left unchanged."""
+    float64 work runs a block of rows at a time, so no float64 copy of a
+    whole layer is made. The results have no nodata value; the raw layers
+    are left unchanged."""
     out = []
     for layer in _chosen_layers(layers, spec):
         mean, std = _layer_stats(spec, layer.name)
-        values = layer.values.astype(np.float64)
-        values[layer.missing(layer.values)] = spec.fill_value
-        values -= mean
-        values /= std
-        out.append(dataclasses.replace(layer, nodata=math.nan,
-                                       values=values.astype(COMPUTE_DTYPE)))
+        values = np.empty(layer.values.shape, dtype=COMPUTE_DTYPE)
+        rows = max(1, _NORMALIZE_BLOCK_PIXELS // max(1, layer.width))
+        for start in range(0, layer.height, rows):
+            raw = layer.values[start:start + rows]
+            block = raw.astype(np.float64)
+            block[layer.missing(raw)] = spec.fill_value
+            block -= mean
+            block /= std
+            values[start:start + rows] = block
+        out.append(dataclasses.replace(layer, nodata=math.nan, values=values))
     return out
 
 
@@ -538,7 +547,7 @@ def build_time_series_cubes(
 class SampleSource:
     """Aligned multimodal samples of an observation table, batched by collate.
 
-    normalized tells that layers came from normalize_layers(raw, patch_spec).
+    layers are normalize_layers(raw, patch_spec): collate only gathers them.
     """
 
     table: ObservationTable
@@ -546,7 +555,6 @@ class SampleSource:
     patch_spec: PatchSpec | None
     cube_maps: dict[str, dict[str, TimeSeriesCube]]
     labels_mode: str  # "train" | "predict"
-    normalized: bool = False
 
     def __post_init__(self):
         for modality, cube_map in self.cube_maps.items():
@@ -584,9 +592,8 @@ def collate(source: SampleSource, indices) -> dict:
     batch: dict = {"survey_ids": [rec.survey_id for rec in records]}
     location = np.array([(rec.lon, rec.lat) for rec in records], dtype=np.float64)
     if source.patch_spec is not None:
-        patches = extract_patches(source.layers, source.patch_spec, location[:, 0],
-                                  location[:, 1], normalized=source.normalized)
-        batch["patch"] = patches.astype(COMPUTE_DTYPE, copy=False)
+        batch["patch"] = extract_patches(source.layers, source.patch_spec, location[:, 0],
+                                         location[:, 1], normalized=True)
     for modality, cube_map in source.cube_maps.items():
         batch[modality] = np.stack([cube_map[rec.survey_id].values for rec in records],
                                    dtype=COMPUTE_DTYPE)

@@ -56,7 +56,7 @@ class LoadedData:
     def source_for(self, survey_ids=None, labels_mode: str = "train"):
         table = self.table if survey_ids is None else self.table.subset(survey_ids)
         return SampleSource(table, self.patch_layers, self.patch_spec, self.cube_maps,
-                            labels_mode, normalized=True)
+                            labels_mode)
 
 
 def _valid_stats(layer) -> tuple[float, float]:

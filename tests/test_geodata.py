@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdmkit import geodata
 from sdmkit.config import parse_config
 from sdmkit.errors import (
     DataError,
@@ -444,10 +445,13 @@ class TestNormalizedLayers:
 
     def source(self, layers, spec):
         table = make_table([(lon, lat, {0}) for lon, lat in self.POINTS])
-        return SampleSource(table, normalize_layers(layers, spec), spec, {}, "predict",
-                            normalized=True)
+        return SampleSource(table, normalize_layers(layers, spec), spec, {}, "predict")
 
-    def test_collate_equals_cast_float64_patches(self, caplog):
+    # normalize_layers works a block of rows at a time: whole layers, blocks of
+    # 2 to 4 rows with a shorter last block, and single rows
+    @pytest.mark.parametrize("block_pixels", [1 << 20, 25, 1])
+    def test_collate_equals_cast_float64_patches(self, caplog, monkeypatch, block_pixels):
+        monkeypatch.setattr(geodata, "_NORMALIZE_BLOCK_PIXELS", block_pixels)
         layers, spec = self.layers(), self.spec()
         assert (layers[-1].values == np.float32(-3.4e38)).sum() > 0
         raw = [layer.values.copy() for layer in layers]
@@ -585,7 +589,8 @@ class TestMakeDataset:
             )
             for i, r in enumerate(table.records)
         }
-        return SampleSource(table, [toy_raster], spec, {"cube": cube_map}, labels_mode)
+        return SampleSource(table, normalize_layers([toy_raster], spec), spec,
+                            {"cube": cube_map}, labels_mode)
 
     def test_length(self, toy_raster):
         assert len(self.make_source(toy_raster)) == 5
@@ -610,9 +615,10 @@ class TestMakeDataset:
 
     def test_missing_cube_survey(self, toy_raster):
         table = make_table([(0.5, 3.5, {0})])
+        spec = PatchSpec(side=1, layer_names=("toy",))
         with pytest.raises(MissingModalityError, match="s0"):
-            SampleSource(table, [toy_raster], PatchSpec(side=1, layer_names=("toy",)),
-                         {"cube": {}}, "train")
+            SampleSource(table, normalize_layers([toy_raster], spec), spec, {"cube": {}},
+                         "train")
 
 
 class TestNormalizationStats:
