@@ -150,6 +150,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for key, enc in cfg.model.encoders.items():
         if enc.embedding_dim < 1:
             raise ConfigValidationError(f"model.encoders.{key}.embedding_dim: must be >= 1")
+        if cfg.model.name != "mme" and enc.embedding_dim != EncoderSection.embedding_dim:
+            raise ConfigValidationError(
+                f"model.encoders.{key}.embedding_dim: model.name {cfg.model.name!r} replaces "
+                f"the encoder's last layer with the classifier; only mme reads embedding_dim"
+            )
     if cfg.model.name != "mme" and len(cfg.model.encoders) > 1:
         raise ConfigValidationError(
             f"model.name: {cfg.model.name!r} builds one encoder, but model.encoders lists "

@@ -29,10 +29,6 @@ class ProjectionDomainError(SdmkitError):
     """Point lies outside the projection's valid domain."""
 
 
-class OutOfExtentError(SdmkitError):
-    """Query point too far outside every raster layer."""
-
-
 class MissingModalityError(SdmkitError):
     """A survey lacks data in one of the configured modalities."""
 

@@ -6,14 +6,15 @@ transforming the point into each layer's CRS rather than warping the
 raster) and per-survey time-series cubes (bands x steps x years blocks
 pre-extracted at the observation locations).
 
-Patches are cut a batch at a time by extract_patches: each point is
-transformed once per distinct CRS, layers sharing a grid (CRS, origin, pixel
+Patches are cut a batch at a time from rasters normalized once by
+normalize_layers: missing pixels (nodata, NaN or +-inf) take FILL_VALUE and
+each layer is normalized into COMPUTE_DTYPE. extract_patches then transforms
+each point once per distinct CRS; layers sharing a grid (CRS, origin, pixel
 sizes, shape) share one flat window index and out-of-bounds mask, each layer is
-gathered with one take, and fill and normalization run over the whole
-(N, C, side, side) array. For training and prediction the layers are
-normalized once (normalize_layers), so a batch's patches are only gathered and
-out-of-bounds filled. A batch of training or prediction samples is built by
-collate, in COMPUTE_DTYPE; a single sample is a batch of one.
+gathered with one take, and out-of-bounds pixels take the channel's normalized
+fill. A batch of training or prediction samples is built by collate; a single
+sample is a batch of one. Time-series cubes are built the same way, from
+side-1 patches.
 
 File formats (all little-endian, sizes bit-exact):
   observations  CSV with header surveyId,lon,lat,speciesId, one row per
@@ -54,7 +55,6 @@ from .errors import (
     DataError,
     FormatError,
     MissingModalityError,
-    OutOfExtentError,
     ProjectionDomainError,
     UnsupportedCrsError,
 )
@@ -64,6 +64,8 @@ log = logging.getLogger(__name__)
 # dtype of the patch and cube arrays collate builds and of the model's params
 # and grads (pipeline.build_model casts them); losses, scores and metrics stay float64
 COMPUTE_DTYPE = np.float32
+# value of missing and out-of-bounds pixels before normalization
+FILL_VALUE = 0.0
 
 _WEB_MERCATOR_R = 6378137.0
 _WEB_MERCATOR_MAX_LAT = 85.06
@@ -239,8 +241,9 @@ class RasterLayer:
             raise FormatError(f"raster {self.name!r}: invalid pixel sizes")
 
     def missing(self, values: np.ndarray) -> np.ndarray:
-        """True where values hold this layer's nodata value or NaN."""
-        return (values == self.nodata) | np.isnan(values)
+        """True where values hold this layer's nodata value or are not finite
+        (NaN or +-inf)."""
+        return (values == self.nodata) | ~np.isfinite(values)
 
 
 def save_raster(layer: RasterLayer, header_path: str) -> None:
@@ -301,9 +304,7 @@ def load_raster_manifest(manifest_path: str) -> list[RasterLayer]:
 class PatchSpec:
     side: int
     layer_names: tuple[str, ...]
-    fill_value: float = 0.0
     normalize: dict[str, tuple[float, float]] | None = None  # name -> (mean, std)
-    oob_policy: str = "fill"  # "fill" or "error"
 
     def __post_init__(self):
         if self.side < 1:
@@ -334,19 +335,14 @@ def _window_index(layer: RasterLayer, xs: np.ndarray, ys: np.ndarray, side: int)
     return flat, outside
 
 
-def extract_patches(layers, spec: PatchSpec, lons, lats, normalized: bool = False) -> np.ndarray:
-    """Cut (N, C, side, side) float64 patches around N WGS84 points.
+def extract_patches(layers, spec: PatchSpec, lons, lats) -> np.ndarray:
+    """Cut (N, C, side, side) COMPUTE_DTYPE patches around N WGS84 points from
+    layers prepared by normalize_layers(raw, spec).
 
     Each point is transformed into each layer's CRS and mapped to pixel
-    indices by the floor convention; out-of-bounds, nodata and NaN pixels
-    take fill_value; per-layer normalization is applied last. A point that
-    misses every layer is logged once, or raises OutOfExtentError under
-    oob_policy="error".
-
-    normalized=True takes layers from normalize_layers(layers, spec): their
-    pixels are only gathered, out-of-bounds pixels take each channel's
-    normalized fill_value, and the patches are in COMPUTE_DTYPE, equal bit
-    for bit to the float64 patches of the raw layers cast to it.
+    indices by the floor convention; the windows are gathered as they are,
+    and out-of-bounds pixels take the channel's normalized FILL_VALUE. A
+    point that misses every layer is filled and logged once.
     """
     chosen = _chosen_layers(layers, spec)
     lons = np.asarray(lons, dtype=np.float64)
@@ -357,8 +353,7 @@ def extract_patches(layers, spec: PatchSpec, lons, lats, normalized: bool = Fals
         xy = [transform_point(lon, lat, crs) for lon, lat in zip(lons.tolist(), lats.tolist())]
         points[crs] = np.array(xy, dtype=np.float64).reshape(n, 2).T
     windows = {}  # grid -> (flat index, out-of-bounds mask)
-    out = np.empty((n, len(chosen), side, side),
-                   dtype=COMPUTE_DTYPE if normalized else np.float64)
+    out = np.empty((n, len(chosen), side, side), dtype=COMPUTE_DTYPE)
     overlaps = np.zeros(n, dtype=bool)
     for ci, layer in enumerate(chosen):
         grid = (layer.crs, layer.origin_x, layer.origin_y, layer.pixel_size_x,
@@ -367,27 +362,12 @@ def extract_patches(layers, spec: PatchSpec, lons, lats, normalized: bool = Fals
             windows[grid] = _window_index(layer, *points[layer.crs], side)
             overlaps |= ~windows[grid][1].all(axis=(1, 2))
         flat, outside = windows[grid]
-        values = layer.values.take(flat)
-        out[:, ci] = values
-        if normalized:  # missing pixels were filled before the normalization
-            mean, std = _layer_stats(spec, layer.name)
-            np.copyto(out[:, ci], (spec.fill_value - mean) / std, where=outside)
-        else:
-            # nodata is matched in the raster's own dtype: -3.4e38 is not exact in float32
-            np.copyto(out[:, ci], spec.fill_value, where=outside | layer.missing(values))
-    if spec.normalize and not normalized:
-        # x - 0.0 and x / 1.0 are exact, so channels without stats are unchanged
-        stats = [_layer_stats(spec, layer.name) for layer in chosen]
-        mean, std = (np.array(v, dtype=np.float64)[:, None, None] for v in zip(*stats))
-        out -= mean
-        out /= std
+        out[:, ci] = layer.values.take(flat)
+        mean, std = _layer_stats(spec, layer.name)
+        np.copyto(out[:, ci], (FILL_VALUE - mean) / std, where=outside)
     for i in np.flatnonzero(~overlaps).tolist():
-        lon, lat = lons[i].item(), lats[i].item()
-        if spec.oob_policy == "error":
-            raise OutOfExtentError(
-                f"point ({lon}, {lat}) outside the extent of every patch layer"
-            )
-        log.warning("point (%s, %s) outside all patch layers; filled", lon, lat)
+        log.warning("point (%s, %s) outside all patch layers; filled",
+                    lons[i].item(), lats[i].item())
     return out
 
 
@@ -407,12 +387,11 @@ _NORMALIZE_BLOCK_PIXELS = 1 << 20
 
 
 def normalize_layers(layers, spec: PatchSpec) -> list[RasterLayer]:
-    """spec's layers with their values normalized once, for
-    extract_patches(..., normalized=True): missing pixels take fill_value,
-    then (v - mean) / std runs in float64 and is cast to COMPUTE_DTYPE. The
-    float64 work runs a block of rows at a time, so no float64 copy of a
-    whole layer is made. The results have no nodata value; the raw layers
-    are left unchanged."""
+    """spec's layers with their values normalized once, for extract_patches:
+    missing pixels take FILL_VALUE, then (v - mean) / std runs in float64 and
+    is cast to COMPUTE_DTYPE. The float64 work runs a block of rows at a
+    time, so no float64 copy of a whole layer is made. The results have no
+    nodata value; the raw layers are left unchanged."""
     out = []
     for layer in _chosen_layers(layers, spec):
         mean, std = _layer_stats(spec, layer.name)
@@ -421,7 +400,7 @@ def normalize_layers(layers, spec: PatchSpec) -> list[RasterLayer]:
         for start in range(0, layer.height, rows):
             raw = layer.values[start:start + rows]
             block = raw.astype(np.float64)
-            block[layer.missing(raw)] = spec.fill_value
+            block[layer.missing(raw)] = FILL_VALUE
             block -= mean
             block /= std
             values[start:start + rows] = block
@@ -430,7 +409,8 @@ def normalize_layers(layers, spec: PatchSpec) -> list[RasterLayer]:
 
 
 def extract_patch(layers, spec: PatchSpec, lon: float, lat: float) -> np.ndarray:
-    """Cut a (C, side, side) patch around a WGS84 point: extract_patches for one point."""
+    """Cut a (C, side, side) patch around a WGS84 point from layers prepared by
+    normalize_layers: extract_patches for one point."""
     return extract_patches(layers, spec, [lon], [lat])[0]
 
 
@@ -519,7 +499,8 @@ def build_time_series_cubes(
     manifest_path: str,
     band_names=None,
 ) -> None:
-    """Extract per-survey (B,Q,Y) cubes of single pixels and write them out."""
+    """Extract per-survey (B,Q,Y) cubes of single pixels and write them out;
+    missing and out-of-bounds pixels read FILL_VALUE."""
     b, q, y = shape
     by_tag = {(t.band, t.step, t.year): t.layer for t in tagged_layers}
     gaps = [
@@ -538,7 +519,8 @@ def build_time_series_cubes(
     values = np.empty((len(table.records), b, q, y), dtype=np.float32)
     for (bi, qi, yi), layer in by_tag.items():
         spec = PatchSpec(side=1, layer_names=(layer.name,))
-        values[:, bi, qi, yi] = extract_patches([layer], spec, lons, lats)[:, 0, 0, 0]
+        values[:, bi, qi, yi] = extract_patches(normalize_layers([layer], spec), spec,
+                                                lons, lats)[:, 0, 0, 0]
     cubes = {rec.survey_id: values[i] for i, rec in enumerate(table.records)}
     save_cubes(cubes, band_names, manifest_path)
 
@@ -593,7 +575,7 @@ def collate(source: SampleSource, indices) -> dict:
     location = np.array([(rec.lon, rec.lat) for rec in records], dtype=np.float64)
     if source.patch_spec is not None:
         batch["patch"] = extract_patches(source.layers, source.patch_spec, location[:, 0],
-                                         location[:, 1], normalized=True)
+                                         location[:, 1])
     for modality, cube_map in source.cube_maps.items():
         batch[modality] = np.stack([cube_map[rec.survey_id].values for rec in records],
                                    dtype=COMPUTE_DTYPE)

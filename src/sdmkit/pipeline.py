@@ -31,7 +31,8 @@ from .split import SpatialSplit, block_holdout, load_split
 
 class LoadedData:
     """The loaded tables. layers are the rasters as read; the sources cut
-    patches from patch_layers, the same rasters normalized once by patch_spec."""
+    patches from patch_layers, the same rasters with missing pixels filled and
+    normalized once by patch_spec (geodata.normalize_layers)."""
 
     def __init__(self, table: ObservationTable, layers, patch_spec, cube_maps):
         self.table = table
@@ -60,10 +61,10 @@ class LoadedData:
 
 
 def _valid_stats(layer) -> tuple[float, float]:
-    """(mean, std) of a raster's pixels that are neither nodata nor NaN."""
+    """(mean, std) of a raster's pixels that are not missing (nodata, NaN or +-inf)."""
     valid = layer.values[~layer.missing(layer.values)]
     if valid.size == 0:
-        raise DataError(f"raster {layer.name!r}: no valid pixel (all nodata or NaN)")
+        raise DataError(f"raster {layer.name!r}: no valid pixel (all nodata or non-finite)")
     return float(valid.mean()), float(valid.std()) or 1.0
 
 

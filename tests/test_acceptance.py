@@ -23,7 +23,14 @@ from sdmkit.engine import (
     weighted_bce_logits_grad,
 )
 from sdmkit.evalkit import binary_auc, multilabel_auc, top_k, topk_prf
-from sdmkit.geodata import PatchSpec, RasterLayer, extract_patch, load_cubes, save_cubes
+from sdmkit.geodata import (
+    PatchSpec,
+    RasterLayer,
+    extract_patch,
+    load_cubes,
+    normalize_layers,
+    save_cubes,
+)
 from sdmkit.nn import FusionModel, build_encoder, modify_first_layer, modify_last_layer
 from sdmkit.pipeline import build_model, load_data, resolve_split
 from sdmkit.split import block_holdout, cell_index, load_split, save_split
@@ -209,20 +216,21 @@ def test_criterion_7_patch_extraction_oracle(toy_raster):
             values=rng.normal(size=(h, w)).astype(np.float32),
         )
         spec = PatchSpec(side=1, layer_names=("r",))
+        prepared = normalize_layers([layer], spec)
         for _ in range(10):
             row, col = int(rng.integers(0, h)), int(rng.integers(0, w))
             lon = layer.origin_x + (col + float(rng.uniform(0, 1))) * layer.pixel_size_x
             lat = layer.origin_y + (row + float(rng.uniform(0, 1))) * layer.pixel_size_y
             if not (-180 <= lon <= 180 and -90 <= lat <= 90):
                 continue
-            got = extract_patch([layer], spec, lon, lat)[0, 0, 0]
+            got = extract_patch(prepared, spec, lon, lat)[0, 0, 0]
             ok &= got == float(layer.values[row, col])
             checked += 1
     spec1 = PatchSpec(side=1, layer_names=("toy",))
     spec3 = PatchSpec(side=3, layer_names=("toy",))
-    ok &= extract_patch([toy_raster], spec1, 2.5, 1.5)[0, 0, 0] == 10.0
+    ok &= extract_patch(normalize_layers([toy_raster], spec1), spec1, 2.5, 1.5)[0, 0, 0] == 10.0
     ok &= np.array_equal(
-        extract_patch([toy_raster], spec3, 2.5, 1.5)[0],
+        extract_patch(normalize_layers([toy_raster], spec3), spec3, 2.5, 1.5)[0],
         np.array([[5, 6, 7], [9, 10, 11], [13, 14, 15]], dtype=float),
     )
     elapsed = time.time() - t0

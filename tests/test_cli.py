@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from sdmkit.config import load_config
 from sdmkit.geodata import load_cubes
 from sdmkit.pipeline import build_model, load_data
 from sdmkit.split import load_split
+from sdmkit.synthetic import make_synthetic
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +38,35 @@ def test_make_synthetic_deterministic(tmp_path):
     for name in ("observations.csv", "chan0.f32", "cube_a.f32", "cube_a.json"):
         assert open(os.path.join(a, name), "rb").read() == open(
             os.path.join(b, name), "rb").read()
+
+
+# sha256 of every file make_synthetic(n=200, species=20, seed=7) writes. perfbench
+# builds its train and predict inputs with the same generator at seed 7, so a
+# change to any of these bytes changes what the benchmark measures.
+SYNTHETIC_SEED7_SHA256 = {
+    "chan0.f32": "bd18562b4677b68498f88d99c58d01a71c9dcedbcc1e5c1b10877f6df2a3e1a5",
+    "chan0.json": "82bc18ce04374f2b6b941249b8ea49400fb9dcaefd7748198e42ddffd741404b",
+    "chan1.f32": "08e35577ebb3bf0356849ff66d2257c262386a2ad2f4d3eb33e2c426ddd51525",
+    "chan1.json": "0735b1e0fdfe16bdf9c8d3041c999d0eaa61caff4d75b023517766d51a8f15a8",
+    "chan2.f32": "25f5bbf21b5d57a85759866a444634f175a949f15b252ac12cc52366ebc7358d",
+    "chan2.json": "9194f8b0cb93f07025e007c908b5b9d9281045b64cfe7b777418720c132605fe",
+    "chan3.f32": "42798cdf9a2b1253d5b6319f82afbe5e80569803b31c7fec2d36c462bb5b28ff",
+    "chan3.json": "bd3e9dcf350ed506ff37e70550fb650208c5568fe87b41e9bee8daff7f10159e",
+    "cube_a.f32": "6128cf526ff2cf85d831f2a4cdaa5ea57b5bed2ff1031d08b8b3b7310e285084",
+    "cube_a.json": "b23c944eed932db2032a4971bb6df028583aedae3199bae99fdb9465cfe51b5c",
+    "cube_b.f32": "180a526472bdafbebd94b5cf8b961abe6502448cb1c2b0de848c4cfa421c3c7f",
+    "cube_b.json": "d58d77490ffde6fc660387f1dc67e25e55c0f07dbf656ea5161040f6acdeb112",
+    "observations.csv": "e5234df8fb9934c90af73e6d0e00db698d0135ef2b7aa8695aab64a9f188dd70",
+    "rasters.json": "a6f6492074f937e78b62ee7209c103c0ec403c9ebcb98b112afab1be85b60a29",
+}
+
+
+def test_make_synthetic_seed7_files_pinned(tmp_path):
+    out = str(tmp_path / "syn")
+    make_synthetic(out, n_surveys=200, num_species=20, seed=7)
+    digests = {name: hashlib.sha256(open(os.path.join(out, name), "rb").read()).hexdigest()
+               for name in sorted(os.listdir(out))}
+    assert digests == SYNTHETIC_SEED7_SHA256
 
 
 def test_train_produces_artifacts(synthetic_dir, tmp_path, capsys):

@@ -118,6 +118,20 @@ def test_fusion_on_single_modality_model_rejected():
     assert parse_config(render_config(cfg)) == cfg  # rendered defaults are accepted
 
 
+def test_embedding_dim_on_single_modality_model_rejected():
+    # the classifier replaces the encoder's last layer, so its width is never used
+    doc = MINIMAL + "model:\n  name: micro_conv2d\n  encoders:\n    patch: {name: micro_conv2d"
+    with pytest.raises(ConfigValidationError,
+                       match=re.escape("model.encoders.patch.embedding_dim: model.name "
+                                       "'micro_conv2d' replaces")):
+        parse_config(doc + ", embedding_dim: 128}\n")
+    cfg = parse_config(doc + "}\n")
+    assert parse_config(render_config(cfg)) == cfg  # rendered defaults are accepted
+    mme = parse_config(doc.replace("name: micro_conv2d\n  en", "name: mme\n  en")
+                       + ", embedding_dim: 128}\n")
+    assert mme.model.encoders["patch"].embedding_dim == 128
+
+
 def test_round_trip_identity():
     cfg = parse_config(MINIMAL + "optimizer:\n  lr: 3.0e-4\nrun:\n  seed: 9\n")
     assert parse_config(render_config(cfg)) == cfg

@@ -1,5 +1,8 @@
-"""The README's example configuration trains as printed."""
+"""The README's example configuration trains as printed, and its package
+layout names only what the modules hold."""
 
+import importlib
+import inspect
 import os
 import re
 
@@ -50,3 +53,28 @@ def test_encoder_for_missing_modality_rejected_before_run_dir(tmp_path, readme_c
     assert len(errors) == 1
     assert errors[0].startswith("error: model.encoders.cube_c: ")
     assert not os.path.exists(tmp_path / "runs")
+
+
+def test_layout_rows_name_module_attributes():
+    """Each backticked `name` or `name(...)` in a package-layout row is an
+    attribute of that row's module, and each `keyword=` inside such a call is
+    one of its parameters. Dotted names, config keys and file names are not
+    checked."""
+    text = open(README, encoding="utf-8").read()
+    rows = re.findall(r"^\| `(sdmkit[\w.]*)` \| (.*) \|$", text, flags=re.M)
+    assert [name for name, _ in rows][:2] == ["sdmkit.config", "sdmkit.geodata"]
+    wrong = []
+    for module_name, cell in rows:
+        module = importlib.import_module(module_name)
+        for span in re.findall(r"`([^`]*)`", cell):
+            match = re.fullmatch(r"([A-Za-z_]\w*)(?:\((.*)\))?", span)
+            if match is None:
+                continue
+            name, args = match.groups()
+            if not hasattr(module, name):
+                wrong.append(f"{module_name}: `{span}` is not an attribute")
+                continue
+            params = inspect.signature(getattr(module, name)).parameters if args else {}
+            wrong += [f"{module_name}: `{span}` has no parameter {kw!r}"
+                      for kw in re.findall(r"(\w+)=", args or "") if kw not in params]
+    assert wrong == []

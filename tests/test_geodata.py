@@ -15,11 +15,12 @@ from sdmkit.errors import (
     DataError,
     FormatError,
     MissingModalityError,
-    OutOfExtentError,
     ProjectionDomainError,
     UnsupportedCrsError,
 )
 from sdmkit.geodata import (
+    COMPUTE_DTYPE,
+    FILL_VALUE,
     PatchSpec,
     RasterLayer,
     SampleSource,
@@ -231,27 +232,25 @@ class TestTransformPoint:
 
 
 class TestExtractPatch:
+    """extract_patch is extract_patches for one point, over layers prepared by
+    normalize_layers."""
+
     def test_side1_center(self, toy_raster):
         spec = PatchSpec(side=1, layer_names=("toy",))
-        patch = extract_patch([toy_raster], spec, 2.5, 1.5)
+        patch = extract_patch(normalize_layers([toy_raster], spec), spec, 2.5, 1.5)
         assert patch.shape == (1, 1, 1)
         assert patch[0, 0, 0] == 10.0
 
     def test_side3_window(self, toy_raster):
         spec = PatchSpec(side=3, layer_names=("toy",))
-        patch = extract_patch([toy_raster], spec, 2.5, 1.5)
+        patch = extract_patch(normalize_layers([toy_raster], spec), spec, 2.5, 1.5)
         expected = np.array([[5, 6, 7], [9, 10, 11], [13, 14, 15]], dtype=float)
         np.testing.assert_array_equal(patch[0], expected)
 
     def test_out_of_bounds_fill(self, toy_raster):
-        spec = PatchSpec(side=1, layer_names=("toy",), fill_value=0.0)
-        patch = extract_patch([toy_raster], spec, -0.5, 3.5)
-        assert patch[0, 0, 0] == 0.0
-
-    def test_out_of_extent_error_mode(self, toy_raster):
-        spec = PatchSpec(side=1, layer_names=("toy",), oob_policy="error")
-        with pytest.raises(OutOfExtentError):
-            extract_patch([toy_raster], spec, 100.0, -60.0)
+        spec = PatchSpec(side=1, layer_names=("toy",))
+        patch = extract_patch(normalize_layers([toy_raster], spec), spec, -0.5, 3.5)
+        assert patch[0, 0, 0] == FILL_VALUE == 0.0
 
     def test_nodata_replaced(self, toy_raster):
         values = toy_raster.values.copy()
@@ -261,22 +260,24 @@ class TestExtractPatch:
             pixel_size_x=1, pixel_size_y=-1, crs="EPSG:4326",
             nodata=toy_raster.nodata, values=values,
         )
-        spec = PatchSpec(side=1, layer_names=("toy",), fill_value=-1.0)
-        assert extract_patch([layer], spec, 2.5, 1.5)[0, 0, 0] == -1.0
+        spec = PatchSpec(side=1, layer_names=("toy",))
+        assert extract_patch(normalize_layers([layer], spec), spec, 2.5, 1.5)[0, 0, 0] == 0.0
 
     def test_nan_pixels_filled(self, toy_raster):
-        # NaN never equals anything, so it must be masked on its own
+        # NaN never equals anything, so it must be masked on its own; so must +-inf
         for nodata in (math.nan, -9999.0):
             values = toy_raster.values.copy()
             values[1:3, 1] = math.nan
+            values[2, 0] = math.inf
+            values[0, 2] = -math.inf
             layer = RasterLayer(
                 name="toy", width=4, height=4, origin_x=0, origin_y=4,
                 pixel_size_x=1, pixel_size_y=-1, crs="EPSG:4326",
                 nodata=nodata, values=values,
             )
-            spec = PatchSpec(side=3, layer_names=("toy",), fill_value=-1.0)
-            patch = extract_patch([layer], spec, 1.5, 2.5)[0]
-            expected = np.array([[0, 1, 2], [4, -1, 6], [8, -1, 10]], dtype=float)
+            spec = PatchSpec(side=3, layer_names=("toy",))
+            patch = extract_patch(normalize_layers([layer], spec), spec, 1.5, 2.5)[0]
+            expected = np.array([[0, 1, 0], [4, 0, 6], [0, 0, 10]], dtype=float)
             np.testing.assert_array_equal(patch, expected)
 
     def test_float32_nodata_not_exact_in_float64_filled(self, toy_raster):
@@ -290,19 +291,27 @@ class TestExtractPatch:
             nodata=-3.4e38, values=values,
         )
         assert layer.missing(layer.values).sum() == 1
-        spec = PatchSpec(side=1, layer_names=("toy",), fill_value=-1.0)
-        assert extract_patch([layer], spec, 2.5, 1.5)[0, 0, 0] == -1.0
+        spec = PatchSpec(side=1, layer_names=("toy",))
+        assert extract_patch(normalize_layers([layer], spec), spec, 2.5, 1.5)[0, 0, 0] == 0.0
 
     def test_normalization_applied_last(self, toy_raster):
+        # a missing pixel is filled first, so it reads the normalized fill
+        values = toy_raster.values.copy()
+        values[1, 3] = toy_raster.nodata
+        layer = dataclasses.replace(toy_raster, values=values)
         spec = PatchSpec(side=1, layer_names=("toy",), normalize={"toy": (10.0, 2.0)})
-        assert extract_patch([toy_raster], spec, 2.5, 1.5)[0, 0, 0] == 0.0
+        prepared = normalize_layers([layer], spec)
+        assert extract_patch(prepared, spec, 2.5, 1.5)[0, 0, 0] == 0.0
+        assert extract_patch(prepared, spec, 3.5, 2.5)[0, 0, 0] == -5.0
 
     def test_extraction_is_pure(self, toy_raster):
         spec = PatchSpec(side=3, layer_names=("toy",))
         before = toy_raster.values.copy()
-        a = extract_patch([toy_raster], spec, 2.5, 1.5)
-        b = extract_patch([toy_raster], spec, 2.5, 1.5)
+        prepared = normalize_layers([toy_raster], spec)
+        a = extract_patch(prepared, spec, 2.5, 1.5)
+        b = extract_patch(prepared, spec, 2.5, 1.5)
         np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(prepared[0].values, before)
         np.testing.assert_array_equal(toy_raster.values, before)
 
     def test_side1_equals_direct_indexing_randomized(self):
@@ -317,25 +326,28 @@ class TestExtractPatch:
                 values=rng.normal(size=(int(h), int(w))).astype(np.float32),
             )
             spec = PatchSpec(side=1, layer_names=("r",))
+            prepared = normalize_layers([layer], spec)
             for _ in range(25):
                 row = rng.integers(0, h)
                 col = rng.integers(0, w)
                 lon = layer.origin_x + (col + rng.uniform(0, 1)) * layer.pixel_size_x
                 lat = layer.origin_y + (row + rng.uniform(0, 1)) * layer.pixel_size_y
-                got = extract_patch([layer], spec, lon, lat)[0, 0, 0]
+                got = extract_patch(prepared, spec, lon, lat)[0, 0, 0]
                 assert got == float(layer.values[row, col])
 
 
 def make_grid_layers(seed):
     """Layers a and b share an EPSG:4326 grid, c has its own EPSG:4326 grid and m
     sits on an EPSG:3857 grid with another origin and pixel size. About 10% of
-    pixels are nodata, 10% NaN."""
+    pixels are nodata, 10% NaN and 5% +-inf."""
     rng = np.random.default_rng(seed)
 
     def values(h, w, nodata):
         v = rng.normal(size=(h, w)).astype(np.float32)
         v[rng.random((h, w)) < 0.1] = nodata
         v[rng.random((h, w)) < 0.1] = math.nan
+        v[rng.random((h, w)) < 0.025] = math.inf
+        v[rng.random((h, w)) < 0.025] = -math.inf
         return v
 
     wgs = dict(width=10, height=8, origin_x=0.0, origin_y=10.0,
@@ -353,7 +365,9 @@ def make_grid_layers(seed):
 
 
 def oracle_patch(layers, spec, lon, lat):
-    """One point's patch by direct indexing, pixel by pixel."""
+    """One point's float64 patch from the raw layers by direct indexing, pixel
+    by pixel: missing and out-of-bounds pixels take FILL_VALUE, then the
+    layer's stats, if any, normalize it."""
     by_name = {layer.name: layer for layer in layers}
     half = spec.side // 2
     out = np.empty((len(spec.layer_names), spec.side, spec.side))
@@ -365,16 +379,23 @@ def oracle_patch(layers, spec, lon, lat):
         for i in range(spec.side):
             for j in range(spec.side):
                 r, c = row0 + i, col0 + j
-                v = spec.fill_value
+                v = FILL_VALUE
                 if 0 <= r < layer.height and 0 <= c < layer.width:
-                    pixel = float(layer.values[r, c])
-                    if pixel != layer.nodata and not math.isnan(pixel):
-                        v = pixel
+                    # nodata is matched in float32: -3.4e38 is not exact in it
+                    pixel = layer.values[r, c]
+                    if pixel != layer.nodata and np.isfinite(pixel):
+                        v = float(pixel)
                 if spec.normalize and name in spec.normalize:
                     mean, std = spec.normalize[name]
                     v = (v - mean) / std
                 out[ci, i, j] = v
     return out
+
+
+def oracle_patches(layers, spec, lons, lats):
+    """oracle_patch for each point, stacked and cast to COMPUTE_DTYPE."""
+    return np.stack([oracle_patch(layers, spec, lon, lat)
+                     for lon, lat in zip(lons, lats)]).astype(COMPUTE_DTYPE)
 
 
 class TestExtractPatches:
@@ -388,42 +409,39 @@ class TestExtractPatches:
         names=st.permutations(NAMES).flatmap(
             lambda p: st.integers(1, len(p)).map(lambda k: tuple(p[:k]))),
         side=st.integers(1, 5),
-        fill_value=st.sampled_from([0.0, -2.5, 7.0]),
-        normalized=st.sets(st.sampled_from(NAMES)),
+        with_stats=st.sets(st.sampled_from(NAMES)),
         points=st.lists(st.tuples(st.floats(-4, 9), st.floats(2, 14)), min_size=1, max_size=6),
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_direct_indexing_oracle(self, seed, names, side, fill_value, normalized,
-                                            points):
+    def test_matches_direct_indexing_oracle(self, seed, names, side, with_stats, points):
         layers = make_grid_layers(seed)
-        spec = PatchSpec(side=side, layer_names=names, fill_value=fill_value,
-                         normalize={n: self.STATS[n] for n in normalized})
+        spec = PatchSpec(side=side, layer_names=names,
+                         normalize={n: self.STATS[n] for n in with_stats})
         lons, lats = zip(*points)
-        got = extract_patches(layers, spec, lons, lats)
-        expected = np.stack([oracle_patch(layers, spec, lon, lat) for lon, lat in points])
+        got = extract_patches(normalize_layers(layers, spec), spec, lons, lats)
         assert got.shape == (len(points), len(names), side, side)
-        assert np.array_equal(got, expected)
+        assert got.dtype == COMPUTE_DTYPE
+        assert got.tobytes() == oracle_patches(layers, spec, lons, lats).tobytes()
 
     def test_batch_out_of_extent_policy(self, toy_raster, caplog):
-        # a point inside only one of the two layers is neither an error nor warned about
+        # a point outside every layer is filled and logged once; a point inside
+        # only one of the two layers is not logged
         far = dataclasses.replace(toy_raster, name="far", origin_x=10.0)
         spec = PatchSpec(side=1, layer_names=("toy", "far"))
         lons, lats = [2.5, 50.0, 12.5, -20.0], [1.5, 1.5, 1.5, -20.0]
         with caplog.at_level(logging.WARNING, logger="sdmkit.geodata"):
-            extract_patches([toy_raster, far], spec, lons, lats)
+            patches = extract_patches(normalize_layers([toy_raster, far], spec), spec, lons, lats)
         assert [r.getMessage() for r in caplog.records] == [
             "point (50.0, 1.5) outside all patch layers; filled",
             "point (-20.0, -20.0) outside all patch layers; filled",
         ]
-        strict = dataclasses.replace(spec, oob_policy="error")
-        with pytest.raises(OutOfExtentError, match=r"\(50\.0, 1\.5\)"):
-            extract_patches([toy_raster, far], strict, lons, lats)
+        assert patches[:, :, 0, 0].tolist() == [[10.0, 0.0], [0.0, 0.0], [0.0, 10.0], [0.0, 0.0]]
 
 
 class TestNormalizedLayers:
     """collate cuts patches from layers normalized once (normalize_layers);
-    they equal the float64 patches of the raw layers cast to float32, bit for
-    bit, and out-of-extent points are warned about or rejected as before."""
+    they equal the oracle's float64 patches of the raw layers cast to float32,
+    bit for bit, and out-of-extent points are filled and logged."""
 
     STATS = {"a": (0.25, 2.0), "b": (-1.0, 0.5), "m": (3.0, 1.5), "f": (-0.5, 0.75)}
     # inside every EPSG:4326 grid, on the west edge of a and b (their origin),
@@ -438,10 +456,9 @@ class TestNormalizedLayers:
         return layers + [dataclasses.replace(layers[0], name="f", nodata=-3.4e38,
                                              values=values)]
 
-    def spec(self, **kwargs):
+    def spec(self):
         # c has no stats, so it is filled but not normalized
-        return PatchSpec(side=5, layer_names=("a", "b", "c", "m", "f"), fill_value=-2.5,
-                         normalize=self.STATS, **kwargs)
+        return PatchSpec(side=5, layer_names=("a", "b", "c", "m", "f"), normalize=self.STATS)
 
     def source(self, layers, spec):
         table = make_table([(lon, lat, {0}) for lon, lat in self.POINTS])
@@ -456,7 +473,7 @@ class TestNormalizedLayers:
         assert (layers[-1].values == np.float32(-3.4e38)).sum() > 0
         raw = [layer.values.copy() for layer in layers]
         lons, lats = zip(*self.POINTS)
-        expected = extract_patches(layers, spec, lons, lats).astype(np.float32)
+        expected = oracle_patches(layers, spec, lons, lats)
         source = self.source(layers, spec)
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="sdmkit.geodata"):
@@ -464,20 +481,19 @@ class TestNormalizedLayers:
         assert caplog.messages == ["point (-20.0, -20.0) outside all patch layers; filled"]
         assert patches.dtype == np.float32
         assert patches.tobytes() == expected.tobytes()
-        # the normalized layers hold no NaN; the raw ones are left as they were
-        assert not any(np.isnan(layer.values).any() for layer in source.layers)
+        # the normalized layers hold no NaN or inf; the raw ones are left as they were
+        assert all(np.isfinite(layer.values).all() for layer in source.layers)
         for layer, values in zip(layers, raw):
             assert layer.values.tobytes() == values.tobytes()
-        # the edge point's patches are partly filled, the outside point's wholly
-        filled = np.isnan(extract_patches(layers, PatchSpec(5, spec.layer_names, math.nan),
-                                          lons, lats))
-        assert filled[1, :2].any() and not filled[1, :2].all()
-        assert filled[-1].all() and not filled[0].all()
+        # the edge point's patches are partly out of bounds, the outside point's wholly
+        ones = [dataclasses.replace(layer, values=np.ones_like(layer.values))
+                for layer in layers]
+        plain = PatchSpec(5, spec.layer_names)
+        inside = extract_patches(normalize_layers(ones, plain), plain, lons, lats) == 1
+        assert inside[1, :2].any() and not inside[1, :2].all()
+        assert not inside[-1].any() and inside[0].any()
 
-    def test_out_of_extent_error_policy(self):
-        spec = self.spec(oob_policy="error")
-        with pytest.raises(OutOfExtentError, match=r"\(-20\.0, -20\.0\)"):
-            collate(self.source(self.layers(), spec), range(len(self.POINTS)))
+
 
 
 class TestCubes:
@@ -564,8 +580,28 @@ class TestBuildCubes:
         for rec in table.records:
             for t in tagged:
                 spec = PatchSpec(side=1, layer_names=(t.layer.name,))
-                expected = extract_patch([t.layer], spec, rec.lon, rec.lat)[0, 0, 0]
+                expected = oracle_patch([t.layer], spec, rec.lon, rec.lat)[0, 0, 0]
                 assert loaded[rec.survey_id].values[t.band, t.step, t.year] == np.float32(expected)
+
+    def test_missing_and_out_of_extent_pixels_read_zero(self, toy_raster, tmp_path, caplog):
+        # nodata, NaN and inf pixels and points outside the layer read 0.0;
+        # -0.0 and every other pixel are written as they are: -9999 is a value
+        # of the layer whose nodata is NaN
+        values = toy_raster.values.copy()
+        values[0, 0], values[0, 1], values[0, 2], values[0, 3] = -9999.0, math.nan, -0.0, math.inf
+        nodata = dataclasses.replace(toy_raster, name="nodata", values=values)
+        nan = dataclasses.replace(toy_raster, name="nan", nodata=math.nan, values=values)
+        points = [(0.5, 3.5), (1.5, 3.5), (2.5, 3.5), (3.5, 3.5), (2.5, 1.5), (7.0, 2.0)]
+        table = make_table([(lon, lat, {0}) for lon, lat in points])
+        path = str(tmp_path / "c.json")
+        with caplog.at_level(logging.WARNING, logger="sdmkit.geodata"):
+            build_time_series_cubes([TaggedLayer(nodata, 0, 0, 0), TaggedLayer(nan, 1, 0, 0)],
+                                    table, (2, 1, 1), path)
+        assert caplog.messages == ["point (7.0, 2.0) outside all patch layers; filled"] * 2
+        got = np.stack([c.values[:, 0, 0] for c in load_cubes(path).values()])
+        expected = np.array([[0, -9999], [0, 0], [-0.0, -0.0], [0, 0], [10, 10], [0, 0]],
+                            dtype=np.float32)
+        assert got.tobytes() == expected.tobytes()
 
     def test_coverage_error(self, toy_raster):
         table = make_table([(2.5, 1.5, {0})])
@@ -651,7 +687,7 @@ class TestNormalizationStats:
 
     def test_sources_cut_from_normalized_rasters(self, synthetic):
         """load_data keeps the rasters as read and gives its sources the layers
-        normalized once; their float32 patches are the cast float64 ones."""
+        normalized once; their float32 patches are the oracle's cast ones."""
         data_dir, cfg = synthetic
         values = np.random.default_rng(3).normal(5.0, 1.0, size=(128, 128))
         values[:, :4] = -9999.0
@@ -662,9 +698,31 @@ class TestNormalizationStats:
         source = data.source_for(labels_mode="predict")
         recs = source.table.records
         patches = collate(source, range(len(recs)))["patch"]
-        expected = extract_patches(data.layers, data.patch_spec, [r.lon for r in recs],
-                                   [r.lat for r in recs])
-        assert patches.tobytes() == expected.astype(np.float32).tobytes()
+        expected = oracle_patches(data.layers, data.patch_spec, [r.lon for r in recs],
+                                  [r.lat for r in recs])
+        assert patches.tobytes() == expected.tobytes()
+
+    def test_infinite_pixels_missing(self, synthetic):
+        """+-inf pixels are left out of the stats and filled like NaN, so one
+        of them leaves the patches finite."""
+        data_dir, cfg = synthetic
+        values = np.random.default_rng(4).normal(5.0, 1.0, size=(128, 128))
+        values[3, 4] = math.inf
+        values[70, 71] = -math.inf
+        self.replace_chan0(data_dir, values)
+        data = load_data(cfg)
+        valid = values.astype(np.float32)[np.isfinite(values)]
+        mean, std = data.patch_spec.normalize["chan0"]
+        assert mean == pytest.approx(float(valid.mean()), rel=1e-6)
+        assert std == pytest.approx(float(valid.std()), rel=1e-6)
+        assert data.layers[0].missing(data.layers[0].values).sum() == 2
+        source = data.source_for(labels_mode="predict")
+        recs = source.table.records
+        patches = collate(source, range(len(recs)))["patch"]
+        assert np.isfinite(patches).all()
+        expected = oracle_patches(data.layers, data.patch_spec, [r.lon for r in recs],
+                                  [r.lat for r in recs])
+        assert patches.tobytes() == expected.tobytes()
 
     def test_no_valid_pixel_names_raster(self, synthetic):
         data_dir, cfg = synthetic
