@@ -80,6 +80,7 @@ def cmd_evaluate(args) -> int:
         raise SdmkitError(f"survey {unlabeled[0]!r} has predictions but no labels")
     labels = multi_hot([by_id[sid] for sid in predictions.survey_ids], num_classes)
     report = evalkit.evaluate(predictions, labels, args.k)
+    os.makedirs(out_dir, exist_ok=True)
     evalkit.write_report(report, json_path, txt_path)
     print(json_path)
     print(txt_path)

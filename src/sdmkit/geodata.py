@@ -30,12 +30,17 @@ File formats (all little-endian, sizes bit-exact):
                 topk holds k class ids in rank order, scores one value per
                 class, both space-separated
 
-The three CSV tables are read by read_csv: columns are found by header name
-(extra columns are ignored), blank lines are skipped, every row must hold as
-many fields as the header, a field may hold up to 2**31 - 1 characters (one
-scores field per survey, whatever the class count), and parse_field turns a
-bad field into a FormatError naming the file, the row (the header is row 1)
-and the column.
+The CSV tables follow one contract, that of read_csv: columns are found by
+header name (extra columns are ignored), blank lines are skipped, every row
+must hold as many fields as the header, a field may hold up to 2**31 - 1
+characters (one scores field per survey, whatever the class count), and
+parse_field turns a bad field into a FormatError naming the file, the row
+(the header is row 1) and the column. Splits and predictions are read by
+read_csv. Observations are read a block of lines at a time: each block's
+fields are split at once, each distinct lon, lat and speciesId text is parsed
+once and the checks run on arrays; a file with a quote, NUL or lone CR, or
+one that fails any check, is read again row by row through read_csv, so
+every error still names the file and the row.
 """
 
 from __future__ import annotations
@@ -182,10 +187,114 @@ def load_observations(path: str, num_classes: int) -> ObservationTable:
     """Load an observation CSV, grouping species rows per survey.
 
     Every row of a survey must repeat its coordinates; a conflicting row
-    raises DataError.
+    raises DataError. A file the block reader does not accept whole is read
+    again by the row loop, which raises the error naming the file and row.
     """
+    table = _load_observation_blocks(path, num_classes)
+    return table if table is not None else _load_observation_rows(path, num_classes)
+
+
+_OBSERVATION_COLUMNS = ("surveyId", "lon", "lat", "speciesId")
+# characters of observation text split and checked at a time by _load_observation_blocks
+_OBSERVATION_BLOCK_CHARS = 1 << 16
+
+
+def _distinct_index(texts: list) -> tuple[list, np.ndarray]:
+    """(the distinct texts in first-seen order, each text's index into them)."""
+    position = {text: i for i, text in enumerate(dict.fromkeys(texts))}
+    return list(position), np.fromiter(map(position.__getitem__, texts), np.intp, len(texts))
+
+
+def _load_observation_blocks(path: str, num_classes: int) -> ObservationTable | None:
+    """The table of load_observations, read a block of lines at a time, or
+    None when the file holds anything the row loop alone handles: a missing
+    column, a quote, NUL or lone CR, text that is not UTF-8, a ragged row, a
+    field that does not parse, a value out of range or a conflicting row.
+
+    Without quotes or CRs a row's fields are its text split at commas, as
+    csv.reader splits them. Each distinct lon, lat and speciesId text of a
+    block is parsed once with float or int, as the row loop parses it.
+    """
+    codes: dict[str, int] = {}  # surveyId -> survey code, in first-seen order
+    first_lon = first_lat = np.empty(0)  # by survey code: its first row's coordinates
+    kept_codes, kept_species = [], []  # per block: survey code and species of each species row
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            header = fh.readline().removesuffix("\n").removesuffix("\r")
+            names = header.split(",")
+            if any(c in header for c in '"\0\r') or not set(_OBSERVATION_COLUMNS) <= set(names):
+                return None
+            width = len(names)
+            at_sid, at_lon, at_lat, at_species = map(names.index, _OBSERVATION_COLUMNS)
+            while text := fh.read(_OBSERVATION_BLOCK_CHARS):
+                text = (text + fh.readline()).replace("\r\n", "\n")  # up to a line's end
+                if any(c in text for c in '"\0\r'):
+                    return None
+                while "\n\n" in text:
+                    text = text.replace("\n\n", "\n")
+                text = text.strip("\n")
+                if not text:
+                    continue
+                raw = np.frombuffer(text.encode("utf-8"), np.uint8)
+                seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+                rows = text.count("\n") + 1
+                # width - 1 commas then a line break, on every row
+                if (len(seps) != rows * width - 1
+                        or not (raw[seps[width - 1::width]] == ord("\n")).all()):
+                    return None
+                fields = text.replace("\n", ",").split(",")
+
+                sids = fields[at_sid::width]
+                new = [sid for sid in dict.fromkeys(sids) if sid not in codes]
+                codes.update(zip(new, range(len(codes), len(codes) + len(new))))
+                code = np.fromiter(map(codes.__getitem__, sids), np.intp, rows)
+                lon_texts, lon_at = _distinct_index(fields[at_lon::width])
+                lat_texts, lat_at = _distinct_index(fields[at_lat::width])
+                species_texts, species_at = _distinct_index(fields[at_species::width])
+                blank = np.array([not t.strip() for t in species_texts])
+                try:
+                    lons = np.array(list(map(float, lon_texts)))
+                    lats = np.array(list(map(float, lat_texts)))
+                    species = np.array([int(t) if t.strip() else 0 for t in species_texts],
+                                       dtype=np.int64)
+                except (ValueError, OverflowError):
+                    return None
+                if (not ((-180.0 <= lons) & (lons <= 180.0)).all()
+                        or not ((-90.0 <= lats) & (lats <= 90.0)).all()
+                        or (~blank & ((species < 0) | (species >= num_classes))).any()):
+                    return None
+
+                lon, lat = lons[lon_at], lats[lat_at]
+                if new:
+                    first_new = np.unique(code, return_index=True)[1][-len(new):]
+                    first_lon = np.concatenate([first_lon, lon[first_new]])
+                    first_lat = np.concatenate([first_lat, lat[first_new]])
+                if ((first_lon[code] != lon) | (first_lat[code] != lat)).any():
+                    return None
+                keep = ~blank[species_at]
+                kept_codes.append(code[keep])
+                kept_species.append(species[species_at][keep])
+    except UnicodeDecodeError:
+        return None
+
+    code = np.concatenate([np.empty(0, np.intp), *kept_codes])
+    species = np.concatenate([np.empty(0, np.int64), *kept_species])
+    species = species[np.argsort(code, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(code, minlength=len(codes))).tolist()
+    # frozenset(set) sizes its table to the set, which frozenset(list) overallocates
+    records = tuple(
+        ObservationRecord(sid, lon, lat, frozenset(set(species[start:end])))
+        for sid, lon, lat, start, end in zip(codes, first_lon.tolist(), first_lat.tolist(),
+                                             [0, *ends], ends)
+    )
+    return ObservationTable(records=records, num_classes=num_classes)
+
+
+def _load_observation_rows(path: str, num_classes: int) -> ObservationTable:
+    """load_observations by a loop over read_csv's rows: the reader of any
+    file the block reader refuses, and of its errors."""
     grouped: dict[str, tuple] = {}  # surveyId -> (lon, lat, first row, species set)
-    for i, (sid, lon, lat, species) in read_csv(path, ("surveyId", "lon", "lat", "speciesId")):
+    for i, (sid, lon, lat, species) in read_csv(path, _OBSERVATION_COLUMNS):
         lon, lat = parse_field(path, i, "lon", float, lon), parse_field(path, i, "lat", float, lat)
         if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
             raise DataError(f"{path} row {i}: coordinate ({lon}, {lat}) out of range")

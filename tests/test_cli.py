@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 import yaml
 
-from sdmkit import engine
+from sdmkit import engine, geodata
 from sdmkit.cli import main
 from sdmkit.config import load_config
-from sdmkit.geodata import load_cubes
+from sdmkit.evalkit import Predictions
+from sdmkit.geodata import load_cubes, load_observations
 from sdmkit.pipeline import build_model, load_data
 from sdmkit.split import load_split
 from sdmkit.synthetic import make_synthetic
@@ -153,6 +154,24 @@ def test_evaluate_bad_predictions_one_error_line(tmp_path, synthetic_dir, capsys
     assert len(lines) == 1 and lines[0].startswith(f"error: {pred} row 3")
 
 
+def write_predictions(synthetic_dir, path, k=3):
+    """Random scores for every survey of the synthetic labels."""
+    ids = load_observations(os.path.join(synthetic_dir, "observations.csv"), 8).survey_ids()
+    scores = np.random.default_rng(0).random((len(ids), 8))
+    engine.save_predictions(Predictions.from_scores(ids, scores, k), str(path))
+
+
+def test_evaluate_creates_missing_out_dir(synthetic_dir, tmp_path, capsys):
+    pred = tmp_path / "p.csv"
+    write_predictions(synthetic_dir, pred)
+    out = tmp_path / "reports" / "k3"
+    assert main(["evaluate", "--predictions", str(pred),
+                 "--labels", os.path.join(synthetic_dir, "observations.csv"),
+                 "--k", "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.split() == [str(out / "report.json"), str(out / "report.txt")]
+    assert 0.0 <= json.load(open(out / "report.json"))["micro_auc"] <= 1.0
+
+
 def test_evaluate_k_too_large(tmp_path, synthetic_dir):
     pred = tmp_path / "p.csv"
     pred.write_text("surveyId,topk,scores\ns00000,0,0.9 0.1 0.2\n")
@@ -246,6 +265,68 @@ def test_train_location_only_single_modality_one_error_line(synthetic_dir, tmp_p
     assert len(errors) == 1
     assert errors[0].startswith("error: SinusoidalLocationEncoder is not a Sequential")
     assert not os.path.exists(tmp_path / "runs")
+
+
+def write_conflict_in_later_block(synthetic_dir, tmp_path):
+    """Labels whose survey s00000 moves on a row more than a block of text
+    after its first row; the predictions score that survey."""
+    labels = tmp_path / "labels.csv"
+    filler = [f"f{i:05d},1.2345678901234567,43.123456789012345,1" for i in range(4000)]
+    labels.write_text("\n".join(["surveyId,lon,lat,speciesId", "s00000,3.0,43.0,2", *filler,
+                                  "s00000,3.5,43.0,4"]) + "\n")
+    assert os.path.getsize(labels) > 2 * geodata._OBSERVATION_BLOCK_CHARS
+    pred = tmp_path / "p.csv"
+    pred.write_text("surveyId,topk,scores\ns00000,0 1,0.9 0.8 0.1 0.2 0.3\n")
+    return ["evaluate", "--predictions", str(pred), "--labels", str(labels), "--k", "2"], (
+        f"{labels} row 4003: survey 's00000' at (3.5, 43.0) conflicts with (3.0, 43.0) in row 2")
+
+
+def write_split_survey_twice(synthetic_dir, tmp_path):
+    split = tmp_path / "split.csv"
+    split.write_text("surveyId,partition,cx,cy\ns00000,train,0,0\ns00001,val,1,0\n"
+                     "s00000,val,0,0\n")
+    return train_args(synthetic_dir, tmp_path, data={"split_path": str(split)}), (
+        f"{split} row 4: survey 's00000' already in row 2")
+
+
+def write_ragged_predictions(synthetic_dir, tmp_path):
+    pred = tmp_path / "p.csv"
+    pred.write_text("surveyId,topk,scores\ns00000,1 0,0.9 0.8 0.1\ns00001,0 1,0.9 0.8\n")
+    return ["evaluate", "--predictions", str(pred),
+            "--labels", os.path.join(synthetic_dir, "observations.csv"), "--k", "2"], (
+        f"{pred} row 3: 2 top-k ids and 2 scores, row 2 has 2 and 3")
+
+
+def write_encoder_without_modality(synthetic_dir, tmp_path):
+    return train_args(synthetic_dir, tmp_path,
+                      encoders={"cube_c": {"name": "micro_conv3d"}}), "model.encoders.cube_c: "
+
+
+def train_args(synthetic_dir, tmp_path, data=(), encoders=()):
+    with open(os.path.join(synthetic_dir, "config.yaml")) as fh:
+        doc = yaml.safe_load(fh)
+    doc["data"].update(data)
+    doc["model"]["encoders"].update(encoders)
+    cfg_path = tmp_path / "config.yaml"
+    cfg_path.write_text(yaml.safe_dump(doc))
+    return ["train", "--config", str(cfg_path), "--out", str(tmp_path / "runs")]
+
+
+@pytest.mark.parametrize("write", [write_conflict_in_later_block, write_split_survey_twice,
+                                   write_ragged_predictions, write_encoder_without_modality],
+                         ids=["conflict-later-block", "split-survey-twice",
+                              "ragged-predictions", "encoder-without-modality"])
+def test_rejected_input_one_error_line(synthetic_dir, tmp_path, capsys, write):
+    """Real-data hazards that must be rejected: exit 1 and one error line
+    naming the file and row, or the config key; no run directory or report."""
+    argv, expected = write(synthetic_dir, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    errors = error_lines(capsys)
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: {expected}")
+    assert not os.path.exists(tmp_path / "runs")
+    assert not os.path.exists(tmp_path / "report.json")
 
 
 def test_cli_import_loads_only_declared_deps():

@@ -3,6 +3,8 @@ import dataclasses
 import logging
 import math
 import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from sdmkit import geodata
 from sdmkit.config import parse_config
 from sdmkit.errors import (
     DataError,
+    SdmkitError,
     FormatError,
     MissingModalityError,
     ProjectionDomainError,
@@ -170,7 +173,8 @@ class TestReadCsv:
     def test_csv_error_names_row(self, tmp_path, monkeypatch):
         """A csv.Error becomes a FormatError naming the row. With the field limit
         at 2**31 - 1 a real file needs a 2 GiB field to raise one, so the parser
-        is made to fail on row 3."""
+        is made to fail on row 3. The quoted field sends the table past the
+        block reader to csv.reader."""
         real_reader = csv.reader
 
         def failing_reader(fh):
@@ -180,7 +184,7 @@ class TestReadCsv:
                 yield fields
 
         monkeypatch.setattr(csv, "reader", failing_reader)
-        path = write_obs(tmp_path, ["s1,3.0,43.0,5", "s2,1.0,1.0,2"])
+        path = write_obs(tmp_path, ['"s1",3.0,43.0,5', "s2,1.0,1.0,2"])
         with pytest.raises(FormatError, match=r"obs\.csv row 3: injected parse error"):
             load_observations(path, num_classes=10)
 
@@ -194,6 +198,162 @@ class TestReadCsv:
         path.write_bytes(b"surveyId,lon,lat,speciesId\ns\xe9,3.0,43.0,5\n")
         with pytest.raises(FormatError, match=r"obs\.csv: not UTF-8 text"):
             load_observations(str(path), num_classes=10)
+
+
+def spellings(value: float) -> list[str]:
+    """Texts Python's float reads as value: repr, padded, %.17g and, for a
+    whole number, the integer and one-decimal forms."""
+    texts = [repr(value), f" {value!r} ", f"{value:.17g}"]
+    if value == int(value):
+        texts += [str(int(value)), f"{int(value)}.0"]
+    return texts
+
+
+COORDINATES = st.sampled_from([0.0, -0.0, 3.0, -180.0, 90.0]) | st.floats(-90, 90)
+# fields the block reader must refuse or read as the row loop does
+ODD_FIELDS = st.sampled_from(["nan", "inf", "-inf", "1e400", "181", "-91", "abc", "", " ",
+                              "1_0", "\u0663", "-1", "5.0", "99999999999999999999999", "0x10",
+                              "\ufeff3", "a b", "s\u2028t", "s\x85t", "s\x0ct"])
+HAZARDS = ["conflict", "repeat", "short", "long", "odd", "quote", "nul", "lone_cr", "not_utf8",
+           "blank_lines", "blank_species", "minus_one_species"]
+
+
+@st.composite
+def observation_files(draw):
+    """(bytes of an observation CSV, num_classes): a valid table of up to 5
+    surveys whose rows spell the same coordinates in several ways, then up to
+    three hazards; extra columns, any column order, a BOM and CRLF endings."""
+    num_classes = draw(st.integers(1, 5))
+    surveys = [(f"s{i}", draw(COORDINATES), draw(COORDINATES))
+               for i in range(draw(st.integers(1, 5)))]
+    rows = []  # [fields in header order, line end]; no fields is a run of blank lines
+    for _ in range(draw(st.integers(0, 25))):
+        sid, lon, lat = draw(st.sampled_from(surveys))
+        rows.append([[sid, draw(st.sampled_from(spellings(lon))),
+                      draw(st.sampled_from(spellings(lat))),
+                      str(draw(st.integers(0, num_classes - 1)))], "\n"])
+    for _ in range(draw(st.integers(0, 3))):
+        hazard = draw(st.sampled_from(HAZARDS))
+        at = draw(st.integers(0, len(rows)))
+        if hazard == "conflict":
+            sid, lon, lat = draw(st.sampled_from(surveys))
+            rows.insert(at, [[sid, repr(lon), repr(draw(COORDINATES)), "0"], "\n"])
+            continue
+        if hazard == "blank_lines":
+            rows.insert(at, [[], "\n" * draw(st.integers(1, 3))])
+            continue
+        filled = [row for row in rows if row[0]]
+        if not filled:
+            continue
+        row = draw(st.sampled_from(filled))
+        fields, col = row[0], draw(st.integers(0, len(row[0]) - 1))
+        if hazard == "repeat":
+            rows.insert(at, [list(fields), row[1]])
+        elif hazard == "short":
+            del fields[col]
+        elif hazard == "long":
+            fields.insert(col, "9")
+        elif hazard == "odd":
+            fields[col] = draw(ODD_FIELDS)
+        elif hazard == "quote":  # csv.reader drops the quotes
+            fields[col] = f'"{fields[col]}"'
+        elif hazard == "nul":
+            fields[col] += "\0"
+        elif hazard == "lone_cr":
+            row[1] = "\r"
+        elif hazard == "not_utf8":  # encodes as the byte 0xff
+            fields[col] += "\udcff"
+        elif hazard == "blank_species":
+            fields[-1] = draw(st.sampled_from(["", " ", "  "]))
+        else:
+            fields[-1] = "-1"
+    extra = draw(st.lists(st.sampled_from(["note", "year", ""]), max_size=2))
+    order = draw(st.permutations(range(4 + len(extra))))
+    lines = []
+    for fields, end in [[["surveyId", "lon", "lat", "speciesId"], "\n"], *rows]:
+        cells = fields + (extra if not lines else ["x"] * len(extra)) if fields else []
+        lines.append(",".join([cells[i] for i in order if i < len(cells)]
+                              + cells[len(order):]) + end)
+    text = "".join(lines)
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    data = text.encode("utf-8", errors="surrogateescape")
+    return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + data, num_classes
+
+
+def load_outcome(load, path, num_classes):
+    try:
+        return load(path, num_classes)
+    except SdmkitError as exc:
+        return type(exc), str(exc)
+
+
+class TestObservationBlocks:
+    """load_observations reads a block of lines at a time and leaves every
+    file it does not accept whole to the row loop; either way it gives what
+    the row loop gives."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(file=observation_files(), block_chars=st.sampled_from([1, 16, 40, 100, 300, 1 << 16]))
+    def test_equal_to_row_loop(self, file, block_chars):
+        data, num_classes = file
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "obs.csv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            expected = load_outcome(geodata._load_observation_rows, path, num_classes)
+            with mock.patch.object(geodata, "_OBSERVATION_BLOCK_CHARS", block_chars):
+                assert load_outcome(load_observations, path, num_classes) == expected
+                blocks = geodata._load_observation_blocks(path, num_classes)
+            assert blocks is None or blocks == expected
+
+
+    def test_export_conventions_read_in_blocks(self, tmp_path, monkeypatch):
+        """A BOM, CRLF endings, blank lines, an extra column, padded numbers,
+        one coordinate spelled 3 and 3.0, and blank species are read by the
+        block reader, blocks splitting a survey's rows."""
+        path = tmp_path / "obs.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + "\r\n".join([
+            "note,surveyId,lon,lat,speciesId", "a,s1,3,43.5, 4 ", "", "b,s1,3.0,43.50,1",
+            "c,s2, -0.25 ,1e1,", "", "", "d,s1,3,43.5,4", "e,s3,0,-0,  ", "f,s2,-0.25,10,2", "",
+        ]).encode())
+        expected = geodata._load_observation_rows(str(path), 5)
+        assert expected.records == (
+            geodata.ObservationRecord("s1", 3.0, 43.5, frozenset({1, 4})),
+            geodata.ObservationRecord("s2", -0.25, 10.0, frozenset({2})),
+            geodata.ObservationRecord("s3", 0.0, -0.0, frozenset()),
+        )
+        monkeypatch.setattr(geodata, "_OBSERVATION_BLOCK_CHARS", 30)
+        monkeypatch.setattr(geodata, "_load_observation_rows", None)  # not called
+        assert load_observations(str(path), 5) == expected
+
+    @pytest.mark.parametrize("rows, expected", [
+        (["1,2,3", "4,5,6,7,8"], "row 2: 3 fields, the header has 4"),
+        (["s1\rs2,3.0,43.0,5"], "row 2: 1 fields, the header has 4"),
+        (['"s1,x",3.0,43.0,5', 's2,3.0,43.0,"5"'], None),
+    ], ids=["short_then_long_row", "lone_cr_in_id", "quoted_comma"])
+    def test_rows_csv_reader_sees(self, tmp_path, rows, expected):
+        """Rows as csv.reader splits them: a short and a long row do not make
+        two whole rows, a lone CR ends a row, and a quoted comma is text."""
+        path = write_obs(tmp_path, rows)
+        if expected is None:
+            assert load_observations(path, 10).survey_ids() == ["s1,x", "s2"]
+        else:
+            with pytest.raises(FormatError, match=f"obs\\.csv {expected}$"):
+                load_observations(path, 10)
+
+    def test_minus_one_species_is_not_blank(self, tmp_path):
+        path = write_obs(tmp_path, ["s1,3.0,43.0,", "s1,3.0,43.0,-1"])
+        with pytest.raises(DataError, match=r"obs\.csv row 3: speciesId -1 outside \[0, 10\)"):
+            load_observations(path, num_classes=10)
+
+    def test_conflict_in_later_block_rejected(self, tmp_path, monkeypatch):
+        rows = ["s1,3.0,43.0,5"] + [f"f{i},1.0,1.0,2" for i in range(20)] + ["s1,3.0,43.25,7"]
+        path = write_obs(tmp_path, rows)
+        monkeypatch.setattr(geodata, "_OBSERVATION_BLOCK_CHARS", 40)
+        with pytest.raises(DataError, match=r"obs\.csv row 23: survey 's1' at \(3\.0, 43\.25\) "
+                                            r"conflicts with \(3\.0, 43\.0\) in row 2"):
+            load_observations(path, num_classes=10)
 
 
 class TestTransformPoint:
