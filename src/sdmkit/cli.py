@@ -37,8 +37,15 @@ def _check_clobber(path: str, force: bool) -> None:
         raise SdmkitError(f"refusing to overwrite {path!r} (pass --force)")
 
 
+def _check_out_dir(path: str) -> None:
+    """Refuse an output directory path that exists as something other than a directory."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise SdmkitError(f"output directory {path!r} exists and is not a directory")
+
+
 def cmd_train(args) -> int:
     cfg = _apply_seed_override(load_config(args.config), args.seed)
+    _check_out_dir(args.out or cfg.trainer.output_dir)
     data = load_data(cfg)
     split = resolve_split(cfg, data.table)
     train_source = data.source_for(split.partition("train"))
@@ -66,6 +73,7 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     out_dir = args.out or os.path.dirname(os.path.abspath(args.predictions))
+    _check_out_dir(out_dir)
     json_path = os.path.join(out_dir, "report.json")
     txt_path = os.path.join(out_dir, "report.txt")
     _check_clobber(json_path, args.force)
@@ -190,10 +198,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SdmkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (SdmkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

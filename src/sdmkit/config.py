@@ -17,7 +17,9 @@ import yaml
 
 from .errors import ConfigParseError, ConfigValidationError
 
-TASK_TYPES = ("binary", "multiclass", "multilabel")
+# Every task trains per-class sigmoid BCE and scores with expit, so there is
+# no multiclass (softmax) task.
+TASK_TYPES = ("binary", "multilabel")
 
 # Defaults from the baseline training recipe.
 DEFAULT_EPOCHS = 20

@@ -41,9 +41,6 @@ METRIC_COLUMNS = [
 class TrainState:
     epoch: int = 0
     best_val_loss: float = math.inf
-    global_step: int = 0
-    rng_seed: int = 0
-    lr_current: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -62,12 +59,6 @@ def expit(z: np.ndarray) -> np.ndarray:
     """Logistic sigmoid; exactly 0 or 1, without a warning, once exp overflows."""
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-z))
-
-
-def softmax(z: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, shifted by the row max so exp never overflows."""
-    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def weighted_bce_logits(logits: np.ndarray, labels: np.ndarray,
@@ -152,12 +143,6 @@ def make_batches(n: int, batch_size: int, shuffle: bool, seed: int,
     return [indices[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-def link_function(task_type: str, logits: np.ndarray) -> np.ndarray:
-    if task_type == "multiclass":
-        return softmax(logits)
-    return expit(logits)
-
-
 def arch_digest(cfg: ExperimentConfig) -> str:
     """Digest of the architecture-determining sections (model + task)."""
     canon = json.dumps({"model": asdict(cfg.model), "task": asdict(cfg.task)},
@@ -182,31 +167,24 @@ def _replaced_on_success(path: str, mode: str, **kwargs):
         raise
 
 
-def save_checkpoint(path: str, model, optimizer: AdamW | None, state: TrainState,
+def save_checkpoint(path: str, model, optimizer, state: TrainState,
                     cfg: ExperimentConfig) -> None:
-    arrays = {}
-    for name, param, _ in model.named_params():
-        arrays[f"param/{name}"] = param
-    if optimizer is not None:
-        for name, m in optimizer.m.items():
-            arrays[f"opt_m/{name}"] = m
-        for name, v in optimizer.v.items():
-            arrays[f"opt_v/{name}"] = v
-    meta = {
-        "state": asdict(state),
-        "arch_digest": arch_digest(cfg),
-        "config_digest": config_digest(cfg),
-        "opt_t": optimizer.t if optimizer is not None else 0,
-    }
+    """Write the model's params as param/<name> arrays and a JSON meta record
+    (state, architecture and config digests). optimizer is ignored: nothing
+    loads optimizer state, and the parameter stays only so that callers that
+    pass five arguments, such as perfbench's input set-up, keep working."""
+    arrays = {f"param/{name}": param for name, param, _ in model.named_params()}
+    meta = {"state": asdict(state), "arch_digest": arch_digest(cfg),
+            "config_digest": config_digest(cfg)}
     arrays["meta"] = np.array(json.dumps(meta))
     with _replaced_on_success(path, "wb") as fh:
         np.savez(fh, **arrays)
 
 
-def load_checkpoint(path: str, model, cfg: ExperimentConfig,
-                    optimizer: AdamW | None = None) -> TrainState:
+def load_checkpoint(path: str, model, cfg: ExperimentConfig) -> TrainState:
     """Restore weights into model, checking the architecture digest and each
-    param's shape and dtype."""
+    param's shape and dtype. Checkpoints that also hold optimizer state or
+    more state fields load the same way; those extras are ignored."""
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         if meta["arch_digest"] != arch_digest(cfg):
@@ -231,14 +209,8 @@ def load_checkpoint(path: str, model, cfg: ExperimentConfig,
             raise CheckpointMismatchError(f"{path}: " + "; ".join(mismatches))
         for name, param, _ in model.named_params():
             param[...] = stored[name]
-        if optimizer is not None:
-            optimizer.t = meta.get("opt_t", 0)
-            for k in data.files:
-                if k.startswith("opt_m/"):
-                    optimizer.m[k[len("opt_m/"):]] = data[k].copy()
-                elif k.startswith("opt_v/"):
-                    optimizer.v[k[len("opt_v/"):]] = data[k].copy()
-    return TrainState(**meta["state"])
+    state = meta["state"]
+    return TrainState(epoch=state["epoch"], best_val_loss=state["best_val_loss"])
 
 
 def _epoch_loss_pass(model, source, batches, pos_weight: float, optimizer=None,
@@ -291,14 +263,14 @@ def fit(cfg: ExperimentConfig, model, train_source, val_source,
     os.makedirs(run_dir)
     with open(os.path.join(run_dir, "config.yaml"), "w", encoding="utf-8") as fh:
         fh.write(render_config(cfg))
-    state = TrainState(rng_seed=seed)
+    state = TrainState()
     metrics_path = os.path.join(run_dir, "metrics.csv")
     with open(metrics_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "lr", "train_loss", "val_loss"] + METRIC_COLUMNS)
         for epoch in range(cfg.trainer.epochs):
             lr = cosine_lr(epoch, sched)
-            state.epoch, state.lr_current = epoch, lr
+            state.epoch = epoch
             train_batches = make_batches(
                 len(train_source), cfg.data.batch_size, shuffle=True, seed=seed, epoch=epoch
             )
@@ -309,7 +281,6 @@ def fit(cfg: ExperimentConfig, model, train_source, val_source,
                 raise SdmkitError(
                     f"epoch {epoch}: training loss non-finite for the full epoch; aborting"
                 )
-            state.global_step += len(train_batches)
             val_batches = make_batches(
                 len(val_source), cfg.data.batch_size, shuffle=False, seed=seed
             )
@@ -322,10 +293,12 @@ def fit(cfg: ExperimentConfig, model, train_source, val_source,
             row += [repr(getattr(report, col)) for col in METRIC_COLUMNS]
             writer.writerow(row)
             fh.flush()
-            save_checkpoint(os.path.join(run_dir, "last.ckpt"), model, optimizer, state, cfg)
-            if val_loss < state.best_val_loss:
+            improved = val_loss < state.best_val_loss
+            if improved:  # before both writes, so last.ckpt records the new best too
                 state.best_val_loss = val_loss
-                save_checkpoint(os.path.join(run_dir, "best.ckpt"), model, optimizer, state, cfg)
+            save_checkpoint(os.path.join(run_dir, "last.ckpt"), model, None, state, cfg)
+            if improved:
+                save_checkpoint(os.path.join(run_dir, "best.ckpt"), model, None, state, cfg)
             if cfg.trainer.log_interval and epoch % cfg.trainer.log_interval == 0:
                 log.info(
                     "epoch %d/%d lr=%.3e train_loss=%.5f val_loss=%.5f micro_auc=%.4f",
@@ -347,7 +320,7 @@ def predict(cfg: ExperimentConfig, model, weights_path: str, test_source,
         batch = collate(test_source, batch_idx)
         logits.append(model.forward(batch, training=False))
         ids += batch["survey_ids"]
-    scores = link_function(cfg.task.type, np.concatenate(logits, dtype=np.float64))
+    scores = expit(np.concatenate(logits, dtype=np.float64))
     predictions = Predictions.from_scores(ids, scores, cfg.task.top_k)
     if out_path:
         save_predictions(predictions, out_path)
@@ -355,7 +328,9 @@ def predict(cfg: ExperimentConfig, model, weights_path: str, test_source,
 
 
 def save_predictions(predictions: Predictions, path: str) -> None:
-    """predictions.csv: surveyId, topk ids (rank order), all class scores."""
+    """predictions.csv: surveyId, topk ids (rank order), all class scores.
+    A missing directory is created."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with _replaced_on_success(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["surveyId", "topk", "scores"])

@@ -93,25 +93,21 @@ def _web_mercator(lon, lat):
     return x, y
 
 
-# CRS registry: identifier -> (lon, lat) -> (x, y) in CRS units.
-# Extensible via register_crs; only point transforms, rasters are never warped.
-_CRS_REGISTRY = {
+# CRS identifier -> (lon, lat) -> (x, y) in CRS units; only point transforms,
+# rasters are never warped.
+_CRS_TRANSFORMS = {
     "EPSG:4326": _wgs84_identity,
     "EPSG:3857": _web_mercator,
 }
 
 
-def register_crs(identifier: str, transform) -> None:
-    _CRS_REGISTRY[identifier] = transform
-
-
 def transform_point(lon: float, lat: float, crs: str) -> tuple[float, float]:
     """Transform a WGS84 point into the target CRS."""
     try:
-        fn = _CRS_REGISTRY[crs]
+        fn = _CRS_TRANSFORMS[crs]
     except KeyError:
         raise UnsupportedCrsError(
-            f"CRS {crs!r} not registered; available: {sorted(_CRS_REGISTRY)}"
+            f"CRS {crs!r} is not one of {sorted(_CRS_TRANSFORMS)}"
         ) from None
     return fn(lon, lat)
 

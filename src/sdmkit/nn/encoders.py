@@ -129,9 +129,6 @@ class SinusoidalLocationEncoder(Linear):
         self.grads["b"] = dout.sum(axis=0)
         return np.zeros((dout.shape[0], 2))  # coordinates are not trainable
 
-    def encode(self, lon: float, lat: float) -> np.ndarray:
-        return self.forward(np.array([[lon, lat]]))[0]
-
 
 def _location_factory(input_shape, embedding_dim, rng):
     seed = int(rng.integers(0, 2**31 - 1))

@@ -69,9 +69,6 @@ class Module:
             if isinstance(module, Dropout):
                 module.rng = rng
 
-    def param_count(self) -> int:
-        return int(sum(v.size for _, v, _ in self.named_params()))
-
 
 class Linear(Module):
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):

@@ -329,6 +329,46 @@ def test_rejected_input_one_error_line(synthetic_dir, tmp_path, capsys, write):
     assert not os.path.exists(tmp_path / "report.json")
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+def test_out_path_one_error_line_or_created(synthetic_dir, tmp_path, capsys, monkeypatch,
+                                            command):
+    """train and evaluate refuse an --out that is a regular file with one error
+    line naming it, before any data is read; predict creates a missing --out
+    directory instead of failing on its temporary file."""
+    cfg_path = os.path.join(synthetic_dir, "config.yaml")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    if command == "predict":
+        cfg = load_config(cfg_path)
+        weights = str(tmp_path / "w.ckpt")
+        engine.save_checkpoint(weights, build_model(cfg, load_data(cfg).cube_shapes()), None,
+                               engine.TrainState(), cfg)
+        out = tmp_path / "missing" / "p.csv"
+        assert main(["predict", "--config", cfg_path, "--weights", weights,
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out.split() == [str(out)]
+        assert engine.load_predictions(str(out)).scores.shape[1] == cfg.task.num_classes
+        return
+
+    def no_data_read(*args, **kwargs):
+        raise AssertionError("data read before --out was checked")
+
+    monkeypatch.setattr("sdmkit.cli.load_data", no_data_read)
+    monkeypatch.setattr(engine, "load_predictions", no_data_read)
+    if command == "train":
+        argv = ["train", "--config", cfg_path, "--out", str(taken)]
+    else:
+        pred = tmp_path / "p.csv"
+        write_predictions(synthetic_dir, pred)
+        argv = ["evaluate", "--predictions", str(pred),
+                "--labels", os.path.join(synthetic_dir, "observations.csv"),
+                "--k", "3", "--out", str(taken)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: output directory {str(taken)!r} exists and is not a directory"]
+
+
 def test_cli_import_loads_only_declared_deps():
     # importing the CLI may load the standard library and the declared runtime
     # deps (numpy, pyyaml) only; Cython extensions add their runtime modules

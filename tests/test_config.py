@@ -3,7 +3,7 @@ import re
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdmkit.config import (
@@ -157,21 +157,26 @@ def test_digest_ignores_document_key_order():
     top_k=st.integers(-2, 60),
     num_classes=st.integers(1, 50),
     dropout=st.floats(-0.5, 1.5, allow_nan=False),
+    task_type=st.sampled_from(["binary", "multilabel", "multiclass"]),
 )
+@example(epochs=1, batch=1, top_k=1, num_classes=1, dropout=0.0, task_type="multiclass")
 @settings(max_examples=200, deadline=None)
-def test_validation_rejects_every_invariant_violation(epochs, batch, top_k, num_classes, dropout):
+def test_validation_rejects_every_invariant_violation(epochs, batch, top_k, num_classes, dropout,
+                                                      task_type):
     cfg = parse_config(MINIMAL)
     cfg = dataclasses.replace(
         cfg,
         trainer=dataclasses.replace(cfg.trainer, epochs=epochs),
         data=dataclasses.replace(cfg.data, batch_size=batch),
-        task=dataclasses.replace(cfg.task, top_k=top_k, num_classes=num_classes),
+        task=dataclasses.replace(cfg.task, type=task_type, top_k=top_k,
+                                 num_classes=num_classes),
         model=dataclasses.replace(
             cfg.model, fusion=dataclasses.replace(cfg.model.fusion, dropout=dropout)
         ),
     )
     valid = (
-        epochs >= 1
+        task_type != "multiclass"  # training is per-class sigmoid BCE only
+        and epochs >= 1
         and batch >= 1
         and 1 <= top_k <= num_classes
         and 0.0 <= dropout < 1.0
@@ -179,7 +184,9 @@ def test_validation_rejects_every_invariant_violation(epochs, batch, top_k, num_
     if valid:
         validate_config(cfg)
     else:
-        with pytest.raises(ConfigValidationError):
+        # task.type is checked first, so a multiclass config is rejected naming it
+        with pytest.raises(ConfigValidationError,
+                           match="^task.type" if task_type == "multiclass" else None):
             validate_config(cfg)
 
 

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import os
 import tempfile
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdmkit import engine
-from sdmkit.config import parse_config
+from sdmkit.config import config_digest, parse_config
 from sdmkit.engine import (
     AdamW,
     ScheduleSpec,
@@ -94,21 +95,6 @@ class TestLinkFunctions:
         assert grad[0, 0] == 0.0 and grad[0, 1] == 0.0
         assert grad[1, 0] == pytest.approx(-10.0 / self.Z.size)
         assert grad[1, 1] == pytest.approx(1.0 / self.Z.size)
-
-    def test_multiclass_softmax_saturates_without_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            probs = engine.link_function("multiclass", self.Z)
-        assert np.all(np.isfinite(probs))
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-15)
-        np.testing.assert_array_equal(probs, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-
-    def test_softmax_rows_sum_to_one(self):
-        z = np.random.default_rng(0).normal(scale=5.0, size=(6, 9))
-        probs = engine.softmax(z)
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-14)
-        ref = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(probs, ref, rtol=1e-12)
 
 
 class TestCosineLr:
@@ -234,6 +220,11 @@ def read_metrics(run_dir):
         return list(csv.DictReader(fh))
 
 
+def read_checkpoint_meta(path):
+    with np.load(path, allow_pickle=False) as ck:
+        return json.loads(str(ck["meta"]))
+
+
 class TestFit:
     def test_artifacts_and_row_count(self, tiny_experiment, tmp_path):
         cfg, data, train, val = tiny_experiment
@@ -259,14 +250,35 @@ class TestFit:
         run_dir = engine.fit(cfg, model, train, val, out_root=str(tmp_path))
         rows = read_metrics(run_dir)
         best_epoch = min(range(len(rows)), key=lambda i: float(rows[i]["val_loss"]))
-        with np.load(os.path.join(run_dir, "best.ckpt"), allow_pickle=False) as ck:
-            import json
-
-            meta = json.loads(str(ck["meta"]))
+        meta = read_checkpoint_meta(os.path.join(run_dir, "best.ckpt"))
         assert meta["state"]["epoch"] == best_epoch
         assert meta["state"]["best_val_loss"] == pytest.approx(
             min(float(r["val_loss"]) for r in rows)
         )
+
+    def test_last_ckpt_records_best_val_loss(self, tiny_experiment, tmp_path):
+        """At an epoch whose val loss improves, last.ckpt records that loss as
+        the best, as best.ckpt does."""
+        cfg, data, train, val = tiny_experiment
+        run_dir = engine.fit(cfg, build_model(cfg, data.cube_shapes()), train, val,
+                             out_root=str(tmp_path))
+        losses = [float(r["val_loss"]) for r in read_metrics(run_dir)]
+        assert losses[-1] == min(losses)  # the last epoch improves
+        for name in ("last.ckpt", "best.ckpt"):
+            state = read_checkpoint_meta(os.path.join(run_dir, name))["state"]
+            assert state == {"epoch": len(losses) - 1, "best_val_loss": losses[-1]}, name
+
+    def test_checkpoints_hold_only_params_and_meta(self, tiny_experiment, tmp_path):
+        cfg, data, train, val = tiny_experiment
+        model = build_model(cfg, data.cube_shapes())
+        run_dir = engine.fit(cfg, model, train, val, out_root=str(tmp_path))
+        expected = ["meta", *(f"param/{name}" for name, _, _ in model.named_params())]
+        for name in ("last.ckpt", "best.ckpt"):
+            with np.load(os.path.join(run_dir, name), allow_pickle=False) as ck:
+                assert sorted(ck.files) == sorted(expected), name
+                meta = json.loads(str(ck["meta"]))
+            assert sorted(meta) == ["arch_digest", "config_digest", "state"]
+            assert sorted(meta["state"]) == ["best_val_loss", "epoch"]
 
     def test_rerun_reproduces_loss_column(self, tiny_experiment, tmp_path):
         cfg, data, train, val = tiny_experiment
@@ -301,12 +313,11 @@ class TestCheckpointAndPredict:
     def test_round_trip_weights(self, tiny_experiment, tmp_path):
         cfg, data, train, val = tiny_experiment
         model = build_model(cfg, data.cube_shapes())
-        state = TrainState(epoch=2, best_val_loss=0.5, rng_seed=cfg.run.seed)
         path = str(tmp_path / "w.ckpt")
-        save_checkpoint(path, model, AdamW(), state, cfg)
+        save_checkpoint(path, model, None, TrainState(epoch=2, best_val_loss=0.5), cfg)
         clone = build_model(cfg, data.cube_shapes())
         loaded = load_checkpoint(path, clone, cfg)
-        assert loaded.epoch == 2
+        assert loaded == TrainState(epoch=2, best_val_loss=0.5)
         for (na, pa, _), (nb, pb, _) in zip(model.named_params(), clone.named_params()):
             assert na == nb
             np.testing.assert_array_equal(pa, pb)
@@ -324,6 +335,31 @@ class TestCheckpointAndPredict:
         clone = build_model(other, data.cube_shapes())
         with pytest.raises(CheckpointMismatchError):
             load_checkpoint(path, clone, other)
+
+    def test_checkpoint_with_optimizer_state_loads(self, tiny_experiment, tmp_path):
+        """A checkpoint in the earlier layout (AdamW moments, step count and five
+        state fields) loads, and predicts the same scores as the current one."""
+        cfg, data, train, val = tiny_experiment
+        model = build_model(cfg, data.cube_shapes())
+        new = str(tmp_path / "new.ckpt")
+        save_checkpoint(new, model, None, TrainState(epoch=4, best_val_loss=0.75), cfg)
+        arrays = {}
+        for prefix, fill in (("param", None), ("opt_m", 0.5), ("opt_v", 2.0)):
+            for name, param, _ in model.named_params():
+                arrays[f"{prefix}/{name}"] = param if fill is None else np.full_like(param, fill)
+        state = {"epoch": 4, "best_val_loss": 0.75, "global_step": 40, "rng_seed": cfg.run.seed,
+                 "lr_current": 1e-4}
+        arrays["meta"] = np.array(json.dumps({
+            "state": state, "arch_digest": engine.arch_digest(cfg),
+            "config_digest": config_digest(cfg), "opt_t": 40}))
+        old = str(tmp_path / "old.ckpt")
+        with open(old, "wb") as fh:  # a path would gain a .npz suffix
+            np.savez(fh, **arrays)
+        assert load_checkpoint(old, build_model(cfg, data.cube_shapes()), cfg) == TrainState(
+            epoch=4, best_val_loss=0.75)
+        scores = [engine.predict(cfg, build_model(cfg, data.cube_shapes()), path, val).scores
+                  for path in (old, new)]
+        np.testing.assert_array_equal(scores[0], scores[1])
 
     def test_predict_matches_in_training_forward(self, tiny_experiment, tmp_path):
         cfg, data, train, val = tiny_experiment

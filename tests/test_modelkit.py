@@ -21,6 +21,10 @@ def rng():
     return np.random.default_rng(0)
 
 
+def param_count(module) -> int:
+    return sum(param.size for _, param, _ in module.named_params())
+
+
 class TestBuildEncoder:
     def test_micro_conv2d_shape(self):
         enc = build_encoder("builtin", "micro_conv2d", (4, 32, 32), 64, rng())
@@ -43,7 +47,7 @@ class TestBuildEncoder:
 
     def test_finite_parameter_count(self):
         enc = build_encoder("builtin", "micro_conv2d", (4, 32, 32), 64, rng())
-        assert enc.param_count() > 0
+        assert param_count(enc) > 0
 
 
 class TestModifyFirstLayer:
@@ -75,10 +79,10 @@ class TestModifyFirstLayer:
 
     def test_param_count_delta(self):
         enc = build_encoder("builtin", "micro_conv2d", (3, 32, 32), 32, rng())
-        before = enc.param_count()
+        before = param_count(enc)
         modify_first_layer(enc, 6)
         # (new - old) * per-channel filter size * num filters
-        assert enc.param_count() - before == (6 - 3) * 9 * 8
+        assert param_count(enc) - before == (6 - 3) * 9 * 8
 
     def test_no_spatial_layer(self):
         mlp = build_encoder("builtin", "micro_mlp", (10,), 8, rng())
@@ -320,8 +324,8 @@ class TestLocationEncoder:
 
     def test_determinism(self):
         enc = SinusoidalLocationEncoder(16, 4, seed=3)
-        a = enc.encode(3.05, 43.61)
-        b = enc.encode(3.05, 43.61)
+        a = enc.forward(np.array([[3.05, 43.61]]))[0]
+        b = enc.forward(np.array([[3.05, 43.61]]))[0]
         np.testing.assert_array_equal(a, b)
 
     def test_injectivity_probe(self):
@@ -329,12 +333,14 @@ class TestLocationEncoder:
         g = np.random.default_rng(2)
         for _ in range(20):
             lon, lat = g.uniform(-90, 90, size=2)
-            assert not np.allclose(enc.encode(lon, lat), enc.encode(lon, lat + 0.01))
+            assert not np.allclose(enc.forward(np.array([[lon, lat]]))[0],
+                                   enc.forward(np.array([[lon, lat + 0.01]]))[0])
 
     def test_same_seed_same_encoder(self):
         a = SinusoidalLocationEncoder(8, 2, seed=5)
         b = SinusoidalLocationEncoder(8, 2, seed=5)
-        np.testing.assert_array_equal(a.encode(1.0, 2.0), b.encode(1.0, 2.0))
+        np.testing.assert_array_equal(a.forward(np.array([[1.0, 2.0]]))[0],
+                                      b.forward(np.array([[1.0, 2.0]]))[0])
 
     def test_usable_as_mme_modality(self):
         enc = SinusoidalLocationEncoder(32, 4, seed=0)
