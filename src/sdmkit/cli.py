@@ -16,9 +16,8 @@ import sys
 
 from . import engine, evalkit
 from .config import load_config
-from .errors import SdmkitError
-from .geodata import (TaggedLayer, build_time_series_cubes, load_observations, load_raster,
-                      multi_hot, read_csv)
+from .errors import FormatError, SdmkitError
+from .geodata import build_time_series_cubes, load_observations, load_raster, multi_hot, read_csv
 from .pipeline import build_model, load_data, resolve_split
 from .split import block_holdout, save_split
 from .synthetic import default_config_yaml, make_synthetic
@@ -117,16 +116,18 @@ def cmd_build_cubes(args) -> int:
     _check_clobber(args.out, args.force)
     with open(args.layers, encoding="utf-8") as fh:
         entries = json.load(fh)
+    first = {}  # (band, step, year) -> index of the entry that tags it
+    for i, entry in enumerate(entries):
+        tag = (entry["band"], entry["step"], entry["year"])
+        if first.setdefault(tag, i) != i:
+            raise FormatError(f"{args.layers}: entry {i} ({entry['header']}) repeats the "
+                              f"(band, step, year) {tag} of entry {first[tag]} "
+                              f"({entries[first[tag]]['header']})")
     base = os.path.dirname(args.layers)
-    tagged = [
-        TaggedLayer(
-            layer=load_raster(os.path.join(base, e["header"])),
-            band=e["band"], step=e["step"], year=e["year"],
-        )
-        for e in entries
-    ]
+    layers = {tag: load_raster(os.path.join(base, entries[i]["header"]))
+              for tag, i in first.items()}
     table = load_observations(args.observations, args.num_classes)
-    build_time_series_cubes(tagged, table, shape, args.out)
+    build_time_series_cubes(layers, table, shape, args.out)
     print(args.out)
     return 0
 

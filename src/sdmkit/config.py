@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+import typing
+from dataclasses import asdict, dataclass, field, is_dataclass
 
 import yaml
 
@@ -99,33 +100,46 @@ class ExperimentConfig:
     optimizer: OptimizerSection = field(default_factory=OptimizerSection)
 
 
-def _build_section(cls, raw: dict, where: str):
+def _mapping(raw, where: str) -> dict:
+    """raw, which must be a mapping; null reads as empty."""
+    if raw is None:
+        return {}
     if not isinstance(raw, dict):
         raise ConfigValidationError(f"{where}: expected a mapping, got {type(raw).__name__}")
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(raw) - allowed
+    return raw
+
+
+def _build_section(cls, raw, where: str):
+    """Build the dataclass cls from the mapping raw, each value checked
+    against its field's annotation; where is the dotted key of raw, empty at
+    the top level."""
+    raw = _mapping(raw, where)
+    hints = typing.get_type_hints(cls)
+    unknown = set(raw) - set(hints)
     if unknown:
-        raise ConfigValidationError(
-            f"{where}: unknown key(s) {sorted(unknown)}; allowed: {sorted(allowed)}"
-        )
-    return cls(**raw)
+        what = f"{where}: unknown key(s)" if where else "unknown top-level section(s)"
+        raise ConfigValidationError(f"{what} {sorted(unknown)}; allowed: {sorted(hints)}")
+    return cls(**{key: _build_value(hints[key], value, f"{where}.{key}" if where else key)
+                  for key, value in raw.items()})
 
 
-def _build_model_section(raw: dict) -> ModelSection:
-    raw = dict(raw)
-    encoders_raw = raw.pop("encoders", {})
-    fusion_raw = raw.pop("fusion", {})
-    base = _build_section(ModelSection, raw, "model") if raw else ModelSection()
-    encoders = {
-        name: _build_section(EncoderSection, enc or {}, f"model.encoders.{name}")
-        for name, enc in (encoders_raw or {}).items()
-    }
-    return ModelSection(
-        provider=base.provider,
-        name=base.name,
-        encoders=encoders,
-        fusion=_build_section(FusionSection, fusion_raw or {}, "model.fusion"),
-    )
+def _build_value(hint, value, where: str):
+    """value as the annotation hint reads it: a section, a mapping, or a
+    scalar of the annotated type, where float accepts int and no number
+    accepts bool."""
+    if is_dataclass(hint):
+        return _build_section(hint, value, where)
+    if typing.get_origin(hint) is dict:
+        key_type, item_type = typing.get_args(hint)
+        return {_build_value(key_type, key, where): _build_value(item_type, item, f"{where}.{key}")
+                for key, item in _mapping(value, where).items()}
+    types = typing.get_args(hint) or (hint,)  # str | None -> (str, NoneType)
+    accepted = types + (int,) if float in types else types
+    if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in types):
+        names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+        raise ConfigValidationError(f"{where}: expected {names}, got {type(value).__name__} "
+                                    f"{value!r}")
+    return value
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -177,16 +191,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigValidationError("optimizer.pos_weight: must be >= 0")
 
 
-_SECTIONS = {
-    "run": RunSection,
-    "data": DataSection,
-    "task": TaskSection,
-    "trainer": TrainerSection,
-    "model": None,  # special-cased for nesting
-    "optimizer": OptimizerSection,
-}
-
-
 def parse_config(text: str) -> ExperimentConfig:
     """Parse a YAML experiment document into a validated ExperimentConfig.
 
@@ -201,22 +205,10 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigParseError(f"malformed configuration document{line}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigParseError("configuration document must be a mapping of sections")
-    unknown = set(raw) - set(_SECTIONS)
-    if unknown:
-        raise ConfigValidationError(
-            f"unknown top-level section(s) {sorted(unknown)}; allowed: {sorted(_SECTIONS)}"
-        )
+    cfg = _build_section(ExperimentConfig, raw, "")
     for required in ("data", "task"):
         if required not in raw:
             raise ConfigValidationError(f"missing required section {required!r}")
-    kwargs = {}
-    for name, cls in _SECTIONS.items():
-        section_raw = raw.get(name) or {}
-        if name == "model":
-            kwargs[name] = _build_model_section(section_raw)
-        else:
-            kwargs[name] = _build_section(cls, section_raw, name)
-    cfg = ExperimentConfig(**kwargs)
     validate_config(cfg)
     return cfg
 
@@ -226,20 +218,17 @@ def load_config(path: str) -> ExperimentConfig:
         return parse_config(fh.read())
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return asdict(cfg)
-
-
 def render_config(cfg: ExperimentConfig) -> str:
     """Render a config back to YAML such that parse(render(cfg)) == cfg."""
-    return yaml.safe_dump(config_to_dict(cfg), sort_keys=True)
+    return yaml.safe_dump(asdict(cfg), sort_keys=True)
 
 
-def config_digest(cfg: ExperimentConfig, length: int = 12) -> str:
-    """Deterministic short hash of the canonicalized config.
+def config_digest(cfg: ExperimentConfig) -> str:
+    """Deterministic 8-hex-digit hash of the canonicalized config, which
+    names the run directory.
 
     Canonical form: keys sorted lexicographically, numbers in shortest
     round-trip decimal form (json repr of Python floats/ints).
     """
-    canon = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:length]
+    canon = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:8]

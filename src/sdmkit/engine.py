@@ -43,13 +43,6 @@ class TrainState:
     best_val_loss: float = math.inf
 
 
-@dataclass(frozen=True)
-class ScheduleSpec:
-    eta_max: float
-    eta_min: float = 0.0
-    t_max: int = 25
-
-
 def _check_binary(labels: np.ndarray) -> None:
     if not np.all((labels == 0) | (labels == 1)):
         raise SdmkitError("labels must be binary (0/1)")
@@ -83,12 +76,18 @@ def weighted_bce_logits_grad(logits: np.ndarray, labels: np.ndarray,
     return grad / logits.size
 
 
-def cosine_lr(t: int, spec: ScheduleSpec) -> float:
-    """Cosine annealing on the epoch clock."""
-    if t < 0 or t > spec.t_max:
-        log.warning("cosine_lr: epoch %d outside [0, %d], clamping", t, spec.t_max)
-        t = min(max(t, 0), spec.t_max)
-    return spec.eta_min + (spec.eta_max - spec.eta_min) * (1 + math.cos(math.pi * t / spec.t_max)) / 2
+def cosine_lr(t: int, eta_max: float, t_max: int) -> float:
+    """Cosine annealing from eta_max at epoch 0 to zero at epoch t_max."""
+    if t < 0 or t > t_max:
+        log.warning("cosine_lr: epoch %d outside [0, %d], clamping", t, t_max)
+        t = min(max(t, 0), t_max)
+    return eta_max * (1 + math.cos(math.pi * t / t_max)) / 2
+
+
+# AdamW's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class AdamW:
@@ -98,10 +97,8 @@ class AdamW:
     in-place model use; steps with non-finite gradients are skipped whole.
     """
 
-    def __init__(self, weight_decay: float = 0.0, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, weight_decay: float = 0.0):
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
@@ -114,18 +111,18 @@ class AdamW:
                 log.warning("AdamW: non-finite gradient in %s; step skipped", name)
                 return False
         self.t += 1
-        bc1 = 1 - self.beta1**self.t
-        bc2 = 1 - self.beta2**self.t
+        bc1 = 1 - ADAM_BETA1**self.t
+        bc2 = 1 - ADAM_BETA2**self.t
         for name, param, grad in triples:
             m = self.m.setdefault(name, np.zeros_like(param))
             v = self.v.setdefault(name, np.zeros_like(param))
-            m *= self.beta1
-            m += (1 - self.beta1) * grad
-            v *= self.beta2
-            v += (1 - self.beta2) * grad * grad
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * grad
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * grad * grad
             if self.weight_decay:  # decays theta_{t-1}, before the update
                 param *= 1 - lr * self.weight_decay
-            param -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            param -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         return True
 
 
@@ -170,12 +167,11 @@ def _replaced_on_success(path: str, mode: str, **kwargs):
 def save_checkpoint(path: str, model, optimizer, state: TrainState,
                     cfg: ExperimentConfig) -> None:
     """Write the model's params as param/<name> arrays and a JSON meta record
-    (state, architecture and config digests). optimizer is ignored: nothing
-    loads optimizer state, and the parameter stays only so that callers that
-    pass five arguments, such as perfbench's input set-up, keep working."""
+    (state and architecture digest). optimizer is ignored: nothing loads
+    optimizer state, and the parameter stays only so that callers that pass
+    five arguments, such as perfbench's input set-up, keep working."""
     arrays = {f"param/{name}": param for name, param, _ in model.named_params()}
-    meta = {"state": asdict(state), "arch_digest": arch_digest(cfg),
-            "config_digest": config_digest(cfg)}
+    meta = {"state": asdict(state), "arch_digest": arch_digest(cfg)}
     arrays["meta"] = np.array(json.dumps(meta))
     with _replaced_on_success(path, "wb") as fh:
         np.savez(fh, **arrays)
@@ -183,8 +179,9 @@ def save_checkpoint(path: str, model, optimizer, state: TrainState,
 
 def load_checkpoint(path: str, model, cfg: ExperimentConfig) -> TrainState:
     """Restore weights into model, checking the architecture digest and each
-    param's shape and dtype. Checkpoints that also hold optimizer state or
-    more state fields load the same way; those extras are ignored."""
+    param's shape and dtype. Checkpoints that also hold optimizer state, more
+    state fields or a config digest load the same way; those extras are
+    ignored."""
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         if meta["arch_digest"] != arch_digest(cfg):
@@ -213,35 +210,51 @@ def load_checkpoint(path: str, model, cfg: ExperimentConfig) -> TrainState:
     return TrainState(epoch=state["epoch"], best_val_loss=state["best_val_loss"])
 
 
-def _epoch_loss_pass(model, source, batches, pos_weight: float, optimizer=None,
-                     lr: float = 0.0, training: bool = False):
-    """Run one pass; returns (mean loss, score rows, label rows, survey ids).
-    Losses and scores are computed in float64 from the model's logits; the
-    loss gradient goes back in the logits' dtype."""
-    total, count = 0.0, 0
-    logits_all, labels_all, ids = [], [], []
+def _forward_batches(model, source, batches, training: bool = False):
+    """Yield (survey ids, labels, logits) of each batch in turn: collate, then
+    the model's forward. labels is None for a source in predict mode. Only
+    the batch being yielded is held, never a whole pass."""
     for batch_idx in batches:
         batch = collate(source, batch_idx)
-        logits = model.forward(batch, training=training)
-        labels = batch["labels"]
-        loss = weighted_bce_logits(logits, labels, pos_weight)
-        if training:
-            if math.isfinite(loss):
-                grad = weighted_bce_logits_grad(logits, labels, pos_weight)
-                model.backward(grad.astype(logits.dtype, copy=False))
-                optimizer.step(model.named_params(), lr)
-        else:
-            logits_all.append(logits)
-            labels_all.append(labels)
-            ids.extend(batch["survey_ids"])
+        yield batch["survey_ids"], batch.get("labels"), model.forward(batch, training=training)
+
+
+def _mean_finite(losses) -> float:
+    """Mean of the finite (batch loss, batch size) pairs, weighted by size;
+    NaN if none is finite."""
+    total, count = 0.0, 0
+    for loss, size in losses:
         if math.isfinite(loss):
-            total += loss * len(batch_idx)
-            count += len(batch_idx)
-    mean = total / count if count else math.nan
-    if training:
-        return mean, None, None, None
+            total += loss * size
+            count += size
+    return total / count if count else math.nan
+
+
+def _train_epoch(model, source, batches, pos_weight: float, optimizer, lr: float) -> float:
+    """One training pass: backprop and an optimizer step on every batch whose
+    loss is finite; returns the mean loss. The loss is computed in float64
+    from the model's logits and its gradient goes back in the logits' dtype."""
+    losses = []
+    for ids, labels, logits in _forward_batches(model, source, batches, training=True):
+        loss = weighted_bce_logits(logits, labels, pos_weight)
+        if math.isfinite(loss):
+            grad = weighted_bce_logits_grad(logits, labels, pos_weight)
+            model.backward(grad.astype(logits.dtype, copy=False))
+            optimizer.step(model.named_params(), lr)
+        losses.append((loss, len(ids)))
+    return _mean_finite(losses)
+
+
+def _validate(model, source, batches, pos_weight: float):
+    """(mean loss, survey ids, float64 scores, labels) of one validation pass."""
+    losses, ids, logits_all, labels_all = [], [], [], []
+    for batch_ids, labels, logits in _forward_batches(model, source, batches):
+        losses.append((weighted_bce_logits(logits, labels, pos_weight), len(batch_ids)))
+        ids += batch_ids
+        logits_all.append(logits)
+        labels_all.append(labels)
     scores = expit(np.concatenate(logits_all, dtype=np.float64))
-    return mean, scores, np.concatenate(labels_all), ids
+    return _mean_finite(losses), ids, scores, np.concatenate(labels_all)
 
 
 def fit(cfg: ExperimentConfig, model, train_source, val_source,
@@ -250,11 +263,10 @@ def fit(cfg: ExperimentConfig, model, train_source, val_source,
     seed = cfg.run.seed
     model.set_dropout_rng(np.random.default_rng([seed, 1]))
     pos_weight = cfg.optimizer.pos_weight
-    sched = ScheduleSpec(eta_max=cfg.optimizer.lr, t_max=cfg.optimizer.t_max)
     optimizer = AdamW(weight_decay=cfg.optimizer.weight_decay)
     root = out_root or cfg.trainer.output_dir
     run_dir = os.path.join(
-        root, f"{time.strftime('%Y%m%d-%H%M%S')}-{config_digest(cfg, 8)}"
+        root, f"{time.strftime('%Y%m%d-%H%M%S')}-{config_digest(cfg)}"
     )
     suffix = 0
     while os.path.exists(run_dir):
@@ -269,14 +281,13 @@ def fit(cfg: ExperimentConfig, model, train_source, val_source,
         writer = csv.writer(fh)
         writer.writerow(["epoch", "lr", "train_loss", "val_loss"] + METRIC_COLUMNS)
         for epoch in range(cfg.trainer.epochs):
-            lr = cosine_lr(epoch, sched)
+            lr = cosine_lr(epoch, cfg.optimizer.lr, cfg.optimizer.t_max)
             state.epoch = epoch
             train_batches = make_batches(
                 len(train_source), cfg.data.batch_size, shuffle=True, seed=seed, epoch=epoch
             )
-            train_loss, _, _, _ = _epoch_loss_pass(
-                model, train_source, train_batches, pos_weight, optimizer, lr, training=True
-            )
+            train_loss = _train_epoch(model, train_source, train_batches, pos_weight,
+                                      optimizer, lr)
             if not math.isfinite(train_loss):
                 raise SdmkitError(
                     f"epoch {epoch}: training loss non-finite for the full epoch; aborting"
@@ -284,9 +295,8 @@ def fit(cfg: ExperimentConfig, model, train_source, val_source,
             val_batches = make_batches(
                 len(val_source), cfg.data.batch_size, shuffle=False, seed=seed
             )
-            val_loss, scores, labels, ids = _epoch_loss_pass(
-                model, val_source, val_batches, pos_weight, training=False
-            )
+            val_loss, ids, scores, labels = _validate(model, val_source, val_batches,
+                                                      pos_weight)
             preds = Predictions.from_scores(ids, scores, cfg.task.top_k)
             report = evaluate(preds, labels, cfg.task.top_k)
             row = [epoch, repr(lr), repr(train_loss), repr(val_loss)]
@@ -316,10 +326,9 @@ def predict(cfg: ExperimentConfig, model, weights_path: str, test_source,
     batches = make_batches(len(test_source), cfg.data.batch_size, shuffle=False,
                            seed=cfg.run.seed)
     ids, logits = [], []
-    for batch_idx in batches:
-        batch = collate(test_source, batch_idx)
-        logits.append(model.forward(batch, training=False))
-        ids += batch["survey_ids"]
+    for batch_ids, _, batch_logits in _forward_batches(model, test_source, batches):
+        ids += batch_ids
+        logits.append(batch_logits)
     scores = expit(np.concatenate(logits, dtype=np.float64))
     predictions = Predictions.from_scores(ids, scores, cfg.task.top_k)
     if out_path:

@@ -200,9 +200,6 @@ class MetricReport:
     skipped_samples: int
     skipped_classes: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def evaluate(predictions: Predictions, labels: np.ndarray, k: int) -> MetricReport:
     """Fill the full 12-slot metric report for predictions and the (N, S)
@@ -225,7 +222,7 @@ def evaluate(predictions: Predictions, labels: np.ndarray, k: int) -> MetricRepo
 
 def write_report(report: MetricReport, json_path: str, txt_path: str) -> None:
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+        json.dump(asdict(report), fh, indent=2)
     lines = ["metric        micro    samples  macro"]
     for metric in ("auc", "precision", "recall", "f1"):
         row = [f"{metric:<12}"]

@@ -398,11 +398,19 @@ def load_raster(header_path: str) -> RasterLayer:
 
 
 def load_raster_manifest(manifest_path: str) -> list[RasterLayer]:
-    """Load the layers listed in a raster manifest JSON ({"layers": [paths]})."""
+    """Load the layers listed in a raster manifest JSON ({"layers": [paths]});
+    two layers with one name raise FormatError, since patches pick layers by
+    name."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     base = os.path.dirname(manifest_path)
-    return [load_raster(os.path.join(base, p)) for p in manifest["layers"]]
+    layers = [load_raster(os.path.join(base, p)) for p in manifest["layers"]]
+    seen = set()
+    for layer in layers:
+        if layer.name in seen:
+            raise FormatError(f"{manifest_path}: more than one layer named {layer.name!r}")
+        seen.add(layer.name)
+    return layers
 
 
 @dataclass(frozen=True)
@@ -525,13 +533,6 @@ class TimeSeriesCube:
     values: np.ndarray  # (B, Q, Y) float32, finite
     band_names: tuple[str, ...]
 
-    def __post_init__(self):
-        if self.values.ndim != 3 or self.values.shape[0] != len(self.band_names):
-            raise FormatError(
-                f"cube {self.survey_id!r}: shape {self.values.shape} inconsistent "
-                f"with {len(self.band_names)} bands"
-            )
-
 
 def save_cubes(cubes: dict[str, np.ndarray], band_names, manifest_path: str) -> None:
     """Write cubes in manifest order; all blocks must share one (B,Q,Y) shape."""
@@ -556,7 +557,8 @@ def save_cubes(cubes: dict[str, np.ndarray], band_names, manifest_path: str) -> 
 def load_cubes(manifest_path: str) -> dict[str, TimeSeriesCube]:
     """Load a cube manifest + payload into per-survey cubes.
 
-    NaN payload entries are imputed to 0 with a logged count.
+    Non-finite payload entries (NaN, +-inf) are imputed to 0 with a logged
+    count.
     """
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -565,6 +567,9 @@ def load_cubes(manifest_path: str) -> dict[str, TimeSeriesCube]:
         raise FormatError(f"{manifest_path}: duplicate survey in manifest")
     b, q, y = manifest["shape"]
     bands = tuple(manifest["bands"])
+    if len(bands) != b:
+        raise FormatError(f"{manifest_path}: {len(bands)} band names for shape "
+                          f"{manifest['shape']}")
     payload_path = os.path.join(
         os.path.dirname(manifest_path),
         manifest.get("payload", os.path.splitext(os.path.basename(manifest_path))[0] + ".f32"),
@@ -577,57 +582,46 @@ def load_cubes(manifest_path: str) -> dict[str, TimeSeriesCube]:
             f"expected {len(surveys)}*{b}*{q}*{y}*4 = {expected_bytes}"
         )
     data = np.fromfile(payload_path, dtype="<f4").reshape(len(surveys), b, q, y)
-    nan_count = int(np.isnan(data).sum())
-    if nan_count:
-        log.warning("%s: imputed %d NaN cube entries to 0", manifest_path, nan_count)
-        data = np.nan_to_num(data, nan=0.0)
+    nonfinite = ~np.isfinite(data)
+    if nonfinite.any():
+        log.warning("%s: imputed %d non-finite cube entries to 0", manifest_path,
+                    int(nonfinite.sum()))
+        data[nonfinite] = 0.0
     return {
         sid: TimeSeriesCube(survey_id=sid, values=data[i], band_names=bands)
         for i, sid in enumerate(surveys)
     }
 
 
-@dataclass(frozen=True)
-class TaggedLayer:
-    """A raster layer tagged with its (band, step, year) cube coordinates."""
-
-    layer: RasterLayer
-    band: int
-    step: int
-    year: int
-
-
 def build_time_series_cubes(
-    tagged_layers: list[TaggedLayer],
+    layers: dict[tuple[int, int, int], RasterLayer],
     table: ObservationTable,
     shape: tuple[int, int, int],
     manifest_path: str,
-    band_names=None,
 ) -> None:
-    """Extract per-survey (B,Q,Y) cubes of single pixels and write them out;
-    missing and out-of-bounds pixels read FILL_VALUE."""
+    """Extract per-survey (B,Q,Y) cubes of single pixels, one from the raster
+    that layers maps each (band, step, year) to, and write them out with
+    band names band0, band1, ...; missing and out-of-bounds pixels read
+    FILL_VALUE."""
     b, q, y = shape
-    by_tag = {(t.band, t.step, t.year): t.layer for t in tagged_layers}
     gaps = [
         (bi, qi, yi)
         for bi in range(b)
         for qi in range(q)
         for yi in range(y)
-        if (bi, qi, yi) not in by_tag
+        if (bi, qi, yi) not in layers
     ]
     if gaps:
         raise CoverageError(f"missing (band, step, year) combinations: {gaps[:10]}")
-    if band_names is None:
-        band_names = [f"band{i}" for i in range(b)]
     lons = [rec.lon for rec in table.records]
     lats = [rec.lat for rec in table.records]
     values = np.empty((len(table.records), b, q, y), dtype=np.float32)
-    for (bi, qi, yi), layer in by_tag.items():
+    for (bi, qi, yi), layer in layers.items():
         spec = PatchSpec(side=1, layer_names=(layer.name,))
         values[:, bi, qi, yi] = extract_patches(normalize_layers([layer], spec), spec,
                                                 lons, lats)[:, 0, 0, 0]
     cubes = {rec.survey_id: values[i] for i, rec in enumerate(table.records)}
-    save_cubes(cubes, band_names, manifest_path)
+    save_cubes(cubes, [f"band{i}" for i in range(b)], manifest_path)
 
 
 @dataclass

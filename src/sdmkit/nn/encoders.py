@@ -84,7 +84,7 @@ def available_encoders() -> list[tuple[str, str]]:
 
 
 def build_encoder(provider: str, name: str, input_shape: tuple[int, ...], embedding_dim: int,
-                  rng: np.random.Generator | None = None) -> Encoder:
+                  rng: np.random.Generator) -> Encoder:
     """Build a registered encoder for inputs of per-sample shape input_shape
     (a batch is (N, *input_shape)); unknown names list what is available."""
     try:
@@ -93,8 +93,6 @@ def build_encoder(provider: str, name: str, input_shape: tuple[int, ...], embedd
         raise RegistryError(
             f"unknown encoder ({provider!r}, {name!r}); available: {available_encoders()}"
         ) from None
-    if rng is None:
-        rng = np.random.default_rng(0)
     return factory(input_shape, embedding_dim, rng)
 
 

@@ -17,17 +17,15 @@ class FusionModel(Module):
     """Concatenate modality embeddings, then dropout -> affine -> ReLU -> affine.
 
     forward takes a dict modality name -> batch array matching each
-    encoder's expected input. The fused width is the sum of the encoders'
-    embedding_dim; head init draws from rng (default_rng(0) if None).
+    encoder's expected input; embeddings are fused in the order of the
+    encoders dict. The fused width is the sum of the encoders'
+    embedding_dim; head init draws from rng.
     """
 
-    def __init__(self, encoders: dict[str, Module], num_classes: int, hidden_dim: int = 256,
-                 dropout_p: float = 0.1, rng: np.random.Generator | None = None):
+    def __init__(self, encoders: dict[str, Module], num_classes: int, hidden_dim: int,
+                 dropout_p: float, rng: np.random.Generator):
         super().__init__()
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.encoders = dict(encoders)
-        self.modalities = list(encoders)
         self.num_classes = num_classes
         in_dim = sum(enc.embedding_dim for enc in self.encoders.values())
         self.head = Sequential(
@@ -40,19 +38,18 @@ class FusionModel(Module):
         )
 
     def children(self):
-        pairs = [(f"enc.{name}", self.encoders[name]) for name in self.modalities]
-        return pairs + [("head", self.head)]
+        return [(f"enc.{name}", enc) for name, enc in self.encoders.items()] + [("head", self.head)]
 
     def forward(self, batch: dict[str, np.ndarray], training: bool = False) -> np.ndarray:
         embeddings = []
-        for name in self.modalities:
+        for name, enc in self.encoders.items():
             if name not in batch:
                 raise ShapeError(f"batch missing modality {name!r}")
-            emb = self.encoders[name].forward(batch[name], training=training)
-            if emb.ndim != 2 or emb.shape[1] != self.encoders[name].embedding_dim:
+            emb = enc.forward(batch[name], training=training)
+            if emb.ndim != 2 or emb.shape[1] != enc.embedding_dim:
                 raise ShapeError(
                     f"modality {name!r} produced shape {emb.shape}, expected "
-                    f"(N, {self.encoders[name].embedding_dim})"
+                    f"(N, {enc.embedding_dim})"
                 )
             embeddings.append(emb)
         fused = np.concatenate(embeddings, axis=1)
@@ -61,7 +58,6 @@ class FusionModel(Module):
     def backward(self, dlogits: np.ndarray) -> None:
         dfused = self.head.backward(dlogits)
         offset = 0
-        for name in self.modalities:
-            dim = self.encoders[name].embedding_dim
-            self.encoders[name].backward(dfused[:, offset : offset + dim])
-            offset += dim
+        for enc in self.encoders.values():
+            enc.backward(dfused[:, offset : offset + enc.embedding_dim])
+            offset += enc.embedding_dim

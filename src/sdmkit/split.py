@@ -18,14 +18,14 @@ import numpy as np
 from .errors import DegenerateSplitError, FormatError
 from .geodata import ObservationTable, parse_field, read_csv
 
-DEFAULT_CELL_SIZE = 1.0 / 6.0  # 10 arcminutes
+CELL_SIZE = 1.0 / 6.0  # 10 arcminutes
 DEFAULT_VAL_FRACTION = 0.15
 
 
-def cell_index(lon: float, lat: float, cell_size: float = DEFAULT_CELL_SIZE) -> tuple[int, int]:
+def cell_index(lon: float, lat: float) -> tuple[int, int]:
     """Integer cell indices of a point on the fixed global grid."""
-    cx = math.floor((lon + 180.0) / cell_size)
-    cy = math.floor((lat + 90.0) / cell_size)
+    cx = math.floor((lon + 180.0) / CELL_SIZE)
+    cy = math.floor((lat + 90.0) / CELL_SIZE)
     return cx, cy
 
 
@@ -45,7 +45,6 @@ class SpatialSplit:
 
 def block_holdout(
     table: ObservationTable,
-    cell_size: float = DEFAULT_CELL_SIZE,
     target_val_fraction: float = DEFAULT_VAL_FRACTION,
     seed: int = 0,
 ) -> SpatialSplit:
@@ -54,7 +53,7 @@ def block_holdout(
         raise DegenerateSplitError("cannot split an empty observation table")
     if not (0.0 < target_val_fraction < 1.0):
         raise DegenerateSplitError("target_val_fraction must be in (0, 1)")
-    cell_of = {r.survey_id: cell_index(r.lon, r.lat, cell_size) for r in table.records}
+    cell_of = {r.survey_id: cell_index(r.lon, r.lat) for r in table.records}
     cells: dict[tuple[int, int], list[str]] = {}
     for sid, cell in cell_of.items():
         cells.setdefault(cell, []).append(sid)

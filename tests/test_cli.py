@@ -302,6 +302,18 @@ def write_encoder_without_modality(synthetic_dir, tmp_path):
                       encoders={"cube_c": {"name": "micro_conv3d"}}), "model.encoders.cube_c: "
 
 
+def write_repeated_cube_tag(synthetic_dir, tmp_path):
+    headers = [os.path.join(synthetic_dir, f"chan{c}.json") for c in range(2)]
+    layers = tmp_path / "tagged.json"
+    layers.write_text(json.dumps([{"header": h, "band": 0, "step": 0, "year": 0}
+                                  for h in headers]))
+    return ["build-cubes", "--layers", str(layers),
+            "--observations", os.path.join(synthetic_dir, "observations.csv"),
+            "--num-classes", "8", "--shape", "1,1,1", "--out", str(tmp_path / "built.json")], (
+        f"{layers}: entry 1 ({headers[1]}) repeats the (band, step, year) (0, 0, 0) of entry 0 "
+        f"({headers[0]})")
+
+
 def train_args(synthetic_dir, tmp_path, data=(), encoders=()):
     with open(os.path.join(synthetic_dir, "config.yaml")) as fh:
         doc = yaml.safe_load(fh)
@@ -313,9 +325,11 @@ def train_args(synthetic_dir, tmp_path, data=(), encoders=()):
 
 
 @pytest.mark.parametrize("write", [write_conflict_in_later_block, write_split_survey_twice,
-                                   write_ragged_predictions, write_encoder_without_modality],
+                                   write_ragged_predictions, write_encoder_without_modality,
+                                   write_repeated_cube_tag],
                          ids=["conflict-later-block", "split-survey-twice",
-                              "ragged-predictions", "encoder-without-modality"])
+                              "ragged-predictions", "encoder-without-modality",
+                              "repeated-cube-tag"])
 def test_rejected_input_one_error_line(synthetic_dir, tmp_path, capsys, write):
     """Real-data hazards that must be rejected: exit 1 and one error line
     naming the file and row, or the config key; no run directory or report."""

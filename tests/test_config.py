@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import typing
 
 import pytest
 import yaml
@@ -35,9 +36,56 @@ def test_defaults_filled_for_minimal_document():
 
 
 def test_explicit_values_pass_through():
-    cfg = parse_config(MINIMAL + "optimizer:\n  lr: 1.0e-3\n  t_max: 10\n")
+    cfg = parse_config(MINIMAL + "optimizer:\n  lr: 1.0e-3\n  t_max: 10\n  pos_weight: 3\n")
     assert cfg.optimizer.lr == 1e-3
     assert cfg.optimizer.t_max == 10
+    assert cfg.optimizer.pos_weight == 3  # a float field takes an int
+
+
+def test_null_sections_and_mappings_read_as_empty():
+    nulls = MINIMAL.replace("obs.csv", "obs.csv\n  cube_manifests: null") + (
+        "run:\ntrainer: null\nmodel:\n  encoders:\n    patch: null\n  fusion: null\n")
+    assert parse_config(nulls) == parse_config(MINIMAL + "model:\n  encoders:\n    patch: {}\n")
+    assert parse_config(MINIMAL + "model:\n  encoders: null\n") == parse_config(MINIMAL)
+
+
+def config_fields(cls=ExperimentConfig, prefix=""):
+    """(dotted key, annotation) of every field at every level of the config;
+    a mapping's values are reached through the sample key "m"."""
+    for name, hint in typing.get_type_hints(cls).items():
+        key = prefix + name
+        yield key, hint
+        if dataclasses.is_dataclass(hint):
+            yield from config_fields(hint, key + ".")
+        elif typing.get_origin(hint) is dict:
+            item = typing.get_args(hint)[1]
+            yield key + ".m", item
+            if dataclasses.is_dataclass(item):
+                yield from config_fields(item, key + ".m.")
+
+
+def wrong_values(hint):
+    """Values of a type the annotation hint does not take: a list for every
+    field, a bool for every field without a bool, and a string of digits for
+    every field without a str."""
+    types = typing.get_args(hint) or (hint,)
+    return [["x"]] + [True] * (bool not in types) + ["64"] * (str not in types)
+
+
+WRONG_TYPES = [(key, value) for key, hint in config_fields() for value in wrong_values(hint)]
+
+
+@pytest.mark.parametrize("key,value", WRONG_TYPES,
+                         ids=[f"{key}={value!r}" for key, value in WRONG_TYPES])
+def test_value_of_wrong_type_rejected_naming_key(key, value):
+    doc = yaml.safe_load(MINIMAL)
+    *sections, name = key.split(".")
+    node = doc
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[name] = value
+    with pytest.raises(ConfigValidationError, match=f"^{re.escape(key)}: expected "):
+        parse_config(yaml.safe_dump(doc))
 
 
 def test_top_k_zero_rejected():

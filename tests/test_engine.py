@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from sdmkit import engine
 from sdmkit.config import config_digest, parse_config
 from sdmkit.engine import (
+    ADAM_EPS,
     AdamW,
-    ScheduleSpec,
     TrainState,
     cosine_lr,
     load_checkpoint,
@@ -98,23 +98,20 @@ class TestLinkFunctions:
 
 
 class TestCosineLr:
-    SPEC = ScheduleSpec(eta_max=2.5e-4, t_max=25)
-
     def test_start(self):
-        assert cosine_lr(0, self.SPEC) == 2.5e-4
+        assert cosine_lr(0, 2.5e-4, 25) == 2.5e-4
 
     def test_end_exactly_zero(self):
-        assert cosine_lr(25, self.SPEC) == 0.0
+        assert cosine_lr(25, 2.5e-4, 25) == 0.0
 
     def test_midpoint(self):
-        spec = ScheduleSpec(eta_max=1.0, t_max=24)
-        assert cosine_lr(12, spec) == pytest.approx(0.5, abs=1e-15)
+        assert cosine_lr(12, 1.0, 24) == pytest.approx(0.5, abs=1e-15)
 
     def test_out_of_range_clamped(self, caplog):
         import logging
 
         with caplog.at_level(logging.WARNING):
-            assert cosine_lr(30, self.SPEC) == 0.0
+            assert cosine_lr(30, 2.5e-4, 25) == 0.0
         assert "clamp" in caplog.text
 
 
@@ -143,8 +140,9 @@ class TestAdamW:
         theta = np.array([2.0, -1.0, 0.5])
         g = np.array([0.3, -4.0, 1e-3])
         lr, wd, eps = 0.1, 0.5, 1e-8
+        assert ADAM_EPS == eps
         w = theta.copy()
-        AdamW(weight_decay=wd, eps=eps).step([("w", w, g)], lr=lr)
+        AdamW(weight_decay=wd).step([("w", w, g)], lr=lr)
         np.testing.assert_allclose(w, theta * (1 - lr * wd) - lr * g / (np.abs(g) + eps),
                                    rtol=1e-12)
 
@@ -240,9 +238,8 @@ class TestFit:
         cfg, data, train, val = tiny_experiment
         model = build_model(cfg, data.cube_shapes())
         run_dir = engine.fit(cfg, model, train, val, out_root=str(tmp_path))
-        sched = ScheduleSpec(eta_max=cfg.optimizer.lr, t_max=cfg.optimizer.t_max)
         for t, row in enumerate(read_metrics(run_dir)):
-            assert float(row["lr"]) == cosine_lr(t, sched)
+            assert float(row["lr"]) == cosine_lr(t, cfg.optimizer.lr, cfg.optimizer.t_max)
 
     def test_best_ckpt_tracks_min_val_loss(self, tiny_experiment, tmp_path):
         cfg, data, train, val = tiny_experiment
@@ -277,7 +274,7 @@ class TestFit:
             with np.load(os.path.join(run_dir, name), allow_pickle=False) as ck:
                 assert sorted(ck.files) == sorted(expected), name
                 meta = json.loads(str(ck["meta"]))
-            assert sorted(meta) == ["arch_digest", "config_digest", "state"]
+            assert sorted(meta) == ["arch_digest", "state"]
             assert sorted(meta["state"]) == ["best_val_loss", "epoch"]
 
     def test_rerun_reproduces_loss_column(self, tiny_experiment, tmp_path):
@@ -722,8 +719,7 @@ def test_training_step_stays_float32(tmp_path):
         encoder.forward = recorded
     model.set_dropout_rng(np.random.default_rng(0))
     optimizer = AdamW()
-    engine._epoch_loss_pass(model, data.source_for(), [np.arange(32)], 10.0, optimizer,
-                            lr=1e-3, training=True)
+    engine._train_epoch(model, data.source_for(), [np.arange(32)], 10.0, optimizer, lr=1e-3)
     assert optimizer.t == 1
     assert sorted(outputs) == ["cube_a", "cube_b", "location", "patch"]
     for name, out in outputs.items():

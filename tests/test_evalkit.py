@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -431,7 +432,7 @@ class TestEvaluate:
         n, s, k, scores, labels = random_instance(rng, n_max=40, s_max=15, k_max=5)
         preds = Predictions.from_scores([f"s{i}" for i in range(n)], scores, k)
         report = evaluate(preds, labels, k)
-        for field, value in report.to_dict().items():
+        for field, value in asdict(report).items():
             if field.startswith("skipped"):
                 continue
             assert 0.0 <= value <= 1.0, field

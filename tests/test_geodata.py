@@ -3,6 +3,7 @@ import dataclasses
 import logging
 import math
 import os
+import re
 import tempfile
 from unittest import mock
 
@@ -27,7 +28,6 @@ from sdmkit.geodata import (
     PatchSpec,
     RasterLayer,
     SampleSource,
-    TaggedLayer,
     TimeSeriesCube,
     build_time_series_cubes,
     collate,
@@ -36,6 +36,7 @@ from sdmkit.geodata import (
     load_cubes,
     load_observations,
     load_raster,
+    load_raster_manifest,
     multi_hot,
     normalize_layers,
     save_cubes,
@@ -694,36 +695,45 @@ class TestCubes:
         with pytest.raises(FormatError, match="duplicate"):
             load_cubes(str(path))
 
-    def test_nan_imputed(self, tmp_path):
-        cubes = {"a": np.full((1, 1, 1), np.nan, dtype=np.float32)}
+    def test_nan_imputed(self, tmp_path, caplog):
+        # every non-finite entry reads 0, also an inf next to a NaN; finite ones are kept
+        for entries in ([math.nan], [math.inf], [-math.inf], [math.nan, math.inf, -math.inf, 1.5]):
+            cubes = {"a": np.array(entries, dtype=np.float32).reshape(1, 1, -1)}
+            path = str(tmp_path / "cubes.json")
+            save_cubes(cubes, ["b0"], path)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="sdmkit.geodata"):
+                loaded = load_cubes(path)
+            expected = [0.0 if not math.isfinite(v) else v for v in entries]
+            assert loaded["a"].values.ravel().tolist() == expected, entries
+            bad = sum(not math.isfinite(v) for v in entries)
+            assert caplog.messages == [f"{path}: imputed {bad} non-finite cube entries to 0"]
+
+    def test_band_count_must_match_shape(self, tmp_path):
         path = str(tmp_path / "cubes.json")
-        save_cubes(cubes, ["b0"], path)
-        loaded = load_cubes(path)
-        assert loaded["a"].values[0, 0, 0] == 0.0
+        save_cubes({"a": np.zeros((2, 1, 1), dtype=np.float32)}, ["b0"], path)
+        with pytest.raises(FormatError, match="band"):
+            load_cubes(path)
 
 
 class TestBuildCubes:
     def test_single_extraction(self, toy_raster, tmp_path):
         table = make_table([(2.5, 1.5, {0})])
-        tagged = [TaggedLayer(toy_raster, 0, 0, 0)]
         path = str(tmp_path / "c.json")
-        build_time_series_cubes(tagged, table, (1, 1, 1), path)
+        build_time_series_cubes({(0, 0, 0): toy_raster}, table, (1, 1, 1), path)
         loaded = load_cubes(path)
         assert loaded["s0"].values[0, 0, 0] == 10.0
 
     def test_payload_size_arithmetic(self, toy_raster, tmp_path):
         table = make_table([(2.5, 1.5, {0}), (1.5, 2.5, {1})])
-        tagged = [
-            TaggedLayer(toy_raster, b, 0, y) for b in range(2) for y in range(2)
-        ]
+        tagged = {(b, 0, y): toy_raster for b in range(2) for y in range(2)}
         path = str(tmp_path / "c.json")
         build_time_series_cubes(tagged, table, (2, 1, 2), path)
         assert (tmp_path / "c.f32").stat().st_size == 2 * 2 * 1 * 2 * 4
 
     def test_values_match_patch_extractor(self, tmp_path):
         rng = np.random.default_rng(5)
-        layers = []
-        tagged = []
+        tagged = {}
         for b in range(2):
             for y in range(2):
                 layer = RasterLayer(
@@ -731,17 +741,16 @@ class TestBuildCubes:
                     pixel_size_x=1, pixel_size_y=-1, crs="EPSG:4326", nodata=-9999.0,
                     values=rng.normal(size=(6, 6)).astype(np.float32),
                 )
-                layers.append(layer)
-                tagged.append(TaggedLayer(layer, b, 0, y))
+                tagged[(b, 0, y)] = layer
         table = make_table([(2.3, 3.7, {0}), (4.1, 1.2, {1})])
         path = str(tmp_path / "c.json")
         build_time_series_cubes(tagged, table, (2, 1, 2), path)
         loaded = load_cubes(path)
         for rec in table.records:
-            for t in tagged:
-                spec = PatchSpec(side=1, layer_names=(t.layer.name,))
-                expected = oracle_patch([t.layer], spec, rec.lon, rec.lat)[0, 0, 0]
-                assert loaded[rec.survey_id].values[t.band, t.step, t.year] == np.float32(expected)
+            for (band, step, year), layer in tagged.items():
+                spec = PatchSpec(side=1, layer_names=(layer.name,))
+                expected = oracle_patch([layer], spec, rec.lon, rec.lat)[0, 0, 0]
+                assert loaded[rec.survey_id].values[band, step, year] == np.float32(expected)
 
     def test_missing_and_out_of_extent_pixels_read_zero(self, toy_raster, tmp_path, caplog):
         # nodata, NaN and inf pixels and points outside the layer read 0.0;
@@ -755,8 +764,7 @@ class TestBuildCubes:
         table = make_table([(lon, lat, {0}) for lon, lat in points])
         path = str(tmp_path / "c.json")
         with caplog.at_level(logging.WARNING, logger="sdmkit.geodata"):
-            build_time_series_cubes([TaggedLayer(nodata, 0, 0, 0), TaggedLayer(nan, 1, 0, 0)],
-                                    table, (2, 1, 1), path)
+            build_time_series_cubes({(0, 0, 0): nodata, (1, 0, 0): nan}, table, (2, 1, 1), path)
         assert caplog.messages == ["point (7.0, 2.0) outside all patch layers; filled"] * 2
         got = np.stack([c.values[:, 0, 0] for c in load_cubes(path).values()])
         expected = np.array([[0, -9999], [0, 0], [-0.0, -0.0], [0, 0], [10, 10], [0, 0]],
@@ -766,8 +774,8 @@ class TestBuildCubes:
     def test_coverage_error(self, toy_raster):
         table = make_table([(2.5, 1.5, {0})])
         with pytest.raises(Exception, match="missing"):
-            build_time_series_cubes([TaggedLayer(toy_raster, 0, 0, 0)], table,
-                                    (2, 1, 1), "/tmp/never.json")
+            build_time_series_cubes({(0, 0, 0): toy_raster}, table, (2, 1, 1),
+                                    "/tmp/never.json")
 
 
 class TestMakeDataset:
@@ -815,6 +823,18 @@ class TestMakeDataset:
         with pytest.raises(MissingModalityError, match="s0"):
             SampleSource(table, normalize_layers([toy_raster], spec), spec, {"cube": {}},
                          "train")
+
+
+def test_raster_manifest_repeated_name_rejected(toy_raster, tmp_path):
+    # patches pick layers by name, so a repeated name would give two channels one raster
+    for header, offset in (("a.json", 0.0), ("b.json", 100.0)):
+        save_raster(dataclasses.replace(toy_raster, values=toy_raster.values + offset),
+                    str(tmp_path / header))
+    manifest = tmp_path / "rasters.json"
+    manifest.write_text('{"layers": ["a.json", "b.json"]}')
+    message = f"{manifest}: more than one layer named 'toy'"
+    with pytest.raises(FormatError, match=re.escape(message)):
+        load_raster_manifest(str(manifest))
 
 
 class TestNormalizationStats:

@@ -26,13 +26,13 @@ def uniform_table(rng, n=100, n_cells=10):
 
 class TestCellIndex:
     def test_origin(self):
-        assert cell_index(-180, -90, CELL) == (0, 0)
+        assert cell_index(-180, -90) == (0, 0)
 
     def test_worked_point(self):
-        assert cell_index(3.05, 43.61, CELL) == (1098, 801)
+        assert cell_index(3.05, 43.61) == (1098, 801)
 
     def test_one_cell_shift_in_lon(self):
-        assert cell_index(3.05 + CELL, 43.61, CELL) == (1099, 801)
+        assert cell_index(3.05 + CELL, 43.61) == (1099, 801)
 
     def test_matches_floor_formula_randomized(self):
         import math
@@ -41,7 +41,7 @@ class TestCellIndex:
         for _ in range(50):
             lon = rng.uniform(-180, 180)
             lat = rng.uniform(-90, 90)
-            cx, cy = cell_index(lon, lat, CELL)
+            cx, cy = cell_index(lon, lat)
             assert cx == math.floor((lon + 180) / CELL)
             assert cy == math.floor((lat + 90) / CELL)
 
