@@ -2,7 +2,8 @@
 
 Subcommands: train, predict, evaluate, split, build-cubes, make-synthetic.
 Artifact paths go to stdout, diagnostics to stderr; exit code 0 iff no
-module error. Reruns refuse to clobber existing outputs unless --force.
+module error. Reruns refuse to clobber existing outputs unless --force;
+train always writes a new run directory.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    cfg = _apply_seed_override(load_config(args.config), args.seed)
+    cfg = load_config(args.config)
     out_path = args.out or "predictions.csv"
     _check_clobber(out_path, args.force)
     data = load_data(cfg)
@@ -116,8 +117,18 @@ def cmd_build_cubes(args) -> int:
     _check_clobber(args.out, args.force)
     with open(args.layers, encoding="utf-8") as fh:
         entries = json.load(fh)
+    if not isinstance(entries, list):
+        raise FormatError(f"{args.layers}: expected a JSON list of tagged raster entries")
     first = {}  # (band, step, year) -> index of the entry that tags it
     for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not isinstance(entry.get("header"), str):
+            raise FormatError(f"{args.layers}: entry {i} ({entry!r}) is not a mapping with a "
+                              f"header")
+        for key, size in zip(("band", "step", "year"), shape):
+            value = entry.get(key)
+            if type(value) is not int or not 0 <= value < size:  # not a bool
+                raise FormatError(f"{args.layers}: entry {i} ({entry['header']}) {key} "
+                                  f"{value!r} is not an integer in [0, {size})")
         tag = (entry["band"], entry["step"], entry["year"])
         if first.setdefault(tag, i) != i:
             raise FormatError(f"{args.layers}: entry {i} ({entry['header']}) repeats the "
@@ -133,9 +144,10 @@ def cmd_build_cubes(args) -> int:
 
 
 def cmd_make_synthetic(args) -> int:
-    paths = make_synthetic(args.out, n_surveys=args.n, num_species=args.species,
-                           seed=args.seed if args.seed is not None else 7)
     config_path = os.path.join(args.out, "config.yaml")
+    for path in (os.path.join(args.out, "observations.csv"), config_path):
+        _check_clobber(path, args.force)
+    paths = make_synthetic(args.out, n_surveys=args.n, num_species=args.species, seed=args.seed)
     with open(config_path, "w", encoding="utf-8") as fh:
         fh.write(default_config_yaml(args.out, n_species=args.species))
     for path in [*paths.values(), config_path]:
@@ -148,46 +160,53 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sdmkit",
         description="Multimodal species-distribution modeling pipelines.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument("--force", action="store_true", help="overwrite existing outputs")
     sub = parser.add_subparsers(dest="command", required=True)
+    seed_help = "override the config seed"
+    force_help = "overwrite existing outputs"
 
-    p = sub.add_parser("train", help="train a model from a config", parents=[common])
+    p = sub.add_parser("train", help="train a model from a config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="run directory root")
+    p.add_argument("--seed", type=int, default=None, help=seed_help)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="score a dataset with trained weights", parents=[common])
+    p = sub.add_parser("predict", help="score a dataset with trained weights")
     p.add_argument("--config", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--out", default=None)
+    p.add_argument("--force", action="store_true", help=force_help)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("evaluate", help="metric report from predictions + labels", parents=[common])
+    p = sub.add_parser("evaluate", help="metric report from predictions + labels")
     p.add_argument("--predictions", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--k", type=int, default=25)
     p.add_argument("--out", default=None, help="report directory")
+    p.add_argument("--force", action="store_true", help=force_help)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("split", help="spatial block holdout split", parents=[common])
+    p = sub.add_parser("split", help="spatial block holdout split")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
+    p.add_argument("--seed", type=int, default=None, help=seed_help)
+    p.add_argument("--force", action="store_true", help=force_help)
     p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("build-cubes", help="extract time-series cubes from tagged rasters", parents=[common])
+    p = sub.add_parser("build-cubes", help="extract time-series cubes from tagged rasters")
     p.add_argument("--layers", required=True, help="JSON list of tagged raster headers")
     p.add_argument("--observations", required=True)
     p.add_argument("--num-classes", type=int, required=True)
     p.add_argument("--shape", required=True, help="B,Q,Y")
     p.add_argument("--out", required=True)
+    p.add_argument("--force", action="store_true", help=force_help)
     p.set_defaults(func=cmd_build_cubes)
 
-    p = sub.add_parser("make-synthetic", help="generate a synthetic fixture dataset", parents=[common])
+    p = sub.add_parser("make-synthetic", help="generate a synthetic fixture dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--species", type=int, default=20)
+    p.add_argument("--seed", type=int, default=7, help="generator seed")
+    p.add_argument("--force", action="store_true", help=force_help)
     p.set_defaults(func=cmd_make_synthetic)
 
     return parser

@@ -314,13 +314,16 @@ def _load_observation_rows(path: str, num_classes: int) -> ObservationTable:
     return ObservationTable(records=records, num_classes=num_classes)
 
 
-def save_observations(table: ObservationTable, path: str) -> None:
+def save_observations(survey_ids, lons, lats, labels, path: str) -> None:
+    """Write one row per (survey, species) from N ids, N lons and lats and an
+    (N, num_classes) boolean label matrix, species in ascending order."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["surveyId", "lon", "lat", "speciesId"])
-        for rec in table.records:
-            for sp in sorted(rec.species_ids):
-                writer.writerow([rec.survey_id, repr(rec.lon), repr(rec.lat), sp])
+        for sid, lon, lat, row in zip(survey_ids, np.asarray(lons).tolist(),
+                                      np.asarray(lats).tolist(), labels):
+            for sp in np.flatnonzero(row).tolist():
+                writer.writerow([sid, repr(lon), repr(lat), sp])
 
 
 @dataclass(frozen=True)
@@ -529,29 +532,21 @@ def extract_patch(layers, spec: PatchSpec, lon: float, lat: float) -> np.ndarray
 
 @dataclass(frozen=True)
 class TimeSeriesCube:
-    survey_id: str
     values: np.ndarray  # (B, Q, Y) float32, finite
-    band_names: tuple[str, ...]
 
 
-def save_cubes(cubes: dict[str, np.ndarray], band_names, manifest_path: str) -> None:
-    """Write cubes in manifest order; all blocks must share one (B,Q,Y) shape."""
-    surveys = list(cubes)
-    shapes = {tuple(v.shape) for v in cubes.values()}
-    if len(shapes) != 1:
-        raise FormatError(f"cube blocks disagree on shape: {sorted(shapes)}")
-    shape = shapes.pop()
+def save_cubes(survey_ids, values: np.ndarray, band_names, manifest_path: str) -> None:
+    """Write the (N, B, Q, Y) cube array of N surveys, in survey order."""
     payload_path = os.path.splitext(manifest_path)[0] + ".f32"
     manifest = {
-        "surveys": surveys,
-        "shape": list(shape),
+        "surveys": list(survey_ids),
+        "shape": list(values.shape[1:]),
         "bands": list(band_names),
         "payload": os.path.basename(payload_path),
     }
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
-    payload = np.concatenate([cubes[s].astype("<f4").ravel() for s in surveys])
-    payload.tofile(payload_path)
+    np.asarray(values, dtype="<f4").tofile(payload_path)
 
 
 def load_cubes(manifest_path: str) -> dict[str, TimeSeriesCube]:
@@ -566,9 +561,8 @@ def load_cubes(manifest_path: str) -> dict[str, TimeSeriesCube]:
     if len(set(surveys)) != len(surveys):
         raise FormatError(f"{manifest_path}: duplicate survey in manifest")
     b, q, y = manifest["shape"]
-    bands = tuple(manifest["bands"])
-    if len(bands) != b:
-        raise FormatError(f"{manifest_path}: {len(bands)} band names for shape "
+    if len(manifest["bands"]) != b:
+        raise FormatError(f"{manifest_path}: {len(manifest['bands'])} band names for shape "
                           f"{manifest['shape']}")
     payload_path = os.path.join(
         os.path.dirname(manifest_path),
@@ -587,10 +581,7 @@ def load_cubes(manifest_path: str) -> dict[str, TimeSeriesCube]:
         log.warning("%s: imputed %d non-finite cube entries to 0", manifest_path,
                     int(nonfinite.sum()))
         data[nonfinite] = 0.0
-    return {
-        sid: TimeSeriesCube(survey_id=sid, values=data[i], band_names=bands)
-        for i, sid in enumerate(surveys)
-    }
+    return {sid: TimeSeriesCube(values=data[i]) for i, sid in enumerate(surveys)}
 
 
 def build_time_series_cubes(
@@ -620,8 +611,7 @@ def build_time_series_cubes(
         spec = PatchSpec(side=1, layer_names=(layer.name,))
         values[:, bi, qi, yi] = extract_patches(normalize_layers([layer], spec), spec,
                                                 lons, lats)[:, 0, 0, 0]
-    cubes = {rec.survey_id: values[i] for i, rec in enumerate(table.records)}
-    save_cubes(cubes, [f"band{i}" for i in range(b)], manifest_path)
+    save_cubes(table.survey_ids(), values, [f"band{i}" for i in range(b)], manifest_path)
 
 
 @dataclass

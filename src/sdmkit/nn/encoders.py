@@ -101,7 +101,7 @@ class SinusoidalLocationEncoder(Linear):
     (lon, lat) in radians through a Linear seeded by default_rng(seed). The
     features are computed in float64 and cast to the params' dtype."""
 
-    def __init__(self, embedding_dim: int, num_frequencies: int, seed: int = 0):
+    def __init__(self, embedding_dim: int, num_frequencies: int, seed: int):
         if embedding_dim < 1 or num_frequencies < 1:
             raise ValueError("embedding_dim and num_frequencies must be >= 1")
         super().__init__(4 * num_frequencies, embedding_dim, np.random.default_rng(seed))

@@ -52,16 +52,13 @@ def _last_linear_index(model: Sequential) -> int:
     return -1
 
 
-def modify_last_layer(model: Sequential, new_dim: int,
-                      rng: np.random.Generator | None = None) -> Sequential:
+def modify_last_layer(model: Sequential, new_dim: int, rng: np.random.Generator) -> Sequential:
     """Replace the final affine map with a freshly initialized one."""
     if new_dim < 1:
         raise SurgeryError("new_dim must be >= 1")
     idx = _last_linear_index(model)
     if idx < 0:
         raise SurgeryError("model has no final affine map (headless; use strip_head)")
-    if rng is None:
-        rng = np.random.default_rng(0)
     old: Linear = model.layers[idx]
     model.layers[idx] = Linear(old.in_dim, new_dim, rng)
     if hasattr(model, "embedding_dim") and idx == len(model.layers) - 1:

@@ -3,7 +3,7 @@
 Cells live on a fixed global grid anchored at (-180, -90) so indices are
 stable across datasets. Occupied cells are shuffled with a seeded PRNG
 and accumulated greedily into the validation zone set until the point
-fraction first reaches the target; every point in a selected cell goes to
+fraction first reaches VAL_FRACTION; every point in a selected cell goes to
 val, all others to train, which guarantees no cell mixes partitions.
 """
 
@@ -19,7 +19,7 @@ from .errors import DegenerateSplitError, FormatError
 from .geodata import ObservationTable, parse_field, read_csv
 
 CELL_SIZE = 1.0 / 6.0  # 10 arcminutes
-DEFAULT_VAL_FRACTION = 0.15
+VAL_FRACTION = 0.15  # val takes cells until it holds at least this share of surveys
 
 
 def cell_index(lon: float, lat: float) -> tuple[int, int]:
@@ -43,16 +43,10 @@ class SpatialSplit:
         return sum(1 for p in self.assignment.values() if p == "val") / n if n else 0.0
 
 
-def block_holdout(
-    table: ObservationTable,
-    target_val_fraction: float = DEFAULT_VAL_FRACTION,
-    seed: int = 0,
-) -> SpatialSplit:
-    """Greedy shuffled-cell holdout reaching at least the target val fraction."""
+def block_holdout(table: ObservationTable, seed: int) -> SpatialSplit:
+    """Greedy shuffled-cell holdout reaching at least VAL_FRACTION of the surveys."""
     if not table.records:
         raise DegenerateSplitError("cannot split an empty observation table")
-    if not (0.0 < target_val_fraction < 1.0):
-        raise DegenerateSplitError("target_val_fraction must be in (0, 1)")
     cell_of = {r.survey_id: cell_index(r.lon, r.lat) for r in table.records}
     cells: dict[tuple[int, int], list[str]] = {}
     for sid, cell in cell_of.items():
@@ -68,7 +62,7 @@ def block_holdout(
     val_cells: set[tuple[int, int]] = set()
     val_count = 0
     for cell in order:
-        if val_count / total >= target_val_fraction:
+        if val_count / total >= VAL_FRACTION:
             break
         if len(val_cells) == len(cells) - 1:
             break  # keep at least one train cell

@@ -15,8 +15,6 @@ import os
 import numpy as np
 
 from .geodata import (
-    ObservationRecord,
-    ObservationTable,
     PatchSpec,
     RasterLayer,
     extract_patches,
@@ -33,6 +31,7 @@ ORIGIN_LAT = 12.8  # top edge; north-up with pixel_size_y = -0.1
 N_CHANNELS = 4
 CUBE_SHAPE = (2, 4, 3)
 CUBE_MODALITIES = ("cube_a", "cube_b")
+PATCH_SIZE = 32  # points keep a full patch of this side inside the rasters
 # surveys per extract_patches call. Small blocks keep the generator's peak
 # memory near that of one survey at a time: perfbench makes its inputs in the
 # process that starts the measured one, whose peak_rss_mb counts that peak too.
@@ -52,7 +51,7 @@ def _smooth_field(rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def make_synthetic(out_dir: str, n_surveys: int = 500, num_species: int = 20,
-                   seed: int = 7, patch_size: int = 32) -> dict[str, str]:
+                   seed: int = 7) -> dict[str, str]:
     """Generate a full synthetic dataset under out_dir; returns artifact paths."""
     rng = np.random.default_rng(seed)
     os.makedirs(out_dir, exist_ok=True)
@@ -78,13 +77,13 @@ def make_synthetic(out_dir: str, n_surveys: int = 500, num_species: int = 20,
         json.dump({"layers": [f"chan{c}.json" for c in range(N_CHANNELS)]}, fh, indent=2)
 
     # keep points far enough from the border for full patches
-    margin = (patch_size // 2 + 1) * PIXEL_DEG
+    margin = (PATCH_SIZE // 2 + 1) * PIXEL_DEG
     lons = rng.uniform(ORIGIN_LON + margin, ORIGIN_LON + RASTER_SIZE * PIXEL_DEG - margin,
                        size=n_surveys)
     lats = rng.uniform(ORIGIN_LAT - RASTER_SIZE * PIXEL_DEG + margin, ORIGIN_LAT - margin,
                        size=n_surveys)
 
-    spec = PatchSpec(side=patch_size, layer_names=tuple(l.name for l in layers))
+    spec = PatchSpec(side=PATCH_SIZE, layer_names=tuple(l.name for l in layers))
     prepared = normalize_layers(layers, spec)
     channel_means = np.empty((n_surveys, N_CHANNELS))
     for i in range(0, n_surveys, _BLOCK):
@@ -102,32 +101,20 @@ def make_synthetic(out_dir: str, n_surveys: int = 500, num_species: int = 20,
         if not labels[i].any():
             labels[i, int(np.argmax(scores[i]))] = True
 
-    records = []
-    for i in range(n_surveys):
-        records.append(
-            ObservationRecord(
-                survey_id=f"s{i:05d}",
-                lon=float(lons[i]),
-                lat=float(lats[i]),
-                species_ids=frozenset(np.flatnonzero(labels[i]).tolist()),
-            )
-        )
-    table = ObservationTable(records=tuple(records), num_classes=num_species)
+    survey_ids = [f"s{i:05d}" for i in range(n_surveys)]
     obs_path = os.path.join(out_dir, "observations.csv")
-    save_observations(table, obs_path)
+    save_observations(survey_ids, lons, lats, labels, obs_path)
 
     b, q, y = CUBE_SHAPE
+    trend = np.linspace(-0.1, 0.1, q * y).reshape(1, q, y)
     cube_paths = {}
-    for mi, modality in enumerate(CUBE_MODALITIES):
+    for modality in CUBE_MODALITIES:
         mix = rng.normal(size=(b, N_CHANNELS))
-        cubes = {}
-        for i, rec in enumerate(records):
-            base = 3.0 * (mix @ channel_means[i])[:, None, None]
-            noise = rng.normal(scale=0.05, size=(b, q, y))
-            trend = np.linspace(-0.1, 0.1, q * y).reshape(1, q, y)
-            cubes[rec.survey_id] = (base + trend + noise).astype(np.float32)
+        base = 3.0 * (channel_means @ mix.T)[:, :, None, None]
+        noise = rng.normal(scale=0.05, size=(n_surveys, b, q, y))
         path = os.path.join(out_dir, f"{modality}.json")
-        save_cubes(cubes, [f"{modality}_b{j}" for j in range(b)], path)
+        save_cubes(survey_ids, (base + trend + noise).astype(np.float32),
+                   [f"{modality}_b{j}" for j in range(b)], path)
         cube_paths[modality] = path
 
     return {
@@ -138,7 +125,7 @@ def make_synthetic(out_dir: str, n_surveys: int = 500, num_species: int = 20,
 
 
 def default_config_yaml(data_dir: str, n_species: int = 20, epochs: int = 10,
-                        top_k: int = 5, seed: int = 42, patch_size: int = 32) -> str:
+                        top_k: int = 5, seed: int = 42, patch_size: int = PATCH_SIZE) -> str:
     """Config document wired to a make_synthetic output directory."""
     return f"""\
 run:

@@ -175,8 +175,8 @@ def test_criterion_6_spatial_split_properties():
     points = [(float(rng.uniform(-12, 12)), float(rng.uniform(30, 50)), {0})
               for _ in range(1000)]
     table = make_table(points)
-    split_a = block_holdout(table, target_val_fraction=0.15, seed=21)
-    split_b = block_holdout(table, target_val_fraction=0.15, seed=21)
+    split_a = block_holdout(table, seed=21)
+    split_b = block_holdout(table, seed=21)
     deterministic = split_a.assignment == split_b.assignment
     by_cell = {}
     for sid, part in split_a.assignment.items():
@@ -318,11 +318,12 @@ def test_criterion_10_round_trips(smoke_run, tmp_path):
     cfg_ok = parse_config(render_config(cfg)) == cfg
     # cube build/load bit-exact
     rng = np.random.default_rng(0)
-    cubes = {f"s{i}": rng.normal(size=(2, 4, 3)).astype(np.float32) for i in range(5)}
+    survey_ids = [f"s{i}" for i in range(5)]
+    values = rng.normal(size=(5, 2, 4, 3)).astype(np.float32)
     cube_path = str(tmp_path / "cubes.json")
-    save_cubes(cubes, ["b0", "b1"], cube_path)
+    save_cubes(survey_ids, values, ["b0", "b1"], cube_path)
     loaded = load_cubes(cube_path)
-    cube_ok = all(np.array_equal(loaded[s].values, cubes[s]) for s in cubes)
+    cube_ok = all(np.array_equal(loaded[s].values, values[i]) for i, s in enumerate(survey_ids))
     # split save/load
     split_path = str(tmp_path / "split.csv")
     save_split(split, split_path)

@@ -1,5 +1,7 @@
+import argparse
 import csv
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ import pytest
 import yaml
 
 from sdmkit import engine, geodata
-from sdmkit.cli import main
+from sdmkit.cli import build_parser, main
 from sdmkit.config import load_config
 from sdmkit.evalkit import Predictions
 from sdmkit.geodata import load_cubes, load_observations
@@ -39,6 +41,37 @@ def test_make_synthetic_deterministic(tmp_path):
     for name in ("observations.csv", "chan0.f32", "cube_a.f32", "cube_a.json"):
         assert open(os.path.join(a, name), "rb").read() == open(
             os.path.join(b, name), "rb").read()
+
+
+def test_make_synthetic_refuses_to_overwrite(tmp_path, capsys):
+    """A rerun into a directory that holds observations.csv or config.yaml
+    exits 1 with one error line and writes nothing; --force overwrites."""
+    out = tmp_path / "syn"
+    out.mkdir()
+    (out / "config.yaml").write_text("run: {seed: 1}\n")
+    argv = ["make-synthetic", "--out", str(out), "--n", "30", "--species", "4"]
+    for existing in ("config.yaml", "observations.csv"):
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: refusing to overwrite {str(out / existing)!r} (pass --force)"]
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+        # seed 1, so a rerun at the default seed 7 would change the bytes
+        assert main(argv + ["--seed", "1", "--force"]) == 0
+    assert len(load_observations(str(out / "observations.csv"), 4)) == 30
+
+
+def test_every_flag_is_read_by_its_command():
+    """Each subcommand registers only flags its command function reads."""
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for name, parser in subparsers.choices.items():
+        source = inspect.getsource(parser.get_default("func"))
+        unread += [f"{name} --{a.dest}" for a in parser._actions
+                   if not isinstance(a, argparse._HelpAction) and f"args.{a.dest}" not in source]
+    assert unread == []
 
 
 # sha256 of every file make_synthetic(n=200, species=20, seed=7) writes. perfbench
@@ -302,16 +335,59 @@ def write_encoder_without_modality(synthetic_dir, tmp_path):
                       encoders={"cube_c": {"name": "micro_conv3d"}}), "model.encoders.cube_c: "
 
 
-def write_repeated_cube_tag(synthetic_dir, tmp_path):
-    headers = [os.path.join(synthetic_dir, f"chan{c}.json") for c in range(2)]
+def build_cubes_args(synthetic_dir, tmp_path, entries, shape):
+    """build-cubes argv over a layers file of entries; each entry's header
+    becomes the path of the synthetic raster it names."""
     layers = tmp_path / "tagged.json"
-    layers.write_text(json.dumps([{"header": h, "band": 0, "step": 0, "year": 0}
-                                  for h in headers]))
-    return ["build-cubes", "--layers", str(layers),
-            "--observations", os.path.join(synthetic_dir, "observations.csv"),
-            "--num-classes", "8", "--shape", "1,1,1", "--out", str(tmp_path / "built.json")], (
+    layers.write_text(json.dumps([dict(e, header=os.path.join(synthetic_dir, e["header"]))
+                                  for e in entries]))
+    return layers, ["build-cubes", "--layers", str(layers),
+                    "--observations", os.path.join(synthetic_dir, "observations.csv"),
+                    "--num-classes", "8", "--shape", shape, "--out", str(tmp_path / "built.json")]
+
+
+def write_repeated_cube_tag(synthetic_dir, tmp_path):
+    layers, argv = build_cubes_args(
+        synthetic_dir, tmp_path, [{"header": f"chan{c}.json", "band": 0, "step": 0, "year": 0}
+                                  for c in range(2)], "1,1,1")
+    headers = [os.path.join(synthetic_dir, f"chan{c}.json") for c in range(2)]
+    return argv, (
         f"{layers}: entry 1 ({headers[1]}) repeats the (band, step, year) (0, 0, 0) of entry 0 "
         f"({headers[0]})")
+
+
+def write_cube_tag_without_year(synthetic_dir, tmp_path):
+    layers, argv = build_cubes_args(synthetic_dir, tmp_path,
+                                    [{"header": "chan0.json", "band": 0, "step": 0}], "1,1,1")
+    header = os.path.join(synthetic_dir, "chan0.json")
+    return argv, f"{layers}: entry 0 ({header}) year None is not an integer in [0, 1)"
+
+
+def write_cube_band_past_shape(synthetic_dir, tmp_path):
+    layers, argv = build_cubes_args(
+        synthetic_dir, tmp_path, [{"header": f"chan{c}.json", "band": c, "step": 0, "year": 0}
+                                  for c in range(3)], "2,1,1")
+    header = os.path.join(synthetic_dir, "chan2.json")
+    return argv, f"{layers}: entry 2 ({header}) band 2 is not an integer in [0, 2)"
+
+
+def write_cube_negative_band(synthetic_dir, tmp_path):
+    # band -1 would index the last band and overwrite band 0 at this shape
+    layers, argv = build_cubes_args(
+        synthetic_dir, tmp_path, [{"header": f"chan{c}.json", "band": -c, "step": 0, "year": 0}
+                                  for c in range(2)], "1,1,1")
+    header = os.path.join(synthetic_dir, "chan1.json")
+    return argv, f"{layers}: entry 1 ({header}) band -1 is not an integer in [0, 1)"
+
+
+def write_cube_bool_step(synthetic_dir, tmp_path):
+    # true would index step 1, which this shape has
+    layers, argv = build_cubes_args(
+        synthetic_dir, tmp_path, [{"header": "chan0.json", "band": 0, "step": 0, "year": 0},
+                                  {"header": "chan1.json", "band": 0, "step": True, "year": 0}],
+        "1,2,1")
+    header = os.path.join(synthetic_dir, "chan1.json")
+    return argv, f"{layers}: entry 1 ({header}) step True is not an integer in [0, 2)"
 
 
 def train_args(synthetic_dir, tmp_path, data=(), encoders=()):
@@ -326,10 +402,14 @@ def train_args(synthetic_dir, tmp_path, data=(), encoders=()):
 
 @pytest.mark.parametrize("write", [write_conflict_in_later_block, write_split_survey_twice,
                                    write_ragged_predictions, write_encoder_without_modality,
-                                   write_repeated_cube_tag],
+                                   write_repeated_cube_tag, write_cube_tag_without_year,
+                                   write_cube_band_past_shape, write_cube_negative_band,
+                                   write_cube_bool_step],
                          ids=["conflict-later-block", "split-survey-twice",
                               "ragged-predictions", "encoder-without-modality",
-                              "repeated-cube-tag"])
+                              "repeated-cube-tag", "cube-tag-without-year",
+                              "cube-band-past-shape", "cube-negative-band",
+                              "cube-bool-step"])
 def test_rejected_input_one_error_line(synthetic_dir, tmp_path, capsys, write):
     """Real-data hazards that must be rejected: exit 1 and one error line
     naming the file and row, or the config key; no run directory or report."""
@@ -341,6 +421,7 @@ def test_rejected_input_one_error_line(synthetic_dir, tmp_path, capsys, write):
     assert errors[0].startswith(f"error: {expected}")
     assert not os.path.exists(tmp_path / "runs")
     assert not os.path.exists(tmp_path / "report.json")
+    assert not os.path.exists(tmp_path / "built.json")
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])

@@ -660,30 +660,25 @@ class TestNormalizedLayers:
 class TestCubes:
     def test_save_load_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
-        cubes = {"a": rng.normal(size=(2, 4, 3)).astype(np.float32),
-                 "b": rng.normal(size=(2, 4, 3)).astype(np.float32)}
+        values = rng.normal(size=(2, 2, 4, 3)).astype(np.float32)
         path = str(tmp_path / "cubes.json")
-        save_cubes(cubes, ["b0", "b1"], path)
+        save_cubes(["a", "b"], values, ["b0", "b1"], path)
         loaded = load_cubes(path)
         assert set(loaded) == {"a", "b"}
-        for sid in cubes:
-            np.testing.assert_array_equal(loaded[sid].values, cubes[sid])
+        for i, sid in enumerate(["a", "b"]):
+            np.testing.assert_array_equal(loaded[sid].values, values[i])
 
     def test_payload_size_check(self, tmp_path):
-        cubes = {"a": np.zeros((2, 4, 3), dtype=np.float32),
-                 "b": np.zeros((2, 4, 3), dtype=np.float32)}
         path = str(tmp_path / "cubes.json")
-        save_cubes(cubes, ["b0", "b1"], path)
+        save_cubes(["a", "b"], np.zeros((2, 2, 4, 3), dtype=np.float32), ["b0", "b1"], path)
         payload = tmp_path / "cubes.f32"
         payload.write_bytes(payload.read_bytes()[:-1])  # truncate to 191 bytes
         with pytest.raises(FormatError, match="truncat|bytes"):
             load_cubes(path)
 
     def test_expected_payload_bytes(self, tmp_path):
-        cubes = {"a": np.zeros((2, 4, 3), dtype=np.float32),
-                 "b": np.zeros((2, 4, 3), dtype=np.float32)}
         path = str(tmp_path / "cubes.json")
-        save_cubes(cubes, ["b0", "b1"], path)
+        save_cubes(["a", "b"], np.zeros((2, 2, 4, 3), dtype=np.float32), ["b0", "b1"], path)
         assert (tmp_path / "cubes.f32").stat().st_size == 2 * 2 * 4 * 3 * 4
 
     def test_duplicate_survey_rejected(self, tmp_path):
@@ -698,9 +693,9 @@ class TestCubes:
     def test_nan_imputed(self, tmp_path, caplog):
         # every non-finite entry reads 0, also an inf next to a NaN; finite ones are kept
         for entries in ([math.nan], [math.inf], [-math.inf], [math.nan, math.inf, -math.inf, 1.5]):
-            cubes = {"a": np.array(entries, dtype=np.float32).reshape(1, 1, -1)}
+            values = np.array(entries, dtype=np.float32).reshape(1, 1, 1, -1)
             path = str(tmp_path / "cubes.json")
-            save_cubes(cubes, ["b0"], path)
+            save_cubes(["a"], values, ["b0"], path)
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="sdmkit.geodata"):
                 loaded = load_cubes(path)
@@ -711,7 +706,7 @@ class TestCubes:
 
     def test_band_count_must_match_shape(self, tmp_path):
         path = str(tmp_path / "cubes.json")
-        save_cubes({"a": np.zeros((2, 1, 1), dtype=np.float32)}, ["b0"], path)
+        save_cubes(["a"], np.zeros((1, 2, 1, 1), dtype=np.float32), ["b0"], path)
         with pytest.raises(FormatError, match="band"):
             load_cubes(path)
 
@@ -788,9 +783,7 @@ class TestMakeDataset:
         )
         spec = PatchSpec(side=1, layer_names=("toy",))
         cube_map = {
-            r.survey_id: TimeSeriesCube(
-                r.survey_id, np.full((1, 2, 2), float(i), dtype=np.float32), ("b0",)
-            )
+            r.survey_id: TimeSeriesCube(np.full((1, 2, 2), float(i), dtype=np.float32))
             for i, r in enumerate(table.records)
         }
         return SampleSource(table, normalize_layers([toy_raster], spec), spec,

@@ -49,20 +49,20 @@ class TestCellIndex:
 class TestBlockHoldout:
     def test_greedy_crosses_target(self):
         table = uniform_table(np.random.default_rng(0))
-        split = block_holdout(table, target_val_fraction=0.15, seed=3)
+        split = block_holdout(table, seed=3)
         n_val_cells = len({split.cell_of[s] for s in split.partition("val")})
         assert n_val_cells == 2
         assert split.val_fraction == pytest.approx(0.20)
 
     def test_determinism(self):
         table = uniform_table(np.random.default_rng(0))
-        a = block_holdout(table, target_val_fraction=0.15, seed=11)
-        b = block_holdout(table, target_val_fraction=0.15, seed=11)
+        a = block_holdout(table, seed=11)
+        b = block_holdout(table, seed=11)
         assert a.assignment == b.assignment
 
     def test_block_purity_two_cells(self):
         points = [(-170 + (i % 2), 0.05, {0}) for i in range(40)]
-        split = block_holdout(make_table(points), target_val_fraction=0.15, seed=0)
+        split = block_holdout(make_table(points), seed=0)
         cells_by_partition = {}
         for sid, part in split.assignment.items():
             cells_by_partition.setdefault(split.cell_of[sid], set()).add(part)
@@ -78,20 +78,11 @@ class TestBlockHoldout:
             by_cell.setdefault(split.cell_of[sid], set()).add(part)
         assert all(len(parts) == 1 for parts in by_cell.values())
 
-    def test_monotone_coverage_in_target(self):
-        table = uniform_table(np.random.default_rng(0))
-        prev_cells = set()
-        for target in (0.1, 0.2, 0.3, 0.5):
-            split = block_holdout(table, target_val_fraction=target, seed=5)
-            cells = {split.cell_of[s] for s in split.partition("val")}
-            assert prev_cells <= cells
-            prev_cells = cells
-
     def test_fraction_bound(self):
         rng = np.random.default_rng(9)
         points = [(rng.uniform(-5, 5), rng.uniform(-5, 5), {0}) for _ in range(500)]
         table = make_table(points)
-        split = block_holdout(table, target_val_fraction=0.15, seed=2)
+        split = block_holdout(table, seed=2)
         cell_counts = {}
         for sid, cell in split.cell_of.items():
             cell_counts[cell] = cell_counts.get(cell, 0) + 1
@@ -101,7 +92,7 @@ class TestBlockHoldout:
     def test_single_cell_degenerate(self):
         points = [(0.01 * i / 100, 0.001, {0}) for i in range(5)]
         with pytest.raises(DegenerateSplitError):
-            block_holdout(make_table(points))
+            block_holdout(make_table(points), seed=0)
 
 
 class TestSplitRoundTrip:
