@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -18,7 +17,8 @@ import sys
 from . import engine, evalkit
 from .config import load_config
 from .errors import FormatError, SdmkitError
-from .geodata import build_time_series_cubes, load_observations, load_raster, multi_hot, read_csv
+from .geodata import (build_time_series_cubes, load_observations, load_raster, multi_hot,
+                      read_csv, read_json)
 from .pipeline import build_model, load_data, resolve_split
 from .split import block_holdout, save_split
 from .synthetic import default_config_yaml, make_synthetic
@@ -115,10 +115,7 @@ def cmd_build_cubes(args) -> int:
     if len(shape) != 3:
         raise SdmkitError(f"--shape must be B,Q,Y integers, got {args.shape!r}")
     _check_clobber(args.out, args.force)
-    with open(args.layers, encoding="utf-8") as fh:
-        entries = json.load(fh)
-    if not isinstance(entries, list):
-        raise FormatError(f"{args.layers}: expected a JSON list of tagged raster entries")
+    entries = read_json(args.layers, list)
     first = {}  # (band, step, year) -> index of the entry that tags it
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or not isinstance(entry.get("header"), str):

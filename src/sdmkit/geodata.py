@@ -6,15 +6,15 @@ transforming the point into each layer's CRS rather than warping the
 raster) and per-survey time-series cubes (bands x steps x years blocks
 pre-extracted at the observation locations).
 
-Patches are cut a batch at a time from rasters normalized once by
-normalize_layers: missing pixels (nodata, NaN or +-inf) take FILL_VALUE and
-each layer is normalized into COMPUTE_DTYPE. extract_patches then transforms
-each point once per distinct CRS; layers sharing a grid (CRS, origin, pixel
-sizes, shape) share one flat window index and out-of-bounds mask, each layer is
-gathered with one take, and out-of-bounds pixels take the channel's normalized
-fill. A batch of training or prediction samples is built by collate; a single
-sample is a batch of one. Time-series cubes are built the same way, from
-side-1 patches.
+Patches are cut from rasters normalized once by normalize_layers: missing
+pixels (nodata, NaN or +-inf) take FILL_VALUE, each layer is normalized into
+COMPUTE_DTYPE and framed by side pixels of its normalized fill, which costs
+(H+2s)(W+2s) - HW pixels per layer. patch_windows transforms each point once
+per grid (CRS, origin, pixel sizes, shape) into the flat start of its window
+in the frame. A SampleSource finds its surveys' windows once, when it is
+built, and logs the surveys outside every layer once; collate then gathers
+each layer with one take. A single sample is a batch of one. Time-series
+cubes are built the same way, from side-1 patches.
 
 File formats (all little-endian, sizes bit-exact):
   observations  CSV with header surveyId,lon,lat,speciesId, one row per
@@ -179,6 +179,24 @@ def parse_field(path: str, row: int, column: str, parse, text: str):
         raise FormatError(f"{path} row {row}, column {column}: {exc}") from None
 
 
+def read_json(path: str, kind: type, keys=()):
+    """The JSON document at path, which must be a kind (dict or list) holding
+    each of keys; anything else raises a FormatError naming the file and the
+    key."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8 text
+            raise FormatError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, kind):
+        raise FormatError(f"{path}: expected a JSON {'mapping' if kind is dict else 'list'}, "
+                          f"got {type(doc).__name__}")
+    for key in keys:
+        if key not in doc:
+            raise FormatError(f"{path}: missing key {key!r}")
+    return doc
+
+
 def load_observations(path: str, num_classes: int) -> ObservationTable:
     """Load an observation CSV, grouping species rows per survey.
 
@@ -337,14 +355,13 @@ class RasterLayer:
     pixel_size_y: float  # negative for north-up
     crs: str
     nodata: float
-    values: np.ndarray  # (height, width) float32
+    values: np.ndarray  # (height + 2 pad, width + 2 pad) float32
+    pad: int = 0  # pixels of fill framing the grid on every side (normalize_layers)
 
     def __post_init__(self):
-        if self.values.shape != (self.height, self.width):
-            raise FormatError(
-                f"raster {self.name!r}: values shape {self.values.shape} != "
-                f"({self.height}, {self.width})"
-            )
+        if self.values.shape != (self.height + 2 * self.pad, self.width + 2 * self.pad):
+            raise FormatError(f"raster {self.name!r}: values shape {self.values.shape} != "
+                              f"({self.height}, {self.width}) framed by {self.pad}")
         if self.pixel_size_x <= 0 or self.pixel_size_y == 0:
             raise FormatError(f"raster {self.name!r}: invalid pixel sizes")
 
@@ -373,9 +390,12 @@ def save_raster(layer: RasterLayer, header_path: str) -> None:
     layer.values.astype("<f4").tofile(payload_path)
 
 
+_RASTER_KEYS = ("name", "width", "height", "origin_x", "origin_y", "pixel_size_x",
+                "pixel_size_y", "crs", "nodata")
+
+
 def load_raster(header_path: str) -> RasterLayer:
-    with open(header_path, "r", encoding="utf-8") as fh:
-        header = json.load(fh)
+    header = read_json(header_path, dict, _RASTER_KEYS)
     payload_path = os.path.join(
         os.path.dirname(header_path),
         header.get("payload", os.path.splitext(os.path.basename(header_path))[0] + ".f32"),
@@ -404,8 +424,7 @@ def load_raster_manifest(manifest_path: str) -> list[RasterLayer]:
     """Load the layers listed in a raster manifest JSON ({"layers": [paths]});
     two layers with one name raise FormatError, since patches pick layers by
     name."""
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = read_json(manifest_path, dict, ("layers",))
     base = os.path.dirname(manifest_path)
     layers = [load_raster(os.path.join(base, p)) for p in manifest["layers"]]
     seen = set()
@@ -433,58 +452,56 @@ class PatchSpec:
                     raise DataError(f"normalize std for {name!r} must be > 0")
 
 
-def _window_index(layer: RasterLayer, xs: np.ndarray, ys: np.ndarray, side: int):
-    """Flat (N, side, side) pixel indices of the windows around points given in
-    the layer's CRS, clipped into the grid, and the mask of out-of-bounds pixels."""
-    half = side // 2
-    offsets = np.arange(side) - half
-    # clipping the centre keeps the int cast in range and leaves every window
-    # that misses the grid still missing it
-    col = np.clip(np.floor((xs - layer.origin_x) / layer.pixel_size_x), -side, layer.width + side)
-    row = np.clip(np.floor((ys - layer.origin_y) / layer.pixel_size_y), -side, layer.height + side)
-    cols = col.astype(np.intp)[:, None] + offsets
-    rows = row.astype(np.intp)[:, None] + offsets
-    outside = ((rows < 0) | (rows >= layer.height))[:, :, None] | (
-        (cols < 0) | (cols >= layer.width))[:, None, :]
-    flat = (np.clip(rows, 0, layer.height - 1)[:, :, None] * layer.width
-            + np.clip(cols, 0, layer.width - 1)[:, None, :])
-    return flat, outside
+def patch_windows(layers, side: int, lons, lats) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each layer's (N,) flat index of the first pixel of the side x side window
+    around each of N WGS84 points, in layers framed by normalize_layers with
+    this side, and the mask of points whose window overlaps some layer. The
+    start is clipped into the frame, so a window that misses the grid lies
+    wholly in the fill and one that overlaps it starts strictly inside."""
+    by_grid, starts, overlaps = {}, [], np.zeros(len(lons), dtype=bool)  # grid -> starts
+    for layer in layers:
+        grid = (layer.crs, layer.origin_x, layer.origin_y, layer.pixel_size_x,
+                layer.pixel_size_y, layer.width, layer.height)
+        if grid not in by_grid:
+            xy = np.empty((len(lons), 2), dtype=np.float64)
+            for i, point in enumerate(zip(lons, lats)):
+                try:
+                    xy[i] = transform_point(*point, layer.crs)
+                except ProjectionDomainError as exc:
+                    exc.point = i  # so that a caller can name the point
+                    raise
+            x, y = xy.T
+            # a window starts side // 2 pixels before its point's pixel; the frame adds side
+            col = np.clip(np.floor((x - layer.origin_x) / layer.pixel_size_x) + side - side // 2,
+                          0, layer.width + side).astype(np.intp)
+            row = np.clip(np.floor((y - layer.origin_y) / layer.pixel_size_y) + side - side // 2,
+                          0, layer.height + side).astype(np.intp)
+            by_grid[grid] = row * (layer.width + 2 * side) + col
+            overlaps |= ((0 < row) & (row < layer.height + side)
+                         & (0 < col) & (col < layer.width + side))
+        starts.append(by_grid[grid])
+    return starts, overlaps
+
+
+def _gather(layers, side: int, starts) -> np.ndarray:
+    """(N, C, side, side) patches of the windows that begin at patch_windows' starts."""
+    out = np.empty((len(starts[0]), len(layers), side, side), dtype=COMPUTE_DTYPE)
+    for ci, (layer, start) in enumerate(zip(layers, starts)):
+        window = np.arange(side)[:, None] * layer.values.shape[1] + np.arange(side)
+        out[:, ci] = layer.values.take(start[:, None, None] + window)
+    return out
 
 
 def extract_patches(layers, spec: PatchSpec, lons, lats) -> np.ndarray:
     """Cut (N, C, side, side) COMPUTE_DTYPE patches around N WGS84 points from
-    layers prepared by normalize_layers(raw, spec).
-
-    Each point is transformed into each layer's CRS and mapped to pixel
-    indices by the floor convention; the windows are gathered as they are,
-    and out-of-bounds pixels take the channel's normalized FILL_VALUE. A
-    point that misses every layer is filled and logged once.
-    """
+    layers prepared by normalize_layers(raw, spec): out-of-bounds pixels read
+    the frame's fill, and each point that misses every layer is logged."""
     chosen = _chosen_layers(layers, spec)
-    lons = np.asarray(lons, dtype=np.float64)
-    lats = np.asarray(lats, dtype=np.float64)
-    n, side = len(lons), spec.side
-    points = {}  # crs -> (xs, ys)
-    for crs in dict.fromkeys(layer.crs for layer in chosen):
-        xy = [transform_point(lon, lat, crs) for lon, lat in zip(lons.tolist(), lats.tolist())]
-        points[crs] = np.array(xy, dtype=np.float64).reshape(n, 2).T
-    windows = {}  # grid -> (flat index, out-of-bounds mask)
-    out = np.empty((n, len(chosen), side, side), dtype=COMPUTE_DTYPE)
-    overlaps = np.zeros(n, dtype=bool)
-    for ci, layer in enumerate(chosen):
-        grid = (layer.crs, layer.origin_x, layer.origin_y, layer.pixel_size_x,
-                layer.pixel_size_y, layer.width, layer.height)
-        if grid not in windows:
-            windows[grid] = _window_index(layer, *points[layer.crs], side)
-            overlaps |= ~windows[grid][1].all(axis=(1, 2))
-        flat, outside = windows[grid]
-        out[:, ci] = layer.values.take(flat)
-        mean, std = _layer_stats(spec, layer.name)
-        np.copyto(out[:, ci], (FILL_VALUE - mean) / std, where=outside)
+    starts, overlaps = patch_windows(chosen, spec.side, lons, lats)
     for i in np.flatnonzero(~overlaps).tolist():
-        log.warning("point (%s, %s) outside all patch layers; filled",
-                    lons[i].item(), lats[i].item())
-    return out
+        log.warning("point (%s, %s) outside all patch layers; filled", float(lons[i]),
+                    float(lats[i]))
+    return _gather(chosen, spec.side, starts)
 
 
 def _chosen_layers(layers, spec: PatchSpec) -> list[RasterLayer]:
@@ -495,23 +512,22 @@ def _chosen_layers(layers, spec: PatchSpec) -> list[RasterLayer]:
     return [by_name[n] for n in spec.layer_names]
 
 
-def _layer_stats(spec: PatchSpec, name: str) -> tuple[float, float]:
-    return (spec.normalize or {}).get(name, (0.0, 1.0))
-
-
 _NORMALIZE_BLOCK_PIXELS = 1 << 20
 
 
 def normalize_layers(layers, spec: PatchSpec) -> list[RasterLayer]:
-    """spec's layers with their values normalized once, for extract_patches:
+    """spec's layers with their values normalized once, for patch_windows:
     missing pixels take FILL_VALUE, then (v - mean) / std runs in float64 and
-    is cast to COMPUTE_DTYPE. The float64 work runs a block of rows at a
-    time, so no float64 copy of a whole layer is made. The results have no
-    nodata value; the raw layers are left unchanged."""
-    out = []
+    is cast to COMPUTE_DTYPE, as does the fill of the spec.side-pixel frame.
+    The float64 work runs a block of rows at a time, so no float64 copy of a
+    whole layer is made. The results have no nodata value; the raw layers are
+    left unchanged."""
+    out, pad = [], spec.side
     for layer in _chosen_layers(layers, spec):
-        mean, std = _layer_stats(spec, layer.name)
-        values = np.empty(layer.values.shape, dtype=COMPUTE_DTYPE)
+        mean, std = (spec.normalize or {}).get(layer.name, (0.0, 1.0))
+        values = np.full((layer.height + 2 * pad, layer.width + 2 * pad),
+                         (FILL_VALUE - mean) / std, dtype=COMPUTE_DTYPE)
+        inner = values[pad:pad + layer.height, pad:pad + layer.width]
         rows = max(1, _NORMALIZE_BLOCK_PIXELS // max(1, layer.width))
         for start in range(0, layer.height, rows):
             raw = layer.values[start:start + rows]
@@ -519,8 +535,8 @@ def normalize_layers(layers, spec: PatchSpec) -> list[RasterLayer]:
             block[layer.missing(raw)] = FILL_VALUE
             block -= mean
             block /= std
-            values[start:start + rows] = block
-        out.append(dataclasses.replace(layer, nodata=math.nan, values=values))
+            inner[start:start + rows] = block
+        out.append(dataclasses.replace(layer, nodata=math.nan, values=values, pad=pad))
     return out
 
 
@@ -555,12 +571,14 @@ def load_cubes(manifest_path: str) -> dict[str, TimeSeriesCube]:
     Non-finite payload entries (NaN, +-inf) are imputed to 0 with a logged
     count.
     """
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    surveys = manifest["surveys"]
+    manifest = read_json(manifest_path, dict, ("surveys", "shape", "bands"))
+    surveys, shape = manifest["surveys"], manifest["shape"]
     if len(set(surveys)) != len(surveys):
         raise FormatError(f"{manifest_path}: duplicate survey in manifest")
-    b, q, y = manifest["shape"]
+    if (not isinstance(shape, list) or len(shape) != 3
+            or not all(type(n) is int and n >= 0 for n in shape)):  # a bool is not a size
+        raise FormatError(f"{manifest_path}: shape {shape!r} is not three non-negative integers")
+    b, q, y = shape
     if len(manifest["bands"]) != b:
         raise FormatError(f"{manifest_path}: {len(manifest['bands'])} band names for shape "
                           f"{manifest['shape']}")
@@ -618,7 +636,8 @@ def build_time_series_cubes(
 class SampleSource:
     """Aligned multimodal samples of an observation table, batched by collate.
 
-    layers are normalize_layers(raw, patch_spec): collate only gathers them.
+    layers are normalize_layers(raw, patch_spec). Building the source finds the
+    windows (patch_windows) and logs the surveys outside every layer, once.
     """
 
     table: ObservationTable
@@ -640,6 +659,19 @@ class SampleSource:
                     raise DataError(
                         f"survey {rec.survey_id!r} has an empty species set in train mode"
                     )
+        self.starts = []  # per patch layer: each survey's window start (patch_windows)
+        if self.patch_spec is not None:
+            try:
+                self.starts, overlaps = patch_windows(self.layers, self.patch_spec.side,
+                                                      [r.lon for r in self.table.records],
+                                                      [r.lat for r in self.table.records])
+            except ProjectionDomainError as exc:
+                sid = self.table.records[exc.point].survey_id
+                raise ProjectionDomainError(f"survey {sid!r}: {exc}") from None
+            outside = np.flatnonzero(~overlaps)
+            if outside.size:
+                log.warning("%d of %d surveys outside all patch layers, first %r; filled",
+                            outside.size, len(self), self.table.records[outside[0]].survey_id)
 
     def __len__(self):
         return len(self.table.records)
@@ -661,14 +693,13 @@ def collate(source: SampleSource, indices) -> dict:
     patch and cubes are COMPUTE_DTYPE, location and labels float64."""
     records = [source.table.records[int(i)] for i in indices]
     batch: dict = {"survey_ids": [rec.survey_id for rec in records]}
-    location = np.array([(rec.lon, rec.lat) for rec in records], dtype=np.float64)
     if source.patch_spec is not None:
-        batch["patch"] = extract_patches(source.layers, source.patch_spec, location[:, 0],
-                                         location[:, 1])
+        batch["patch"] = _gather(source.layers, source.patch_spec.side,
+                                 [start[indices] for start in source.starts])
     for modality, cube_map in source.cube_maps.items():
         batch[modality] = np.stack([cube_map[rec.survey_id].values for rec in records],
                                    dtype=COMPUTE_DTYPE)
-    batch["location"] = location
+    batch["location"] = np.array([(rec.lon, rec.lat) for rec in records], dtype=np.float64)
     if source.labels_mode == "train":
         batch["labels"] = multi_hot(records, source.table.num_classes)
     return batch

@@ -31,8 +31,8 @@ from .split import SpatialSplit, block_holdout, load_split
 
 class LoadedData:
     """The loaded tables. layers are the rasters as read; the sources cut
-    patches from patch_layers, the same rasters with missing pixels filled and
-    normalized once by patch_spec (geodata.normalize_layers)."""
+    patches from patch_layers, the same rasters with missing pixels filled,
+    normalized and framed once by patch_spec (geodata.normalize_layers)."""
 
     def __init__(self, table: ObservationTable, layers, patch_spec, cube_maps):
         self.table = table

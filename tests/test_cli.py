@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -15,7 +16,7 @@ from sdmkit import engine, geodata
 from sdmkit.cli import build_parser, main
 from sdmkit.config import load_config
 from sdmkit.evalkit import Predictions
-from sdmkit.geodata import load_cubes, load_observations
+from sdmkit.geodata import load_cubes, load_observations, load_raster, save_raster
 from sdmkit.pipeline import build_model, load_data
 from sdmkit.split import load_split
 from sdmkit.synthetic import make_synthetic
@@ -390,6 +391,82 @@ def write_cube_bool_step(synthetic_dir, tmp_path):
     return argv, f"{layers}: entry 1 ({header}) step True is not an integer in [0, 2)"
 
 
+def write_layers_trailing_comma(synthetic_dir, tmp_path):
+    layers, argv = build_cubes_args(synthetic_dir, tmp_path, [], "1,1,1")
+    header = os.path.join(synthetic_dir, "chan0.json")
+    layers.write_text(f'[{{"header": "{header}", "band": 0, "step": 0, "year": 0}},]')
+    return argv, f"{layers}: not valid JSON"
+
+
+def write_layers_mapping(synthetic_dir, tmp_path):
+    layers, argv = build_cubes_args(synthetic_dir, tmp_path, [], "1,1,1")
+    layers.write_text('{"header": "chan0.json", "band": 0, "step": 0, "year": 0}')
+    return argv, f"{layers}: expected a JSON list, got dict"
+
+
+def write_raster_manifest_trailing_comma(synthetic_dir, tmp_path):
+    manifest = tmp_path / "rasters.json"
+    manifest.write_text(f'{{"layers": ["{os.path.join(synthetic_dir, "chan0.json")}",]}}')
+    return train_args(synthetic_dir, tmp_path, data={"raster_manifest": str(manifest)}), (
+        f"{manifest}: not valid JSON")
+
+
+def write_raster_header_without_crs(synthetic_dir, tmp_path):
+    with open(os.path.join(synthetic_dir, "chan0.json")) as fh:
+        header = json.load(fh)
+    del header["crs"]
+    header["payload"] = os.path.join(synthetic_dir, header["payload"])
+    path = tmp_path / "chan0.json"
+    path.write_text(json.dumps(header))
+    manifest = tmp_path / "rasters.json"
+    manifest.write_text(json.dumps({"layers": [str(path)]}))
+    return train_args(synthetic_dir, tmp_path, data={"raster_manifest": str(manifest)}), (
+        f"{path}: missing key 'crs'")
+
+
+def cube_manifest_args(synthetic_dir, tmp_path, **changes):
+    """train argv whose cube_a manifest is the synthetic one with changes; a
+    change to None drops the key."""
+    with open(os.path.join(synthetic_dir, "cube_a.json")) as fh:
+        manifest = json.load(fh)
+    manifest["payload"] = os.path.join(synthetic_dir, manifest["payload"])
+    manifest.update(changes)
+    path = tmp_path / "cube_a.json"
+    path.write_text(json.dumps({k: v for k, v in manifest.items() if v is not None}))
+    cubes = {"cube_a": str(path), "cube_b": os.path.join(synthetic_dir, "cube_b.json")}
+    return path, train_args(synthetic_dir, tmp_path, data={"cube_manifests": cubes})
+
+
+def write_cube_manifest_without_shape(synthetic_dir, tmp_path):
+    path, argv = cube_manifest_args(synthetic_dir, tmp_path, shape=None)
+    return argv, f"{path}: missing key 'shape'"
+
+
+def write_cube_shape_negative(synthetic_dir, tmp_path):
+    # -4 * -3 is the payload's 12 entries per band, so only the sign check refuses it
+    path, argv = cube_manifest_args(synthetic_dir, tmp_path, shape=[2, -4, -3])
+    return argv, f"{path}: shape [2, -4, -3] is not three non-negative integers"
+
+
+def write_survey_outside_mercator_domain(synthetic_dir, tmp_path):
+    # chan3 on an EPSG:3857 grid and a survey at lat 86, where EPSG:3857 is undefined
+    header = tmp_path / "chan3.json"
+    layer = load_raster(os.path.join(synthetic_dir, "chan3.json"))
+    save_raster(dataclasses.replace(layer, crs="EPSG:3857"), str(header))
+    manifest = tmp_path / "rasters.json"
+    manifest.write_text(json.dumps({"layers": [
+        *(os.path.join(synthetic_dir, f"chan{c}.json") for c in range(3)), str(header)]}))
+    observations = tmp_path / "observations.csv"
+    with open(os.path.join(synthetic_dir, "observations.csv")) as fh:
+        observations.write_text(fh.read() + "polar,10.0,86.0,1\n")
+    argv = train_args(synthetic_dir, tmp_path, data={
+        "observations": str(observations), "raster_manifest": str(manifest), "cube_manifests": {}})
+    doc = yaml.safe_load((tmp_path / "config.yaml").read_text())
+    doc["model"]["encoders"] = {"patch": doc["model"]["encoders"]["patch"]}
+    (tmp_path / "config.yaml").write_text(yaml.safe_dump(doc))
+    return argv, "survey 'polar': latitude 86.0 outside EPSG:3857 domain"
+
+
 def train_args(synthetic_dir, tmp_path, data=(), encoders=()):
     with open(os.path.join(synthetic_dir, "config.yaml")) as fh:
         doc = yaml.safe_load(fh)
@@ -404,12 +481,19 @@ def train_args(synthetic_dir, tmp_path, data=(), encoders=()):
                                    write_ragged_predictions, write_encoder_without_modality,
                                    write_repeated_cube_tag, write_cube_tag_without_year,
                                    write_cube_band_past_shape, write_cube_negative_band,
-                                   write_cube_bool_step],
+                                   write_cube_bool_step, write_layers_trailing_comma,
+                                   write_layers_mapping, write_raster_manifest_trailing_comma,
+                                   write_raster_header_without_crs,
+                                   write_cube_manifest_without_shape, write_cube_shape_negative,
+                                   write_survey_outside_mercator_domain],
                          ids=["conflict-later-block", "split-survey-twice",
                               "ragged-predictions", "encoder-without-modality",
                               "repeated-cube-tag", "cube-tag-without-year",
                               "cube-band-past-shape", "cube-negative-band",
-                              "cube-bool-step"])
+                              "cube-bool-step", "layers-trailing-comma", "layers-mapping",
+                              "raster-manifest-trailing-comma", "raster-header-without-crs",
+                              "cube-manifest-without-shape", "cube-shape-negative",
+                              "survey-outside-mercator-domain"])
 def test_rejected_input_one_error_line(synthetic_dir, tmp_path, capsys, write):
     """Real-data hazards that must be rejected: exit 1 and one error line
     naming the file and row, or the config key; no run directory or report."""

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import json
+import logging
 import math
 import os
 import tempfile
@@ -7,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +28,9 @@ from sdmkit.engine import (
 )
 from sdmkit.errors import CheckpointMismatchError, FormatError, SdmkitError, ShapeError
 from sdmkit.evalkit import Predictions, top_k
-from sdmkit.geodata import parse_field, read_csv
+from sdmkit import geodata
+from sdmkit.geodata import (ObservationRecord, ObservationTable, load_raster, parse_field,
+                            read_csv, save_raster)
 from sdmkit.pipeline import build_model, load_data, resolve_split
 from sdmkit.synthetic import default_config_yaml, make_synthetic
 
@@ -695,6 +700,62 @@ def test_single_modality_model_fits_and_predicts(tmp_path):
     assert preds.survey_ids == data.table.survey_ids()
     assert preds.scores.shape == (200, 20)
     assert engine.load_predictions(out).survey_ids == preds.survey_ids
+
+
+def patch_only_fit_data(tmp_path, outside=()):
+    """A 3-epoch patch-only config over 60 synthetic surveys in batches of 16,
+    its chan3 moved onto an EPSG:3857 grid (so two grids), plus surveys at
+    the given (lon, lat) points outside every layer: (cfg, data, train, val)."""
+    data_dir = str(tmp_path / "data")
+    make_synthetic(data_dir, n_surveys=60, num_species=6, seed=2)
+    header = os.path.join(data_dir, "chan3.json")
+    save_raster(dataclasses.replace(load_raster(header), crs="EPSG:3857"), header)
+    doc = yaml.safe_load(default_config_yaml(data_dir, n_species=6, epochs=3, patch_size=8))
+    doc["data"].update(cube_manifests={}, batch_size=16)
+    doc["model"] = {"name": "micro_conv2d",
+                    "encoders": {"patch": doc["model"]["encoders"]["patch"]}}
+    cfg = parse_config(yaml.safe_dump(doc))
+    data = load_data(cfg)
+    extra = tuple(ObservationRecord(f"outside{i}", lon, lat, frozenset({0}))
+                  for i, (lon, lat) in enumerate(outside))
+    data.table = ObservationTable(data.table.records + extra, data.table.num_classes)
+    split = resolve_split(cfg, data.table)
+    return cfg, data, split.partition("train"), split.partition("val")
+
+
+def test_outside_survey_logged_once_per_run(tmp_path, caplog):
+    """A survey outside every layer is logged once, when its source is built,
+    not on every batch of every epoch."""
+    cfg, data, train_ids, val_ids = patch_only_fit_data(tmp_path, outside=[(-50.0, -50.0)])
+    with caplog.at_level(logging.WARNING, logger="sdmkit.geodata"):
+        train, val = data.source_for(train_ids), data.source_for(val_ids)
+        engine.fit(cfg, build_model(cfg, data.cube_shapes()), train, val,
+                   out_root=str(tmp_path / "runs"))
+    n = len(train) if "outside0" in train_ids else len(val)
+    assert [m for m in caplog.messages if "outside all patch layers" in m] == [
+        f"1 of {n} surveys outside all patch layers, first 'outside0'; filled"]
+
+
+def test_points_transformed_once_per_survey_and_grid(tmp_path, monkeypatch):
+    """Building a source transforms each survey's point once per grid; a
+    3-epoch fit and a prediction pass transform none."""
+    cfg, data, train_ids, val_ids = patch_only_fit_data(tmp_path)
+    calls = []
+
+    def counted(lon, lat, crs, transform=geodata.transform_point):
+        calls.append(crs)
+        return transform(lon, lat, crs)
+
+    monkeypatch.setattr(geodata, "transform_point", counted)
+    train, val, test = (data.source_for(train_ids), data.source_for(val_ids),
+                        data.source_for(labels_mode="predict"))
+    n = len(train) + len(val) + len(test)
+    assert sorted(set(calls)) == ["EPSG:3857", "EPSG:4326"] and len(calls) == 2 * n
+    run_dir = engine.fit(cfg, build_model(cfg, data.cube_shapes()), train, val,
+                         out_root=str(tmp_path / "runs"))
+    engine.predict(cfg, build_model(cfg, data.cube_shapes()), os.path.join(run_dir, "best.ckpt"),
+                   test)
+    assert len(calls) == 2 * n
 
 
 def test_training_step_stays_float32(tmp_path):

@@ -44,7 +44,7 @@ from sdmkit.geodata import (
     transform_point,
 )
 from sdmkit.engine import load_predictions
-from sdmkit.pipeline import load_data
+from sdmkit.pipeline import LoadedData, load_data
 from sdmkit.split import load_split
 from sdmkit.synthetic import default_config_yaml, make_synthetic
 from conftest import make_table
@@ -472,7 +472,11 @@ class TestExtractPatch:
         a = extract_patch(prepared, spec, 2.5, 1.5)
         b = extract_patch(prepared, spec, 2.5, 1.5)
         np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(prepared[0].values, before)
+        # the normalized layer is the raw one inside a frame of side fill pixels
+        assert prepared[0].pad == 3 and prepared[0].values.shape == (10, 10)
+        np.testing.assert_array_equal(prepared[0].values[3:-3, 3:-3], before)
+        assert (prepared[0].values[[0, 1, 2, -3, -2, -1]] == FILL_VALUE).all()
+        assert (prepared[0].values[:, [0, 1, 2, -3, -2, -1]] == FILL_VALUE).all()
         np.testing.assert_array_equal(toy_raster.values, before)
 
     def test_side1_equals_direct_indexing_randomized(self):
@@ -602,7 +606,8 @@ class TestExtractPatches:
 class TestNormalizedLayers:
     """collate cuts patches from layers normalized once (normalize_layers);
     they equal the oracle's float64 patches of the raw layers cast to float32,
-    bit for bit, and out-of-extent points are filled and logged."""
+    bit for bit, and out-of-extent points are filled and logged once, when
+    the source is built."""
 
     STATS = {"a": (0.25, 2.0), "b": (-1.0, 0.5), "m": (3.0, 1.5), "f": (-0.5, 0.75)}
     # inside every EPSG:4326 grid, on the west edge of a and b (their origin),
@@ -635,11 +640,14 @@ class TestNormalizedLayers:
         raw = [layer.values.copy() for layer in layers]
         lons, lats = zip(*self.POINTS)
         expected = oracle_patches(layers, spec, lons, lats)
-        source = self.source(layers, spec)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="sdmkit.geodata"):
+            source = self.source(layers, spec)
+        assert caplog.messages == ["1 of 5 surveys outside all patch layers, first 's4'; filled"]
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="sdmkit.geodata"):
             patches = collate(source, range(len(self.POINTS)))["patch"]
-        assert caplog.messages == ["point (-20.0, -20.0) outside all patch layers; filled"]
+        assert caplog.messages == []
         assert patches.dtype == np.float32
         assert patches.tobytes() == expected.tobytes()
         # the normalized layers hold no NaN or inf; the raw ones are left as they were
@@ -655,6 +663,18 @@ class TestNormalizedLayers:
         assert not inside[-1].any() and inside[0].any()
 
 
+
+
+def test_projection_domain_error_names_survey_when_source_is_built():
+    # a survey at lat 86 has no EPSG:3857 point: building its source refuses it
+    # by id, so no batch of a run is cut first; a source without it is built
+    merc = make_grid_layers(0)[3]
+    spec = PatchSpec(side=3, layer_names=("m",))
+    data = LoadedData(make_table([(2.0, 8.0, {0}), (10.0, 86.0, {1})]), [merc], spec, {})
+    with pytest.raises(ProjectionDomainError, match=re.escape(
+            "survey 's1': latitude 86.0 outside EPSG:3857 domain")):
+        data.source_for()
+    assert len(data.source_for(["s0"])) == 1
 
 
 class TestCubes:
