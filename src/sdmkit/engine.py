@@ -337,17 +337,27 @@ def predict(cfg: ExperimentConfig, model, weights_path: str, test_source,
 
 
 def save_predictions(predictions: Predictions, path: str) -> None:
-    """predictions.csv: surveyId, topk ids (rank order), all class scores.
-    A missing directory is created."""
+    """predictions.csv: surveyId, topk ids (rank order), all class scores,
+    each score its repr. A missing directory is created. The bytes are those
+    of csv.writer's excel dialect: only a survey id can need quoting, since
+    the other fields hold numbers and spaces."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with _replaced_on_success(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["surveyId", "topk", "scores"])
-        writer.writerows(
-            [sid, " ".join(map(str, topk)), " ".join(map(repr, scores))]
+        fh.write("surveyId,topk,scores\r\n")
+        fh.writelines(
+            f"{_csv_field(sid)},{' '.join(map(str, topk))},{' '.join(map(repr, scores))}\r\n"
             for sid, topk, scores in zip(predictions.survey_ids, predictions.topk.tolist(),
                                          predictions.scores.tolist())
         )
+
+
+def _csv_field(text: str) -> str:
+    """text as a CSV field of the excel dialect with minimal quoting: in
+    quotes, each quote doubled, when it holds a comma, a quote or a line
+    break."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def load_predictions(path: str) -> Predictions:

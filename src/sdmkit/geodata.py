@@ -9,26 +9,30 @@ pre-extracted at the observation locations).
 Patches are cut from rasters normalized once by normalize_layers: missing
 pixels (nodata, NaN or +-inf) take FILL_VALUE, each layer is normalized into
 COMPUTE_DTYPE and framed by side pixels of its normalized fill, which costs
-(H+2s)(W+2s) - HW pixels per layer. patch_windows transforms each point once
-per grid (CRS, origin, pixel sizes, shape) into the flat start of its window
-in the frame. A SampleSource finds its surveys' windows once, when it is
-built, and logs the surveys outside every layer once; collate then gathers
-each layer with one take. A single sample is a batch of one. Time-series
-cubes are built the same way, from side-1 patches.
+(H+2s)(W+2s) - HW pixels per layer, and the layers of each grid (CRS, origin,
+pixel sizes, shape) are the columns of one channels-last (H'W', C) stack.
+patch_windows transforms each point once per grid into the first stack row
+of its window in the frame. A SampleSource finds its surveys' windows once,
+when it is built, and logs the surveys outside every layer once; collate then
+gathers each grid's window rows with one take, into an (N, side, side, C)
+batch that it returns as an (N, C, side, side) view. A single sample is a
+batch of one. Time-series cubes are built the same way, from side-1 patches.
 
 File formats (all little-endian, sizes bit-exact):
   observations  CSV with header surveyId,lon,lat,speciesId, one row per
                 (survey, species) pair; a survey's rows repeat its lon,lat
-  raster        JSON header (width, height, origin_x, origin_y,
-                pixel_size_x, pixel_size_y, crs, nodata, name) next to a
-                .f32 file of float32 row-major values, north-up
+  raster        JSON header (width, height: positive integers; origin_x,
+                origin_y, pixel_size_x, pixel_size_y, nodata: numbers; crs,
+                name: strings) next to a .f32 file of float32 row-major
+                values, north-up
   cubes         JSON manifest (surveys, shape [B,Q,Y], bands, payload)
                 next to a float32 payload of one block per survey in
                 manifest order
   split         CSV with header surveyId,partition,cx,cy, one row per survey
   predictions   CSV with header surveyId,topk,scores, one row per survey;
                 topk holds k class ids in rank order, scores one value per
-                class, both space-separated
+                class (its repr), both space-separated; rows end in CRLF and
+                a survey id is quoted as csv.writer's excel dialect quotes it
 
 The CSV tables follow one contract, that of read_csv: columns are found by
 header name (extra columns are ignored), blank lines are skipped, every row
@@ -356,7 +360,12 @@ class RasterLayer:
     crs: str
     nodata: float
     values: np.ndarray  # (height + 2 pad, width + 2 pad) float32
-    pad: int = 0  # pixels of fill framing the grid on every side (normalize_layers)
+    # set by normalize_layers only: pixels of fill framing the grid on every side,
+    # and the ((height + 2 pad) * (width + 2 pad), C) channels-last stack of the
+    # grid's layers, of which values is column `column`
+    pad: int = 0
+    stack: np.ndarray | None = None
+    column: int = 0
 
     def __post_init__(self):
         if self.values.shape != (self.height + 2 * self.pad, self.width + 2 * self.pad):
@@ -390,12 +399,29 @@ def save_raster(layer: RasterLayer, header_path: str) -> None:
     layer.values.astype("<f4").tofile(payload_path)
 
 
-_RASTER_KEYS = ("name", "width", "height", "origin_x", "origin_y", "pixel_size_x",
-                "pixel_size_y", "crs", "nodata")
+def _is_number(value) -> bool:
+    return type(value) in (int, float)  # a bool is not a number here
+
+
+# raster header key -> (test of its JSON value, what the value must be)
+_RASTER_KEYS = {
+    "name": (lambda v: isinstance(v, str), "a string"),
+    "width": (lambda v: type(v) is int and v > 0, "a positive integer"),
+    "height": (lambda v: type(v) is int and v > 0, "a positive integer"),
+    "origin_x": (_is_number, "a number"),
+    "origin_y": (_is_number, "a number"),
+    "pixel_size_x": (_is_number, "a number"),
+    "pixel_size_y": (_is_number, "a number"),
+    "crs": (lambda v: isinstance(v, str), "a string"),
+    "nodata": (_is_number, "a number"),
+}
 
 
 def load_raster(header_path: str) -> RasterLayer:
     header = read_json(header_path, dict, _RASTER_KEYS)
+    for key, (valid, what) in _RASTER_KEYS.items():
+        if not valid(header[key]):
+            raise FormatError(f"{header_path}: {key} must be {what}, got {header[key]!r}")
     payload_path = os.path.join(
         os.path.dirname(header_path),
         header.get("payload", os.path.splitext(os.path.basename(header_path))[0] + ".f32"),
@@ -425,6 +451,10 @@ def load_raster_manifest(manifest_path: str) -> list[RasterLayer]:
     two layers with one name raise FormatError, since patches pick layers by
     name."""
     manifest = read_json(manifest_path, dict, ("layers",))
+    if not (isinstance(manifest["layers"], list)
+            and all(isinstance(p, str) for p in manifest["layers"])):
+        raise FormatError(f"{manifest_path}: layers must be a list of header paths, "
+                          f"got {manifest['layers']!r}")
     base = os.path.dirname(manifest_path)
     layers = [load_raster(os.path.join(base, p)) for p in manifest["layers"]]
     seen = set()
@@ -452,44 +482,62 @@ class PatchSpec:
                     raise DataError(f"normalize std for {name!r} must be > 0")
 
 
+def _grids(layers) -> list[list[int]]:
+    """Positions of layers prepared by normalize_layers grouped by the grid
+    stack they are columns of, in order of first appearance."""
+    grids: dict[int, list[int]] = {}
+    for i, layer in enumerate(layers):
+        grids.setdefault(id(layer.stack), []).append(i)
+    return list(grids.values())
+
+
 def patch_windows(layers, side: int, lons, lats) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each layer's (N,) flat index of the first pixel of the side x side window
-    around each of N WGS84 points, in layers framed by normalize_layers with
-    this side, and the mask of points whose window overlaps some layer. The
-    start is clipped into the frame, so a window that misses the grid lies
-    wholly in the fill and one that overlaps it starts strictly inside."""
-    by_grid, starts, overlaps = {}, [], np.zeros(len(lons), dtype=bool)  # grid -> starts
-    for layer in layers:
-        grid = (layer.crs, layer.origin_x, layer.origin_y, layer.pixel_size_x,
-                layer.pixel_size_y, layer.width, layer.height)
-        if grid not in by_grid:
-            xy = np.empty((len(lons), 2), dtype=np.float64)
-            for i, point in enumerate(zip(lons, lats)):
-                try:
-                    xy[i] = transform_point(*point, layer.crs)
-                except ProjectionDomainError as exc:
-                    exc.point = i  # so that a caller can name the point
-                    raise
-            x, y = xy.T
-            # a window starts side // 2 pixels before its point's pixel; the frame adds side
-            col = np.clip(np.floor((x - layer.origin_x) / layer.pixel_size_x) + side - side // 2,
-                          0, layer.width + side).astype(np.intp)
-            row = np.clip(np.floor((y - layer.origin_y) / layer.pixel_size_y) + side - side // 2,
-                          0, layer.height + side).astype(np.intp)
-            by_grid[grid] = row * (layer.width + 2 * side) + col
-            overlaps |= ((0 < row) & (row < layer.height + side)
-                         & (0 < col) & (col < layer.width + side))
-        starts.append(by_grid[grid])
+    """Each grid's (N,) index of the first stack row of the side x side window
+    around each of N WGS84 points, in layers framed and stacked by
+    normalize_layers with this side (grids in _grids order), and the mask of
+    points whose window overlaps some layer. The start is clipped into the
+    frame, so a window that misses the grid lies wholly in the fill and one
+    that overlaps it starts strictly inside."""
+    starts, overlaps = [], np.zeros(len(lons), dtype=bool)
+    for grid in _grids(layers):
+        layer = layers[grid[0]]
+        xy = np.empty((len(lons), 2), dtype=np.float64)
+        for i, point in enumerate(zip(lons, lats)):
+            try:
+                xy[i] = transform_point(*point, layer.crs)
+            except ProjectionDomainError as exc:
+                exc.point = i  # so that a caller can name the point
+                raise
+        x, y = xy.T
+        # a window starts side // 2 pixels before its point's pixel; the frame adds side
+        col = np.clip(np.floor((x - layer.origin_x) / layer.pixel_size_x) + side - side // 2,
+                      0, layer.width + side).astype(np.intp)
+        row = np.clip(np.floor((y - layer.origin_y) / layer.pixel_size_y) + side - side // 2,
+                      0, layer.height + side).astype(np.intp)
+        starts.append(row * (layer.width + 2 * side) + col)
+        overlaps |= ((0 < row) & (row < layer.height + side)
+                     & (0 < col) & (col < layer.width + side))
     return starts, overlaps
 
 
 def _gather(layers, side: int, starts) -> np.ndarray:
-    """(N, C, side, side) patches of the windows that begin at patch_windows' starts."""
-    out = np.empty((len(starts[0]), len(layers), side, side), dtype=COMPUTE_DTYPE)
-    for ci, (layer, start) in enumerate(zip(layers, starts)):
-        window = np.arange(side)[:, None] * layer.values.shape[1] + np.arange(side)
-        out[:, ci] = layer.values.take(start[:, None, None] + window)
-    return out
+    """(N, C, side, side) patches of the windows that begin at patch_windows'
+    starts: one index add and one take of stack rows per grid, into an
+    (N, side, side, C) channels-last array returned as its transposed view.
+    Only whole stacks are taken from; a column view would be copied whole."""
+    grids = _grids(layers)
+    out = None
+    for grid, start in zip(grids, starts):
+        layer = layers[grid[0]]
+        window = np.arange(side)[:, None] * (layer.width + 2 * layer.pad) + np.arange(side)
+        taken = layer.stack.take(start[:, None, None] + window, axis=0)
+        columns = [layers[i].column for i in grid]
+        if len(grids) == 1 and columns == list(range(taken.shape[-1])):
+            return taken.transpose(0, 3, 1, 2)  # the whole stack, in column order
+        if out is None:
+            out = np.empty((len(start), side, side, len(layers)), dtype=COMPUTE_DTYPE)
+        out[..., grid] = taken[..., columns]
+    return out.transpose(0, 3, 1, 2)
 
 
 def extract_patches(layers, spec: PatchSpec, lons, lats) -> np.ndarray:
@@ -519,24 +567,36 @@ def normalize_layers(layers, spec: PatchSpec) -> list[RasterLayer]:
     """spec's layers with their values normalized once, for patch_windows:
     missing pixels take FILL_VALUE, then (v - mean) / std runs in float64 and
     is cast to COMPUTE_DTYPE, as does the fill of the spec.side-pixel frame.
+    The layers of each grid (CRS, origin, pixel sizes, shape) are written into
+    one channels-last stack, of which each result's values is a column view.
     The float64 work runs a block of rows at a time, so no float64 copy of a
     whole layer is made. The results have no nodata value; the raw layers are
     left unchanged."""
-    out, pad = [], spec.side
-    for layer in _chosen_layers(layers, spec):
-        mean, std = (spec.normalize or {}).get(layer.name, (0.0, 1.0))
-        values = np.full((layer.height + 2 * pad, layer.width + 2 * pad),
-                         (FILL_VALUE - mean) / std, dtype=COMPUTE_DTYPE)
-        inner = values[pad:pad + layer.height, pad:pad + layer.width]
-        rows = max(1, _NORMALIZE_BLOCK_PIXELS // max(1, layer.width))
-        for start in range(0, layer.height, rows):
-            raw = layer.values[start:start + rows]
-            block = raw.astype(np.float64)
-            block[layer.missing(raw)] = FILL_VALUE
-            block -= mean
-            block /= std
-            inner[start:start + rows] = block
-        out.append(dataclasses.replace(layer, nodata=math.nan, values=values, pad=pad))
+    chosen, pad = _chosen_layers(layers, spec), spec.side
+    by_grid: dict[tuple, list[int]] = {}
+    for i, layer in enumerate(chosen):
+        by_grid.setdefault((layer.crs, layer.origin_x, layer.origin_y, layer.pixel_size_x,
+                            layer.pixel_size_y, layer.width, layer.height), []).append(i)
+    out = [None] * len(chosen)
+    for grid in by_grid.values():
+        height, width = chosen[grid[0]].height, chosen[grid[0]].width
+        stats = [(spec.normalize or {}).get(chosen[i].name, (0.0, 1.0)) for i in grid]
+        stack = np.empty(((height + 2 * pad) * (width + 2 * pad), len(grid)), dtype=COMPUTE_DTYPE)
+        stack[:] = [(FILL_VALUE - mean) / std for mean, std in stats]
+        framed = stack.reshape(height + 2 * pad, width + 2 * pad, len(grid))
+        rows = max(1, _NORMALIZE_BLOCK_PIXELS // max(1, width))
+        for column, (i, (mean, std)) in enumerate(zip(grid, stats)):
+            layer = chosen[i]
+            inner = framed[pad:pad + height, pad:pad + width, column]
+            for start in range(0, height, rows):
+                raw = layer.values[start:start + rows]
+                block = raw.astype(np.float64)
+                block[layer.missing(raw)] = FILL_VALUE
+                block -= mean
+                block /= std
+                inner[start:start + rows] = block
+            out[i] = dataclasses.replace(layer, nodata=math.nan, values=framed[:, :, column],
+                                         pad=pad, stack=stack, column=column)
     return out
 
 
@@ -659,7 +719,7 @@ class SampleSource:
                     raise DataError(
                         f"survey {rec.survey_id!r} has an empty species set in train mode"
                     )
-        self.starts = []  # per patch layer: each survey's window start (patch_windows)
+        self.starts = []  # per grid: each survey's window start (patch_windows)
         if self.patch_spec is not None:
             try:
                 self.starts, overlaps = patch_windows(self.layers, self.patch_spec.side,
@@ -688,7 +748,8 @@ def multi_hot(records, num_classes: int) -> np.ndarray:
 
 def collate(source: SampleSource, indices) -> dict:
     """Build the batch dict of the samples at indices: survey_ids, patch
-    (B, C, side, side), one (B, *cube shape) array per cube modality, location
+    (B, C, side, side) (a view of a channels-last (B, side, side, C) array, one
+    take per grid), one (B, *cube shape) array per cube modality, location
     (B, 2) as (lon, lat), and in train mode multi-hot labels (B, num_classes);
     patch and cubes are COMPUTE_DTYPE, location and labels float64."""
     records = [source.table.records[int(i)] for i in indices]

@@ -32,7 +32,8 @@ from .split import SpatialSplit, block_holdout, load_split
 class LoadedData:
     """The loaded tables. layers are the rasters as read; the sources cut
     patches from patch_layers, the same rasters with missing pixels filled,
-    normalized and framed once by patch_spec (geodata.normalize_layers)."""
+    normalized, framed and stacked channels-last per grid once, here, by
+    patch_spec (geodata.normalize_layers), so that every source shares them."""
 
     def __init__(self, table: ObservationTable, layers, patch_spec, cube_maps):
         self.table = table
@@ -43,12 +44,12 @@ class LoadedData:
 
     def cube_shapes(self) -> dict[str, tuple[int, ...]]:
         """Per-sample shape of every batch modality collate builds: patch
-        (layers, side, side) when rasters are loaded, each cube (B, Q, Y),
-        and location (2,)."""
+        (patch_spec's layers, side, side) when rasters are loaded, each cube
+        (B, Q, Y), and location (2,)."""
         shapes = {}
         if self.patch_spec is not None:
             side = self.patch_spec.side
-            shapes["patch"] = (len(self.layers), side, side)
+            shapes["patch"] = (len(self.patch_spec.layer_names), side, side)
         for name, cube_map in self.cube_maps.items():
             shapes[name] = next(iter(cube_map.values())).values.shape
         shapes["location"] = (2,)

@@ -411,17 +411,55 @@ def write_raster_manifest_trailing_comma(synthetic_dir, tmp_path):
         f"{manifest}: not valid JSON")
 
 
-def write_raster_header_without_crs(synthetic_dir, tmp_path):
+def raster_header_args(synthetic_dir, tmp_path, drop=(), **changes):
+    """train argv whose only raster is chan0 with its header changed and the
+    keys in drop removed."""
     with open(os.path.join(synthetic_dir, "chan0.json")) as fh:
         header = json.load(fh)
-    del header["crs"]
     header["payload"] = os.path.join(synthetic_dir, header["payload"])
+    header.update(changes)
     path = tmp_path / "chan0.json"
-    path.write_text(json.dumps(header))
+    path.write_text(json.dumps({k: v for k, v in header.items() if k not in drop}))
     manifest = tmp_path / "rasters.json"
     manifest.write_text(json.dumps({"layers": [str(path)]}))
+    return path, train_args(synthetic_dir, tmp_path, data={"raster_manifest": str(manifest)})
+
+
+def write_raster_header_without_crs(synthetic_dir, tmp_path):
+    path, argv = raster_header_args(synthetic_dir, tmp_path, drop=("crs",))
+    return argv, f"{path}: missing key 'crs'"
+
+
+def write_raster_width_text(synthetic_dir, tmp_path):
+    path, argv = raster_header_args(synthetic_dir, tmp_path, width="128")
+    return argv, f"{path}: width must be a positive integer, got '128'"
+
+
+def write_raster_height_bool(synthetic_dir, tmp_path):
+    path, argv = raster_header_args(synthetic_dir, tmp_path, height=True)
+    return argv, f"{path}: height must be a positive integer, got True"
+
+
+def write_raster_nodata_null(synthetic_dir, tmp_path):
+    path, argv = raster_header_args(synthetic_dir, tmp_path, nodata=None)
+    return argv, f"{path}: nodata must be a number, got None"
+
+
+def write_raster_crs_number(synthetic_dir, tmp_path):
+    path, argv = raster_header_args(synthetic_dir, tmp_path, crs=4326)
+    return argv, f"{path}: crs must be a string, got 4326"
+
+
+def write_raster_pixel_size_text(synthetic_dir, tmp_path):
+    path, argv = raster_header_args(synthetic_dir, tmp_path, pixel_size_x="0.1")
+    return argv, f"{path}: pixel_size_x must be a number, got '0.1'"
+
+
+def write_raster_manifest_layers_string(synthetic_dir, tmp_path):
+    manifest = tmp_path / "rasters.json"
+    manifest.write_text(json.dumps({"layers": "chan0.json"}))
     return train_args(synthetic_dir, tmp_path, data={"raster_manifest": str(manifest)}), (
-        f"{path}: missing key 'crs'")
+        f"{manifest}: layers must be a list of header paths, got 'chan0.json'")
 
 
 def cube_manifest_args(synthetic_dir, tmp_path, **changes):
@@ -483,7 +521,10 @@ def train_args(synthetic_dir, tmp_path, data=(), encoders=()):
                                    write_cube_band_past_shape, write_cube_negative_band,
                                    write_cube_bool_step, write_layers_trailing_comma,
                                    write_layers_mapping, write_raster_manifest_trailing_comma,
-                                   write_raster_header_without_crs,
+                                   write_raster_header_without_crs, write_raster_width_text,
+                                   write_raster_height_bool, write_raster_nodata_null,
+                                   write_raster_crs_number, write_raster_pixel_size_text,
+                                   write_raster_manifest_layers_string,
                                    write_cube_manifest_without_shape, write_cube_shape_negative,
                                    write_survey_outside_mercator_domain],
                          ids=["conflict-later-block", "split-survey-twice",
@@ -492,6 +533,9 @@ def train_args(synthetic_dir, tmp_path, data=(), encoders=()):
                               "cube-band-past-shape", "cube-negative-band",
                               "cube-bool-step", "layers-trailing-comma", "layers-mapping",
                               "raster-manifest-trailing-comma", "raster-header-without-crs",
+                              "raster-width-text", "raster-height-bool", "raster-nodata-null",
+                              "raster-crs-number", "raster-pixel-size-text",
+                              "raster-manifest-layers-string",
                               "cube-manifest-without-shape", "cube-shape-negative",
                               "survey-outside-mercator-domain"])
 def test_rejected_input_one_error_line(synthetic_dir, tmp_path, capsys, write):

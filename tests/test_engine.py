@@ -396,6 +396,27 @@ class TestCheckpointAndPredict:
         np.testing.assert_array_equal(loaded.scores, preds.scores)
         np.testing.assert_array_equal(loaded.topk, preds.topk)
 
+    def test_prediction_file_quotes_survey_ids_as_csv_writer(self, tmp_path):
+        """Survey ids holding a comma, a quote or a line break are quoted as
+        csv.writer quotes them, and the file reads back."""
+        ids = ["a,b", 'a"b', "a\nb", "a\rb", "", " a ", "plain", '"', "a\r\nb"]
+        scores = np.random.default_rng(5).random((len(ids), 4))
+        scores[0, 1], scores[1, 2] = 1e-300, 0.1
+        preds = Predictions.from_scores(ids, scores, 2)
+        path = tmp_path / "predictions.csv"
+        engine.save_predictions(preds, str(path))
+        oracle = tmp_path / "oracle.csv"
+        with open(oracle, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(
+                [["surveyId", "topk", "scores"]]
+                + [[sid, " ".join(map(str, topk)), " ".join(map(repr, row))]
+                   for sid, topk, row in zip(ids, preds.topk.tolist(), scores.tolist())])
+        assert path.read_bytes() == oracle.read_bytes()
+        loaded = engine.load_predictions(str(path))
+        assert loaded.survey_ids == ids
+        np.testing.assert_array_equal(loaded.scores, scores)
+        np.testing.assert_array_equal(loaded.topk, preds.topk)
+
     def test_many_class_prediction_file_round_trip(self, tmp_path):
         """A scores field of 7 000 classes is longer than the csv module's default
         field limit (131 072 characters); the file must still load."""
@@ -633,23 +654,30 @@ class TestAtomicWrites:
         preds = Predictions.from_scores([f"s{i}" for i in range(3)], scores, 2)
         engine.save_predictions(preds, str(path))
         before = path.read_bytes()
-        real_writer = csv.writer
+        real_open = open
 
-        class FailingWriter:  # fails on the third row, after the header and one row
+        class FailingFile:  # writes the header and one row, then fails
             def __init__(self, fh):
-                self.inner, self.rows = real_writer(fh), 0
+                self.fh, self.lines = fh, 0
 
-            def writerow(self, row):
-                self.rows += 1
-                if self.rows == 3:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.lines += 1
+                if self.lines == 3:
                     raise OSError("disk full")
-                self.inner.writerow(row)
+                self.fh.write(text)
 
-            def writerows(self, rows):
-                for row in rows:
-                    self.writerow(row)
+            def writelines(self, lines):
+                for line in lines:
+                    self.write(line)
 
-        monkeypatch.setattr(engine.csv, "writer", FailingWriter)
+        monkeypatch.setattr(engine, "open", lambda *a, **kw: FailingFile(real_open(*a, **kw)),
+                            raising=False)
         with pytest.raises(OSError, match="disk full"):
             engine.save_predictions(Predictions.from_scores(["t", "u", "v"], scores, 1),
                                     str(path))

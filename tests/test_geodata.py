@@ -665,6 +665,42 @@ class TestNormalizedLayers:
 
 
 
+class TestPatchLayout:
+    """A batch's patch is the (N, C, side, side) view of one channels-last
+    buffer, gathered with one take of whole stack rows per grid."""
+
+    class CountingTake(np.ndarray):
+        calls: list = []
+
+        def take(self, *args, **kwargs):
+            type(self).calls.append(self.shape)
+            return np.asarray(self).take(*args, **kwargs)
+
+    # a and b share one grid, c has its own: (a, c, b) interleaves them
+    @pytest.mark.parametrize("names, grids", [(("a", "c", "b"), 2), (("a", "b"), 1),
+                                              (("c",), 1)])
+    def test_one_take_per_grid_into_channels_last_patch(self, names, grids):
+        layers = make_grid_layers(6)
+        spec = PatchSpec(side=3, layer_names=names, normalize={"a": (0.25, 2.0), "c": (0.5, 3.0)})
+        points = [(2.3, 8.1), (0.0, 9.2), (5.5, 4.6), (1.1, 6.7), (-20.0, -20.0), (3.9, 6.1)]
+        prepared = normalize_layers(layers, spec)
+        spies = {id(layer.stack): layer.stack.view(self.CountingTake) for layer in prepared}
+        prepared = [dataclasses.replace(layer, stack=spies[id(layer.stack)])
+                    for layer in prepared]
+        source = SampleSource(make_table([(lon, lat, {0}) for lon, lat in points]), prepared,
+                              spec, {}, "predict")
+        self.CountingTake.calls.clear()
+        patch = collate(source, np.array([5, 0, 2, 4]))["patch"]
+        assert len(self.CountingTake.calls) == grids
+        assert all(len(shape) == 2 for shape in self.CountingTake.calls)  # whole stacks only
+        assert patch.shape == (4, len(names), 3, 3) and patch.strides[1] == patch.itemsize
+        assert patch.base.shape == (4, 3, 3, len(names)) and patch.base.flags.c_contiguous
+        lons, lats = zip(*(points[i] for i in (5, 0, 2, 4)))
+        assert patch.tobytes() == oracle_patches(layers, spec, lons, lats).tobytes()
+        for row, (lon, lat) in enumerate(zip(lons, lats)):
+            assert patch[row].tobytes() == extract_patch(prepared, spec, lon, lat).tobytes()
+
+
 def test_projection_domain_error_names_survey_when_source_is_built():
     # a survey at lat 86 has no EPSG:3857 point: building its source refuses it
     # by id, so no batch of a run is cut first; a source without it is built
