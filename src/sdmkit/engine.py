@@ -131,8 +131,6 @@ def make_batches(n: int, batch_size: int, shuffle: bool, seed: int,
     """Partition indices 0..n-1 into batches; the order depends only on (seed, epoch)."""
     if n < 1:
         raise SdmkitError("empty sample source")
-    if batch_size > n:
-        log.warning("batch_size %d > %d samples; single smaller batch", batch_size, n)
     indices = np.arange(n)
     if shuffle:
         rng = np.random.default_rng([seed, 2, epoch])

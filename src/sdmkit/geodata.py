@@ -10,24 +10,27 @@ Patches are cut from rasters normalized once by normalize_layers: missing
 pixels (nodata, NaN or +-inf) take FILL_VALUE, each layer is normalized into
 COMPUTE_DTYPE and framed by side pixels of its normalized fill, which costs
 (H+2s)(W+2s) - HW pixels per layer, and the layers of each grid (CRS, origin,
-pixel sizes, shape) are the columns of one channels-last (H'W', C) stack.
+pixel sizes, shape) become one PatchGrid, whose channels-last (H'W', C) stack
+holds them as columns. A RasterLayer is only ever a raw raster.
 patch_windows transforms each point once per grid into the first stack row
 of its window in the frame. A SampleSource finds its surveys' windows once,
 when it is built, and logs the surveys outside every layer once; collate then
 gathers each grid's window rows with one take, into an (N, side, side, C)
 batch that it returns as an (N, C, side, side) view. A single sample is a
-batch of one. Time-series cubes are built the same way, from side-1 patches.
+batch of one. Time-series cubes are built the same way, from side-1 patches,
+with one warning per layer that misses surveys; extract_patches, which knows
+no survey ids, logs nothing.
 
 File formats (all little-endian, sizes bit-exact):
   observations  CSV with header surveyId,lon,lat,speciesId, one row per
                 (survey, species) pair; a survey's rows repeat its lon,lat
   raster        JSON header (width, height: positive integers; origin_x,
                 origin_y, pixel_size_x, pixel_size_y, nodata: numbers; crs,
-                name: strings) next to a .f32 file of float32 row-major
-                values, north-up
-  cubes         JSON manifest (surveys, shape [B,Q,Y], bands, payload)
-                next to a float32 payload of one block per survey in
-                manifest order
+                name and the optional payload: strings) next to a .f32 file
+                of float32 row-major values, north-up
+  cubes         JSON manifest (surveys: distinct strings; shape [B,Q,Y];
+                bands: B strings; the optional payload: a string) next to a
+                float32 payload of one block per survey in manifest order
   split         CSV with header surveyId,partition,cx,cy, one row per survey
   predictions   CSV with header surveyId,topk,scores, one row per survey;
                 topk holds k class ids in rank order, scores one value per
@@ -50,11 +53,11 @@ every error still names the file and the row.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import logging
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -359,18 +362,12 @@ class RasterLayer:
     pixel_size_y: float  # negative for north-up
     crs: str
     nodata: float
-    values: np.ndarray  # (height + 2 pad, width + 2 pad) float32
-    # set by normalize_layers only: pixels of fill framing the grid on every side,
-    # and the ((height + 2 pad) * (width + 2 pad), C) channels-last stack of the
-    # grid's layers, of which values is column `column`
-    pad: int = 0
-    stack: np.ndarray | None = None
-    column: int = 0
+    values: np.ndarray  # (height, width) float32
 
     def __post_init__(self):
-        if self.values.shape != (self.height + 2 * self.pad, self.width + 2 * self.pad):
+        if self.values.shape != (self.height, self.width):
             raise FormatError(f"raster {self.name!r}: values shape {self.values.shape} != "
-                              f"({self.height}, {self.width}) framed by {self.pad}")
+                              f"({self.height}, {self.width})")
         if self.pixel_size_x <= 0 or self.pixel_size_y == 0:
             raise FormatError(f"raster {self.name!r}: invalid pixel sizes")
 
@@ -417,15 +414,34 @@ _RASTER_KEYS = {
 }
 
 
+def _payload_path(path: str, doc: dict) -> str:
+    """The payload file of the raster header or cube manifest doc read from
+    path: its payload key (by default path's name with a .f32 suffix) taken
+    relative to path's directory. A payload that is not a string is refused."""
+    payload = doc.get("payload", os.path.splitext(os.path.basename(path))[0] + ".f32")
+    if not isinstance(payload, str):
+        raise FormatError(f"{path}: payload must be a string, got {payload!r}")
+    return os.path.join(os.path.dirname(path), payload)
+
+
+def _string_list(path: str, doc: dict, key: str, what: str) -> list[str]:
+    """doc[key], which must be a list of strings; anything else raises a
+    FormatError naming the file and the key."""
+    value = doc[key]
+    if not isinstance(value, list):
+        raise FormatError(f"{path}: {key} must be {what}, got {value!r}")
+    for item in value:
+        if not isinstance(item, str):
+            raise FormatError(f"{path}: {key} must be {what}, got an entry {item!r}")
+    return value
+
+
 def load_raster(header_path: str) -> RasterLayer:
     header = read_json(header_path, dict, _RASTER_KEYS)
     for key, (valid, what) in _RASTER_KEYS.items():
         if not valid(header[key]):
             raise FormatError(f"{header_path}: {key} must be {what}, got {header[key]!r}")
-    payload_path = os.path.join(
-        os.path.dirname(header_path),
-        header.get("payload", os.path.splitext(os.path.basename(header_path))[0] + ".f32"),
-    )
+    payload_path = _payload_path(header_path, header)
     values = np.fromfile(payload_path, dtype="<f4")
     expected = header["width"] * header["height"]
     if values.size != expected:
@@ -451,12 +467,8 @@ def load_raster_manifest(manifest_path: str) -> list[RasterLayer]:
     two layers with one name raise FormatError, since patches pick layers by
     name."""
     manifest = read_json(manifest_path, dict, ("layers",))
-    if not (isinstance(manifest["layers"], list)
-            and all(isinstance(p, str) for p in manifest["layers"])):
-        raise FormatError(f"{manifest_path}: layers must be a list of header paths, "
-                          f"got {manifest['layers']!r}")
-    base = os.path.dirname(manifest_path)
-    layers = [load_raster(os.path.join(base, p)) for p in manifest["layers"]]
+    paths = _string_list(manifest_path, manifest, "layers", "a list of header paths")
+    layers = [load_raster(os.path.join(os.path.dirname(manifest_path), p)) for p in paths]
     seen = set()
     for layer in layers:
         if layer.name in seen:
@@ -482,110 +494,120 @@ class PatchSpec:
                     raise DataError(f"normalize std for {name!r} must be > 0")
 
 
-def _grids(layers) -> list[list[int]]:
-    """Positions of layers prepared by normalize_layers grouped by the grid
-    stack they are columns of, in order of first appearance."""
-    grids: dict[int, list[int]] = {}
-    for i, layer in enumerate(layers):
-        grids.setdefault(id(layer.stack), []).append(i)
-    return list(grids.values())
+@dataclass(frozen=True)
+class PatchGrid:
+    """The layers of a PatchSpec that share one grid, normalized once by
+    normalize_layers: stack is the ((height + 2 side) * (width + 2 side), C)
+    channels-last COMPUTE_DTYPE array of their values framed by side pixels
+    of fill, and channels are their C positions in the patch."""
+
+    crs: str
+    origin_x: float  # top-left corner of the unframed grid, CRS units
+    origin_y: float
+    pixel_size_x: float
+    pixel_size_y: float
+    width: int
+    height: int
+    stack: np.ndarray
+    channels: tuple[int, ...]
 
 
-def patch_windows(layers, side: int, lons, lats) -> tuple[list[np.ndarray], np.ndarray]:
+def patch_windows(grids, side: int, lons, lats) -> tuple[list[np.ndarray], np.ndarray]:
     """Each grid's (N,) index of the first stack row of the side x side window
-    around each of N WGS84 points, in layers framed and stacked by
-    normalize_layers with this side (grids in _grids order), and the mask of
-    points whose window overlaps some layer. The start is clipped into the
-    frame, so a window that misses the grid lies wholly in the fill and one
-    that overlaps it starts strictly inside."""
+    around each of N WGS84 points, in grids built by normalize_layers with this
+    side, and the mask of points whose window overlaps some grid. The start is
+    clipped into the frame, so a window that misses the grid lies wholly in the
+    fill and one that overlaps it starts strictly inside."""
     starts, overlaps = [], np.zeros(len(lons), dtype=bool)
-    for grid in _grids(layers):
-        layer = layers[grid[0]]
+    for grid in grids:
         xy = np.empty((len(lons), 2), dtype=np.float64)
         for i, point in enumerate(zip(lons, lats)):
             try:
-                xy[i] = transform_point(*point, layer.crs)
+                xy[i] = transform_point(*point, grid.crs)
             except ProjectionDomainError as exc:
                 exc.point = i  # so that a caller can name the point
                 raise
         x, y = xy.T
         # a window starts side // 2 pixels before its point's pixel; the frame adds side
-        col = np.clip(np.floor((x - layer.origin_x) / layer.pixel_size_x) + side - side // 2,
-                      0, layer.width + side).astype(np.intp)
-        row = np.clip(np.floor((y - layer.origin_y) / layer.pixel_size_y) + side - side // 2,
-                      0, layer.height + side).astype(np.intp)
-        starts.append(row * (layer.width + 2 * side) + col)
-        overlaps |= ((0 < row) & (row < layer.height + side)
-                     & (0 < col) & (col < layer.width + side))
+        col = np.clip(np.floor((x - grid.origin_x) / grid.pixel_size_x) + side - side // 2,
+                      0, grid.width + side).astype(np.intp)
+        row = np.clip(np.floor((y - grid.origin_y) / grid.pixel_size_y) + side - side // 2,
+                      0, grid.height + side).astype(np.intp)
+        starts.append(row * (grid.width + 2 * side) + col)
+        overlaps |= ((0 < row) & (row < grid.height + side)
+                     & (0 < col) & (col < grid.width + side))
     return starts, overlaps
 
 
-def _gather(layers, side: int, starts) -> np.ndarray:
+def _gather(grids, side: int, starts) -> np.ndarray:
     """(N, C, side, side) patches of the windows that begin at patch_windows'
     starts: one index add and one take of stack rows per grid, into an
-    (N, side, side, C) channels-last array returned as its transposed view.
-    Only whole stacks are taken from; a column view would be copied whole."""
-    grids = _grids(layers)
+    (N, side, side, C) channels-last array returned as its transposed view."""
     out = None
     for grid, start in zip(grids, starts):
-        layer = layers[grid[0]]
-        window = np.arange(side)[:, None] * (layer.width + 2 * layer.pad) + np.arange(side)
-        taken = layer.stack.take(start[:, None, None] + window, axis=0)
-        columns = [layers[i].column for i in grid]
-        if len(grids) == 1 and columns == list(range(taken.shape[-1])):
-            return taken.transpose(0, 3, 1, 2)  # the whole stack, in column order
+        window = np.arange(side)[:, None] * (grid.width + 2 * side) + np.arange(side)
+        taken = grid.stack.take(start[:, None, None] + window, axis=0)
+        if len(grids) == 1:  # one grid holds every channel, in patch order
+            return taken.transpose(0, 3, 1, 2)
         if out is None:
-            out = np.empty((len(start), side, side, len(layers)), dtype=COMPUTE_DTYPE)
-        out[..., grid] = taken[..., columns]
+            channels = sum(len(g.channels) for g in grids)
+            out = np.empty((len(start), side, side, channels), dtype=COMPUTE_DTYPE)
+        out[..., grid.channels] = taken
     return out.transpose(0, 3, 1, 2)
 
 
-def extract_patches(layers, spec: PatchSpec, lons, lats) -> np.ndarray:
+def extract_patches(grids, spec: PatchSpec, lons, lats) -> np.ndarray:
     """Cut (N, C, side, side) COMPUTE_DTYPE patches around N WGS84 points from
-    layers prepared by normalize_layers(raw, spec): out-of-bounds pixels read
-    the frame's fill, and each point that misses every layer is logged."""
-    chosen = _chosen_layers(layers, spec)
-    starts, overlaps = patch_windows(chosen, spec.side, lons, lats)
-    for i in np.flatnonzero(~overlaps).tolist():
-        log.warning("point (%s, %s) outside all patch layers; filled", float(lons[i]),
-                    float(lats[i]))
-    return _gather(chosen, spec.side, starts)
+    normalize_layers(raw, spec)'s grids; out-of-bounds pixels read the frame's
+    fill."""
+    return _gather(grids, spec.side, patch_windows(grids, spec.side, lons, lats)[0])
 
 
-def _chosen_layers(layers, spec: PatchSpec) -> list[RasterLayer]:
-    by_name = {layer.name: layer for layer in layers}
-    missing = [n for n in spec.layer_names if n not in by_name]
-    if missing:
-        raise MissingModalityError(f"patch layers not loaded: {missing}")
-    return [by_name[n] for n in spec.layer_names]
+def _survey_windows(grids, side: int, records, outside_of: str) -> list[np.ndarray]:
+    """patch_windows' starts for the records' points. A survey outside a grid's
+    projection is refused by id, and the surveys whose windows miss every grid
+    are logged once, as a count and the first id."""
+    try:
+        starts, overlaps = patch_windows(grids, side, [r.lon for r in records],
+                                         [r.lat for r in records])
+    except ProjectionDomainError as exc:
+        raise ProjectionDomainError(f"survey {records[exc.point].survey_id!r}: {exc}") from None
+    outside = np.flatnonzero(~overlaps)
+    if outside.size:
+        log.warning("%d of %d surveys outside %s, first %r; filled", outside.size,
+                    len(records), outside_of, records[outside[0]].survey_id)
+    return starts
 
 
 _NORMALIZE_BLOCK_PIXELS = 1 << 20
 
 
-def normalize_layers(layers, spec: PatchSpec) -> list[RasterLayer]:
-    """spec's layers with their values normalized once, for patch_windows:
-    missing pixels take FILL_VALUE, then (v - mean) / std runs in float64 and
-    is cast to COMPUTE_DTYPE, as does the fill of the spec.side-pixel frame.
-    The layers of each grid (CRS, origin, pixel sizes, shape) are written into
-    one channels-last stack, of which each result's values is a column view.
-    The float64 work runs a block of rows at a time, so no float64 copy of a
-    whole layer is made. The results have no nodata value; the raw layers are
+def normalize_layers(layers, spec: PatchSpec) -> list[PatchGrid]:
+    """One PatchGrid per grid (CRS, origin, pixel sizes, shape) of spec's
+    layers, in order of first appearance: missing pixels take FILL_VALUE, then
+    (v - mean) / std runs in float64 and is cast to COMPUTE_DTYPE, as does the
+    fill of the spec.side-pixel frame. The float64 work runs a block of rows at
+    a time, so no float64 copy of a whole layer is made; the raw layers are
     left unchanged."""
-    chosen, pad = _chosen_layers(layers, spec), spec.side
+    by_name = {layer.name: layer for layer in layers}
+    missing = [n for n in spec.layer_names if n not in by_name]
+    if missing:
+        raise MissingModalityError(f"patch layers not loaded: {missing}")
+    chosen, pad = [by_name[n] for n in spec.layer_names], spec.side
     by_grid: dict[tuple, list[int]] = {}
     for i, layer in enumerate(chosen):
         by_grid.setdefault((layer.crs, layer.origin_x, layer.origin_y, layer.pixel_size_x,
                             layer.pixel_size_y, layer.width, layer.height), []).append(i)
-    out = [None] * len(chosen)
-    for grid in by_grid.values():
-        height, width = chosen[grid[0]].height, chosen[grid[0]].width
-        stats = [(spec.normalize or {}).get(chosen[i].name, (0.0, 1.0)) for i in grid]
-        stack = np.empty(((height + 2 * pad) * (width + 2 * pad), len(grid)), dtype=COMPUTE_DTYPE)
+    grids = []
+    for key, channels in by_grid.items():
+        height, width = chosen[channels[0]].height, chosen[channels[0]].width
+        stats = [(spec.normalize or {}).get(chosen[i].name, (0.0, 1.0)) for i in channels]
+        stack = np.empty(((height + 2 * pad) * (width + 2 * pad), len(channels)),
+                         dtype=COMPUTE_DTYPE)
         stack[:] = [(FILL_VALUE - mean) / std for mean, std in stats]
-        framed = stack.reshape(height + 2 * pad, width + 2 * pad, len(grid))
+        framed = stack.reshape(height + 2 * pad, width + 2 * pad, len(channels))
         rows = max(1, _NORMALIZE_BLOCK_PIXELS // max(1, width))
-        for column, (i, (mean, std)) in enumerate(zip(grid, stats)):
+        for column, (i, (mean, std)) in enumerate(zip(channels, stats)):
             layer = chosen[i]
             inner = framed[pad:pad + height, pad:pad + width, column]
             for start in range(0, height, rows):
@@ -595,15 +617,14 @@ def normalize_layers(layers, spec: PatchSpec) -> list[RasterLayer]:
                 block -= mean
                 block /= std
                 inner[start:start + rows] = block
-            out[i] = dataclasses.replace(layer, nodata=math.nan, values=framed[:, :, column],
-                                         pad=pad, stack=stack, column=column)
-    return out
+        grids.append(PatchGrid(*key, stack=stack, channels=tuple(channels)))
+    return grids
 
 
-def extract_patch(layers, spec: PatchSpec, lon: float, lat: float) -> np.ndarray:
-    """Cut a (C, side, side) patch around a WGS84 point from layers prepared by
-    normalize_layers: extract_patches for one point."""
-    return extract_patches(layers, spec, [lon], [lat])[0]
+def extract_patch(grids, spec: PatchSpec, lon: float, lat: float) -> np.ndarray:
+    """Cut a (C, side, side) patch around a WGS84 point from normalize_layers'
+    grids: extract_patches for one point."""
+    return extract_patches(grids, spec, [lon], [lat])[0]
 
 
 @dataclass(frozen=True)
@@ -632,20 +653,20 @@ def load_cubes(manifest_path: str) -> dict[str, TimeSeriesCube]:
     count.
     """
     manifest = read_json(manifest_path, dict, ("surveys", "shape", "bands"))
-    surveys, shape = manifest["surveys"], manifest["shape"]
-    if len(set(surveys)) != len(surveys):
-        raise FormatError(f"{manifest_path}: duplicate survey in manifest")
+    surveys = _string_list(manifest_path, manifest, "surveys", "a list of survey ids")
+    counts = Counter(surveys)
+    if len(counts) != len(surveys):
+        repeat = next(sid for sid, n in counts.items() if n > 1)
+        raise FormatError(f"{manifest_path}: surveys: duplicate survey {repeat!r}")
+    shape = manifest["shape"]
     if (not isinstance(shape, list) or len(shape) != 3
             or not all(type(n) is int and n >= 0 for n in shape)):  # a bool is not a size
         raise FormatError(f"{manifest_path}: shape {shape!r} is not three non-negative integers")
     b, q, y = shape
-    if len(manifest["bands"]) != b:
-        raise FormatError(f"{manifest_path}: {len(manifest['bands'])} band names for shape "
-                          f"{manifest['shape']}")
-    payload_path = os.path.join(
-        os.path.dirname(manifest_path),
-        manifest.get("payload", os.path.splitext(os.path.basename(manifest_path))[0] + ".f32"),
-    )
+    bands = _string_list(manifest_path, manifest, "bands", "a list of band names")
+    if len(bands) != b:
+        raise FormatError(f"{manifest_path}: bands: {len(bands)} band names for shape {shape}")
+    payload_path = _payload_path(manifest_path, manifest)
     expected_bytes = len(surveys) * b * q * y * 4
     actual_bytes = os.path.getsize(payload_path)
     if actual_bytes != expected_bytes:
@@ -671,7 +692,7 @@ def build_time_series_cubes(
     """Extract per-survey (B,Q,Y) cubes of single pixels, one from the raster
     that layers maps each (band, step, year) to, and write them out with
     band names band0, band1, ...; missing and out-of-bounds pixels read
-    FILL_VALUE."""
+    FILL_VALUE, and each layer that misses surveys is logged once."""
     b, q, y = shape
     gaps = [
         (bi, qi, yi)
@@ -682,13 +703,11 @@ def build_time_series_cubes(
     ]
     if gaps:
         raise CoverageError(f"missing (band, step, year) combinations: {gaps[:10]}")
-    lons = [rec.lon for rec in table.records]
-    lats = [rec.lat for rec in table.records]
     values = np.empty((len(table.records), b, q, y), dtype=np.float32)
     for (bi, qi, yi), layer in layers.items():
-        spec = PatchSpec(side=1, layer_names=(layer.name,))
-        values[:, bi, qi, yi] = extract_patches(normalize_layers([layer], spec), spec,
-                                                lons, lats)[:, 0, 0, 0]
+        grids = normalize_layers([layer], PatchSpec(side=1, layer_names=(layer.name,)))
+        starts = _survey_windows(grids, 1, table.records, f"layer {layer.name!r}")
+        values[:, bi, qi, yi] = _gather(grids, 1, starts)[:, 0, 0, 0]
     save_cubes(table.survey_ids(), values, [f"band{i}" for i in range(b)], manifest_path)
 
 
@@ -696,12 +715,12 @@ def build_time_series_cubes(
 class SampleSource:
     """Aligned multimodal samples of an observation table, batched by collate.
 
-    layers are normalize_layers(raw, patch_spec). Building the source finds the
+    grids are normalize_layers(raw, patch_spec). Building the source finds the
     windows (patch_windows) and logs the surveys outside every layer, once.
     """
 
     table: ObservationTable
-    layers: list
+    grids: list[PatchGrid]
     patch_spec: PatchSpec | None
     cube_maps: dict[str, dict[str, TimeSeriesCube]]
     labels_mode: str  # "train" | "predict"
@@ -721,17 +740,8 @@ class SampleSource:
                     )
         self.starts = []  # per grid: each survey's window start (patch_windows)
         if self.patch_spec is not None:
-            try:
-                self.starts, overlaps = patch_windows(self.layers, self.patch_spec.side,
-                                                      [r.lon for r in self.table.records],
-                                                      [r.lat for r in self.table.records])
-            except ProjectionDomainError as exc:
-                sid = self.table.records[exc.point].survey_id
-                raise ProjectionDomainError(f"survey {sid!r}: {exc}") from None
-            outside = np.flatnonzero(~overlaps)
-            if outside.size:
-                log.warning("%d of %d surveys outside all patch layers, first %r; filled",
-                            outside.size, len(self), self.table.records[outside[0]].survey_id)
+            self.starts = _survey_windows(self.grids, self.patch_spec.side, self.table.records,
+                                          "all patch layers")
 
     def __len__(self):
         return len(self.table.records)
@@ -755,7 +765,7 @@ def collate(source: SampleSource, indices) -> dict:
     records = [source.table.records[int(i)] for i in indices]
     batch: dict = {"survey_ids": [rec.survey_id for rec in records]}
     if source.patch_spec is not None:
-        batch["patch"] = _gather(source.layers, source.patch_spec.side,
+        batch["patch"] = _gather(source.grids, source.patch_spec.side,
                                  [start[indices] for start in source.starts])
     for modality, cube_map in source.cube_maps.items():
         batch[modality] = np.stack([cube_map[rec.survey_id].values for rec in records],

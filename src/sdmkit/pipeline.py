@@ -31,16 +31,16 @@ from .split import SpatialSplit, block_holdout, load_split
 
 class LoadedData:
     """The loaded tables. layers are the rasters as read; the sources cut
-    patches from patch_layers, the same rasters with missing pixels filled,
-    normalized, framed and stacked channels-last per grid once, here, by
-    patch_spec (geodata.normalize_layers), so that every source shares them."""
+    patches from patch_grids, one geodata.PatchGrid per grid of patch_spec's
+    layers, filled, normalized, framed and stacked channels-last once, here
+    (geodata.normalize_layers), so that every source shares them."""
 
     def __init__(self, table: ObservationTable, layers, patch_spec, cube_maps):
         self.table = table
         self.layers = layers
         self.patch_spec = patch_spec
         self.cube_maps = cube_maps
-        self.patch_layers = normalize_layers(layers, patch_spec) if patch_spec is not None else []
+        self.patch_grids = normalize_layers(layers, patch_spec) if patch_spec is not None else []
 
     def cube_shapes(self) -> dict[str, tuple[int, ...]]:
         """Per-sample shape of every batch modality collate builds: patch
@@ -57,7 +57,7 @@ class LoadedData:
 
     def source_for(self, survey_ids=None, labels_mode: str = "train"):
         table = self.table if survey_ids is None else self.table.subset(survey_ids)
-        return SampleSource(table, self.patch_layers, self.patch_spec, self.cube_maps,
+        return SampleSource(table, self.patch_grids, self.patch_spec, self.cube_maps,
                             labels_mode)
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -242,6 +243,21 @@ def test_build_cubes_round_trip(synthetic_dir, tmp_path):
     assert next(iter(cubes.values())).values.shape == (2, 1, 1)
 
 
+def test_build_cubes_logs_each_layer_missing_surveys_once(synthetic_dir, tmp_path, caplog):
+    """Surveys outside the tagged rasters are logged once per layer, as a
+    count and the first id, not once per survey and layer."""
+    observations = tmp_path / "observations.csv"
+    with open(os.path.join(synthetic_dir, "observations.csv")) as fh:
+        observations.write_text(fh.read() + "".join(f"far{i},-170.0,-60.0,1\n" for i in range(20)))
+    _, argv = build_cubes_args(synthetic_dir, tmp_path, [
+        {"header": f"chan{c}.json", "band": c, "step": 0, "year": 0} for c in range(4)], "4,1,1")
+    argv[argv.index("--observations") + 1] = str(observations)
+    with caplog.at_level(logging.WARNING, logger="sdmkit.geodata"):
+        assert main(argv) == 0
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [
+        f"20 of 170 surveys outside layer 'chan{c}', first 'far0'; filled" for c in range(4)]
+
+
 @pytest.mark.parametrize("shape", ["2,x,3", "2,1"])
 def test_build_cubes_bad_shape_one_error_line(synthetic_dir, tmp_path, capsys, shape):
     layers_path = tmp_path / "tagged.json"
@@ -455,6 +471,11 @@ def write_raster_pixel_size_text(synthetic_dir, tmp_path):
     return argv, f"{path}: pixel_size_x must be a number, got '0.1'"
 
 
+def write_raster_payload_number(synthetic_dir, tmp_path):
+    path, argv = raster_header_args(synthetic_dir, tmp_path, payload=5)
+    return argv, f"{path}: payload must be a string, got 5"
+
+
 def write_raster_manifest_layers_string(synthetic_dir, tmp_path):
     manifest = tmp_path / "rasters.json"
     manifest.write_text(json.dumps({"layers": "chan0.json"}))
@@ -484,6 +505,36 @@ def write_cube_shape_negative(synthetic_dir, tmp_path):
     # -4 * -3 is the payload's 12 entries per band, so only the sign check refuses it
     path, argv = cube_manifest_args(synthetic_dir, tmp_path, shape=[2, -4, -3])
     return argv, f"{path}: shape [2, -4, -3] is not three non-negative integers"
+
+
+def synthetic_cube_surveys(synthetic_dir):
+    with open(os.path.join(synthetic_dir, "cube_a.json")) as fh:
+        return json.load(fh)["surveys"]
+
+
+def write_cube_survey_ids_integers(synthetic_dir, tmp_path):
+    # integer ids would load, then fail as surveys missing from the modality
+    surveys = list(range(len(synthetic_cube_surveys(synthetic_dir))))
+    path, argv = cube_manifest_args(synthetic_dir, tmp_path, surveys=surveys)
+    return argv, f"{path}: surveys must be a list of survey ids, got an entry 0"
+
+
+def write_cube_survey_repeated(synthetic_dir, tmp_path):
+    surveys = synthetic_cube_surveys(synthetic_dir)
+    surveys[5] = surveys[2]
+    path, argv = cube_manifest_args(synthetic_dir, tmp_path, surveys=surveys)
+    return argv, f"{path}: surveys: duplicate survey {surveys[2]!r}"
+
+
+def write_cube_bands_string(synthetic_dir, tmp_path):
+    # two characters for two bands, so only the type check refuses it
+    path, argv = cube_manifest_args(synthetic_dir, tmp_path, bands="ab")
+    return argv, f"{path}: bands must be a list of band names, got 'ab'"
+
+
+def write_cube_payload_number(synthetic_dir, tmp_path):
+    path, argv = cube_manifest_args(synthetic_dir, tmp_path, payload=5)
+    return argv, f"{path}: payload must be a string, got 5"
 
 
 def write_survey_outside_mercator_domain(synthetic_dir, tmp_path):
@@ -524,8 +575,11 @@ def train_args(synthetic_dir, tmp_path, data=(), encoders=()):
                                    write_raster_header_without_crs, write_raster_width_text,
                                    write_raster_height_bool, write_raster_nodata_null,
                                    write_raster_crs_number, write_raster_pixel_size_text,
+                                   write_raster_payload_number,
                                    write_raster_manifest_layers_string,
                                    write_cube_manifest_without_shape, write_cube_shape_negative,
+                                   write_cube_survey_ids_integers, write_cube_survey_repeated,
+                                   write_cube_bands_string, write_cube_payload_number,
                                    write_survey_outside_mercator_domain],
                          ids=["conflict-later-block", "split-survey-twice",
                               "ragged-predictions", "encoder-without-modality",
@@ -535,8 +589,10 @@ def train_args(synthetic_dir, tmp_path, data=(), encoders=()):
                               "raster-manifest-trailing-comma", "raster-header-without-crs",
                               "raster-width-text", "raster-height-bool", "raster-nodata-null",
                               "raster-crs-number", "raster-pixel-size-text",
-                              "raster-manifest-layers-string",
+                              "raster-payload-number", "raster-manifest-layers-string",
                               "cube-manifest-without-shape", "cube-shape-negative",
+                              "cube-survey-ids-integers", "cube-survey-repeated",
+                              "cube-bands-string", "cube-payload-number",
                               "survey-outside-mercator-domain"])
 def test_rejected_input_one_error_line(synthetic_dir, tmp_path, capsys, write):
     """Real-data hazards that must be rejected: exit 1 and one error line

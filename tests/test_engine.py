@@ -764,6 +764,19 @@ def test_outside_survey_logged_once_per_run(tmp_path, caplog):
         f"1 of {n} surveys outside all patch layers, first 'outside0'; filled"]
 
 
+def test_partition_shorter_than_batch_logs_no_warning(tmp_path, caplog):
+    """A partition smaller than batch_size is one short batch, as every pass
+    ends in one: a fit over such a val partition logs no engine warning."""
+    cfg, data, train_ids, val_ids = patch_only_fit_data(tmp_path)
+    train, val = data.source_for(train_ids), data.source_for(val_ids)
+    assert len(val) < cfg.data.batch_size < len(train)
+    with caplog.at_level(logging.WARNING, logger="sdmkit.engine"):
+        engine.fit(cfg, build_model(cfg, data.cube_shapes()), train, val,
+                   out_root=str(tmp_path / "runs"))
+    assert [r.getMessage() for r in caplog.records
+            if r.name == "sdmkit.engine" and r.levelno >= logging.WARNING] == []
+
+
 def test_points_transformed_once_per_survey_and_grid(tmp_path, monkeypatch):
     """Building a source transforms each survey's point once per grid; a
     3-epoch fit and a prediction pass transform none."""

@@ -393,7 +393,7 @@ class TestTransformPoint:
 
 
 class TestExtractPatch:
-    """extract_patch is extract_patches for one point, over layers prepared by
+    """extract_patch is extract_patches for one point, over the grids of
     normalize_layers."""
 
     def test_side1_center(self, toy_raster):
@@ -472,11 +472,13 @@ class TestExtractPatch:
         a = extract_patch(prepared, spec, 2.5, 1.5)
         b = extract_patch(prepared, spec, 2.5, 1.5)
         np.testing.assert_array_equal(a, b)
-        # the normalized layer is the raw one inside a frame of side fill pixels
-        assert prepared[0].pad == 3 and prepared[0].values.shape == (10, 10)
-        np.testing.assert_array_equal(prepared[0].values[3:-3, 3:-3], before)
-        assert (prepared[0].values[[0, 1, 2, -3, -2, -1]] == FILL_VALUE).all()
-        assert (prepared[0].values[:, [0, 1, 2, -3, -2, -1]] == FILL_VALUE).all()
+        # the grid's one column is the raw layer inside a frame of side fill pixels
+        (grid,) = prepared
+        assert grid.channels == (0,) and grid.stack.shape == (10 * 10, 1)
+        framed = grid.stack.reshape(10, 10)
+        np.testing.assert_array_equal(framed[3:-3, 3:-3], before)
+        assert (framed[[0, 1, 2, -3, -2, -1]] == FILL_VALUE).all()
+        assert (framed[:, [0, 1, 2, -3, -2, -1]] == FILL_VALUE).all()
         np.testing.assert_array_equal(toy_raster.values, before)
 
     def test_side1_equals_direct_indexing_randomized(self):
@@ -589,18 +591,23 @@ class TestExtractPatches:
         assert got.tobytes() == oracle_patches(layers, spec, lons, lats).tobytes()
 
     def test_batch_out_of_extent_policy(self, toy_raster, caplog):
-        # a point outside every layer is filled and logged once; a point inside
-        # only one of the two layers is not logged
+        # a point outside every layer is filled; extract_patches, which knows no
+        # survey ids, logs nothing, and a source logs the surveys outside every
+        # layer once, as a count and the first id; a point inside only one of
+        # the two layers is not counted
         far = dataclasses.replace(toy_raster, name="far", origin_x=10.0)
         spec = PatchSpec(side=1, layer_names=("toy", "far"))
-        lons, lats = [2.5, 50.0, 12.5, -20.0], [1.5, 1.5, 1.5, -20.0]
+        points = [(2.5, 1.5), (50.0, 1.5), (12.5, 1.5), (-20.0, -20.0)]
+        grids = normalize_layers([toy_raster, far], spec)
         with caplog.at_level(logging.WARNING, logger="sdmkit.geodata"):
-            patches = extract_patches(normalize_layers([toy_raster, far], spec), spec, lons, lats)
-        assert [r.getMessage() for r in caplog.records] == [
-            "point (50.0, 1.5) outside all patch layers; filled",
-            "point (-20.0, -20.0) outside all patch layers; filled",
-        ]
+            patches = extract_patches(grids, spec, *zip(*points))
+        assert caplog.messages == []
         assert patches[:, :, 0, 0].tolist() == [[10.0, 0.0], [0.0, 0.0], [0.0, 10.0], [0.0, 0.0]]
+        with caplog.at_level(logging.WARNING, logger="sdmkit.geodata"):
+            source = SampleSource(make_table([(lon, lat, {0}) for lon, lat in points]), grids,
+                                  spec, {}, "predict")
+        assert caplog.messages == ["2 of 4 surveys outside all patch layers, first 's1'; filled"]
+        assert collate(source, range(4))["patch"].tobytes() == patches.tobytes()
 
 
 class TestNormalizedLayers:
@@ -650,8 +657,8 @@ class TestNormalizedLayers:
         assert caplog.messages == []
         assert patches.dtype == np.float32
         assert patches.tobytes() == expected.tobytes()
-        # the normalized layers hold no NaN or inf; the raw ones are left as they were
-        assert all(np.isfinite(layer.values).all() for layer in source.layers)
+        # the normalized grids hold no NaN or inf; the raw layers are left as they were
+        assert all(np.isfinite(grid.stack).all() for grid in source.grids)
         for layer, values in zip(layers, raw):
             assert layer.values.tobytes() == values.tobytes()
         # the edge point's patches are partly out of bounds, the outside point's wholly
@@ -683,10 +690,9 @@ class TestPatchLayout:
         layers = make_grid_layers(6)
         spec = PatchSpec(side=3, layer_names=names, normalize={"a": (0.25, 2.0), "c": (0.5, 3.0)})
         points = [(2.3, 8.1), (0.0, 9.2), (5.5, 4.6), (1.1, 6.7), (-20.0, -20.0), (3.9, 6.1)]
-        prepared = normalize_layers(layers, spec)
-        spies = {id(layer.stack): layer.stack.view(self.CountingTake) for layer in prepared}
-        prepared = [dataclasses.replace(layer, stack=spies[id(layer.stack)])
-                    for layer in prepared]
+        prepared = [dataclasses.replace(grid, stack=grid.stack.view(self.CountingTake))
+                    for grid in normalize_layers(layers, spec)]
+        assert len(prepared) == grids
         source = SampleSource(make_table([(lon, lat, {0}) for lon, lat in points]), prepared,
                               spec, {}, "predict")
         self.CountingTake.calls.clear()
@@ -816,7 +822,8 @@ class TestBuildCubes:
         path = str(tmp_path / "c.json")
         with caplog.at_level(logging.WARNING, logger="sdmkit.geodata"):
             build_time_series_cubes({(0, 0, 0): nodata, (1, 0, 0): nan}, table, (2, 1, 1), path)
-        assert caplog.messages == ["point (7.0, 2.0) outside all patch layers; filled"] * 2
+        assert caplog.messages == [f"1 of 6 surveys outside layer {name!r}, first 's5'; filled"
+                                   for name in ("nodata", "nan")]
         got = np.stack([c.values[:, 0, 0] for c in load_cubes(path).values()])
         expected = np.array([[0, -9999], [0, 0], [-0.0, -0.0], [0, 0], [10, 10], [0, 0]],
                             dtype=np.float32)
