@@ -93,37 +93,127 @@ ADAM_EPS = 1e-8
 class AdamW:
     """Decoupled weight-decay adaptive-moment optimizer.
 
-    Moments are keyed by parameter path so the same instance survives any
-    in-place model use; steps with non-finite gradients are skipped whole.
+    Steps with non-finite gradients are skipped whole. On a model whose
+    params and grads are the views Module.flatten_params made (build_model
+    flattens every model), a step checks the flat grads' finiteness once and
+    runs each element-wise op once over the whole flat buffer, into flat
+    moments and two scratch buffers made on its first step: no later step
+    allocates a param-sized array. Any other triples step one array at a
+    time with the same ops, so both paths give the same bits, and keep their
+    moments in m and v, keyed by parameter path.
     """
 
     def __init__(self, weight_decay: float = 0.0):
         self.weight_decay = weight_decay
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        self.flat: _FlatState | None = None
         self.t = 0
 
     def step(self, named_params, lr: float) -> bool:
         """Apply one update in place; returns False if skipped."""
         triples = list(named_params)
-        for name, _, grad in triples:
-            if not np.all(np.isfinite(grad)):
-                log.warning("AdamW: non-finite gradient in %s; step skipped", name)
-                return False
+        flat = self._flat_state(triples)
+        grads = [flat.grads] if flat is not None else [grad for _, _, grad in triples]
+        if not all(map(_all_finite, grads)):
+            name = next(name for name, _, grad in triples if not _all_finite(grad))
+            log.warning("AdamW: non-finite gradient in %s; step skipped", name)
+            return False
         self.t += 1
         bc1 = 1 - ADAM_BETA1**self.t
         bc2 = 1 - ADAM_BETA2**self.t
+        if flat is not None:
+            self._update(flat.params, flat.grads, flat.m, flat.v, flat.scratch, lr, bc1, bc2)
+            return True
         for name, param, grad in triples:
-            m = self.m.setdefault(name, np.zeros_like(param))
-            v = self.v.setdefault(name, np.zeros_like(param))
-            m *= ADAM_BETA1
-            m += (1 - ADAM_BETA1) * grad
-            v *= ADAM_BETA2
-            v += (1 - ADAM_BETA2) * grad * grad
-            if self.weight_decay:  # decays theta_{t-1}, before the update
-                param *= 1 - lr * self.weight_decay
-            param -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            if name not in self.m:
+                self.m[name], self.v[name] = np.zeros_like(param), np.zeros_like(param)
+            scratch = (np.empty_like(param), np.empty_like(param))
+            self._update(param, grad, self.m[name], self.v[name], scratch, lr, bc1, bc2)
         return True
+
+    def _update(self, param, grad, m, v, scratch, lr, bc1, bc2) -> None:
+        """Update m, v and param in place, through the two scratch arrays:
+        m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, param *= 1 - lr wd,
+        param -= lr (m / bc1) / (sqrt(v / bc2) + eps), each op as one ufunc."""
+        s1, s2 = scratch
+        m *= ADAM_BETA1
+        m += np.multiply(grad, 1 - ADAM_BETA1, out=s1)
+        v *= ADAM_BETA2
+        np.multiply(grad, 1 - ADAM_BETA2, out=s1)
+        v += np.multiply(s1, grad, out=s1)
+        if self.weight_decay:  # decays theta_{t-1}, before the update
+            param *= 1 - lr * self.weight_decay
+        np.divide(m, bc1, out=s1)
+        s1 *= lr
+        np.divide(v, bc2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += ADAM_EPS
+        s1 /= s2
+        param -= s1
+
+    def _flat_state(self, triples) -> _FlatState | None:
+        """The flat state of triples whose arrays are the views of one
+        flatten_params call, in order; None for any other triples. Made, with
+        zero moments, on the first step of such a model."""
+        flat = self.flat
+        if flat is not None and len(flat.views) == len(triples) and all(
+                param is p and grad is g for (_, param, grad), (p, g) in zip(triples, flat.views)):
+            return flat
+        buffers = _flat_buffers(triples)
+        if buffers is None:
+            return None
+        params, grads = buffers
+        self.flat = _FlatState([(param, grad) for _, param, grad in triples], params, grads,
+                               np.zeros_like(params), np.zeros_like(params),
+                               (np.empty_like(params), np.empty_like(params)))
+        return self.flat
+
+
+@dataclass
+class _FlatState:
+    """AdamW's state for one flat model: the (param, grad) views it was made
+    for, the model's params and grads buffers, the moments in the same
+    layout, and two scratch buffers of that size."""
+
+    views: list
+    params: np.ndarray
+    grads: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    scratch: tuple[np.ndarray, np.ndarray]
+
+
+def _flat_buffers(triples) -> tuple[np.ndarray, np.ndarray] | None:
+    """(params, grads) when the triples' params and grads are C-contiguous
+    views of one 1-D buffer each, laid end to end in order over the whole
+    buffer and each grad at its param's offset, as Module.flatten_params lays
+    them out; None otherwise."""
+    if not triples:
+        return None
+    params, grads = triples[0][1].base, triples[0][2].base
+    if (params is None or grads is None or params.ndim != 1 or grads.shape != params.shape
+            or grads.dtype != params.dtype):
+        return None
+    start_p, start_g, offset = _address(params), _address(grads), 0
+    for _, param, grad in triples:
+        if not (param.base is params and grad.base is grads and param.shape == grad.shape
+                and param.dtype == params.dtype and grad.dtype == params.dtype
+                and param.flags.c_contiguous and grad.flags.c_contiguous
+                and _address(param) == start_p + offset and _address(grad) == start_g + offset):
+            return None
+        offset += param.nbytes
+    return (params, grads) if offset == params.nbytes else None
+
+
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every element of a is finite, without a mask as large as a:
+    min and max propagate NaN, so both are finite only if every element is."""
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
 def make_batches(n: int, batch_size: int, shuffle: bool, seed: int,

@@ -17,9 +17,10 @@ of its window in the frame. A SampleSource finds its surveys' windows once,
 when it is built, and logs the surveys outside every layer once; collate then
 gathers each grid's window rows with one take, into an (N, side, side, C)
 batch that it returns as an (N, C, side, side) view. A single sample is a
-batch of one. Time-series cubes are built the same way, from side-1 patches,
-with one warning per layer that misses surveys; extract_patches, which knows
-no survey ids, logs nothing.
+batch of one. Time-series cubes take each survey's side-1 window the same
+way, but read its one pixel from the raw layer, with the values a normalized
+side-1 patch without stats would hold, and one warning per layer that misses
+surveys; extract_patches, which knows no survey ids, logs nothing.
 
 File formats (all little-endian, sizes bit-exact):
   observations  CSV with header surveyId,lon,lat,speciesId, one row per
@@ -74,7 +75,8 @@ from .errors import (
 log = logging.getLogger(__name__)
 
 # dtype of the patch and cube arrays collate builds and of the model's params
-# and grads (pipeline.build_model casts them); losses, scores and metrics stay float64
+# and grads (pipeline.build_model flattens them into buffers of it); losses,
+# scores and metrics stay float64
 COMPUTE_DTYPE = np.float32
 # value of missing and out-of-bounds pixels before normalization
 FILL_VALUE = 0.0
@@ -515,7 +517,9 @@ class PatchGrid:
 def patch_windows(grids, side: int, lons, lats) -> tuple[list[np.ndarray], np.ndarray]:
     """Each grid's (N,) index of the first stack row of the side x side window
     around each of N WGS84 points, in grids built by normalize_layers with this
-    side, and the mask of points whose window overlaps some grid. The start is
+    side, and the mask of points whose window overlaps some grid. Only the
+    grids' geometry is read (crs, origin, pixel sizes, width, height), so a
+    RasterLayer serves as well, framed by side pixels. The start is
     clipped into the frame, so a window that misses the grid lies wholly in the
     fill and one that overlaps it starts strictly inside."""
     starts, overlaps = [], np.zeros(len(lons), dtype=bool)
@@ -692,7 +696,10 @@ def build_time_series_cubes(
     """Extract per-survey (B,Q,Y) cubes of single pixels, one from the raster
     that layers maps each (band, step, year) to, and write them out with
     band names band0, band1, ...; missing and out-of-bounds pixels read
-    FILL_VALUE, and each layer that misses surveys is logged once."""
+    FILL_VALUE, and each layer that misses surveys is logged once. Each
+    survey's pixel is read from the raw layer, so the cost grows with the
+    surveys, not with the raster area; the values are those of a side-1
+    patch of normalize_layers(...) without stats."""
     b, q, y = shape
     gaps = [
         (bi, qi, yi)
@@ -705,9 +712,13 @@ def build_time_series_cubes(
         raise CoverageError(f"missing (band, step, year) combinations: {gaps[:10]}")
     values = np.empty((len(table.records), b, q, y), dtype=np.float32)
     for (bi, qi, yi), layer in layers.items():
-        grids = normalize_layers([layer], PatchSpec(side=1, layer_names=(layer.name,)))
-        starts = _survey_windows(grids, 1, table.records, f"layer {layer.name!r}")
-        values[:, bi, qi, yi] = _gather(grids, 1, starts)[:, 0, 0, 0]
+        # patch_windows reads only a grid's geometry, which a RasterLayer has too
+        start = _survey_windows([layer], 1, table.records, f"layer {layer.name!r}")[0]
+        row, col = np.divmod(start, layer.width + 2)  # in a frame of one pixel
+        inside = (0 < row) & (row <= layer.height) & (0 < col) & (col <= layer.width)
+        pixels = layer.values[row[inside] - 1, col[inside] - 1]
+        values[:, bi, qi, yi] = FILL_VALUE
+        values[inside, bi, qi, yi] = np.where(layer.missing(pixels), FILL_VALUE, pixels)
     save_cubes(table.survey_ids(), values, [f"band{i}" for i in range(b)], manifest_path)
 
 

@@ -12,9 +12,12 @@ BLAS GEMMs:
   next conv) accepts any strides.
 - ``conv2d_backward`` takes the forward's columns when the caller kept them,
   computes the weight gradient from them, then overwrites them with the
-  column gradient before col2im scatters it into a channels-last dx. With
-  ``input_grad=False`` it stops after dw and db and returns None for dx,
-  for a conv whose input gradient nothing reads (an encoder's first conv).
+  column gradient before col2im scatters it into a channels-last dx. col2im
+  adds the ``stride`` taps of a kernel row that land on adjacent columns as
+  one add of stride*C contiguous values, in the per-tap order, so dx is
+  bit-identical to one add per tap. With ``input_grad=False`` it stops after
+  dw and db and returns None for dx, for a conv whose input gradient nothing
+  reads (an encoder's first conv).
 
 Arrays are float32 or float64. Every result, dx included, is float32 when x,
 w and dout all are, so a float32 conv never widens to float64; x is
@@ -83,13 +86,16 @@ def conv2d_backward(x, w, dout, stride, cols=None, input_grad=True):
     if not input_grad:
         return None, dw, db
     dcols = np.matmul(d2, _wmat(w), out=cols).reshape(n, oh, ow, kh, kw, c)
-    # col2im: scatter-add each kernel tap into a channels-last dx
+    # col2im through im2col's window view of dx: taps j..j+stride-1 of a kernel
+    # row land on adjacent columns, so no add writes a pixel twice and every
+    # pixel still gets its taps in (i, j) order
     dx = np.zeros((n, h, wid, c), dtype=dcols.dtype)
+    s0, s1, s2, s3 = dx.strides
+    windows = np.lib.stride_tricks.as_strided(
+        dx, shape=(n, oh, ow, kh, kw, c), strides=(s0, s1 * stride, s2 * stride, s1, s2, s3))
     for i in range(kh):
-        for j in range(kw):
-            dx[:, i : i + oh * stride : stride, j : j + ow * stride : stride] += dcols[
-                :, :, :, i, j
-            ]
+        for j in range(0, kw, stride):
+            windows[:, :, :, i, j : j + stride] += dcols[:, :, :, i, j : j + stride]
     return dx.transpose(0, 3, 1, 2), dw, db
 
 

@@ -123,8 +123,7 @@ class SinusoidalLocationEncoder(Linear):
 
     def backward(self, dout):
         # Linear.backward without its dout @ w: the sin/cos features are not trainable
-        self.grads["w"] = dout.T @ self._x
-        self.grads["b"] = dout.sum(axis=0)
+        self._param_grads(dout)
         return np.zeros((dout.shape[0], 2))  # coordinates are not trainable
 
 

@@ -6,13 +6,18 @@ columns of a training forward and overwrite them in its backward. Parameter
 init is fan-in uniform (+-1/sqrt(fan_in)) from a caller-supplied numpy
 Generator so runs are reproducible end to end. A model is a tree of
 Modules: containers override only children(), and named_params, modules,
-cast_params and set_dropout_rng walk the tree through it.
+flatten_params and set_dropout_rng walk the tree through it.
 
-Params are created in float64; cast_params moves a whole tree to another
-dtype (pipeline.build_model casts to float32). Every layer computes in the
-dtype of its params and inputs and makes nothing wider, so a float32 model
-fed float32 batches runs in float32 throughout, and a float64 one (as the
-finite-difference tests build) in float64.
+Params are created in float64. flatten_params moves every param of a tree
+into one flat buffer of a given dtype, and every grad into another, as
+views in named_params() order (pipeline.build_model flattens into float32),
+so that AdamW can step the whole model in one pass over each buffer.
+Backward passes write their grads into the grads arrays they hold (matmul
+and sum with out=, or a copy) and never rebind them, so a flat model's grads
+stay views of its buffer. Every layer computes in the dtype of its params
+and inputs and makes nothing wider, so a float32 model fed float32 batches
+runs in float32 throughout, and a float64 one (as the finite-difference
+tests build) in float64.
 """
 
 from __future__ import annotations
@@ -57,12 +62,22 @@ class Module:
         for name, child in self.children():
             yield from child.named_params(prefix=f"{prefix}{name}.")
 
-    def cast_params(self, dtype) -> None:
-        """Cast every param and grad of the tree to dtype."""
-        for module in self.modules():
-            for store in (module.params, module.grads):
-                for key, val in store.items():
-                    store[key] = val.astype(dtype, copy=False)
+    def flatten_params(self, dtype) -> None:
+        """Move every param of the tree into one flat buffer of dtype, and
+        every grad into another, as views laid end to end in named_params()
+        order; the values are cast to dtype."""
+        entries = [(module, key) for module in self.modules() for key in module.params]
+        total = sum(module.params[key].size for module, key in entries)
+        flat_params, flat_grads = np.empty(total, dtype=dtype), np.empty(total, dtype=dtype)
+        offset = 0
+        for module, key in entries:
+            shape = module.params[key].shape
+            end = offset + module.params[key].size
+            for store, flat in ((module.params, flat_params), (module.grads, flat_grads)):
+                view = flat[offset:end].reshape(shape)
+                view[...] = store[key]
+                store[key] = view
+            offset = end
 
     def set_dropout_rng(self, rng: np.random.Generator) -> None:
         for module in self.modules():
@@ -82,12 +97,18 @@ class Linear(Module):
         if x.shape[-1] != self.in_dim:
             raise ShapeError(f"Linear expects last dim {self.in_dim}, got {x.shape}")
         self._x = x
-        return x @ self.params["w"].T + self.params["b"]
+        out = x @ self.params["w"].T
+        out += self.params["b"]
+        return out
 
     def backward(self, dout):
-        self.grads["w"] = dout.T @ self._x
-        self.grads["b"] = dout.sum(axis=0)
+        self._param_grads(dout)
         return dout @ self.params["w"]
+
+    def _param_grads(self, dout) -> None:
+        """Write the w and b gradients into the grads arrays."""
+        np.matmul(dout.T, self._x, out=self.grads["w"])
+        np.sum(dout, axis=0, out=self.grads["b"])
 
 
 class Conv2d(Module):
@@ -126,8 +147,8 @@ class Conv2d(Module):
         cols, self._cols = self._cols, None
         dx, dw, db = kernels.conv2d_backward(self._x, self.params["w"], dout, self.stride, cols,
                                              input_grad=self.input_grad)
-        self.grads["w"] = dw
-        self.grads["b"] = db
+        self.grads["w"][...] = dw
+        self.grads["b"][...] = db
         return dx
 
 
@@ -167,8 +188,12 @@ class GlobalAvgPool2d(Module):
         return x.mean(axis=(2, 3))
 
     def backward(self, dout):
+        # channels-last underneath, like a conv output, so that the conv
+        # before it (through a ReLU) reshapes its dout without a copy
         n, c, h, w = self._shape
-        return np.broadcast_to(dout[:, :, None, None], self._shape) / (h * w)
+        dx = np.empty((n, h, w, c), dtype=dout.dtype)
+        np.divide(dout[:, None, None, :], h * w, out=dx)
+        return dx.transpose(0, 3, 1, 2)
 
 
 class Flatten(Module):

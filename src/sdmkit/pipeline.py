@@ -131,8 +131,9 @@ def _input_shape(shapes: dict, modality: str) -> tuple[int, ...]:
 
 def build_model(cfg: ExperimentConfig, cube_shapes: dict):
     """Build the configured model with init drawn from the run seed, its
-    params and grads in COMPUTE_DTYPE; each encoder takes the per-sample
-    shape of its modality from cube_shapes (LoadedData.cube_shapes)."""
+    params and grads views of one flat COMPUTE_DTYPE buffer each
+    (Module.flatten_params); each encoder takes the per-sample shape of its
+    modality from cube_shapes (LoadedData.cube_shapes)."""
     rng = np.random.default_rng([cfg.run.seed, 0])
     if cfg.model.name == "mme":
         if not cfg.model.encoders:
@@ -161,5 +162,5 @@ def build_model(cfg: ExperimentConfig, cube_shapes: dict):
         modify_last_layer(net, cfg.task.num_classes, rng)
         model = SingleModalityModel(modality, net)
     # init draws in float64 and casts once, so the draws do not depend on the dtype
-    model.cast_params(COMPUTE_DTYPE)
+    model.flatten_params(COMPUTE_DTYPE)
     return model

@@ -290,7 +290,7 @@ def test_predict_rejects_checkpoint_of_another_dtype(synthetic_dir, tmp_path, ca
     cfg_path = os.path.join(synthetic_dir, "config.yaml")
     cfg = load_config(cfg_path)
     model = build_model(cfg, load_data(cfg).cube_shapes())
-    model.cast_params(np.float64)
+    model.flatten_params(np.float64)
     weights = str(tmp_path / "float64.ckpt")
     engine.save_checkpoint(weights, model, None, engine.TrainState(), cfg)
     assert main(["predict", "--config", cfg_path, "--weights", weights,

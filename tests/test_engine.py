@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from sdmkit import engine
 from sdmkit.config import config_digest, parse_config
 from sdmkit.engine import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     ADAM_EPS,
     AdamW,
     TrainState,
@@ -31,8 +33,9 @@ from sdmkit.evalkit import Predictions, top_k
 from sdmkit import geodata
 from sdmkit.geodata import (ObservationRecord, ObservationTable, load_raster, parse_field,
                             read_csv, save_raster)
+from sdmkit.nn import modify_first_layer
 from sdmkit.pipeline import build_model, load_data, resolve_split
-from sdmkit.synthetic import default_config_yaml, make_synthetic
+from sdmkit.synthetic import CUBE_SHAPE, N_CHANNELS, PATCH_SIZE, default_config_yaml, make_synthetic
 
 
 class TestWeightedBce:
@@ -161,6 +164,122 @@ class TestAdamW:
         assert not ok
         np.testing.assert_array_equal(w, np.ones(2))
         assert "skipped" in caplog.text
+
+
+def built_model(seed=0):
+    """The default synthetic mme model as build_model leaves it: every param
+    and grad a float32 view of one flat buffer each."""
+    cfg = parse_config(default_config_yaml("data", n_species=20, seed=seed))
+    return build_model(cfg, {"patch": (N_CHANNELS, PATCH_SIZE, PATCH_SIZE), "cube_a": CUBE_SHAPE,
+                             "cube_b": CUBE_SHAPE, "location": (2,)})
+
+
+def backprop(model, seed, n=16):
+    """One training forward and backward of a random batch."""
+    rng = np.random.default_rng(seed)
+    shapes = {name: enc.layers[0].in_channels for name, enc in model.encoders.items()}
+    batch = {
+        "patch": rng.normal(size=(n, shapes["patch"], 32, 32)).astype(np.float32),
+        "cube_a": rng.normal(size=(n, shapes["cube_a"], 4, 3)).astype(np.float32),
+        "cube_b": rng.normal(size=(n, shapes["cube_b"], 4, 3)).astype(np.float32),
+    }
+    labels = (rng.random((n, 20)) < 0.3).astype(float)
+    logits = model.forward(batch, training=True)
+    grad = weighted_bce_logits_grad(logits, labels, 10.0)
+    model.backward(grad.astype(logits.dtype))
+
+
+def reference_step(state, triples, lr, weight_decay):
+    """One AdamW step as a per-array loop of numpy expressions, each array's
+    moments kept in state by name: the arithmetic the flat step must match."""
+    state["t"] = t = state.get("t", 0) + 1
+    bc1, bc2 = 1 - ADAM_BETA1**t, 1 - ADAM_BETA2**t
+    for name, param, grad in triples:
+        m = state.setdefault(("m", name), np.zeros_like(param))
+        v = state.setdefault(("v", name), np.zeros_like(param))
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * grad * grad
+        if weight_decay:
+            param *= 1 - lr * weight_decay
+        param -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+
+
+class TestFlatAdamW:
+    """AdamW on a built model: one pass of each op over the flat buffers."""
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_flat_steps_match_per_array_reference(self, weight_decay):
+        model = built_model()
+        reference = [(name, param.copy()) for name, param, _ in model.named_params()]
+        optimizer, state = AdamW(weight_decay=weight_decay), {}
+        for step, lr in enumerate([1e-3, 8e-4, 5e-4, 2e-4, 1e-4]):
+            backprop(model, seed=step)
+            triples = list(model.named_params())
+            grads = [(name, param, grad.copy())
+                     for (name, param), (_, _, grad) in zip(reference, triples)]
+            assert optimizer.step(triples, lr)
+            reference_step(state, grads, lr, weight_decay)
+        assert optimizer.flat is not None and optimizer.t == 5
+        for (name, param, _), (_, want) in zip(model.named_params(), reference):
+            assert param.tobytes() == want.tobytes(), name
+
+    def test_step_after_first_allocates_no_param_sized_array(self):
+        import tracemalloc
+
+        model = built_model()
+        param_bytes = sum(param.nbytes for _, param, _ in model.named_params())
+        optimizer = AdamW(weight_decay=0.01)
+        backprop(model, seed=0)
+        optimizer.step(model.named_params(), 1e-3)
+        tracemalloc.start()
+        try:
+            assert optimizer.step(model.named_params(), 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * param_bytes, (peak, param_bytes)
+
+    def test_nan_grad_skips_step_and_names_first_param(self, caplog):
+        model = built_model()
+        optimizer = AdamW(weight_decay=0.01)
+        backprop(model, seed=0)
+        assert optimizer.step(model.named_params(), 1e-3)
+        backprop(model, seed=1)
+        triples = list(model.named_params())
+        triples[5][2].flat[3] = np.nan
+        triples[9][2].flat[0] = np.inf
+        before = [param.copy() for _, param, _ in triples]
+        moments = optimizer.flat.m.copy(), optimizer.flat.v.copy()
+        with caplog.at_level(logging.WARNING, logger="sdmkit.engine"):
+            assert optimizer.step(model.named_params(), 1e-3) is False
+        assert caplog.messages == [f"AdamW: non-finite gradient in {triples[5][0]}; step skipped"]
+        assert optimizer.t == 1
+        for (name, param, _), want in zip(triples, before):
+            assert param.tobytes() == want.tobytes(), name
+        assert optimizer.flat.m.tobytes() == moments[0].tobytes()
+        assert optimizer.flat.v.tobytes() == moments[1].tobytes()
+
+    def test_step_after_first_layer_surgery_updates_every_param(self):
+        """modify_first_layer replaces the patch encoder's first weight with an
+        array of its own, so the step runs per array, and it still matches the
+        reference on every param."""
+        model = built_model()
+        modify_first_layer(model.encoders["patch"], 7)
+        flat = model.head.layers[-1].params["w"].base
+        assert model.encoders["patch"].layers[0].params["w"].base is not flat
+        before = {name: param.copy() for name, param, _ in model.named_params()}
+        backprop(model, seed=2)
+        optimizer = AdamW(weight_decay=0.01)
+        reference = [(name, before[name].copy(), grad.copy())
+                     for name, _, grad in model.named_params()]
+        assert optimizer.step(model.named_params(), 1e-3)
+        reference_step({}, reference, 1e-3, 0.01)
+        assert optimizer.flat is None
+        for (name, param, _), (_, want, _) in zip(model.named_params(), reference):
+            assert not np.array_equal(param, before[name]), name
+            assert param.tobytes() == want.tobytes(), name
 
 
 class TestMakeBatches:
@@ -802,7 +921,10 @@ def test_points_transformed_once_per_survey_and_grid(tmp_path, monkeypatch):
 def test_training_step_stays_float32(tmp_path):
     """One training step of an mme model over patch, both cubes and location,
     with dropout, leaves every param, grad and AdamW moment in float32, and
-    every encoder returns float32: nothing in the step widens to float64."""
+    every encoder returns float32: nothing in the step widens to float64. The
+    step runs on the flat buffers: every param and grad is a view of the
+    model's flat buffers, and AdamW's flat moments and scratch buffers are
+    float32."""
     data_dir = str(tmp_path)
     make_synthetic(data_dir, n_surveys=60, num_species=6, seed=2)
     yaml_text = default_config_yaml(data_dir, n_species=6, patch_size=16).replace(
@@ -826,6 +948,9 @@ def test_training_step_stays_float32(tmp_path):
     assert sorted(outputs) == ["cube_a", "cube_b", "location", "patch"]
     for name, out in outputs.items():
         assert out.dtype == np.float32, name
+    flat = optimizer.flat
+    for buffer in (flat.params, flat.grads, flat.m, flat.v, *flat.scratch):
+        assert buffer.dtype == np.float32 and buffer.shape == flat.params.shape
     for name, param, grad in model.named_params():
-        dtypes = (param.dtype, grad.dtype, optimizer.m[name].dtype, optimizer.v[name].dtype)
-        assert dtypes == (np.float32,) * 4, name
+        assert (param.dtype, grad.dtype) == (np.float32, np.float32), name
+        assert param.base is flat.params and grad.base is flat.grads, name

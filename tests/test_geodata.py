@@ -829,6 +829,42 @@ class TestBuildCubes:
                             dtype=np.float32)
         assert got.tobytes() == expected.tobytes()
 
+    def test_reads_raw_pixels_as_the_normalized_gather_did(self, tmp_path, monkeypatch, caplog):
+        """Each survey's pixel is read from the raw layer: normalize_layers is
+        never called, and the payload and the warnings are those of the side-1
+        normalized gather it replaces, computed here, on layers with nodata,
+        NaN, +-inf and -0.0 pixels, an EPSG:3857 grid and points outside."""
+        layers = make_grid_layers(3)
+        layers[0].values[2, 3] = -0.0  # the pixel of point (1.75, 8.75) in layer a
+        tagged = {(i % 2, 0, i // 2): layer for i, layer in enumerate(layers)}
+        g = np.random.default_rng(4)
+        points = list(zip(g.uniform(-2, 7, 60), g.uniform(3, 12, 60))) + [(1.75, 8.75)]
+        table = make_table([(float(lon), float(lat), {0}) for lon, lat in points])
+        expected = np.empty((len(points), 2, 1, 2), dtype=np.float32)
+        with caplog.at_level(logging.WARNING, logger="sdmkit.geodata"):
+            for (band, step, year), layer in tagged.items():
+                grids = normalize_layers([layer], PatchSpec(side=1, layer_names=(layer.name,)))
+                starts = geodata._survey_windows(grids, 1, table.records, f"layer {layer.name!r}")
+                expected[:, band, step, year] = geodata._gather(grids, 1, starts)[:, 0, 0, 0]
+        expected_messages = list(caplog.messages)
+        caplog.clear()
+        assert len(expected_messages) == 4  # every layer misses some surveys
+        assert np.signbit(expected[-1, 0, 0, 0]) and expected[-1, 0, 0, 0] == 0
+
+        def not_called(*args, **kwargs):
+            raise AssertionError("build_time_series_cubes normalized a whole layer")
+
+        monkeypatch.setattr(geodata, "normalize_layers", not_called)
+        path = str(tmp_path / "c.json")
+        with caplog.at_level(logging.WARNING, logger="sdmkit.geodata"):
+            build_time_series_cubes(tagged, table, (2, 1, 2), path)
+        assert caplog.messages == expected_messages
+        assert (tmp_path / "c.f32").read_bytes() == expected.tobytes()
+        far_north = make_table([(2.0, 8.0, {0}), (2.0, 86.0, {0})])
+        with pytest.raises(ProjectionDomainError, match=re.escape(
+                "survey 's1': latitude 86.0 outside EPSG:3857 domain")):
+            build_time_series_cubes(tagged, far_north, (2, 1, 2), path)
+
     def test_coverage_error(self, toy_raster):
         table = make_table([(2.5, 1.5, {0})])
         with pytest.raises(Exception, match="missing"):

@@ -134,3 +134,38 @@ def test_nonsquare_kernel():
                 for oj in range(19):
                     acc = b[fi] + np.sum(w[fi] * x[ni, :, oi : oi + 3, oj : oj + 3])
                     assert out[ni, fi, oi, oj] == pytest.approx(acc, abs=1e-12)
+
+
+def per_tap_dx(x, w, dout, stride):
+    """conv2d_backward's dx with col2im as one scatter-add per kernel tap."""
+    n, c, h, wid = x.shape
+    f, _, kh, kw = w.shape
+    oh, ow = dout.shape[2:]
+    d2 = dout.transpose(0, 2, 3, 1).reshape(n * oh * ow, f)
+    dcols = (d2 @ w.transpose(0, 2, 3, 1).reshape(f, -1)).reshape(n, oh, ow, kh, kw, c)
+    dx = np.zeros((n, h, wid, c), dtype=dcols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dx[:, i : i + oh * stride : stride, j : j + ow * stride : stride] += dcols[:, :, :, i, j]
+    return dx.transpose(0, 3, 1, 2)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel", [1, 2, 3, 4])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_paired_tap_col2im_matches_per_tap(stride, kernel, dtype):
+    """col2im's one add per group of stride taps gives the per-tap loop's dx,
+    bit for bit. The widths run over every remainder of (width - kernel) by
+    the stride, so the last tap group of a row is cut short by the kernel's
+    edge and its columns run past the input's last one in some of them."""
+    rng = np.random.default_rng(stride * 10 + kernel)
+    for width in range(kernel, kernel + 2 * stride + 1):
+        height = kernel + stride + 1
+        x = rng.normal(size=(2, 3, height, width)).astype(dtype)
+        w = rng.normal(size=(5, 3, kernel, kernel)).astype(dtype)
+        oh, ow = kernels.conv2d_out_shape(height, width, kernel, kernel, stride)
+        dout = rng.normal(size=(2, 5, oh, ow)).astype(dtype)
+        dx, _, _ = kernels.conv2d_backward(x, w, dout, stride)
+        want = per_tap_dx(x, w, dout, stride)
+        assert dx.dtype == dtype
+        assert dx.tobytes() == want.tobytes(), width

@@ -12,7 +12,7 @@ from sdmkit.nn import (
     modify_last_layer,
     strip_head,
 )
-from sdmkit.nn.layers import Conv2d, Dropout, Linear, ReLU, Sequential
+from sdmkit.nn.layers import Conv2d, Dropout, GlobalAvgPool2d, Linear, ReLU, Sequential
 from sdmkit.pipeline import build_model
 from sdmkit.synthetic import CUBE_SHAPE, default_config_yaml
 
@@ -294,6 +294,43 @@ class TestModelTree:
                     for i in layers for p in ("w", "b")]
         assert len(expected) == 18
         assert [name for name, _, _ in self.default_mme().named_params()] == expected
+
+    def test_flatten_params_views_written_in_place(self):
+        """build_model leaves every param and grad a float32 view of one flat
+        buffer each, end to end in named_params() order; a backward writes the
+        grads into those views and rebinds none of them."""
+        model = self.default_mme()
+        triples = list(model.named_params())
+        params, grads = triples[0][1].base, triples[0][2].base
+        assert params.dtype == grads.dtype == np.float32
+        assert params.size == grads.size == sum(p.size for _, p, _ in triples)
+        offset = 0
+        for name, param, grad in triples:
+            assert param.base is params and grad.base is grads, name
+            assert np.shares_memory(param, params[offset:offset + param.size]), name
+            assert np.shares_memory(grad, grads[offset:offset + grad.size]), name
+            offset += param.size
+        g = np.random.default_rng(4)
+        batch = {"patch": g.normal(size=(3, 4, 32, 32)).astype(np.float32),
+                 "cube_a": g.normal(size=(3, *CUBE_SHAPE)).astype(np.float32),
+                 "cube_b": g.normal(size=(3, *CUBE_SHAPE)).astype(np.float32)}
+        logits = model.forward(batch, training=True)
+        model.backward(weighted_bce_logits_grad(logits, np.ones((3, 20)), 10.0).astype(np.float32))
+        for (name, param, grad), (_, param_after, grad_after) in zip(triples, model.named_params()):
+            assert param_after is param and grad_after is grad, name
+            assert np.any(grad), name
+        assert np.array_equal(grads, np.concatenate([grad.ravel() for _, _, grad in triples]))
+
+    def test_pool_backward_is_channels_last(self):
+        """GlobalAvgPool2d's input gradient is channels-last underneath, so the
+        conv before it reshapes its dout to (N*H*W, C) without a copy."""
+        pool = GlobalAvgPool2d()
+        pool.forward(np.zeros((2, 3, 4, 5), dtype=np.float32))
+        dout = np.random.default_rng(0).normal(size=(2, 3)).astype(np.float32)
+        dx = pool.backward(dout)
+        assert dx.shape == (2, 3, 4, 5) and dx.dtype == np.float32
+        assert dx.transpose(0, 2, 3, 1).flags.c_contiguous
+        assert dx.tobytes() == (np.broadcast_to(dout[:, :, None, None], dx.shape) / 20).tobytes()
 
     def test_set_dropout_rng_reaches_every_dropout(self):
         model = self.default_mme()
