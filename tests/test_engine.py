@@ -166,12 +166,12 @@ class TestAdamW:
         assert "skipped" in caplog.text
 
 
-def built_model(seed=0):
+def built_model():
     """The default synthetic mme model as build_model leaves it: every param
     and grad a float32 view of one flat buffer each."""
-    cfg = parse_config(default_config_yaml("data", n_species=20, seed=seed))
+    cfg = parse_config(default_config_yaml("data", n_species=20))
     return build_model(cfg, {"patch": (N_CHANNELS, PATCH_SIZE, PATCH_SIZE), "cube_a": CUBE_SHAPE,
-                             "cube_b": CUBE_SHAPE, "location": (2,)})
+                             "cube_b": CUBE_SHAPE})
 
 
 def backprop(model, seed, n=16):
