@@ -187,6 +187,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigValidationError("optimizer.weight_decay: must be >= 0")
     if cfg.optimizer.t_max < 1:
         raise ConfigValidationError("optimizer.t_max: must be >= 1")
+    if cfg.trainer.epochs > cfg.optimizer.t_max:
+        raise ConfigValidationError(f"trainer.epochs: {cfg.trainer.epochs} exceeds "
+                                    f"optimizer.t_max {cfg.optimizer.t_max}, the epoch where "
+                                    f"the lr reaches 0")
     if cfg.optimizer.pos_weight < 0:
         raise ConfigValidationError("optimizer.pos_weight: must be >= 0")
 

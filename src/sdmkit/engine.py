@@ -1,9 +1,10 @@
 """Training and inference loops.
 
 One training loop owns the model. Per epoch: a training pass (weighted BCE
-backprop, AdamW, cosine schedule stepped on the epoch clock), a validation
-pass (loss + the full metric report), one metrics.csv row, last.ckpt every
-epoch and best.ckpt whenever the validation loss strictly improves.
+backprop, AdamW over the flat params, cosine schedule stepped on the epoch
+clock), a validation pass (loss + the full metric report), one metrics.csv
+row, last.ckpt every epoch and best.ckpt whenever the validation loss
+strictly improves.
 
 Dropout, shuffling, and weight init draw from separate seeded RNG streams
 so toggling one never perturbs the others.
@@ -78,9 +79,6 @@ def weighted_bce_logits_grad(logits: np.ndarray, labels: np.ndarray,
 
 def cosine_lr(t: int, eta_max: float, t_max: int) -> float:
     """Cosine annealing from eta_max at epoch 0 to zero at epoch t_max."""
-    if t < 0 or t > t_max:
-        log.warning("cosine_lr: epoch %d outside [0, %d], clamping", t, t_max)
-        t = min(max(t, 0), t_max)
     return eta_max * (1 + math.cos(math.pi * t / t_max)) / 2
 
 
@@ -91,52 +89,38 @@ ADAM_EPS = 1e-8
 
 
 class AdamW:
-    """Decoupled weight-decay adaptive-moment optimizer.
+    """Decoupled weight-decay adaptive-moment optimizer over a flat model.
 
-    Steps with non-finite gradients are skipped whole. On a model whose
-    params and grads are the views Module.flatten_params made (build_model
-    flattens every model), a step checks the flat grads' finiteness once and
-    runs each element-wise op once over the whole flat buffer, into flat
-    moments and two scratch buffers made on its first step: no later step
-    allocates a param-sized array. Any other triples step one array at a
-    time with the same ops, so both paths give the same bits, and keep their
-    moments in m and v, keyed by parameter path.
+    The params and grads it steps must be the views Module.flatten_params
+    made (build_model flattens every model); any other triples are refused
+    with a ShapeError naming the first param outside that layout. A step
+    checks the flat grads' finiteness once and skips a step with a
+    non-finite gradient whole. Otherwise it runs each element-wise op once
+    over the whole flat buffer, into flat moments and two scratch buffers
+    made on its first step: no later step allocates a param-sized array.
     """
 
     def __init__(self, weight_decay: float = 0.0):
         self.weight_decay = weight_decay
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
         self.flat: _FlatState | None = None
         self.t = 0
 
     def step(self, named_params, lr: float) -> bool:
-        """Apply one update in place; returns False if skipped."""
+        """Apply one update in place; returns False if skipped. Updates
+        m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, param *= 1 - lr wd,
+        param -= lr (m / bc1) / (sqrt(v / bc2) + eps), each op as one ufunc
+        over the flat buffers."""
         triples = list(named_params)
         flat = self._flat_state(triples)
-        grads = [flat.grads] if flat is not None else [grad for _, _, grad in triples]
-        if not all(map(_all_finite, grads)):
+        if not _all_finite(flat.grads):
             name = next(name for name, _, grad in triples if not _all_finite(grad))
             log.warning("AdamW: non-finite gradient in %s; step skipped", name)
             return False
         self.t += 1
         bc1 = 1 - ADAM_BETA1**self.t
         bc2 = 1 - ADAM_BETA2**self.t
-        if flat is not None:
-            self._update(flat.params, flat.grads, flat.m, flat.v, flat.scratch, lr, bc1, bc2)
-            return True
-        for name, param, grad in triples:
-            if name not in self.m:
-                self.m[name], self.v[name] = np.zeros_like(param), np.zeros_like(param)
-            scratch = (np.empty_like(param), np.empty_like(param))
-            self._update(param, grad, self.m[name], self.v[name], scratch, lr, bc1, bc2)
-        return True
-
-    def _update(self, param, grad, m, v, scratch, lr, bc1, bc2) -> None:
-        """Update m, v and param in place, through the two scratch arrays:
-        m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, param *= 1 - lr wd,
-        param -= lr (m / bc1) / (sqrt(v / bc2) + eps), each op as one ufunc."""
-        s1, s2 = scratch
+        param, grad, m, v = flat.params, flat.grads, flat.m, flat.v
+        s1, s2 = flat.scratch
         m *= ADAM_BETA1
         m += np.multiply(grad, 1 - ADAM_BETA1, out=s1)
         v *= ADAM_BETA2
@@ -151,19 +135,17 @@ class AdamW:
         s2 += ADAM_EPS
         s1 /= s2
         param -= s1
+        return True
 
-    def _flat_state(self, triples) -> _FlatState | None:
+    def _flat_state(self, triples) -> _FlatState:
         """The flat state of triples whose arrays are the views of one
-        flatten_params call, in order; None for any other triples. Made, with
-        zero moments, on the first step of such a model."""
+        flatten_params call, in order; made, with zero moments, on the first
+        step of such a model."""
         flat = self.flat
         if flat is not None and len(flat.views) == len(triples) and all(
                 param is p and grad is g for (_, param, grad), (p, g) in zip(triples, flat.views)):
             return flat
-        buffers = _flat_buffers(triples)
-        if buffers is None:
-            return None
-        params, grads = buffers
+        params, grads = _flat_buffers(triples)
         self.flat = _FlatState([(param, grad) for _, param, grad in triples], params, grads,
                                np.zeros_like(params), np.zeros_like(params),
                                (np.empty_like(params), np.empty_like(params)))
@@ -184,26 +166,31 @@ class _FlatState:
     scratch: tuple[np.ndarray, np.ndarray]
 
 
-def _flat_buffers(triples) -> tuple[np.ndarray, np.ndarray] | None:
+def _flat_buffers(triples) -> tuple[np.ndarray, np.ndarray]:
     """(params, grads) when the triples' params and grads are C-contiguous
     views of one 1-D buffer each, laid end to end in order over the whole
     buffer and each grad at its param's offset, as Module.flatten_params lays
-    them out; None otherwise."""
-    if not triples:
-        return None
-    params, grads = triples[0][1].base, triples[0][2].base
-    if (params is None or grads is None or params.ndim != 1 or grads.shape != params.shape
-            or grads.dtype != params.dtype):
-        return None
-    start_p, start_g, offset = _address(params), _address(grads), 0
-    for _, param, grad in triples:
-        if not (param.base is params and grad.base is grads and param.shape == grad.shape
-                and param.dtype == params.dtype and grad.dtype == params.dtype
-                and param.flags.c_contiguous and grad.flags.c_contiguous
-                and _address(param) == start_p + offset and _address(grad) == start_g + offset):
-            return None
+    them out; otherwise a ShapeError names the first param outside that
+    layout."""
+    bases = (triples[0][1].base, triples[0][2].base) if triples else (None, None)
+    offset = 0
+    for name, param, grad in triples:
+        if param.shape != grad.shape or not all(
+                _view_at(base, a, offset) for base, a in zip(bases, (param, grad))):
+            raise ShapeError(f"AdamW: {name} is not at its place in one flat param buffer; "
+                             f"call flatten_params on the model before stepping it")
         offset += param.nbytes
-    return (params, grads) if offset == params.nbytes else None
+    if bases[0] is None or any(offset != base.nbytes for base in bases):
+        raise ShapeError("AdamW: the params do not fill one flat param buffer; call "
+                         "flatten_params on the model before stepping it")
+    return bases
+
+
+def _view_at(base, a: np.ndarray, offset: int) -> bool:
+    """Whether a is a C-contiguous view, in base's dtype, of the 1-D array
+    base at byte offset."""
+    return (base is not None and base.ndim == 1 and a.base is base and a.dtype == base.dtype
+            and a.flags.c_contiguous and _address(a) == _address(base) + offset)
 
 
 def _address(a: np.ndarray) -> int:

@@ -4,14 +4,16 @@ Layers cache whatever the backward pass needs on forward; one backward per
 forward, single-threaded. That contract is what lets Conv2d keep the im2col
 columns of a training forward and overwrite them in its backward. Parameter
 init is fan-in uniform (+-1/sqrt(fan_in)) from a caller-supplied numpy
-Generator so runs are reproducible end to end. A model is a tree of
-Modules: containers override only children(), and named_params, modules,
-flatten_params and set_dropout_rng walk the tree through it.
+Generator so runs are reproducible end to end; Dropout draws only from the
+one set_dropout_rng gives it. A model is a tree of Modules: containers
+override only children(), and named_params, modules, flatten_params and
+set_dropout_rng walk the tree through it.
 
 Params are created in float64. flatten_params moves every param of a tree
 into one flat buffer of a given dtype, and every grad into another, as
 views in named_params() order (pipeline.build_model flattens into float32),
-so that AdamW can step the whole model in one pass over each buffer.
+so that AdamW can step the whole model in one pass over each buffer; AdamW
+refuses a model changed by surgery after that until it is flattened again.
 Backward passes write their grads into the grads arrays they hold (matmul
 and sum with out=, or a copy) and never rebind them, so a flat model's grads
 stay views of its buffer. Every layer computes in the dtype of its params
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import SdmkitError, ShapeError
 from .. import kernels
 
 
@@ -162,17 +164,19 @@ class ReLU(Module):
 
 
 class Dropout(Module):
-    """Inverted dropout; draws masks from self.rng only in training mode."""
+    """Inverted dropout; in training, masks come from the rng set_dropout_rng set."""
 
-    def __init__(self, p: float, rng: np.random.Generator | None = None):
+    def __init__(self, p: float):
         super().__init__()
         self.p = p
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.rng: np.random.Generator | None = None
 
     def forward(self, x, training=False):
         if not training or self.p == 0.0:
             self._mask = None
             return x
+        if self.rng is None:
+            raise SdmkitError("Dropout: training needs an rng; call set_dropout_rng first")
         keep = 1.0 - self.p
         self._mask = (self.rng.random(x.shape) < keep).astype(x.dtype)
         self._mask /= keep

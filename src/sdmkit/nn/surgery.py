@@ -4,6 +4,10 @@ All three operate on Sequential-style models in place and return the model
 for chaining. The first Conv2d is the first in model.modules(), at any
 depth; the trailing Linear is looked up in the top-level layer list. Any
 registry-built encoder qualifies.
+
+The layers they change get arrays outside Module.flatten_params' buffers,
+which engine.AdamW refuses. So run surgery before flattening, as build_model
+does with modify_last_layer, or call flatten_params on the root model again.
 """
 
 from __future__ import annotations

@@ -407,6 +407,14 @@ def write_cube_bool_step(synthetic_dir, tmp_path):
     return argv, f"{layers}: entry 1 ({header}) step True is not an integer in [0, 2)"
 
 
+def write_cube_shape_untagged(synthetic_dir, tmp_path):
+    # every entry is well formed, but step 1 of the shape has no layer
+    _, argv = build_cubes_args(synthetic_dir, tmp_path,
+                               [{"header": "chan0.json", "band": 0, "step": 0, "year": 0}],
+                               "1,2,1")
+    return argv, "missing (band, step, year) combinations: [(0, 1, 0)]"
+
+
 def write_layers_trailing_comma(synthetic_dir, tmp_path):
     layers, argv = build_cubes_args(synthetic_dir, tmp_path, [], "1,1,1")
     header = os.path.join(synthetic_dir, "chan0.json")
@@ -556,11 +564,18 @@ def write_survey_outside_mercator_domain(synthetic_dir, tmp_path):
     return argv, "survey 'polar': latitude 86.0 outside EPSG:3857 domain"
 
 
-def train_args(synthetic_dir, tmp_path, data=(), encoders=()):
+def write_epochs_past_t_max(synthetic_dir, tmp_path):
+    # epoch 25 of 26 would train at lr 0
+    argv = train_args(synthetic_dir, tmp_path, trainer={"epochs": 26})
+    return argv, "trainer.epochs: 26 exceeds optimizer.t_max 25"
+
+
+def train_args(synthetic_dir, tmp_path, data=(), encoders=(), trainer=()):
     with open(os.path.join(synthetic_dir, "config.yaml")) as fh:
         doc = yaml.safe_load(fh)
     doc["data"].update(data)
     doc["model"]["encoders"].update(encoders)
+    doc["trainer"].update(trainer)
     cfg_path = tmp_path / "config.yaml"
     cfg_path.write_text(yaml.safe_dump(doc))
     return ["train", "--config", str(cfg_path), "--out", str(tmp_path / "runs")]
@@ -570,7 +585,8 @@ def train_args(synthetic_dir, tmp_path, data=(), encoders=()):
                                    write_ragged_predictions, write_encoder_without_modality,
                                    write_repeated_cube_tag, write_cube_tag_without_year,
                                    write_cube_band_past_shape, write_cube_negative_band,
-                                   write_cube_bool_step, write_layers_trailing_comma,
+                                   write_cube_bool_step, write_cube_shape_untagged,
+                                   write_layers_trailing_comma,
                                    write_layers_mapping, write_raster_manifest_trailing_comma,
                                    write_raster_header_without_crs, write_raster_width_text,
                                    write_raster_height_bool, write_raster_nodata_null,
@@ -580,12 +596,14 @@ def train_args(synthetic_dir, tmp_path, data=(), encoders=()):
                                    write_cube_manifest_without_shape, write_cube_shape_negative,
                                    write_cube_survey_ids_integers, write_cube_survey_repeated,
                                    write_cube_bands_string, write_cube_payload_number,
-                                   write_survey_outside_mercator_domain],
+                                   write_survey_outside_mercator_domain,
+                                   write_epochs_past_t_max],
                          ids=["conflict-later-block", "split-survey-twice",
                               "ragged-predictions", "encoder-without-modality",
                               "repeated-cube-tag", "cube-tag-without-year",
                               "cube-band-past-shape", "cube-negative-band",
-                              "cube-bool-step", "layers-trailing-comma", "layers-mapping",
+                              "cube-bool-step", "cube-shape-untagged",
+                              "layers-trailing-comma", "layers-mapping",
                               "raster-manifest-trailing-comma", "raster-header-without-crs",
                               "raster-width-text", "raster-height-bool", "raster-nodata-null",
                               "raster-crs-number", "raster-pixel-size-text",
@@ -593,7 +611,7 @@ def train_args(synthetic_dir, tmp_path, data=(), encoders=()):
                               "cube-manifest-without-shape", "cube-shape-negative",
                               "cube-survey-ids-integers", "cube-survey-repeated",
                               "cube-bands-string", "cube-payload-number",
-                              "survey-outside-mercator-domain"])
+                              "survey-outside-mercator-domain", "epochs-past-t-max"])
 def test_rejected_input_one_error_line(synthetic_dir, tmp_path, capsys, write):
     """Real-data hazards that must be rejected: exit 1 and one error line
     naming the file and row, or the config key; no run directory or report."""

@@ -36,9 +36,11 @@ def test_defaults_filled_for_minimal_document():
 
 
 def test_explicit_values_pass_through():
-    cfg = parse_config(MINIMAL + "optimizer:\n  lr: 1.0e-3\n  t_max: 10\n  pos_weight: 3\n")
+    cfg = parse_config(MINIMAL + "optimizer:\n  lr: 1.0e-3\n  t_max: 10\n  pos_weight: 3\n"
+                       "trainer:\n  epochs: 10\n")
     assert cfg.optimizer.lr == 1e-3
     assert cfg.optimizer.t_max == 10
+    assert cfg.trainer.epochs == 10
     assert cfg.optimizer.pos_weight == 3  # a float field takes an int
 
 
@@ -208,6 +210,7 @@ def test_digest_ignores_document_key_order():
     task_type=st.sampled_from(["binary", "multilabel", "multiclass"]),
 )
 @example(epochs=1, batch=1, top_k=1, num_classes=1, dropout=0.0, task_type="multiclass")
+@example(epochs=26, batch=1, top_k=1, num_classes=1, dropout=0.0, task_type="binary")
 @settings(max_examples=200, deadline=None)
 def test_validation_rejects_every_invariant_violation(epochs, batch, top_k, num_classes, dropout,
                                                       task_type):
@@ -224,7 +227,7 @@ def test_validation_rejects_every_invariant_violation(epochs, batch, top_k, num_
     )
     valid = (
         task_type != "multiclass"  # training is per-class sigmoid BCE only
-        and epochs >= 1
+        and 1 <= epochs <= cfg.optimizer.t_max  # later epochs would train at lr 0
         and batch >= 1
         and 1 <= top_k <= num_classes
         and 0.0 <= dropout < 1.0

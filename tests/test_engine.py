@@ -33,7 +33,7 @@ from sdmkit.evalkit import Predictions, top_k
 from sdmkit import geodata
 from sdmkit.geodata import (ObservationRecord, ObservationTable, load_raster, parse_field,
                             read_csv, save_raster)
-from sdmkit.nn import modify_first_layer
+from sdmkit.nn import Module, modify_first_layer
 from sdmkit.pipeline import build_model, load_data, resolve_split
 from sdmkit.synthetic import CUBE_SHAPE, N_CHANNELS, PATCH_SIZE, default_config_yaml, make_synthetic
 
@@ -115,32 +115,42 @@ class TestCosineLr:
     def test_midpoint(self):
         assert cosine_lr(12, 1.0, 24) == pytest.approx(0.5, abs=1e-15)
 
-    def test_out_of_range_clamped(self, caplog):
-        import logging
 
-        with caplog.at_level(logging.WARNING):
-            assert cosine_lr(30, 2.5e-4, 25) == 0.0
-        assert "clamp" in caplog.text
+def flat_module(values):
+    """A leaf Module whose one param w holds values, flattened to float64 as
+    build_model flattens a model to float32."""
+    module = Module()
+    module.params["w"] = np.array(values, dtype=float)
+    module.grads["w"] = np.zeros_like(module.params["w"])
+    module.flatten_params(np.float64)
+    return module
+
+
+def step_with_grad(opt, module, grad, lr):
+    """Write grad into the module's flat grads, then step the module."""
+    module.grads["w"][...] = grad
+    return opt.step(module.named_params(), lr=lr)
 
 
 class TestAdamW:
     def test_zero_grad_fixed_point(self):
-        p = np.ones(3)
+        module = flat_module(np.ones(3))
         opt = AdamW(weight_decay=0.0)
-        opt.step([("p", p, np.zeros(3))], lr=0.1)
-        np.testing.assert_array_equal(p, np.ones(3))
+        step_with_grad(opt, module, np.zeros(3), lr=0.1)
+        np.testing.assert_array_equal(module.params["w"], np.ones(3))
 
     def test_descent_on_quadratic(self):
-        w = np.array([1.0])
+        module = flat_module([1.0])
+        w = module.params["w"]
         opt = AdamW()
-        opt.step([("w", w, 2 * w.copy())], lr=0.1)
+        step_with_grad(opt, module, 2 * w.copy(), lr=0.1)
         assert abs(w[0]) < 1.0
 
     def test_decoupled_decay_closed_form(self):
-        w = np.full(4, 2.0)
+        module = flat_module(np.full(4, 2.0))
         opt = AdamW(weight_decay=0.01)
-        opt.step([("w", w, np.zeros(4))], lr=0.5)
-        np.testing.assert_allclose(w, 2.0 * (1 - 0.5 * 0.01), atol=1e-15)
+        step_with_grad(opt, module, np.zeros(4), lr=0.5)
+        np.testing.assert_allclose(module.params["w"], 2.0 * (1 - 0.5 * 0.01), atol=1e-15)
 
     def test_decay_applies_to_previous_weights(self):
         # theta_1 = theta_0 (1 - lr wd) - lr g / (|g| + eps): the first step's
@@ -149,20 +159,21 @@ class TestAdamW:
         g = np.array([0.3, -4.0, 1e-3])
         lr, wd, eps = 0.1, 0.5, 1e-8
         assert ADAM_EPS == eps
-        w = theta.copy()
-        AdamW(weight_decay=wd).step([("w", w, g)], lr=lr)
-        np.testing.assert_allclose(w, theta * (1 - lr * wd) - lr * g / (np.abs(g) + eps),
+        module = flat_module(theta)
+        step_with_grad(AdamW(weight_decay=wd), module, g, lr=lr)
+        np.testing.assert_allclose(module.params["w"],
+                                   theta * (1 - lr * wd) - lr * g / (np.abs(g) + eps),
                                    rtol=1e-12)
 
     def test_nonfinite_grad_skips_step(self, caplog):
         import logging
 
-        w = np.ones(2)
+        module = flat_module(np.ones(2))
         opt = AdamW()
         with caplog.at_level(logging.WARNING):
-            ok = opt.step([("w", w, np.array([np.nan, 0.0]))], lr=0.1)
+            ok = step_with_grad(opt, module, np.array([np.nan, 0.0]), lr=0.1)
         assert not ok
-        np.testing.assert_array_equal(w, np.ones(2))
+        np.testing.assert_array_equal(module.params["w"], np.ones(2))
         assert "skipped" in caplog.text
 
 
@@ -184,6 +195,7 @@ def backprop(model, seed, n=16):
         "cube_b": rng.normal(size=(n, shapes["cube_b"], 4, 3)).astype(np.float32),
     }
     labels = (rng.random((n, 20)) < 0.3).astype(float)
+    model.set_dropout_rng(np.random.default_rng([seed, 1]))
     logits = model.forward(batch, training=True)
     grad = weighted_bce_logits_grad(logits, labels, 10.0)
     model.backward(grad.astype(logits.dtype))
@@ -261,14 +273,29 @@ class TestFlatAdamW:
         assert optimizer.flat.m.tobytes() == moments[0].tobytes()
         assert optimizer.flat.v.tobytes() == moments[1].tobytes()
 
-    def test_step_after_first_layer_surgery_updates_every_param(self):
-        """modify_first_layer replaces the patch encoder's first weight with an
-        array of its own, so the step runs per array, and it still matches the
-        reference on every param."""
+    def test_step_after_first_layer_surgery_refused(self):
+        """modify_first_layer gives the patch encoder's first weight an array
+        of its own, outside the flat buffers: the step names it and changes
+        no param."""
         model = built_model()
         modify_first_layer(model.encoders["patch"], 7)
+        backprop(model, seed=2)
+        before = {name: param.copy() for name, param, _ in model.named_params()}
+        optimizer = AdamW(weight_decay=0.01)
+        with pytest.raises(ShapeError, match=r"^AdamW: enc\.patch\.0\.w .*flatten_params"):
+            optimizer.step(model.named_params(), 1e-3)
+        assert optimizer.t == 0 and optimizer.flat is None
+        for name, param, _ in model.named_params():
+            assert param.tobytes() == before[name].tobytes(), name
+
+    def test_step_after_first_layer_surgery_updates_every_param(self):
+        """Flattening the model again after modify_first_layer makes it steppable,
+        and the step matches the reference on every param."""
+        model = built_model()
+        modify_first_layer(model.encoders["patch"], 7)
+        model.flatten_params(np.float32)
         flat = model.head.layers[-1].params["w"].base
-        assert model.encoders["patch"].layers[0].params["w"].base is not flat
+        assert model.encoders["patch"].layers[0].params["w"].base is flat
         before = {name: param.copy() for name, param, _ in model.named_params()}
         backprop(model, seed=2)
         optimizer = AdamW(weight_decay=0.01)
@@ -276,7 +303,7 @@ class TestFlatAdamW:
                      for name, _, grad in model.named_params()]
         assert optimizer.step(model.named_params(), 1e-3)
         reference_step({}, reference, 1e-3, 0.01)
-        assert optimizer.flat is None
+        assert optimizer.flat.params is flat
         for (name, param, _), (_, want, _) in zip(model.named_params(), reference):
             assert not np.array_equal(param, before[name]), name
             assert param.tobytes() == want.tobytes(), name

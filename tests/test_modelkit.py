@@ -3,7 +3,7 @@ import pytest
 
 from sdmkit.config import parse_config
 from sdmkit.engine import AdamW, weighted_bce_logits, weighted_bce_logits_grad
-from sdmkit.errors import RegistryError, ShapeError, SurgeryError
+from sdmkit.errors import RegistryError, SdmkitError, ShapeError, SurgeryError
 from sdmkit.nn import (
     FusionModel,
     SinusoidalLocationEncoder,
@@ -206,6 +206,7 @@ class TestMme:
     def test_gradient_flow_every_modality(self):
         # one optimizer step must move at least one parameter per encoder
         model = self.build()
+        model.flatten_params(np.float64)  # AdamW steps only a flat model
         batch = self.batch(4)
         labels = (np.random.default_rng(6).random((4, 20)) < 0.3).astype(float)
         before = {name: p.copy() for name, p, _ in model.named_params()}
@@ -314,6 +315,7 @@ class TestModelTree:
         batch = {"patch": g.normal(size=(3, 4, 32, 32)).astype(np.float32),
                  "cube_a": g.normal(size=(3, *CUBE_SHAPE)).astype(np.float32),
                  "cube_b": g.normal(size=(3, *CUBE_SHAPE)).astype(np.float32)}
+        model.set_dropout_rng(np.random.default_rng(5))
         logits = model.forward(batch, training=True)
         model.backward(weighted_bce_logits_grad(logits, np.ones((3, 20)), 10.0).astype(np.float32))
         for (name, param, grad), (_, param_after, grad_after) in zip(triples, model.named_params()):
@@ -340,6 +342,16 @@ class TestModelTree:
         g = np.random.default_rng(11)
         model.set_dropout_rng(g)
         assert all(d.rng is g for d in dropouts)
+
+    def test_training_dropout_without_rng_raises(self):
+        """Dropout has no generator of its own: a training forward with p > 0
+        and no rng set fails, naming set_dropout_rng, instead of drawing from
+        a fixed stream. Inference and p == 0 need no rng."""
+        x = np.ones((2, 3))
+        with pytest.raises(SdmkitError, match="set_dropout_rng"):
+            Dropout(0.5).forward(x, training=True)
+        assert Dropout(0.5).forward(x) is x
+        assert Dropout(0.0).forward(x, training=True) is x
 
     def test_modify_first_layer_finds_nested_conv(self):
         r = rng()
