@@ -76,7 +76,8 @@ def cmd_evaluate(args) -> int:
     _check_out_dir(out_dir)
     json_path = os.path.join(out_dir, "report.json")
     txt_path = os.path.join(out_dir, "report.txt")
-    _check_clobber(json_path, args.force)
+    for path in (json_path, txt_path):
+        _check_clobber(path, args.force)
     predictions = engine.load_predictions(args.predictions)
     if not predictions:
         raise SdmkitError(f"{args.predictions}: no prediction rows")

@@ -18,10 +18,6 @@ import yaml
 
 from .errors import ConfigParseError, ConfigValidationError
 
-# Every task trains per-class sigmoid BCE and scores with expit, so there is
-# no multiclass (softmax) task.
-TASK_TYPES = ("binary", "multilabel")
-
 # Defaults from the baseline training recipe.
 DEFAULT_EPOCHS = 20
 DEFAULT_BATCH_SIZE = 64
@@ -49,7 +45,6 @@ class DataSection:
 
 @dataclass(frozen=True)
 class TaskSection:
-    type: str = "multilabel"
     num_classes: int = 0
     top_k: int = DEFAULT_TOP_K
 
@@ -144,8 +139,6 @@ def _build_value(hint, value, where: str):
 
 def validate_config(cfg: ExperimentConfig) -> None:
     """Raise ConfigValidationError on the first violated constraint."""
-    if cfg.task.type not in TASK_TYPES:
-        raise ConfigValidationError(f"task.type: {cfg.task.type!r} not in {TASK_TYPES}")
     if cfg.task.num_classes < 1:
         raise ConfigValidationError("task.num_classes: must be >= 1")
     if not (1 <= cfg.task.top_k <= cfg.task.num_classes):

@@ -13,12 +13,14 @@ so toggling one never perturbs the others.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import logging
 import math
 import os
 import time
 import warnings
+import zipfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
@@ -139,13 +141,14 @@ class AdamW:
 
     def _flat_state(self, triples) -> _FlatState:
         """The flat state of triples whose arrays are the views of one
-        flatten_params call, in order; made, with zero moments, on the first
-        step of such a model."""
+        flatten_params call, in order; made, with zero moments and the step
+        count at 0, on the first step of such a model."""
         flat = self.flat
         if flat is not None and len(flat.views) == len(triples) and all(
                 param is p and grad is g for (_, param, grad), (p, g) in zip(triples, flat.views)):
             return flat
         params, grads = _flat_buffers(triples)
+        self.t = 0  # bias correction for the new zero moments
         self.flat = _FlatState([(param, grad) for _, param, grad in triples], params, grads,
                                np.zeros_like(params), np.zeros_like(params),
                                (np.empty_like(params), np.empty_like(params)))
@@ -215,13 +218,20 @@ def make_batches(n: int, batch_size: int, shuffle: bool, seed: int,
     return [indices[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-def arch_digest(cfg: ExperimentConfig) -> str:
-    """Digest of the architecture-determining sections (model + task)."""
-    canon = json.dumps({"model": asdict(cfg.model), "task": asdict(cfg.task)},
-                       sort_keys=True, separators=(",", ":"))
-    import hashlib
+def _arch(cfg: ExperimentConfig) -> dict:
+    """What a checkpoint's params cannot show: the [provider, name] of the
+    model and of each modality's encoder, keyed by their config keys."""
+    return {"model": [cfg.model.provider, cfg.model.name],
+            **{f"model.encoders.{m}": [e.provider, e.name] for m, e in cfg.model.encoders.items()}}
 
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
+
+def _legacy_arch_digests(cfg: ExperimentConfig) -> set[str]:
+    """The arch_digest that a checkpoint written before meta held "arch" holds
+    for cfg, at each value of the removed task.type, which changed no param."""
+    sections = [{"model": asdict(cfg.model), "task": {**asdict(cfg.task), "type": task_type}}
+                for task_type in ("binary", "multilabel")]
+    return {hashlib.sha256(json.dumps(s, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+            .hexdigest()[:12] for s in sections}
 
 
 @contextmanager
@@ -242,30 +252,45 @@ def _replaced_on_success(path: str, mode: str, **kwargs):
 def save_checkpoint(path: str, model, optimizer, state: TrainState,
                     cfg: ExperimentConfig) -> None:
     """Write the model's params as param/<name> arrays and a JSON meta record
-    (state and architecture digest). optimizer is ignored: nothing loads
-    optimizer state, and the parameter stays only so that callers that pass
-    five arguments, such as perfbench's input set-up, keep working."""
+    (state and arch). optimizer is ignored: nothing loads optimizer state,
+    and the parameter stays only so that callers that pass five arguments,
+    such as perfbench's input set-up, keep working."""
     arrays = {f"param/{name}": param for name, param, _ in model.named_params()}
-    meta = {"state": asdict(state), "arch_digest": arch_digest(cfg)}
+    meta = {"state": asdict(state), "arch": _arch(cfg)}
     arrays["meta"] = np.array(json.dumps(meta))
     with _replaced_on_success(path, "wb") as fh:
         np.savez(fh, **arrays)
 
 
 def load_checkpoint(path: str, model, cfg: ExperimentConfig) -> TrainState:
-    """Restore weights into model, checking the architecture digest and each
-    param's shape and dtype. Checkpoints that also hold optimizer state, more
-    state fields or a config digest load the same way; those extras are
-    ignored."""
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        if meta["arch_digest"] != arch_digest(cfg):
-            raise CheckpointMismatchError(
-                f"{path}: architecture digest {meta['arch_digest']} != "
-                f"config's {arch_digest(cfg)}"
-            )
+    """Restore weights into model, checking the arch (older checkpoints: the
+    architecture digest) and each param's shape and dtype. Optimizer state,
+    more state fields and a config digest in older checkpoints are ignored.
+    A file that is not an npz archive with a JSON meta record holding the
+    state raises one FormatError naming it."""
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):  # text or pickle, empty, broken zip
+        data = None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise FormatError(f"{path}: not an npz checkpoint archive")
+    with data:
+        if "meta" not in data.files:
+            raise FormatError(f"{path}: no meta record")
+        try:
+            meta = json.loads(str(data["meta"]))
+        except ValueError as exc:
+            raise FormatError(f"{path}: meta is not valid JSON ({exc})") from None
+        state = meta.get("state") if isinstance(meta, dict) else None
+        if not isinstance(state, dict) or not {"epoch", "best_val_loss"} <= state.keys():
+            raise FormatError(f"{path}: meta has no state with epoch and best_val_loss")
+        if "arch" in meta:
+            mismatches = [f"{key}: checkpoint {meta['arch'].get(key)} vs config {value}"
+                          for key, value in _arch(cfg).items() if meta["arch"].get(key) != value]
+        else:
+            mismatches = [] if meta.get("arch_digest") in _legacy_arch_digests(cfg) else [
+                f"architecture digest {meta.get('arch_digest')} does not match the config's"]
         stored = {k[len("param/"):]: data[k] for k in data.files if k.startswith("param/")}
-        mismatches = []
         for name, param, _ in model.named_params():
             if name not in stored:
                 mismatches.append(f"{name}: missing from checkpoint")
@@ -281,7 +306,6 @@ def load_checkpoint(path: str, model, cfg: ExperimentConfig) -> TrainState:
             raise CheckpointMismatchError(f"{path}: " + "; ".join(mismatches))
         for name, param, _ in model.named_params():
             param[...] = stored[name]
-    state = meta["state"]
     return TrainState(epoch=state["epoch"], best_val_loss=state["best_val_loss"])
 
 

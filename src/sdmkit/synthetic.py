@@ -139,7 +139,6 @@ data:
   batch_size: 64
   patch_size: {patch_size}
 task:
-  type: multilabel
   num_classes: {n_species}
   top_k: {top_k}
 trainer:

@@ -18,6 +18,7 @@ from sdmkit.cli import build_parser, main
 from sdmkit.config import load_config
 from sdmkit.evalkit import Predictions
 from sdmkit.geodata import load_cubes, load_observations, load_raster, save_raster
+from sdmkit.nn import build_encoder, register_encoder
 from sdmkit.pipeline import build_model, load_data
 from sdmkit.split import load_split
 from sdmkit.synthetic import make_synthetic
@@ -157,13 +158,21 @@ def test_predict_and_evaluate_flow(synthetic_dir, tmp_path, capsys):
 
 
 def test_evaluate_refuses_clobber(synthetic_dir, tmp_path, capsys):
-    (tmp_path / "report.json").write_text("{}")
+    """Either report file in --out is refused without --force, with one error
+    line naming it, and left as it was."""
     pred = tmp_path / "p.csv"
     pred.write_text("surveyId,topk,scores\ns00000,0 1,0.9 0.8 0.1\n")
-    assert main(["evaluate", "--predictions", str(pred),
-                 "--labels", os.path.join(synthetic_dir, "observations.csv"),
-                 "--k", "2", "--out", str(tmp_path)]) == 1
-    assert "--force" in capsys.readouterr().err
+    for existing in ("report.json", "report.txt"):
+        out = tmp_path / existing.replace(".", "-")
+        out.mkdir()
+        (out / existing).write_text("{}")
+        capsys.readouterr()
+        assert main(["evaluate", "--predictions", str(pred),
+                     "--labels", os.path.join(synthetic_dir, "observations.csv"),
+                     "--k", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: refusing to overwrite {str(out / existing)!r} (pass --force)"]
+        assert os.listdir(out) == [existing] and (out / existing).read_text() == "{}"
 
 
 def test_evaluate_empty_predictions(tmp_path, synthetic_dir):
@@ -270,16 +279,48 @@ def test_build_cubes_bad_shape_one_error_line(synthetic_dir, tmp_path, capsys, s
     assert err == [f"error: --shape must be B,Q,Y integers, got '{shape}'"]
 
 
-def test_predict_digest_mismatch(synthetic_dir, tmp_path, capsys):
-    cfg = os.path.join(synthetic_dir, "config.yaml")
-    assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == 0
-    run_dir = capsys.readouterr().out.strip().splitlines()[-1]
-    other_cfg = tmp_path / "other.yaml"
-    other_cfg.write_text(open(cfg).read().replace("hidden_dim: 1024", "hidden_dim: 64"))
-    assert main(["predict", "--config", str(other_cfg),
-                 "--weights", os.path.join(run_dir, "best.ckpt"),
-                 "--out", str(tmp_path / "p.csv")]) == 1
-    assert "digest" in capsys.readouterr().err
+@pytest.fixture(scope="module")
+def trained_weights(synthetic_dir, tmp_path_factory):
+    """best.ckpt of a train run on the synthetic config."""
+    out = tmp_path_factory.mktemp("trained")
+    assert main(["train", "--config", os.path.join(synthetic_dir, "config.yaml"),
+                 "--out", str(out)]) == 0
+    (run_dir,) = os.listdir(out)
+    return os.path.join(out, run_dir, "best.ckpt")
+
+
+@pytest.mark.parametrize("old, new, refusal", [
+    ("top_k: 5", "top_k: 3", None),
+    ("dropout: 0.1", "dropout: 0.3", None),
+    ("hidden_dim: 1024", "hidden_dim: 64", "head.1.w: checkpoint (1024, 192) vs model (64, 192);"),
+    ("name: micro_conv2d", "name: conv2d_alias\n      provider: test",
+     "model.encoders.patch: checkpoint ['builtin', 'micro_conv2d'] vs config "
+     "['test', 'conv2d_alias']"),
+], ids=["top-k", "dropout", "hidden-dim", "encoder-name"])
+def test_predict_under_changed_setting(synthetic_dir, trained_weights, tmp_path, capsys,
+                                       old, new, refusal):
+    """A checkpoint loads under a config that changes a setting its params do
+    not show; a changed param shape or encoder is refused, naming it."""
+    # the synthetic patch encoder under another name: the same param names and shapes
+    register_encoder("test", "conv2d_alias", lambda shape, dim, rng: build_encoder(
+        "builtin", "micro_conv2d", shape, dim, rng))
+    text = open(os.path.join(synthetic_dir, "config.yaml")).read()
+    assert text.count(old) == 1
+    cfg_path = tmp_path / "changed.yaml"
+    cfg_path.write_text(text.replace(old, new))
+    out = tmp_path / "p.csv"
+    capsys.readouterr()
+    code = main(["predict", "--config", str(cfg_path), "--weights", trained_weights,
+                 "--out", str(out)])
+    if refusal is None:
+        assert code == 0
+        assert engine.load_predictions(str(out)).topk.shape[1] == load_config(
+            str(cfg_path)).task.top_k
+    else:
+        assert code == 1
+        errors = error_lines(capsys)
+        assert len(errors) == 1 and errors[0].startswith(f"error: {trained_weights}: {refusal}")
+        assert not os.path.exists(out)
 
 
 def error_lines(capsys) -> list[str]:
@@ -570,6 +611,41 @@ def write_epochs_past_t_max(synthetic_dir, tmp_path):
     return argv, "trainer.epochs: 26 exceeds optimizer.t_max 25"
 
 
+def predict_args(synthetic_dir, tmp_path, weights):
+    return ["predict", "--config", os.path.join(synthetic_dir, "config.yaml"),
+            "--weights", str(weights), "--out", str(tmp_path / "p.csv")]
+
+
+def write_weights_yaml(synthetic_dir, tmp_path):
+    weights = os.path.join(synthetic_dir, "config.yaml")
+    return predict_args(synthetic_dir, tmp_path, weights), (
+        f"{weights}: not an npz checkpoint archive")
+
+
+def checkpoint_args(synthetic_dir, tmp_path, **arrays):
+    """predict argv whose weights are an npz archive of arrays."""
+    weights = tmp_path / "w.ckpt"
+    with open(weights, "wb") as fh:
+        np.savez(fh, **arrays)
+    return weights, predict_args(synthetic_dir, tmp_path, weights)
+
+
+def write_checkpoint_without_meta(synthetic_dir, tmp_path):
+    weights, argv = checkpoint_args(synthetic_dir, tmp_path, **{"param/head.1.w": np.zeros(2)})
+    return argv, f"{weights}: no meta record"
+
+
+def write_checkpoint_meta_not_json(synthetic_dir, tmp_path):
+    weights, argv = checkpoint_args(synthetic_dir, tmp_path, meta=np.array("{'state': {}}"))
+    return argv, f"{weights}: meta is not valid JSON"
+
+
+def write_checkpoint_meta_without_state(synthetic_dir, tmp_path):
+    weights, argv = checkpoint_args(synthetic_dir, tmp_path,
+                                    meta=np.array(json.dumps({"arch_digest": "0" * 12})))
+    return argv, f"{weights}: meta has no state with epoch and best_val_loss"
+
+
 def train_args(synthetic_dir, tmp_path, data=(), encoders=(), trainer=()):
     with open(os.path.join(synthetic_dir, "config.yaml")) as fh:
         doc = yaml.safe_load(fh)
@@ -597,7 +673,9 @@ def train_args(synthetic_dir, tmp_path, data=(), encoders=(), trainer=()):
                                    write_cube_survey_ids_integers, write_cube_survey_repeated,
                                    write_cube_bands_string, write_cube_payload_number,
                                    write_survey_outside_mercator_domain,
-                                   write_epochs_past_t_max],
+                                   write_epochs_past_t_max, write_weights_yaml,
+                                   write_checkpoint_without_meta, write_checkpoint_meta_not_json,
+                                   write_checkpoint_meta_without_state],
                          ids=["conflict-later-block", "split-survey-twice",
                               "ragged-predictions", "encoder-without-modality",
                               "repeated-cube-tag", "cube-tag-without-year",
@@ -611,7 +689,9 @@ def train_args(synthetic_dir, tmp_path, data=(), encoders=(), trainer=()):
                               "cube-manifest-without-shape", "cube-shape-negative",
                               "cube-survey-ids-integers", "cube-survey-repeated",
                               "cube-bands-string", "cube-payload-number",
-                              "survey-outside-mercator-domain", "epochs-past-t-max"])
+                              "survey-outside-mercator-domain", "epochs-past-t-max",
+                              "weights-yaml", "checkpoint-without-meta",
+                              "checkpoint-meta-not-json", "checkpoint-meta-without-state"])
 def test_rejected_input_one_error_line(synthetic_dir, tmp_path, capsys, write):
     """Real-data hazards that must be rejected: exit 1 and one error line
     naming the file and row, or the config key; no run directory or report."""

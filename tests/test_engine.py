@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import logging
 import math
@@ -164,6 +165,20 @@ class TestAdamW:
         np.testing.assert_allclose(module.params["w"],
                                    theta * (1 - lr * wd) - lr * g / (np.abs(g) + eps),
                                    rtol=1e-12)
+
+    def test_flattened_again_steps_as_fresh_optimizer(self):
+        """A model flattened again gets zero moments, so its next step is the
+        first step of a fresh AdamW, bias correction included, bit for bit."""
+        rng = np.random.default_rng(5)
+        module, opt = flat_module(rng.normal(size=6)), AdamW(weight_decay=0.01)
+        for _ in range(199):
+            assert step_with_grad(opt, module, rng.normal(size=6), lr=1e-2)
+        fresh = flat_module(module.params["w"].copy())
+        module.flatten_params(np.float64)
+        g = rng.normal(size=6)
+        assert step_with_grad(opt, module, g, lr=1e-2)
+        assert step_with_grad(AdamW(weight_decay=0.01), fresh, g, lr=1e-2)
+        assert module.params["w"].tobytes() == fresh.params["w"].tobytes()
 
     def test_nonfinite_grad_skips_step(self, caplog):
         import logging
@@ -369,6 +384,15 @@ def read_metrics(run_dir):
         return list(csv.DictReader(fh))
 
 
+def legacy_arch_digest(cfg, task_type: str) -> str:
+    """The arch_digest that checkpoints held before their meta held the arch:
+    the model and task sections, task.type included, hashed."""
+    canon = json.dumps({"model": dataclasses.asdict(cfg.model),
+                        "task": {**dataclasses.asdict(cfg.task), "type": task_type}},
+                       sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
+
+
 def read_checkpoint_meta(path):
     with np.load(path, allow_pickle=False) as ck:
         return json.loads(str(ck["meta"]))
@@ -425,8 +449,12 @@ class TestFit:
             with np.load(os.path.join(run_dir, name), allow_pickle=False) as ck:
                 assert sorted(ck.files) == sorted(expected), name
                 meta = json.loads(str(ck["meta"]))
-            assert sorted(meta) == ["arch_digest", "state"]
+            assert sorted(meta) == ["arch", "state"]
             assert sorted(meta["state"]) == ["best_val_loss", "epoch"]
+            assert meta["arch"] == {"model": ["builtin", "mme"],
+                                    **{f"model.encoders.{m}": ["builtin", name] for m, name in (
+                                        ("patch", "micro_conv2d"), ("cube_a", "micro_conv3d"),
+                                        ("cube_b", "micro_conv3d"))}}
 
     def test_rerun_reproduces_loss_column(self, tiny_experiment, tmp_path):
         cfg, data, train, val = tiny_experiment
@@ -498,7 +526,7 @@ class TestCheckpointAndPredict:
         state = {"epoch": 4, "best_val_loss": 0.75, "global_step": 40, "rng_seed": cfg.run.seed,
                  "lr_current": 1e-4}
         arrays["meta"] = np.array(json.dumps({
-            "state": state, "arch_digest": engine.arch_digest(cfg),
+            "state": state, "arch_digest": legacy_arch_digest(cfg, "multilabel"),
             "config_digest": config_digest(cfg), "opt_t": 40}))
         old = str(tmp_path / "old.ckpt")
         with open(old, "wb") as fh:  # a path would gain a .npz suffix
@@ -508,6 +536,32 @@ class TestCheckpointAndPredict:
         scores = [engine.predict(cfg, build_model(cfg, data.cube_shapes()), path, val).scores
                   for path in (old, new)]
         np.testing.assert_array_equal(scores[0], scores[1])
+
+    @pytest.mark.parametrize("task_type", ["binary", "multilabel"])
+    def test_checkpoint_with_arch_digest_loads(self, tiny_experiment, tmp_path, task_type):
+        """A checkpoint whose meta holds an arch_digest, as every one did before
+        meta held the arch, loads at either task.type it was trained with, and
+        predicts the same scores as the current layout; under another top_k
+        its digest differs, and it is refused."""
+        cfg, data, train, val = tiny_experiment
+        model = build_model(cfg, data.cube_shapes())
+        new = str(tmp_path / "new.ckpt")
+        save_checkpoint(new, model, None, TrainState(epoch=1, best_val_loss=0.5), cfg)
+        arrays = {f"param/{name}": param for name, param, _ in model.named_params()}
+        arrays["meta"] = np.array(json.dumps({
+            "state": {"epoch": 1, "best_val_loss": 0.5},
+            "arch_digest": legacy_arch_digest(cfg, task_type)}))
+        old = str(tmp_path / "old.ckpt")
+        with open(old, "wb") as fh:
+            np.savez(fh, **arrays)
+        scores = [engine.predict(cfg, build_model(cfg, data.cube_shapes()), path, val).scores
+                  for path in (old, new)]
+        np.testing.assert_array_equal(scores[0], scores[1])
+        other = dataclasses.replace(cfg, task=dataclasses.replace(cfg.task, top_k=2))
+        with pytest.raises(CheckpointMismatchError, match="architecture digest"):
+            load_checkpoint(old, build_model(other, data.cube_shapes()), other)
+        assert load_checkpoint(new, build_model(other, data.cube_shapes()), other) == TrainState(
+            epoch=1, best_val_loss=0.5)
 
     def test_predict_matches_in_training_forward(self, tiny_experiment, tmp_path):
         cfg, data, train, val = tiny_experiment
