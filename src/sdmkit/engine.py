@@ -21,15 +21,15 @@ import os
 import time
 import warnings
 import zipfile
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .config import ExperimentConfig, config_digest, render_config
 from .errors import CheckpointMismatchError, FormatError, SdmkitError, ShapeError
-from .evalkit import Predictions, evaluate
-from .geodata import collate, parse_field, read_csv
+from .evalkit import Predictions, bad_topk_rows, evaluate
+from .geodata import collate, parse_field, read_csv, replaced_on_success
+from .pipeline import model_encoders
 
 log = logging.getLogger(__name__)
 
@@ -220,9 +220,20 @@ def make_batches(n: int, batch_size: int, shuffle: bool, seed: int,
 
 def _arch(cfg: ExperimentConfig) -> dict:
     """What a checkpoint's params cannot show: the [provider, name] of the
-    model and of each modality's encoder, keyed by their config keys."""
+    model, and of the encoder build_model builds for each modality
+    (pipeline.model_encoders) keyed model.encoders.<modality>."""
     return {"model": [cfg.model.provider, cfg.model.name],
-            **{f"model.encoders.{m}": [e.provider, e.name] for m, e in cfg.model.encoders.items()}}
+            **{f"model.encoders.{m}": [e.provider, e.name] for m, e in model_encoders(cfg).items()}}
+
+
+def _stored_arch(arch: dict) -> dict:
+    """A checkpoint's arch with each modality's encoder named. One without a
+    model.encoders key was written, before the arch named resolved encoders,
+    for a single-modality model without model.encoders: its patch encoder is
+    the model's [provider, name], as model_encoders resolves it."""
+    if any(key.startswith("model.encoders.") for key in arch):
+        return arch
+    return {**arch, "model.encoders.patch": arch.get("model")}
 
 
 def _legacy_arch_digests(cfg: ExperimentConfig) -> set[str]:
@@ -234,21 +245,6 @@ def _legacy_arch_digests(cfg: ExperimentConfig) -> set[str]:
             .hexdigest()[:12] for s in sections}
 
 
-@contextmanager
-def _replaced_on_success(path: str, mode: str, **kwargs):
-    """Open a temporary file next to path and move it onto path only once the
-    block completes, so a failed write leaves the previous file intact."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, mode, **kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
 def save_checkpoint(path: str, model, optimizer, state: TrainState,
                     cfg: ExperimentConfig) -> None:
     """Write the model's params as param/<name> arrays and a JSON meta record
@@ -258,7 +254,7 @@ def save_checkpoint(path: str, model, optimizer, state: TrainState,
     arrays = {f"param/{name}": param for name, param, _ in model.named_params()}
     meta = {"state": asdict(state), "arch": _arch(cfg)}
     arrays["meta"] = np.array(json.dumps(meta))
-    with _replaced_on_success(path, "wb") as fh:
+    with replaced_on_success(path, "wb") as fh:
         np.savez(fh, **arrays)
 
 
@@ -285,8 +281,9 @@ def load_checkpoint(path: str, model, cfg: ExperimentConfig) -> TrainState:
         if not isinstance(state, dict) or not {"epoch", "best_val_loss"} <= state.keys():
             raise FormatError(f"{path}: meta has no state with epoch and best_val_loss")
         if "arch" in meta:
-            mismatches = [f"{key}: checkpoint {meta['arch'].get(key)} vs config {value}"
-                          for key, value in _arch(cfg).items() if meta["arch"].get(key) != value]
+            stored = _stored_arch(meta["arch"])
+            mismatches = [f"{key}: checkpoint {stored.get(key)} vs config {value}"
+                          for key, value in _arch(cfg).items() if stored.get(key) != value]
         else:
             mismatches = [] if meta.get("arch_digest") in _legacy_arch_digests(cfg) else [
                 f"architecture digest {meta.get('arch_digest')} does not match the config's"]
@@ -441,7 +438,7 @@ def save_predictions(predictions: Predictions, path: str) -> None:
     of csv.writer's excel dialect: only a survey id can need quoting, since
     the other fields hold numbers and spaces."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with _replaced_on_success(path, "w", encoding="utf-8", newline="") as fh:
+    with replaced_on_success(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("surveyId,topk,scores\r\n")
         fh.writelines(
             f"{_csv_field(sid)},{' '.join(map(str, topk))},{' '.join(map(repr, scores))}\r\n"
@@ -489,9 +486,7 @@ def load_predictions(path: str) -> Predictions:
     if topk is None or scores is None:
         topks, scores = _parse_rows(path, rows, topk_texts, score_texts)
         topk, scores = np.stack(topks), np.stack(scores)
-    ranked = np.sort(topk, axis=1)
-    bad = (((topk < 0) | (topk >= scores.shape[1])).any(axis=1)
-           | (ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
+    bad = bad_topk_rows(topk, scores.shape[1])
     if bad.any():
         bad_rows = np.array(rows)[bad]
         raise FormatError(

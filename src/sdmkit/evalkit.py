@@ -9,18 +9,42 @@ The AUC sorts with numpy's default (unstable) kind: tied scores share their
 average rank, so the order inside a tie group changes neither its bounds nor
 its positive count. Top-K needs a stable sort, whose order inside a tie is
 the ascending class index.
+
+Memory: labels may be bool, which the CLI and training pass. Samples and
+macro AUC, Top-K and the label counts of P/R/F1 run over blocks of at most
+BLOCK (survey, class) entries (or one row, if a row is longer), so none of
+their temporaries grows with N x S. Micro AUC holds two sorted copies, one of
+all N x S scores and one of the positives' scores, and ranks the positives
+with two searchsorted calls: 8 bytes per entry plus 16 per positive at its
+peak.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import AlignmentError, DegenerateLabelsError, SdmkitError, ShapeError
+from .geodata import replaced_on_success
 
 AVERAGINGS = ("micro", "samples", "macro")
+# (survey, class) entries per block of the block-wise passes
+BLOCK = 1 << 16
+
+
+def _row_blocks(rows: int, cols: int):
+    """Slices of max(1, BLOCK // cols) consecutive rows that cover rows rows."""
+    step = max(1, BLOCK // max(cols, 1))
+    return (slice(i, i + step) for i in range(0, rows, step))
+
+
+def _positive(labels: np.ndarray) -> np.ndarray:
+    """The positives of labels as a bool array: labels itself when bool,
+    else labels > 0.5."""
+    return labels if labels.dtype == bool else labels > 0.5
 
 
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -29,9 +53,20 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     s = scores.shape[-1]
     if not (1 <= k <= s):
         raise SdmkitError(f"k={k} outside [1, {s}]")
-    # stable sort on index after negating scores gives the tie-break for free
-    order = np.argsort(-scores, axis=-1, kind="stable")
-    return order[..., :k].copy()  # a view would keep the whole index array alive
+    out = np.empty((*scores.shape[:-1], k), dtype=np.intp)
+    rows, out_rows = scores.reshape(-1, s), out.reshape(-1, k)  # out_rows is a view
+    for block in _row_blocks(*rows.shape):
+        # stable sort on index after negating scores gives the tie-break for free
+        out_rows[block] = np.argsort(-rows[block], axis=1, kind="stable")[:, :k]
+    return out
+
+
+def bad_topk_rows(topk: np.ndarray, s: int) -> np.ndarray:
+    """Mask of the rows of an (N, k) top-k matrix that are not k distinct
+    class indices in [0, s)."""
+    ranked = np.sort(topk, axis=1)
+    return (((ranked[:, :1] < 0) | (ranked[:, -1:] >= s)).any(axis=1)
+            | (ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
 
 
 @dataclass(frozen=True)
@@ -72,12 +107,18 @@ def topk_prf(topk: np.ndarray, labels: np.ndarray, averaging: str) -> tuple[floa
         raise ShapeError(f"{topk.shape[0]} top-k rows vs {labels.shape[0]} label rows")
     n, s = labels.shape
     k = topk.shape[1]
-    # (N, S) indicator of top-k membership
-    in_topk = np.zeros((n, s), dtype=bool)
-    np.put_along_axis(in_topk, topk, True, axis=1)
-    pos = labels > 0.5
-    tp = (in_topk & pos).sum(axis=1)
-    label_counts = pos.sum(axis=1)
+    if topk.dtype.kind not in "iu" or bad_topk_rows(topk, s).any():
+        raise SdmkitError(f"top-k ids must be {k} distinct class indices in [0, {s}) per row")
+    topk = topk.astype(np.intp, copy=False)
+    # hits from the (N, k) ids; the labels are read a block of rows at a time
+    hits = _positive(np.take_along_axis(labels, topk, axis=1))
+    tp = hits.sum(axis=1)
+    label_counts = np.empty(n, dtype=np.intp)
+    pos_c = np.zeros(s, dtype=np.intp)
+    for block in _row_blocks(n, s):
+        pos = _positive(labels[block])
+        label_counts[block] = np.count_nonzero(pos, axis=1)
+        pos_c += np.count_nonzero(pos, axis=0)
 
     if averaging == "micro":
         p = tp.sum() / (n * k)
@@ -102,9 +143,9 @@ def topk_prf(topk: np.ndarray, labels: np.ndarray, averaging: str) -> tuple[floa
         )
 
     # macro: per class over all samples, zero-division -> 0, mean over all S
-    tp_c = (in_topk & pos).sum(axis=0).astype(float)
-    pred_c = in_topk.sum(axis=0).astype(float)
-    pos_c = pos.sum(axis=0).astype(float)
+    tp_c = np.bincount(topk[hits], minlength=s).astype(float)
+    pred_c = np.bincount(topk.ravel(), minlength=s).astype(float)
+    pos_c = pos_c.astype(float)
     p_c = np.divide(tp_c, pred_c, out=np.zeros(s), where=pred_c > 0)
     r_c = np.divide(tp_c, pos_c, out=np.zeros(s), where=pos_c > 0)
     denom = p_c + r_c
@@ -114,13 +155,22 @@ def topk_prf(topk: np.ndarray, labels: np.ndarray, averaging: str) -> tuple[floa
 
 def _row_aucs(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mann-Whitney AUC of each row of an (R, M) score matrix, ties sharing
-    their average rank.
+    their average rank, computed a block of rows at a time.
 
     Returns (auc, defined): defined marks the rows holding both label
     values; the others get NaN, and so does any row with a NaN score.
     """
     r, m = scores.shape
-    pos = labels > 0.5
+    auc, defined = np.empty(r), np.empty(r, dtype=bool)
+    for block in _row_blocks(r, m):
+        auc[block], defined[block] = _block_aucs(scores[block], labels[block])
+    return auc, defined
+
+
+def _block_aucs(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_row_aucs of one block of rows."""
+    r, m = scores.shape
+    pos = _positive(labels)
     n_pos = pos.sum(axis=1)
     n_neg = m - n_pos
     defined = (n_pos > 0) & (n_neg > 0)
@@ -149,15 +199,31 @@ def _row_aucs(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def binary_auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Mann-Whitney AUC with average ranks for ties."""
-    scores = np.asarray(scores, dtype=float).reshape(1, -1)
-    labels = np.asarray(labels).reshape(1, -1)
+    """Mann-Whitney AUC with average ranks for ties.
+
+    A positive's average rank is the mean of the 1-based ranks its tie group
+    spans in the sorted scores, whose bounds two searchsorted calls find for
+    every positive at once; so the rank sum is an integer sum halved, exact
+    below 2**53, as _row_aucs' is. The positives' scores are gathered a block
+    at a time and sorted, which the searches run fastest on.
+    """
+    scores = np.asarray(scores, dtype=float).reshape(-1)
+    labels = np.asarray(labels).reshape(-1)
     if scores.shape != labels.shape:
         raise ShapeError(f"{scores.size} scores vs {labels.size} labels")
-    auc, defined = _row_aucs(scores, labels)
-    if not defined[0]:
+    positives = np.concatenate([np.empty(0), *(
+        scores[block][_positive(labels[block])] for block in _row_blocks(scores.size, 1))])
+    n_pos = np.int64(positives.size)
+    n_neg = scores.size - n_pos
+    if not (n_pos > 0 and n_neg > 0):
         raise DegenerateLabelsError("AUC undefined: labels contain a single class")
-    return float(auc[0])
+    ranked = np.sort(scores)
+    if np.isnan(ranked[-1]):  # sorted last
+        return math.nan
+    positives.sort()
+    twice_rank_sum = (np.searchsorted(ranked, positives, "left").sum()
+                      + np.searchsorted(ranked, positives, "right").sum() + n_pos)
+    return float((twice_rank_sum / 2 - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
 def multilabel_auc(scores: np.ndarray, labels: np.ndarray, averaging: str) -> tuple[float, int]:
@@ -221,15 +287,18 @@ def evaluate(predictions: Predictions, labels: np.ndarray, k: int) -> MetricRepo
 
 
 def write_report(report: MetricReport, json_path: str, txt_path: str) -> None:
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(report), fh, indent=2)
-    lines = ["metric        micro    samples  macro"]
-    for metric in ("auc", "precision", "recall", "f1"):
-        row = [f"{metric:<12}"]
-        for avg in AVERAGINGS:
-            row.append(f"{getattr(report, f'{avg}_{metric}'):8.4f}")
-        lines.append(" ".join(row))
-    lines.append(f"skipped samples: {report.skipped_samples}")
-    lines.append(f"skipped classes: {report.skipped_classes}")
-    with open(txt_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write report.json and report.txt, each through a temporary file that
+    replaces it only once both are written whole: a failure in either write
+    leaves both previous files as they were."""
+    with (replaced_on_success(json_path, "w", encoding="utf-8") as json_fh,
+          replaced_on_success(txt_path, "w", encoding="utf-8") as txt_fh):
+        json.dump(asdict(report), json_fh, indent=2)
+        lines = ["metric        micro    samples  macro"]
+        for metric in ("auc", "precision", "recall", "f1"):
+            row = [f"{metric:<12}"]
+            for avg in AVERAGINGS:
+                row.append(f"{getattr(report, f'{avg}_{metric}'):8.4f}")
+            lines.append(" ".join(row))
+        lines.append(f"skipped samples: {report.skipped_samples}")
+        lines.append(f"skipped classes: {report.skipped_classes}")
+        txt_fh.write("\n".join(lines) + "\n")

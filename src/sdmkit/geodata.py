@@ -59,6 +59,7 @@ import logging
 import math
 import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,6 +205,23 @@ def read_json(path: str, kind: type, keys=()):
         if key not in doc:
             raise FormatError(f"{path}: missing key {key!r}")
     return doc
+
+
+@contextmanager
+def replaced_on_success(path: str, mode: str, **kwargs):
+    """Open a temporary file next to path and move it onto path only once the
+    block completes, so a failed write leaves the previous file intact and no
+    temporary file behind. Checkpoints, predictions.csv, split.csv and the
+    evaluate report are written through it."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_observations(path: str, num_classes: int) -> ObservationTable:
@@ -759,11 +777,12 @@ class SampleSource:
 
 
 def multi_hot(records, num_classes: int) -> np.ndarray:
-    """(len(records), num_classes) float64 labels, 1.0 at each record's species."""
-    labels = np.zeros((len(records), num_classes), dtype=np.float64)
+    """(len(records), num_classes) bool labels, True at each record's species:
+    1 byte per (survey, class) entry. The loss casts them to float64."""
+    labels = np.zeros((len(records), num_classes), dtype=bool)
     counts = [len(rec.species_ids) for rec in records]
     cols = np.fromiter((sp for rec in records for sp in rec.species_ids), np.intp, sum(counts))
-    labels[np.repeat(np.arange(len(records)), counts), cols] = 1.0
+    labels[np.repeat(np.arange(len(records)), counts), cols] = True
     return labels
 
 
@@ -772,7 +791,7 @@ def collate(source: SampleSource, indices) -> dict:
     (B, C, side, side) (a view of a channels-last (B, side, side, C) array, one
     take per grid), one (B, *cube shape) array per cube modality, location
     (B, 2) as (lon, lat), and in train mode multi-hot labels (B, num_classes);
-    patch and cubes are COMPUTE_DTYPE, location and labels float64."""
+    patch and cubes are COMPUTE_DTYPE, location float64 and labels bool."""
     records = [source.table.records[int(i)] for i in indices]
     batch: dict = {"survey_ids": [rec.survey_id for rec in records]}
     if source.patch_spec is not None:

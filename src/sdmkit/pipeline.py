@@ -129,19 +129,30 @@ def _input_shape(shapes: dict, modality: str) -> tuple[int, ...]:
     return shapes[modality]
 
 
+def model_encoders(cfg: ExperimentConfig) -> dict[str, EncoderSection]:
+    """The encoder build_model builds for each modality: model.encoders, or,
+    for a single-modality model without them, model.provider and model.name
+    on patch."""
+    if cfg.model.encoders or cfg.model.name == "mme":
+        return dict(cfg.model.encoders)
+    return {"patch": EncoderSection(provider=cfg.model.provider, name=cfg.model.name)}
+
+
 def build_model(cfg: ExperimentConfig, cube_shapes: dict):
     """Build the configured model with init drawn from the run seed, its
     params and grads views of one flat COMPUTE_DTYPE buffer each
-    (Module.flatten_params); each encoder takes the per-sample shape of its
-    modality from cube_shapes (LoadedData.cube_shapes)."""
+    (Module.flatten_params); each encoder (model_encoders) takes the
+    per-sample shape of its modality from cube_shapes
+    (LoadedData.cube_shapes)."""
     rng = np.random.default_rng([cfg.run.seed, 0])
+    specs = model_encoders(cfg)
     if cfg.model.name == "mme":
-        if not cfg.model.encoders:
+        if not specs:
             raise ShapeError("mme model requires at least one encoder spec")
         encoders = {
             modality: build_encoder(enc.provider, enc.name, _input_shape(cube_shapes, modality),
                                     enc.embedding_dim, rng)
-            for modality, enc in cfg.model.encoders.items()
+            for modality, enc in specs.items()
         }
         model = FusionModel(
             encoders,
@@ -152,11 +163,7 @@ def build_model(cfg: ExperimentConfig, cube_shapes: dict):
         )
     else:
         # single-modality: one encoder whose last layer becomes the classifier
-        if cfg.model.encoders:
-            modality, enc = next(iter(cfg.model.encoders.items()))
-        else:
-            modality = "patch"
-            enc = EncoderSection(provider=cfg.model.provider, name=cfg.model.name)
+        modality, enc = next(iter(specs.items()))
         net = build_encoder(enc.provider, enc.name, _input_shape(cube_shapes, modality),
                             enc.embedding_dim, rng)
         modify_last_layer(net, cfg.task.num_classes, rng)

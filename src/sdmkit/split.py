@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSplitError, FormatError
-from .geodata import ObservationTable, parse_field, read_csv
+from .geodata import ObservationTable, parse_field, read_csv, replaced_on_success
 
 CELL_SIZE = 1.0 / 6.0  # 10 arcminutes
 VAL_FRACTION = 0.15  # val takes cells until it holds at least this share of surveys
@@ -75,7 +75,9 @@ def block_holdout(table: ObservationTable, seed: int) -> SpatialSplit:
 
 
 def save_split(split: SpatialSplit, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Write the split CSV through a temporary file that replaces path only
+    once it is written whole."""
+    with replaced_on_success(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["surveyId", "partition", "cx", "cy"])
         for sid, part in split.assignment.items():

@@ -1,3 +1,9 @@
+import builtins
+import gc
+import os
+import tracemalloc
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -27,3 +33,59 @@ def make_table(points, num_classes=5):
         for i, (lon, lat, species) in enumerate(points)
     )
     return ObservationTable(records=records, num_classes=num_classes)
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes that tracemalloc saw allocated during the
+    call beyond what was allocated before it). numpy reports its array
+    buffers to tracemalloc, so this is the call's transient peak."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@contextmanager
+def failing_writes(monkeypatch, name: str, after: int):
+    """Within the block, a file whose name starts with name, opened for
+    writing, raises OSError("disk full") at its write call after the first
+    `after` ones, which it writes."""
+    real_open = builtins.open
+
+    class FailingFile:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def __getattr__(self, attr):
+            return getattr(self.fh, attr)
+
+        def write(self, text):
+            if self.writes == after:
+                raise OSError("disk full")
+            self.writes += 1
+            return self.fh.write(text)
+
+        def writelines(self, lines):
+            for line in lines:
+                self.write(line)
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        writing = any(c in mode for c in "wax+")
+        return FailingFile(fh) if writing and os.path.basename(file).startswith(name) else fh
+
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "open", failing_open)
+        yield

@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -20,8 +21,8 @@ from sdmkit.evalkit import Predictions
 from sdmkit.geodata import load_cubes, load_observations, load_raster, save_raster
 from sdmkit.nn import build_encoder, register_encoder
 from sdmkit.pipeline import build_model, load_data
-from sdmkit.split import load_split
-from sdmkit.synthetic import make_synthetic
+from sdmkit.split import block_holdout, load_split
+from sdmkit.synthetic import default_config_yaml, make_synthetic
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +156,67 @@ def test_predict_and_evaluate_flow(synthetic_dir, tmp_path, capsys):
     report = json.load(open(tmp_path / "report.json"))
     assert 0.0 <= report["micro_auc"] <= 1.0
     assert os.path.exists(tmp_path / "report.txt")
+
+
+def write_bom_crlf(path, lines):
+    """A CSV as a spreadsheet exports it: a byte-order mark, then CRLF rows."""
+    path.write_bytes(("\ufeff" + "\r\n".join(lines) + "\r\n").encode("utf-8"))
+
+
+def test_messy_inputs_train_predict_evaluate(tmp_path, capsys):
+    """train, predict and evaluate each succeed on real-data hazards at once:
+    an EPSG:3857 layer with -3.4e38 nodata and NaN pixels, a survey outside
+    every layer, a blank species row, BOM and CRLF CSVs with repeated
+    identical rows, and a split file that names val test."""
+    data = tmp_path / "data"
+    make_synthetic(str(data), n_surveys=80, num_species=6, seed=5)
+    # chan3 on an EPSG:3857 grid over the same area as the EPSG:4326 layers
+    layer = load_raster(str(data / "chan3.json"))
+    values = layer.values.copy()
+    values[:20, :20] = np.float32(-3.4e38)
+    values[60:62] = np.nan
+    metres = 6378137.0 * math.radians(0.1)  # 0.1 degrees of longitude
+    top = 6378137.0 * math.asinh(math.tan(math.radians(12.8)))
+    save_raster(dataclasses.replace(layer, crs="EPSG:3857", origin_y=top, pixel_size_x=metres,
+                                    pixel_size_y=-metres, nodata=-3.4e38, values=values),
+                str(data / "chan3.json"))
+    rows = (data / "observations.csv").read_text().splitlines()
+    header, body = rows[0], rows[1:]
+    blank = body[3].rsplit(",", 1)[0] + ","  # a species row without a species
+    observations = tmp_path / "observations.csv"
+    write_bom_crlf(observations, [header, *body, *body[:5], blank, "outside,100.0,40.0,2"])
+    table = load_observations(str(observations), 6)
+    split = block_holdout(table, seed=1)
+    split_path = tmp_path / "split.csv"
+    write_bom_crlf(split_path, ["surveyId,partition,cx,cy", *(
+        f"{sid},{'test' if part == 'val' else part},{split.cell_of[sid][0]},"
+        f"{split.cell_of[sid][1]}" for sid, part in split.assignment.items())])
+    doc = yaml.safe_load(default_config_yaml(str(data), n_species=6, epochs=2, top_k=3,
+                                             patch_size=8))
+    doc["data"].update(observations=str(observations), split_path=str(split_path),
+                       cube_manifests={}, batch_size=16)
+    doc["model"]["encoders"] = {"patch": doc["model"]["encoders"]["patch"]}
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    surveys = 80 + 1  # the synthetic ones and the outside one
+    assert len(table) == surveys
+
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 0
+    run_dir = capsys.readouterr().out.splitlines()[-1]
+    with open(os.path.join(run_dir, "metrics.csv"), newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 2
+    predictions = tmp_path / "predictions.csv"
+    assert main(["predict", "--config", str(cfg), "--weights",
+                 os.path.join(run_dir, "best.ckpt"), "--out", str(predictions)]) == 0
+    preds = engine.load_predictions(str(predictions))
+    assert preds.survey_ids == table.survey_ids() and preds.scores.shape == (surveys, 6)
+    assert np.isfinite(preds.scores).all() and len(np.unique(preds.scores)) > surveys
+    assert main(["evaluate", "--predictions", str(predictions), "--labels",
+                 str(observations), "--k", "3", "--out", str(tmp_path / "report")]) == 0
+    report = json.loads((tmp_path / "report" / "report.json").read_text())
+    assert len(report) == 14 and report["skipped_samples"] == 0
+    assert all(0.0 <= report[f"{avg}_auc"] <= 1.0 for avg in ("micro", "samples", "macro"))
+    assert len((tmp_path / "report" / "report.txt").read_text().splitlines()) == 7
 
 
 def test_evaluate_refuses_clobber(synthetic_dir, tmp_path, capsys):

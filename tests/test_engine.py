@@ -34,9 +34,11 @@ from sdmkit.evalkit import Predictions, top_k
 from sdmkit import geodata
 from sdmkit.geodata import (ObservationRecord, ObservationTable, load_raster, parse_field,
                             read_csv, save_raster)
-from sdmkit.nn import Module, modify_first_layer
+from sdmkit.nn import Module, build_encoder, modify_first_layer, register_encoder
 from sdmkit.pipeline import build_model, load_data, resolve_split
 from sdmkit.synthetic import CUBE_SHAPE, N_CHANNELS, PATCH_SIZE, default_config_yaml, make_synthetic
+
+from conftest import failing_writes
 
 
 class TestWeightedBce:
@@ -854,31 +856,9 @@ class TestAtomicWrites:
         preds = Predictions.from_scores([f"s{i}" for i in range(3)], scores, 2)
         engine.save_predictions(preds, str(path))
         before = path.read_bytes()
-        real_open = open
-
-        class FailingFile:  # writes the header and one row, then fails
-            def __init__(self, fh):
-                self.fh, self.lines = fh, 0
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, text):
-                self.lines += 1
-                if self.lines == 3:
-                    raise OSError("disk full")
-                self.fh.write(text)
-
-            def writelines(self, lines):
-                for line in lines:
-                    self.write(line)
-
-        monkeypatch.setattr(engine, "open", lambda *a, **kw: FailingFile(real_open(*a, **kw)),
-                            raising=False)
-        with pytest.raises(OSError, match="disk full"):
+        # writes the header and one row, then fails
+        with failing_writes(monkeypatch, "predictions.csv", after=2), \
+                pytest.raises(OSError, match="disk full"):
             engine.save_predictions(Predictions.from_scores(["t", "u", "v"], scores, 1),
                                     str(path))
         assert path.read_bytes() == before
@@ -928,6 +908,44 @@ def test_single_modality_model_fits_and_predicts(tmp_path):
     assert preds.survey_ids == data.table.survey_ids()
     assert preds.scores.shape == (200, 20)
     assert engine.load_predictions(out).survey_ids == preds.survey_ids
+
+
+def test_single_modality_checkpoint_names_its_resolved_encoder(tmp_path):
+    """model.name micro_conv2d builds the same patch encoder with and without
+    model.encoders.patch naming it, so a checkpoint of either config loads
+    under the other, as does one written before the arch named the resolved
+    encoder; another patch encoder is refused, naming the modality."""
+    register_encoder("test", "conv2d_alias", lambda shape, dim, rng: build_encoder(
+        "builtin", "micro_conv2d", shape, dim, rng))
+    base = "data: {}\ntask: {num_classes: 4, top_k: 2}\nmodel:\n  name: micro_conv2d\n"
+    configs = {name: parse_config(base + encoders) for name, encoders in (
+        ("default", ""), ("named", "  encoders: {patch: {name: micro_conv2d}}\n"),
+        ("alias", "  encoders: {patch: {provider: test, name: conv2d_alias}}\n"))}
+    shapes = {"patch": (4, 8, 8), "location": (2,)}
+    paths = {}
+    for name in ("default", "named"):
+        paths[name] = str(tmp_path / f"{name}.ckpt")
+        save_checkpoint(paths[name], build_model(configs[name], shapes), None, TrainState(),
+                        configs[name])
+        assert read_checkpoint_meta(paths[name])["arch"] == {
+            "model": ["builtin", "micro_conv2d"],
+            "model.encoders.patch": ["builtin", "micro_conv2d"]}
+    # the arch a single-modality model without model.encoders was saved with before
+    model = build_model(configs["default"], shapes)
+    arrays = {f"param/{name}": param for name, param, _ in model.named_params()}
+    arrays["meta"] = np.array(json.dumps({"state": {"epoch": 0, "best_val_loss": 1.0},
+                                          "arch": {"model": ["builtin", "micro_conv2d"]}}))
+    paths["earlier"] = str(tmp_path / "earlier.ckpt")
+    with open(paths["earlier"], "wb") as fh:
+        np.savez(fh, **arrays)
+    for path in paths.values():
+        for name in ("default", "named"):
+            load_checkpoint(path, build_model(configs[name], shapes), configs[name])
+        with pytest.raises(CheckpointMismatchError) as refused:
+            load_checkpoint(path, build_model(configs["alias"], shapes), configs["alias"])
+        assert str(refused.value) == (
+            f"{path}: model.encoders.patch: checkpoint ['builtin', 'micro_conv2d'] vs config "
+            f"['test', 'conv2d_alias']")
 
 
 def patch_only_fit_data(tmp_path, outside=()):

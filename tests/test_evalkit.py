@@ -1,5 +1,6 @@
 import functools
 import math
+import os
 from dataclasses import asdict
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdmkit import evalkit
 from sdmkit.errors import AlignmentError, DegenerateLabelsError, SdmkitError, ShapeError
 from sdmkit.evalkit import (
     Predictions,
@@ -16,7 +18,10 @@ from sdmkit.evalkit import (
     multilabel_auc,
     top_k,
     topk_prf,
+    write_report,
 )
+
+from conftest import failing_writes, traced_peak
 
 
 # ---- independent brute-force oracles -------------------------------------
@@ -436,3 +441,148 @@ class TestEvaluate:
             if field.startswith("skipped"):
                 continue
             assert 0.0 <= value <= 1.0, field
+
+
+class TestWriteReport:
+    @pytest.mark.parametrize("failing, after", [("report.json", 5), ("report.txt", 0)])
+    def test_failed_write_keeps_previous_files(self, tmp_path, monkeypatch, failing, after):
+        """A write that fails inside either file leaves both previous files and
+        no temporary file."""
+        rng = np.random.default_rng(3)
+        paths = [str(tmp_path / "report.json"), str(tmp_path / "report.txt")]
+        reports = []
+        for _ in range(2):
+            n, s, k, scores, labels = random_instance(rng, n_max=40, s_max=15, k_max=5)
+            preds = Predictions.from_scores([f"s{i}" for i in range(n)], scores, k)
+            reports.append(evaluate(preds, labels, k))
+        write_report(reports[0], *paths)
+        before = [open(path, "rb").read() for path in paths]
+        with failing_writes(monkeypatch, failing, after), \
+                pytest.raises(OSError, match="disk full"):
+            write_report(reports[1], *paths)
+        assert [open(path, "rb").read() for path in paths] == before
+        assert sorted(os.listdir(tmp_path)) == ["report.json", "report.txt"]
+
+
+# ---- block-wise passes ----------------------------------------------------
+
+def dense_topk_prf(topk, labels, averaging):
+    """topk_prf from an (N, S) indicator of top-k membership, the formulation
+    that topk_prf's counts from the (N, k) hits replace."""
+    n, s = labels.shape
+    k = topk.shape[1]
+    in_topk = np.zeros((n, s), dtype=bool)
+    np.put_along_axis(in_topk, topk, True, axis=1)
+    pos = labels > 0.5
+    tp = (in_topk & pos).sum(axis=1)
+    label_counts = pos.sum(axis=1)
+    if averaging == "micro":
+        p = tp.sum() / (n * k)
+        total_pos = label_counts.sum()
+        r = tp.sum() / total_pos if total_pos else 0.0
+        f1 = 2 * p * r / (p + r) if (p + r) > 0 else 0.0
+        return float(p), float(r), float(f1)
+    if averaging == "samples":
+        valid = label_counts > 0
+        p_i = tp / k
+        r_i = np.zeros(n)
+        r_i[valid] = tp[valid] / label_counts[valid]
+        denom = p_i + r_i
+        f_i = np.where(denom > 0, 2 * p_i * r_i / np.where(denom > 0, denom, 1.0), 0.0)
+        if not valid.any():
+            return 0.0, 0.0, 0.0
+        return float(p_i[valid].mean()), float(r_i[valid].mean()), float(f_i[valid].mean())
+    tp_c = (in_topk & pos).sum(axis=0).astype(float)
+    pred_c = in_topk.sum(axis=0).astype(float)
+    pos_c = pos.sum(axis=0).astype(float)
+    p_c = np.divide(tp_c, pred_c, out=np.zeros(s), where=pred_c > 0)
+    r_c = np.divide(tp_c, pos_c, out=np.zeros(s), where=pos_c > 0)
+    denom = p_c + r_c
+    f_c = np.where(denom > 0, 2 * p_c * r_c / np.where(denom > 0, denom, 1.0), 0.0)
+    return float(p_c.mean()), float(r_c.mean()), float(f_c.mean())
+
+
+@st.composite
+def topk_label_pairs(draw):
+    """(topk, labels): N x k distinct class ids per row, in any order, and N x S
+    labels as bool, as ints, or as floats that hold values other than 0 and
+    1 (NaN included)."""
+    n, s = draw(st.integers(1, 12)), draw(st.integers(1, 10))
+    k = draw(st.integers(1, s))
+    perms = st.permutations(range(s))
+    topk = np.array([draw(perms)[:k] for _ in range(n)], dtype=draw(st.sampled_from(
+        [np.int64, np.int32, np.uint8])))
+    values = draw(st.sampled_from([[False, True], [0, 1, 2], [0.0, 1.0, 0.3, 0.7, math.nan]]))
+    cells = st.lists(st.sampled_from(values), min_size=n * s, max_size=n * s)
+    return topk, np.array(draw(cells)).reshape(n, s)
+
+
+class TestBlockwise:
+    @given(topk_label_pairs(), st.sampled_from([1, 3, evalkit.BLOCK]))
+    @settings(max_examples=300, deadline=None)
+    def test_topk_prf_equals_dense_formulation(self, case, block):
+        topk, labels = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evalkit, "BLOCK", block)
+            for avg in ("micro", "samples", "macro"):
+                assert topk_prf(topk, labels, avg) == dense_topk_prf(topk, labels, avg)
+
+    @pytest.mark.parametrize("topk", [[[0, 0]], [[1, 4]], [[-1, 0]], [[0.0, 1.0]]],
+                             ids=["repeated", "past-s", "negative", "float"])
+    def test_topk_prf_refuses_ids_that_are_not_distinct_classes(self, topk):
+        with pytest.raises(SdmkitError, match=r"top-k ids must be 2 distinct class indices "
+                                              r"in \[0, 4\) per row"):
+            topk_prf(np.array(topk), np.zeros((1, 4), dtype=bool), "micro")
+
+    def test_results_do_not_depend_on_block_size(self):
+        """Every block size gives the same bits: AUC at each averaging on
+        tie-heavy scores with NaN rows and constant rows and columns, and
+        top-k."""
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            r, m = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+            scores = rng.integers(0, 4, size=(r, m)) / 4
+            scores[rng.random(r) < 0.2, int(rng.integers(0, m))] = np.nan
+            labels = rng.random((r, m)) < rng.uniform(0.05, 0.95)
+            labels[rng.random(r) < 0.2] = False
+            labels[:, rng.random(m) < 0.2] = True
+            labels[0, 0] = not labels[-1, -1]  # micro AUC defined
+            results = []
+            for block in (evalkit.BLOCK, 1, 5, m + 1):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(evalkit, "BLOCK", block)
+                    got = [top_k(scores, min(3, m)).tobytes()]
+                    for x, y in ((scores, labels), (scores.T, labels.T)):
+                        auc, defined = _row_aucs(x, y)
+                        got += [auc.tobytes(), defined.tobytes()]
+                    got.append(np.float64(binary_auc(scores, labels)).tobytes())
+                results.append(got)
+            assert all(got == results[0] for got in results[1:])
+
+    @given(tie_heavy_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_micro_auc_equals_one_row_rank_auc(self, case):
+        """binary_auc from two sorts gives the bits of _row_aucs on the one
+        row of all scores, with NaN scores and float labels."""
+        scores, labels = case
+        auc, defined = _row_aucs(scores.reshape(1, -1), labels.reshape(1, -1))
+        if not defined[0]:
+            with pytest.raises(DegenerateLabelsError):
+                binary_auc(scores, labels)
+        else:
+            assert np.float64(binary_auc(scores, labels)).tobytes() == auc[0].tobytes()
+
+    def test_evaluate_transient_memory_per_entry(self):
+        """evaluate's traced peak, beyond the scores and bool labels it is
+        given, grows by at most 16 bytes per added (survey, class) entry on
+        continuous scores with 10% positives (micro AUC's two sorted copies
+        take 8 + 1.6); every other temporary is bounded by the block size."""
+        rng = np.random.default_rng(0)
+        peaks = []
+        for n in (5_000, 20_000):
+            scores = rng.random((n, 200))
+            labels = rng.random((n, 200)) < 0.1
+            preds = Predictions.from_scores([f"s{i}" for i in range(n)], scores, 25)
+            peaks.append(traced_peak(evaluate, preds, labels, 25)[1])
+            del scores, labels, preds
+        assert (peaks[1] - peaks[0]) / (15_000 * 200) <= 16

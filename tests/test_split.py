@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from sdmkit.errors import DataError, DegenerateSplitError, FormatError
 from sdmkit.pipeline import resolve_split
 from sdmkit.split import block_holdout, cell_index, load_split, save_split
 from sdmkit.synthetic import default_config_yaml
-from conftest import make_table
+from conftest import failing_writes, make_table
 
 CELL = 1.0 / 6.0
 
@@ -104,6 +105,20 @@ class TestSplitRoundTrip:
         loaded = load_split(path)
         assert loaded.assignment == split.assignment
         assert loaded.cell_of == split.cell_of
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        """A save that fails midway leaves the previous split.csv and no
+        temporary file."""
+        path = tmp_path / "split.csv"
+        save_split(block_holdout(uniform_table(np.random.default_rng(0)), seed=1), str(path))
+        before = path.read_bytes()
+        other = block_holdout(uniform_table(np.random.default_rng(1)), seed=2)
+        # writes the header and two rows, then fails
+        with failing_writes(monkeypatch, "split.csv", after=3), \
+                pytest.raises(OSError, match="disk full"):
+            save_split(other, str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["split.csv"]
 
     def test_test_alias(self, tmp_path):
         path = tmp_path / "split.csv"
