@@ -88,6 +88,8 @@ def cosine_lr(t: int, eta_max: float, t_max: int) -> float:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# elements of the flat buffers that each AdamW op runs over at a time
+CHUNK = 1 << 16
 
 
 class AdamW:
@@ -97,9 +99,11 @@ class AdamW:
     made (build_model flattens every model); any other triples are refused
     with a ShapeError naming the first param outside that layout. A step
     checks the flat grads' finiteness once and skips a step with a
-    non-finite gradient whole. Otherwise it runs each element-wise op once
-    over the whole flat buffer, into flat moments and two scratch buffers
-    made on its first step: no later step allocates a param-sized array.
+    non-finite gradient whole. Otherwise it runs its element-wise ops over
+    the flat buffers one slice of CHUNK elements at a time, into two
+    CHUNK-sized scratch buffers: besides the flat moments m and v it holds
+    2 x CHUNK values, and no step allocates a param-sized array. Each
+    element gets the same ops in the same order whatever the slice size.
     """
 
     def __init__(self, weight_decay: float = 0.0):
@@ -111,7 +115,7 @@ class AdamW:
         """Apply one update in place; returns False if skipped. Updates
         m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, param *= 1 - lr wd,
         param -= lr (m / bc1) / (sqrt(v / bc2) + eps), each op as one ufunc
-        over the flat buffers."""
+        over a slice of the flat buffers."""
         triples = list(named_params)
         flat = self._flat_state(triples)
         if not _all_finite(flat.grads):
@@ -121,22 +125,25 @@ class AdamW:
         self.t += 1
         bc1 = 1 - ADAM_BETA1**self.t
         bc2 = 1 - ADAM_BETA2**self.t
-        param, grad, m, v = flat.params, flat.grads, flat.m, flat.v
-        s1, s2 = flat.scratch
-        m *= ADAM_BETA1
-        m += np.multiply(grad, 1 - ADAM_BETA1, out=s1)
-        v *= ADAM_BETA2
-        np.multiply(grad, 1 - ADAM_BETA2, out=s1)
-        v += np.multiply(s1, grad, out=s1)
-        if self.weight_decay:  # decays theta_{t-1}, before the update
-            param *= 1 - lr * self.weight_decay
-        np.divide(m, bc1, out=s1)
-        s1 *= lr
-        np.divide(v, bc2, out=s2)
-        np.sqrt(s2, out=s2)
-        s2 += ADAM_EPS
-        s1 /= s2
-        param -= s1
+        chunk = flat.scratch[0].size
+        for start in range(0, flat.params.size, chunk or 1):
+            param, grad, m, v = (a[start:start + chunk]
+                                 for a in (flat.params, flat.grads, flat.m, flat.v))
+            s1, s2 = (s[:param.size] for s in flat.scratch)
+            m *= ADAM_BETA1
+            m += np.multiply(grad, 1 - ADAM_BETA1, out=s1)
+            v *= ADAM_BETA2
+            np.multiply(grad, 1 - ADAM_BETA2, out=s1)
+            v += np.multiply(s1, grad, out=s1)
+            if self.weight_decay:  # decays theta_{t-1}, before the update
+                param *= 1 - lr * self.weight_decay
+            np.divide(m, bc1, out=s1)
+            s1 *= lr
+            np.divide(v, bc2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += ADAM_EPS
+            s1 /= s2
+            param -= s1
         return True
 
     def _flat_state(self, triples) -> _FlatState:
@@ -149,9 +156,10 @@ class AdamW:
             return flat
         params, grads = _flat_buffers(triples)
         self.t = 0  # bias correction for the new zero moments
+        chunk = min(CHUNK, params.size)
         self.flat = _FlatState([(param, grad) for _, param, grad in triples], params, grads,
                                np.zeros_like(params), np.zeros_like(params),
-                               (np.empty_like(params), np.empty_like(params)))
+                               (np.empty(chunk, params.dtype), np.empty(chunk, params.dtype)))
         return self.flat
 
 
@@ -159,7 +167,8 @@ class AdamW:
 class _FlatState:
     """AdamW's state for one flat model: the (param, grad) views it was made
     for, the model's params and grads buffers, the moments in the same
-    layout, and two scratch buffers of that size."""
+    layout, and two scratch buffers of min(CHUNK, params.size) elements,
+    the slice a step works on at a time."""
 
     views: list
     params: np.ndarray
@@ -456,39 +465,48 @@ def _csv_field(text: str) -> str:
     return text
 
 
+# characters of field text that load_predictions parses in one block of rows
+TEXT_BLOCK = 1 << 20
+
+
 def load_predictions(path: str) -> Predictions:
     """Read a predictions.csv. Each survey has one row, every row holds as
     many top-k ids and scores as the first one, and a row's top-k ids are
     distinct class indices below the score count.
 
-    One CSV pass collects the survey ids and the field texts; then one
-    np.loadtxt call parses each numeric column. Where numpy rejects or warns
-    about a column, skips a blank field, or a field holds a line break, the
-    per-row parse runs instead: it raises the FormatError naming the first
-    bad row, or reads what Python's number syntax accepts but numpy's does
-    not (such as 1_0)."""
-    rows, row_of, topk_texts, score_texts = [], {}, [], []  # row_of: surveyId -> row number
+    The rows are parsed a block at a time as the CSV pass yields them, so
+    only one block's field texts are held: once about TEXT_BLOCK characters
+    of topk and scores text are read, one np.loadtxt call parses each numeric
+    column of the block into the (N, k) and (N, S) arrays, made once with
+    room for every row the file can hold. Where numpy rejects or warns about
+    a block's column, skips a blank field, a field holds a line break, or the
+    block's widths differ from the first row's, the per-row parse runs over
+    that block instead: it raises the FormatError naming the first bad row,
+    or reads what Python's number syntax accepts but numpy's does not (such
+    as 1_0)."""
+    row_of, parsed = {}, _ParsedRows(path)  # row_of: surveyId -> row number
+    block, chars = [], 0  # rows read but not parsed: (row, topk text, scores text)
     try:
         for i, (sid, topk_text, score_text) in read_csv(path, ("surveyId", "topk", "scores")):
-            rows.append(i)
-            topk_texts.append(topk_text)
-            score_texts.append(score_text)
+            block.append((i, topk_text, score_text))
             if row_of.setdefault(sid, i) != i:
                 raise FormatError(f"{path} row {i}: survey {sid!r} already in row {row_of[sid]}")
+            chars += len(topk_text) + len(score_text)
+            if chars >= TEXT_BLOCK:
+                parsed.add(block)
+                block, chars = [], 0
     except FormatError:
         # rows are checked in file order: a bad field up to here is reported first
-        _parse_rows(path, rows, topk_texts, score_texts)
+        _parse_rows(path, block, parsed.widths())
         raise
-    if not rows:
+    if block:
+        parsed.add(block)
+    if not row_of:
         return Predictions([], np.empty((0, 0)), np.empty((0, 0), dtype=np.int64))
-    topk = _parse_column(topk_texts, np.int64)
-    scores = _parse_column(score_texts, np.float64)
-    if topk is None or scores is None:
-        topks, scores = _parse_rows(path, rows, topk_texts, score_texts)
-        topk, scores = np.stack(topks), np.stack(scores)
+    topk, scores = parsed.topk[:parsed.rows], parsed.scores[:parsed.rows]
     bad = bad_topk_rows(topk, scores.shape[1])
     if bad.any():
-        bad_rows = np.array(rows)[bad]
+        bad_rows = np.fromiter(row_of.values(), np.int64, len(row_of))[bad]
         raise FormatError(
             f"{path} row {bad_rows[0]}, column topk: ids {topk[bad][0].tolist()} are not distinct "
             f"class indices in [0, {scores.shape[1]}) ({bad_rows.size} such rows)"
@@ -496,7 +514,57 @@ def load_predictions(path: str) -> Predictions:
     return Predictions(list(row_of), scores, topk)
 
 
-def _parse_column(texts: list[str], dtype) -> np.ndarray | None:
+class _ParsedRows:
+    """load_predictions' (rows, k) top-k and (rows, S) scores arrays, made at
+    the first block with one row for each line end of the file (a CSV file
+    holds no more rows after its header) and filled a block at a time; the
+    first rows of them are parsed."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.topk = self.scores = None
+        self.rows = 0
+
+    def widths(self) -> tuple[int, int] | None:
+        """(top-k ids, scores) per row; None before the first block."""
+        return None if self.topk is None else (self.topk.shape[1], self.scores.shape[1])
+
+    def add(self, block) -> None:
+        """Parse a block of (row, topk text, scores text) into the next rows."""
+        _, topk_texts, score_texts = zip(*block)
+        topk = _parse_column(topk_texts, np.int64)
+        scores = _parse_column(score_texts, np.float64)
+        widths = self.widths()
+        if topk is None or scores is None or (
+                widths is not None and (topk.shape[1], scores.shape[1]) != widths):
+            topk, scores = map(np.stack, _parse_rows(self.path, block, widths))
+        if self.topk is None:
+            capacity = _line_ends(self.path)
+            self.topk = np.empty((capacity, topk.shape[1]), dtype=np.int64)
+            self.scores = np.empty((capacity, scores.shape[1]))
+        end = self.rows + len(block)
+        if end > len(self.scores):
+            raise FormatError(f"{self.path}: more rows than line ends; the file changed "
+                              "while it was read")
+        self.topk[self.rows:end] = topk
+        self.scores[self.rows:end] = scores
+        self.rows = end
+
+
+def _line_ends(path: str) -> int:
+    """The line ends of the file at path: each LF, CRLF and lone CR, the
+    ends of a CSV row (a CRLF split between two reads counts twice, which
+    only raises the count)."""
+    ends = 0
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            text = np.frombuffer(chunk, dtype=np.uint8)
+            lf, cr = text == ord("\n"), text == ord("\r")
+            ends += np.count_nonzero(lf) + np.count_nonzero(cr) - np.count_nonzero(cr[:-1] & lf[1:])
+    return int(ends)
+
+
+def _parse_column(texts, dtype) -> np.ndarray | None:
     """One (rows, values) array of whitespace-separated numbers, or None if
     numpy rejects or warns about a field, or the column is not one array of
     len(texts) rows."""
@@ -514,17 +582,20 @@ def _parse_column(texts: list[str], dtype) -> np.ndarray | None:
     return values if len(values) == len(texts) else None  # blank lines are skipped
 
 
-def _parse_rows(path, rows, topk_texts, score_texts):
-    """Parse the topk and scores fields row by row, raising a FormatError
-    naming the first bad or ragged row; the per-row arrays otherwise."""
+def _parse_rows(path, block, widths):
+    """Parse a block of (row, topk text, scores text) row by row, raising a
+    FormatError naming the first bad row, or the first whose (top-k ids,
+    scores) counts differ from widths, row 2's (the block's first row's when
+    widths is None); the per-row arrays otherwise."""
     topks, scores = [], []
-    for i, topk, row_scores in zip(rows, topk_texts, score_texts):
+    for i, topk, row_scores in block:
         topk = parse_field(path, i, "topk", _int_array, topk)
         row_scores = parse_field(path, i, "scores", _float_array, row_scores)
-        if topks and (topk.size, row_scores.size) != (topks[0].size, scores[0].size):
+        widths = widths or (topk.size, row_scores.size)
+        if (topk.size, row_scores.size) != widths:
             raise FormatError(
                 f"{path} row {i}: {topk.size} top-k ids and {row_scores.size} "
-                f"scores, row 2 has {topks[0].size} and {scores[0].size}"
+                f"scores, row 2 has {widths[0]} and {widths[1]}"
             )
         topks.append(topk)
         scores.append(row_scores)

@@ -119,7 +119,8 @@ class SinusoidalLocationEncoder(Linear):
 
     def forward(self, coords, training=False):
         features = self.features(np.asarray(coords, dtype=np.float64))
-        return super().forward(features.astype(self.params["w"].dtype, copy=False))
+        return super().forward(features.astype(self.params["w"].dtype, copy=False),
+                               training=training)
 
     def backward(self, dout):
         # Linear.backward without its dout @ w: the sin/cos features are not trainable

@@ -1,8 +1,12 @@
 """Minimal layer zoo with explicit forward/backward passes.
 
-Layers cache whatever the backward pass needs on forward; one backward per
-forward, single-threaded. That contract is what lets Conv2d keep the im2col
-columns of a training forward and overwrite them in its backward. Parameter
+A training forward (training=True) caches what the backward pass needs:
+Linear and Conv2d their input, ReLU and Dropout their mask, Conv2d its
+im2col columns. Each layer's backward drops that cache once it has used it,
+so activations are freed layer by layer as backward runs, and a forward with
+training=False caches nothing, so inference holds no activations of a
+finished batch. One backward follows each training forward, single-threaded;
+that contract is what lets Conv2d overwrite its columns in backward. Parameter
 init is fan-in uniform (+-1/sqrt(fan_in)) from a caller-supplied numpy
 Generator so runs are reproducible end to end; Dropout draws only from the
 one set_dropout_rng gives it. A model is a tree of Modules: containers
@@ -98,7 +102,7 @@ class Linear(Module):
     def forward(self, x, training=False):
         if x.shape[-1] != self.in_dim:
             raise ShapeError(f"Linear expects last dim {self.in_dim}, got {x.shape}")
-        self._x = x
+        self._x = x if training else None
         out = x @ self.params["w"].T
         out += self.params["b"]
         return out
@@ -108,8 +112,10 @@ class Linear(Module):
         return dout @ self.params["w"]
 
     def _param_grads(self, dout) -> None:
-        """Write the w and b gradients into the grads arrays."""
-        np.matmul(dout.T, self._x, out=self.grads["w"])
+        """Write the w and b gradients into the grads arrays, then drop the
+        cached input."""
+        x, self._x = self._x, None
+        np.matmul(dout.T, x, out=self.grads["w"])
         np.sum(dout, axis=0, out=self.grads["b"])
 
 
@@ -140,14 +146,13 @@ class Conv2d(Module):
                 f"Conv2d expects (N, {self.in_channels}, H, W), got {x.shape}"
             )
         cols = kernels.im2col(x, *self.kernel_size, self.stride)
-        self._x = x
-        self._cols = cols if training else None
+        self._x, self._cols = (x, cols) if training else (None, None)
         return kernels.conv2d_forward(x, self.params["w"], self.params["b"], self.stride, cols)
 
     def backward(self, dout):
         # backward overwrites the columns, so they serve one backward only
-        cols, self._cols = self._cols, None
-        dx, dw, db = kernels.conv2d_backward(self._x, self.params["w"], dout, self.stride, cols,
+        x, cols, self._x, self._cols = self._x, self._cols, None, None
+        dx, dw, db = kernels.conv2d_backward(x, self.params["w"], dout, self.stride, cols,
                                              input_grad=self.input_grad)
         self.grads["w"][...] = dw
         self.grads["b"][...] = db
@@ -156,11 +161,13 @@ class Conv2d(Module):
 
 class ReLU(Module):
     def forward(self, x, training=False):
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        self._mask = mask if training else None
+        return x * mask
 
     def backward(self, dout):
-        return dout * self._mask
+        mask, self._mask = self._mask, None
+        return dout * mask
 
 
 class Dropout(Module):
@@ -183,7 +190,8 @@ class Dropout(Module):
         return x * self._mask
 
     def backward(self, dout):
-        return dout if self._mask is None else dout * self._mask
+        mask, self._mask = self._mask, None
+        return dout if mask is None else dout * mask
 
 
 class GlobalAvgPool2d(Module):

@@ -37,18 +37,21 @@ def make_table(points, num_classes=5):
 
 def traced_peak(fn, *args):
     """(fn(*args), the peak bytes that tracemalloc saw allocated during the
-    call beyond what was allocated before it). numpy reports its array
-    buffers to tracemalloc, so this is the call's transient peak."""
+    call beyond what was allocated before it, the bytes the call leaves
+    allocated beyond that). numpy reports its array buffers to tracemalloc,
+    so these are the call's transient peak and what it retains, such as its
+    result or state it keeps on an object."""
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         result = fn(*args)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        gc.collect()
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return result, peak
+    return result, peak - before, current - before
 
 
 @contextmanager

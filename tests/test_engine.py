@@ -35,10 +35,11 @@ from sdmkit import geodata
 from sdmkit.geodata import (ObservationRecord, ObservationTable, load_raster, parse_field,
                             read_csv, save_raster)
 from sdmkit.nn import Module, build_encoder, modify_first_layer, register_encoder
+from sdmkit.nn.layers import Linear, ReLU, Sequential
 from sdmkit.pipeline import build_model, load_data, resolve_split
 from sdmkit.synthetic import CUBE_SHAPE, N_CHANNELS, PATCH_SIZE, default_config_yaml, make_synthetic
 
-from conftest import failing_writes
+from conftest import failing_writes, traced_peak
 
 
 class TestWeightedBce:
@@ -202,15 +203,20 @@ def built_model():
                              "cube_b": CUBE_SHAPE})
 
 
-def backprop(model, seed, n=16):
-    """One training forward and backward of a random batch."""
-    rng = np.random.default_rng(seed)
+def random_batch(model, rng, n):
+    """A random float32 batch for built_model()'s encoders."""
     shapes = {name: enc.layers[0].in_channels for name, enc in model.encoders.items()}
-    batch = {
+    return {
         "patch": rng.normal(size=(n, shapes["patch"], 32, 32)).astype(np.float32),
         "cube_a": rng.normal(size=(n, shapes["cube_a"], 4, 3)).astype(np.float32),
         "cube_b": rng.normal(size=(n, shapes["cube_b"], 4, 3)).astype(np.float32),
     }
+
+
+def backprop(model, seed, n=16):
+    """One training forward and backward of a random batch."""
+    rng = np.random.default_rng(seed)
+    batch = random_batch(model, rng, n)
     labels = (rng.random((n, 20)) < 0.3).astype(float)
     model.set_dropout_rng(np.random.default_rng([seed, 1]))
     logits = model.forward(batch, training=True)
@@ -270,6 +276,50 @@ class TestFlatAdamW:
             tracemalloc.stop()
         assert peak < 0.1 * param_bytes, (peak, param_bytes)
 
+    def test_first_step_retains_moments_and_two_chunks(self):
+        """On a model larger than one chunk, the first step leaves AdamW
+        holding the flat moments and two CHUNK-sized scratch buffers, not
+        param-sized ones (4 x the param bytes)."""
+        model = built_model()
+        param_bytes = sum(param.nbytes for _, param, _ in model.named_params())
+        assert param_bytes // 4 > engine.CHUNK
+        backprop(model, seed=0)
+        optimizer = AdamW(weight_decay=0.01)
+        stepped, _, retained = traced_peak(optimizer.step, model.named_params(), 1e-3)
+        assert stepped
+        assert retained <= 2 * param_bytes + 2 * engine.CHUNK * 4 + 16_384, (retained,
+                                                                            param_bytes)
+
+    def test_steps_do_not_depend_on_chunk_size(self, monkeypatch):
+        """Five steps leave the same param bits at every chunk size, one
+        element, 7 (which does not divide the param count), one past the param
+        count and the default, and they equal the per-array reference's."""
+        def tiny():
+            rng = np.random.default_rng(0)
+            model = Sequential([Linear(10, 30, rng), ReLU(), Linear(30, 5, rng)])
+            model.flatten_params(np.float32)
+            return model
+
+        size = sum(param.size for _, param, _ in tiny().named_params())
+        assert size % 7
+        rng = np.random.default_rng(8)
+        grads = [rng.normal(size=size).astype(np.float32) for _ in range(5)]
+        lrs = [1e-3, 8e-4, 5e-4, 2e-4, 1e-4]
+        reference, state = tiny(), {}
+        for lr, grad in zip(lrs, grads):
+            next(reference.named_params())[2].base[...] = grad
+            reference_step(state, list(reference.named_params()), lr, 0.01)
+        want = [param.tobytes() for _, param, _ in reference.named_params()]
+        for chunk in (1, 7, size + 1, engine.CHUNK):
+            model, optimizer = tiny(), AdamW(weight_decay=0.01)
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "CHUNK", chunk)
+                for lr, grad in zip(lrs, grads):
+                    next(model.named_params())[2].base[...] = grad
+                    assert optimizer.step(model.named_params(), lr)
+            assert optimizer.flat.scratch[0].shape == (min(chunk, size),)
+            assert [param.tobytes() for _, param, _ in model.named_params()] == want, chunk
+
     def test_nan_grad_skips_step_and_names_first_param(self, caplog):
         model = built_model()
         optimizer = AdamW(weight_decay=0.01)
@@ -324,6 +374,31 @@ class TestFlatAdamW:
         for (name, param, _), (_, want, _) in zip(model.named_params(), reference):
             assert not np.array_equal(param, before[name]), name
             assert param.tobytes() == want.tobytes(), name
+
+
+def cached(model) -> list[str]:
+    """The forward caches a model's layers hold: inputs, im2col columns and
+    masks."""
+    return [f"{type(module).__name__}.{attr}" for module in model.modules()
+            for attr in ("_x", "_cols", "_mask") if getattr(module, attr, None) is not None]
+
+
+def test_backward_and_inference_leave_no_forward_cache():
+    """A training forward caches what backward needs; backward frees every
+    cache, and a forward with training=False keeps none, also after a
+    training forward."""
+    model = built_model()
+    rng = np.random.default_rng(3)
+    batch = random_batch(model, rng, 8)
+    model.set_dropout_rng(np.random.default_rng(4))
+    logits = model.forward(batch, training=True)
+    assert {"Conv2d._x", "Conv2d._cols", "ReLU._mask", "Linear._x",
+            "Dropout._mask"} == set(cached(model))
+    model.backward(weighted_bce_logits_grad(logits, np.ones((8, 20)), 10.0).astype(np.float32))
+    assert cached(model) == []
+    model.forward(batch, training=True)
+    model.forward(batch, training=False)
+    assert cached(model) == []
 
 
 class TestMakeBatches:
@@ -768,17 +843,20 @@ def prediction_tables(draw):
 
 
 class TestLoadPredictionsColumnParse:
-    """load_predictions parses each numeric column in one call and falls back
-    to the row-by-row parse; either way it reads what that parse reads."""
+    """load_predictions parses each numeric column of a block of rows in one
+    call and falls back to the row-by-row parse for that block; either way,
+    at any block size, it reads what that parse reads."""
 
     @settings(max_examples=400, deadline=None)
-    @given(table=prediction_tables())
-    def test_equal_to_per_row_parse(self, table):
+    @given(table=prediction_tables(), block=st.sampled_from([1, 12, engine.TEXT_BLOCK]))
+    def test_equal_to_per_row_parse(self, table, block):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "predictions.csv")
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 csv.writer(fh).writerows([["surveyId", "topk", "scores"], *table])
-            got, caught = outcome_and_warnings(path)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(engine, "TEXT_BLOCK", block)
+                got, caught = outcome_and_warnings(path)
             assert got == load_outcome(per_row_load_predictions, path)
             assert caught == []
 
@@ -839,6 +917,46 @@ class TestLoadPredictionsColumnParse:
         preds = engine.load_predictions(str(path))
         assert preds.topk.tolist() == [[10, 0], [3, 1]]
         assert preds.scores[:, [1, -1]].tolist() == [[1.0, 0.5], [2.0, 11.0]]
+
+    def test_transient_memory_per_entry(self, tmp_path):
+        """The traced peak grows by at most 10 bytes per added (survey, class)
+        entry on repr scores: the float64 (N, S) scores it returns, written a
+        block at a time; only one block's field texts and arrays are held
+        besides."""
+        rng = np.random.default_rng(0)
+        peaks = []
+        for n in (2_000, 8_000):
+            path = str(tmp_path / f"predictions-{n}.csv")
+            engine.save_predictions(
+                Predictions.from_scores([f"s{i}" for i in range(n)], rng.random((n, 200)), 5),
+                path)
+            loaded, peak, _ = traced_peak(engine.load_predictions, path)
+            assert loaded.scores.shape == (n, 200)
+            peaks.append(peak)
+            del loaded
+        assert (peaks[1] - peaks[0]) / (6_000 * 200) <= 10, peaks
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_every_line_end_makes_room_for_a_row(self, tmp_path, monkeypatch, end):
+        """A lone CR ends a CSV row as LF and CRLF do, and each row is read
+        into the arrays made from the line ends, also a block of one row at a
+        time."""
+        path = tmp_path / "predictions.csv"
+        path.write_bytes(end.join(["surveyId,topk,scores", "a,1,0.1 0.7", "b,0,0.6 0.5"]).encode())
+        monkeypatch.setattr(engine, "TEXT_BLOCK", 1)
+        preds = engine.load_predictions(str(path))
+        assert preds.survey_ids == ["a", "b"]
+        assert preds.scores.tolist() == [[0.1, 0.7], [0.6, 0.5]]
+
+    def test_file_grown_while_read_rejected(self, tmp_path, monkeypatch):
+        """Rows are written into arrays made with one row per line end; a file
+        holding more rows than that when read is a FormatError, not a numpy
+        error."""
+        path = tmp_path / "predictions.csv"
+        path.write_text("surveyId,topk,scores\na,1,0.1 0.7\nb,0,0.6 0.5\n")
+        monkeypatch.setattr(engine, "_line_ends", lambda path: 1)
+        with pytest.raises(FormatError, match=r"predictions\.csv: more rows than line ends"):
+            engine.load_predictions(str(path))
 
     def test_bad_field_before_a_repeated_survey_reported_first(self, tmp_path):
         path = tmp_path / "predictions.csv"
@@ -1022,8 +1140,8 @@ def test_training_step_stays_float32(tmp_path):
     with dropout, leaves every param, grad and AdamW moment in float32, and
     every encoder returns float32: nothing in the step widens to float64. The
     step runs on the flat buffers: every param and grad is a view of the
-    model's flat buffers, and AdamW's flat moments and scratch buffers are
-    float32."""
+    model's flat buffers, AdamW's flat moments are float32 and param-sized,
+    and its two scratch buffers float32 of min(CHUNK, params) elements."""
     data_dir = str(tmp_path)
     make_synthetic(data_dir, n_surveys=60, num_species=6, seed=2)
     yaml_text = default_config_yaml(data_dir, n_species=6, patch_size=16).replace(
@@ -1048,8 +1166,11 @@ def test_training_step_stays_float32(tmp_path):
     for name, out in outputs.items():
         assert out.dtype == np.float32, name
     flat = optimizer.flat
-    for buffer in (flat.params, flat.grads, flat.m, flat.v, *flat.scratch):
+    for buffer in (flat.params, flat.grads, flat.m, flat.v):
         assert buffer.dtype == np.float32 and buffer.shape == flat.params.shape
+    for buffer in flat.scratch:
+        assert buffer.dtype == np.float32
+        assert buffer.shape == (min(engine.CHUNK, flat.params.size),)
     for name, param, grad in model.named_params():
         assert (param.dtype, grad.dtype) == (np.float32, np.float32), name
         assert param.base is flat.params and grad.base is flat.grads, name

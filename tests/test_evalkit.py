@@ -583,6 +583,7 @@ class TestBlockwise:
             scores = rng.random((n, 200))
             labels = rng.random((n, 200)) < 0.1
             preds = Predictions.from_scores([f"s{i}" for i in range(n)], scores, 25)
-            peaks.append(traced_peak(evaluate, preds, labels, 25)[1])
+            _, peak, _ = traced_peak(evaluate, preds, labels, 25)
+            peaks.append(peak)
             del scores, labels, preds
         assert (peaks[1] - peaks[0]) / (15_000 * 200) <= 16
