@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import math
 import os
 import sys
 
@@ -53,7 +54,10 @@ def cmd_train(args) -> int:
     model = build_model(cfg, data.cube_shapes())
     run_dir = engine.fit(cfg, model, train_source, val_source, out_root=args.out)
     metrics = read_csv(os.path.join(run_dir, "metrics.csv"), ("val_loss",))
-    best = min(float(loss) for _, (loss,) in metrics)
+    # an epoch whose validation batches were all non-finite has a nan val_loss
+    # and never writes best.ckpt, so it is not the best either
+    losses = [float(loss) for _, (loss,) in metrics]
+    best = min((loss for loss in losses if math.isfinite(loss)), default=math.nan)
     print(run_dir)
     print(f"best val loss: {best}", file=sys.stderr)
     return 0

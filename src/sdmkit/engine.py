@@ -29,6 +29,7 @@ from .config import ExperimentConfig, config_digest, render_config
 from .errors import CheckpointMismatchError, FormatError, SdmkitError, ShapeError
 from .evalkit import Predictions, bad_topk_rows, evaluate
 from .geodata import collate, parse_field, read_csv, replaced_on_success
+from .kernels import single_blas_thread
 from .pipeline import model_encoders
 
 log = logging.getLogger(__name__)
@@ -364,7 +365,9 @@ def _validate(model, source, batches, pos_weight: float):
 
 def fit(cfg: ExperimentConfig, model, train_source, val_source,
         out_root: str | None = None) -> str:
-    """Train per the config; returns the unique run directory."""
+    """Train per the config, with numpy's BLAS on one thread
+    (kernels.single_blas_thread); returns the unique run directory."""
+    single_blas_thread()
     seed = cfg.run.seed
     model.set_dropout_rng(np.random.default_rng([seed, 1]))
     pos_weight = cfg.optimizer.pos_weight
@@ -425,8 +428,10 @@ def fit(cfg: ExperimentConfig, model, train_source, val_source,
 
 def predict(cfg: ExperimentConfig, model, weights_path: str, test_source,
             out_path: str | None = None) -> Predictions:
-    """Load a checkpoint and score every survey in the test source; the
-    scores are computed in float64 from the model's logits."""
+    """Load a checkpoint and score every survey in the test source, with
+    numpy's BLAS on one thread (kernels.single_blas_thread); the scores are
+    computed in float64 from the model's logits."""
+    single_blas_thread()
     load_checkpoint(weights_path, model, cfg)
     batches = make_batches(len(test_source), cfg.data.batch_size, shuffle=False,
                            seed=cfg.run.seed)
@@ -441,19 +446,30 @@ def predict(cfg: ExperimentConfig, model, weights_path: str, test_source,
     return predictions
 
 
+# (survey, class) score entries that save_predictions formats at a time
+WRITE_BLOCK = 1 << 16
+
+
 def save_predictions(predictions: Predictions, path: str) -> None:
     """predictions.csv: surveyId, topk ids (rank order), all class scores,
     each score its repr. A missing directory is created. The bytes are those
     of csv.writer's excel dialect: only a survey id can need quoting, since
-    the other fields hold numbers and spaces."""
+    the other fields hold numbers and spaces. Rows are formatted a block of
+    about WRITE_BLOCK scores at a time, so only one block's Python floats
+    are held."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    ids, topk, scores = predictions.survey_ids, predictions.topk, predictions.scores
+    rows = max(1, WRITE_BLOCK // max(1, scores.shape[1]))
     with replaced_on_success(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("surveyId,topk,scores\r\n")
-        fh.writelines(
-            f"{_csv_field(sid)},{' '.join(map(str, topk))},{' '.join(map(repr, scores))}\r\n"
-            for sid, topk, scores in zip(predictions.survey_ids, predictions.topk.tolist(),
-                                         predictions.scores.tolist())
-        )
+        for start in range(0, len(ids), rows):
+            stop = start + rows
+            fh.writelines(
+                f"{_csv_field(sid)},{' '.join(map(str, row_topk))},"
+                f"{' '.join(map(repr, row_scores))}\r\n"
+                for sid, row_topk, row_scores in zip(ids[start:stop], topk[start:stop].tolist(),
+                                                     scores[start:stop].tolist())
+            )
 
 
 def _csv_field(text: str) -> str:

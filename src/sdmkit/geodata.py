@@ -31,7 +31,8 @@ File formats (all little-endian, sizes bit-exact):
                 of float32 row-major values, north-up
   cubes         JSON manifest (surveys: distinct strings; shape [B,Q,Y];
                 bands: B strings; the optional payload: a string) next to a
-                float32 payload of one block per survey in manifest order
+                float32 payload of one block per survey in manifest order;
+                save_cubes names the payload by the digest of its bytes
   split         CSV with header surveyId,partition,cx,cy, one row per survey
   predictions   CSV with header surveyId,topk,scores, one row per survey;
                 topk holds k class ids in rank order, scores one value per
@@ -54,6 +55,7 @@ every error still names the file and the row.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import logging
 import math
@@ -211,8 +213,9 @@ def read_json(path: str, kind: type, keys=()):
 def replaced_on_success(path: str, mode: str, **kwargs):
     """Open a temporary file next to path and move it onto path only once the
     block completes, so a failed write leaves the previous file intact and no
-    temporary file behind. Checkpoints, predictions.csv, split.csv and the
-    evaluate report are written through it."""
+    temporary file behind. Checkpoints, predictions.csv, split.csv, the
+    evaluate report and the cube manifests and payloads are written through
+    it."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode, **kwargs) as fh:
@@ -655,17 +658,47 @@ class TimeSeriesCube:
 
 
 def save_cubes(survey_ids, values: np.ndarray, band_names, manifest_path: str) -> None:
-    """Write the (N, B, Q, Y) cube array of N surveys, in survey order."""
-    payload_path = os.path.splitext(manifest_path)[0] + ".f32"
+    """Write the (N, B, Q, Y) cube array of N surveys, in survey order, as a
+    payload named <manifest name>.<digest of its bytes>.f32 and a manifest
+    naming it, each replaced whole: the payload first, then the manifest,
+    then the payload the previous manifest named in its directory is
+    removed. So a manifest always names the payload written with it, and a
+    failed write leaves the previous pair as it was, with no file of its
+    own behind."""
+    payload = np.ascontiguousarray(values, dtype="<f4")
+    stem = os.path.splitext(os.path.basename(manifest_path))[0]
+    name = f"{stem}.{hashlib.sha256(payload).hexdigest()[:16]}.f32"
+    payload_path = os.path.abspath(os.path.join(os.path.dirname(manifest_path), name))
+    previous = _previous_payload(manifest_path)
     manifest = {
         "surveys": list(survey_ids),
         "shape": list(values.shape[1:]),
         "bands": list(band_names),
-        "payload": os.path.basename(payload_path),
+        "payload": name,
     }
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-    np.asarray(values, dtype="<f4").tofile(payload_path)
+    with replaced_on_success(payload_path, "wb") as fh:
+        fh.write(payload)
+    try:
+        with replaced_on_success(manifest_path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(manifest, indent=2))
+    except BaseException:
+        if previous != payload_path:
+            os.remove(payload_path)
+        raise
+    if previous not in (None, payload_path):
+        os.remove(previous)
+
+
+def _previous_payload(manifest_path: str) -> str | None:
+    """The absolute path of the payload file that the cube manifest at
+    manifest_path names, if it lies in the manifest's directory; None when
+    there is no such file or no readable manifest."""
+    try:
+        previous = os.path.abspath(_payload_path(manifest_path, read_json(manifest_path, dict)))
+    except (OSError, FormatError):
+        return None
+    same_dir = os.path.dirname(previous) == os.path.dirname(os.path.abspath(manifest_path))
+    return previous if same_dir and os.path.isfile(previous) else None
 
 
 def load_cubes(manifest_path: str) -> dict[str, TimeSeriesCube]:

@@ -23,11 +23,38 @@ Arrays are float32 or float64. Every result, dx included, is float32 when x,
 w and dout all are, so a float32 conv never widens to float64; x is
 (N, C, H, W) of any memory layout, w is (F, C, KH, KW), stride is a positive
 int, no padding.
+
+``single_blas_thread`` runs numpy's BLAS on one thread from the call on.
+How an OpenBLAS GEMM sums depends on how many threads split it, so a seeded
+fit or prediction gives the same bits whatever ``OPENBLAS_NUM_THREADS`` or
+``OMP_NUM_THREADS`` say only once the thread count is fixed; at this
+model's GEMM sizes a second thread is no faster, and its buffers cost
+memory. ``engine.fit`` and ``engine.predict`` call it when they start.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import logging
+
 import numpy as np
+
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath
+
+log = logging.getLogger(__name__)
+
+# (set, get) thread-count functions of the OpenBLAS builds numpy links, by
+# symbol: numpy's bundled scipy-openblas, then a system OpenBLAS with 64-bit
+# and with 32-bit integers
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
 
 
 def conv2d_out_shape(h: int, w: int, kh: int, kw: int, stride: int) -> tuple[int, int]:
@@ -97,6 +124,39 @@ def conv2d_backward(x, w, dout, stride, cols=None, input_grad=True):
         for j in range(0, kw, stride):
             windows[:, :, :, i, j : j + stride] += dcols[:, :, :, i, j : j + stride]
     return dx.transpose(0, 3, 1, 2), dw, db
+
+
+@functools.cache
+def _openblas_threads():
+    """The (set, get) thread-count functions of the OpenBLAS that numpy
+    loaded, found through numpy's own extension module, whose dependencies
+    the BLAS is; None when numpy links another BLAS (MKL, Accelerate)."""
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+        if hasattr(lib, set_name) and hasattr(lib, get_name):
+            return getattr(lib, set_name), getattr(lib, get_name)
+    return None
+
+
+def single_blas_thread() -> None:
+    """Run every later GEMM of numpy's OpenBLAS on one thread; nothing when it
+    already runs on one. Without an OpenBLAS, log one warning naming the BLAS,
+    since results may then depend on its thread count."""
+    functions = _openblas_threads()
+    if functions is None:
+        try:
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        except (TypeError, KeyError):  # numpy < 1.26 has no config dicts
+            blas = "unknown"
+        log.warning("numpy's BLAS (%s) is not an OpenBLAS whose thread count sdmkit can set; "
+                    "results may depend on its thread count", blas)
+        return
+    set_threads, get_threads = functions
+    if get_threads() != 1:
+        set_threads(1)
 
 
 def backend_name() -> str:

@@ -42,7 +42,8 @@ def test_make_synthetic_deterministic(tmp_path):
     for out in (a, b):
         assert main(["make-synthetic", "--out", out, "--n", "50", "--species", "5",
                      "--seed", "9"]) == 0
-    for name in ("observations.csv", "chan0.f32", "cube_a.f32", "cube_a.json"):
+    assert sorted(os.listdir(a)) == sorted(os.listdir(b))
+    for name in set(os.listdir(a)) - {"config.yaml"}:  # config.yaml names its directory
         assert open(os.path.join(a, name), "rb").read() == open(
             os.path.join(b, name), "rb").read()
 
@@ -90,10 +91,10 @@ SYNTHETIC_SEED7_SHA256 = {
     "chan2.json": "9194f8b0cb93f07025e007c908b5b9d9281045b64cfe7b777418720c132605fe",
     "chan3.f32": "42798cdf9a2b1253d5b6319f82afbe5e80569803b31c7fec2d36c462bb5b28ff",
     "chan3.json": "bd3e9dcf350ed506ff37e70550fb650208c5568fe87b41e9bee8daff7f10159e",
-    "cube_a.f32": "6128cf526ff2cf85d831f2a4cdaa5ea57b5bed2ff1031d08b8b3b7310e285084",
-    "cube_a.json": "b23c944eed932db2032a4971bb6df028583aedae3199bae99fdb9465cfe51b5c",
-    "cube_b.f32": "180a526472bdafbebd94b5cf8b961abe6502448cb1c2b0de848c4cfa421c3c7f",
-    "cube_b.json": "d58d77490ffde6fc660387f1dc67e25e55c0f07dbf656ea5161040f6acdeb112",
+    "cube_a.6128cf526ff2cf85.f32": "6128cf526ff2cf85d831f2a4cdaa5ea57b5bed2ff1031d08b8b3b7310e285084",
+    "cube_a.json": "639fb8c8df338570ee1614100814ebf5c14f931814aa09559e44f79b141474f4",
+    "cube_b.180a526472bdafbe.f32": "180a526472bdafbebd94b5cf8b961abe6502448cb1c2b0de848c4cfa421c3c7f",
+    "cube_b.json": "4cc9f954ea73a8d5282a43f95bf65ccb9bcb999fdc87bd0416bee23012b8f970",
     "observations.csv": "e5234df8fb9934c90af73e6d0e00db698d0135ef2b7aa8695aab64a9f188dd70",
     "rasters.json": "a6f6492074f937e78b62ee7209c103c0ec403c9ebcb98b112afab1be85b60a29",
 }
@@ -117,6 +118,63 @@ def test_train_produces_artifacts(synthetic_dir, tmp_path, capsys):
     with open(os.path.join(run_dir, "metrics.csv"), newline="") as fh:
         losses = [float(row["val_loss"]) for row in csv.DictReader(fh)]
     assert f"best val loss: {min(losses)}" in out.err
+
+
+def test_train_prints_best_finite_val_loss(synthetic_dir, tmp_path, capsys, monkeypatch):
+    """An epoch whose val_loss is nan (no finite validation batch) is not the
+    best: the printed loss is the least finite one, as best.ckpt records."""
+    def fit(cfg, model, train, val, out_root=None):
+        run_dir = os.path.join(out_root, "run")
+        os.makedirs(run_dir)
+        with open(os.path.join(run_dir, "metrics.csv"), "w", encoding="utf-8") as fh:
+            fh.write("epoch,lr,train_loss,val_loss\n0,0.1,0.9,nan\n1,0.1,0.8,0.75\n"
+                     "2,0.1,0.7,0.5\n3,0.1,0.6,nan\n")
+        return run_dir
+
+    monkeypatch.setattr(engine, "fit", fit)
+    cfg = os.path.join(synthetic_dir, "config.yaml")
+    assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert "best val loss: 0.5" in capsys.readouterr().err.splitlines()
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """The same 3-epoch fit and a predict from its best.ckpt, each run through
+    the CLI in a fresh interpreter at OPENBLAS_NUM_THREADS and OMP_NUM_THREADS
+    1, 2 and 4, write the same metrics.csv, last.ckpt, best.ckpt and
+    predictions.csv bytes. The train partition of these 300 surveys is not a
+    multiple of the batch size, so every epoch ends in a partial batch, whose
+    weight-gradient GEMMs summed differently at 1 thread than at 2 and 4
+    while the thread count followed the environment."""
+    data = str(tmp_path / "syn")
+    assert main(["make-synthetic", "--out", data, "--n", "300", "--species", "8"]) == 0
+    cfg_path = os.path.join(data, "config.yaml")
+    text = open(cfg_path).read()
+    open(cfg_path, "w").write(text.replace("epochs: 10", "epochs: 3"))
+    cfg = load_config(cfg_path)
+    split = block_holdout(load_observations(cfg.data.observations, cfg.task.num_classes),
+                          seed=cfg.run.seed)
+    assert len(split.partition("train")) % cfg.data.batch_size != 0
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    script = ("import os, sys; from sdmkit.cli import main; runs, pred = sys.argv[2:]; "
+              "assert main(['train', '--config', sys.argv[1], '--out', runs]) == 0; "
+              "weights = os.path.join(runs, os.listdir(runs)[0], 'best.ckpt'); "
+              "sys.exit(main(['predict', '--config', sys.argv[1], '--weights', weights, "
+              "'--out', pred]))")
+    outputs = {}
+    for threads in ("1", "2", "4"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                                              if p))
+        runs, pred = tmp_path / f"runs{threads}", tmp_path / f"pred{threads}.csv"
+        subprocess.run([sys.executable, "-c", script, cfg_path, str(runs), str(pred)], env=env,
+                       check=True, capture_output=True)
+        (run_dir,) = runs.iterdir()
+        outputs[threads] = {name: (run_dir / name).read_bytes()
+                            for name in ("metrics.csv", "last.ckpt", "best.ckpt")}
+        outputs[threads]["predictions.csv"] = pred.read_bytes()
+    for threads in ("2", "4"):
+        for name, content in outputs[threads].items():
+            assert content == outputs["1"][name], (threads, name)
 
 
 def test_train_missing_data_path(tmp_path, capsys):

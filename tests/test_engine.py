@@ -14,7 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdmkit import engine
+from sdmkit import engine, kernels
 from sdmkit.config import config_digest, parse_config
 from sdmkit.engine import (
     ADAM_BETA1,
@@ -707,6 +707,30 @@ class TestCheckpointAndPredict:
         np.testing.assert_array_equal(loaded.scores, preds.scores)
         np.testing.assert_array_equal(loaded.topk, preds.topk)
 
+    def test_save_predictions_memory_per_entry(self, tmp_path):
+        """The traced peak of save_predictions grows by at most 2 bytes per
+        added (survey, class) entry: rows are formatted a block of
+        WRITE_BLOCK scores at a time (32.8 bytes when the whole score array
+        was one list)."""
+        rng = np.random.default_rng(1)
+        peaks = []
+        for n in (1_000, 4_000):
+            preds = Predictions.from_scores([f"s{i}" for i in range(n)], rng.random((n, 200)), 5)
+            _, peak, _ = traced_peak(engine.save_predictions, preds, str(tmp_path / f"{n}.csv"))
+            peaks.append(peak)
+        assert (peaks[1] - peaks[0]) / (3_000 * 200) <= 2, peaks
+
+    @pytest.mark.parametrize("block", [1, 7, 200, 201])
+    def test_save_predictions_bytes_do_not_depend_on_block(self, tmp_path, monkeypatch, block):
+        """Blocks of one row, of rows that do not divide the row count, and of
+        a row and a part write the bytes of one block of every row."""
+        scores = np.random.default_rng(2).random((23, 10))
+        preds = Predictions.from_scores([f"s{i}" for i in range(23)], scores, 3)
+        engine.save_predictions(preds, str(tmp_path / "whole.csv"))
+        monkeypatch.setattr(engine, "WRITE_BLOCK", block)
+        engine.save_predictions(preds, str(tmp_path / "blocks.csv"))
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
     @pytest.mark.parametrize("rows", [
         ["a,1 0,0.1 0.7 0.2", "b,1 0,0.5 0.5 0.1", "c,1,0.7 0.1 0.2"],
         ["a,1 0,0.1 0.7 0.2", "b,1 0,0.5 0.5 0.1", "c,1 0,0.7 0.1"],
@@ -999,6 +1023,29 @@ class TestAtomicWrites:
             save_checkpoint(str(path), model, None, TrainState(epoch=1), cfg)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["last.ckpt"]
+
+
+def test_fit_without_openblas_warns_once_and_fits(tiny_experiment, tmp_path, monkeypatch,
+                                                 caplog):
+    """Where numpy's BLAS has none of the OpenBLAS thread symbols, fit logs one
+    warning naming the BLAS and trains as before."""
+    cfg, data, train, val = tiny_experiment
+    monkeypatch.setattr(kernels, "_OPENBLAS_THREAD_SYMBOLS", (("no_set", "no_get"),))
+    kernels._openblas_threads.cache_clear()
+    try:
+        with caplog.at_level(logging.WARNING):
+            run_dir = engine.fit(cfg, build_model(cfg, data.cube_shapes()), train, val,
+                                 out_root=str(tmp_path))
+    finally:
+        kernels._openblas_threads.cache_clear()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records
+            if r.levelno >= logging.WARNING] == [
+        ("sdmkit.kernels", "WARNING", f"numpy's BLAS ({blas}) is not an OpenBLAS whose thread "
+         "count sdmkit can set; results may depend on its thread count")]
+    with open(os.path.join(run_dir, "metrics.csv"), newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == cfg.trainer.epochs
+    assert os.path.exists(os.path.join(run_dir, "best.ckpt"))
 
 
 def test_single_modality_model_fits_and_predicts(tmp_path):

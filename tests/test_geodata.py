@@ -47,7 +47,13 @@ from sdmkit.engine import load_predictions
 from sdmkit.pipeline import LoadedData, load_data
 from sdmkit.split import load_split
 from sdmkit.synthetic import default_config_yaml, make_synthetic
-from conftest import make_table
+from conftest import failing_writes, make_table
+
+
+def cube_payload(manifest_path) -> str:
+    """The path of the payload that a cube manifest names."""
+    return os.path.join(os.path.dirname(manifest_path), geodata.read_json(
+        str(manifest_path), dict, ("payload",))["payload"])
 
 
 def write_obs(tmp_path, rows):
@@ -733,15 +739,15 @@ class TestCubes:
     def test_payload_size_check(self, tmp_path):
         path = str(tmp_path / "cubes.json")
         save_cubes(["a", "b"], np.zeros((2, 2, 4, 3), dtype=np.float32), ["b0", "b1"], path)
-        payload = tmp_path / "cubes.f32"
-        payload.write_bytes(payload.read_bytes()[:-1])  # truncate to 191 bytes
+        with open(cube_payload(path), "r+b") as payload:
+            payload.truncate(191)
         with pytest.raises(FormatError, match="truncat|bytes"):
             load_cubes(path)
 
     def test_expected_payload_bytes(self, tmp_path):
         path = str(tmp_path / "cubes.json")
         save_cubes(["a", "b"], np.zeros((2, 2, 4, 3), dtype=np.float32), ["b0", "b1"], path)
-        assert (tmp_path / "cubes.f32").stat().st_size == 2 * 2 * 4 * 3 * 4
+        assert os.path.getsize(cube_payload(path)) == 2 * 2 * 4 * 3 * 4
 
     def test_duplicate_survey_rejected(self, tmp_path):
         path = tmp_path / "cubes.json"
@@ -766,6 +772,34 @@ class TestCubes:
             bad = sum(not math.isfinite(v) for v in entries)
             assert caplog.messages == [f"{path}: imputed {bad} non-finite cube entries to 0"]
 
+    def test_rewrite_replaces_the_pair_whole(self, tmp_path, monkeypatch):
+        """Two surveys rewritten in swapped order, with the first write of the
+        payload, then of the manifest, failing: each time the previous
+        manifest and payload load unchanged and no other file is left. The
+        rewrite that completes leaves only the new manifest and its payload,
+        the swapped array's float32 bytes."""
+        values = np.arange(2 * 2 * 4 * 3, dtype=np.float32).reshape(2, 2, 4, 3)
+        path = str(tmp_path / "cubes.json")
+        save_cubes(["a", "b"], values, ["b0", "b1"], path)
+        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        for failing in ("cubes.", "cubes.json"):  # the payload is written first
+            with failing_writes(monkeypatch, failing, after=0), \
+                    pytest.raises(OSError, match="disk full"):
+                save_cubes(["b", "a"], values[::-1], ["b0", "b1"], path)
+            assert {name: (tmp_path / name).read_bytes()
+                    for name in os.listdir(tmp_path)} == before, failing
+            loaded = load_cubes(path)
+            for i, sid in enumerate(["a", "b"]):
+                assert loaded[sid].values.tobytes() == values[i].tobytes()
+        save_cubes(["b", "a"], values[::-1], ["b0", "b1"], path)
+        assert len(os.listdir(tmp_path)) == 2
+        assert open(path, "rb").read() != before["cubes.json"]
+        with open(cube_payload(path), "rb") as fh:
+            assert fh.read() == values[::-1].tobytes()
+        loaded = load_cubes(path)
+        for i, sid in enumerate(["a", "b"]):
+            assert loaded[sid].values.tobytes() == values[i].tobytes()
+
     def test_band_count_must_match_shape(self, tmp_path):
         path = str(tmp_path / "cubes.json")
         save_cubes(["a"], np.zeros((1, 2, 1, 1), dtype=np.float32), ["b0"], path)
@@ -786,7 +820,7 @@ class TestBuildCubes:
         tagged = {(b, 0, y): toy_raster for b in range(2) for y in range(2)}
         path = str(tmp_path / "c.json")
         build_time_series_cubes(tagged, table, (2, 1, 2), path)
-        assert (tmp_path / "c.f32").stat().st_size == 2 * 2 * 1 * 2 * 4
+        assert os.path.getsize(cube_payload(path)) == 2 * 2 * 1 * 2 * 4
 
     def test_values_match_patch_extractor(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -859,7 +893,8 @@ class TestBuildCubes:
         with caplog.at_level(logging.WARNING, logger="sdmkit.geodata"):
             build_time_series_cubes(tagged, table, (2, 1, 2), path)
         assert caplog.messages == expected_messages
-        assert (tmp_path / "c.f32").read_bytes() == expected.tobytes()
+        with open(cube_payload(path), "rb") as fh:
+            assert fh.read() == expected.tobytes()
         far_north = make_table([(2.0, 8.0, {0}), (2.0, 86.0, {0})])
         with pytest.raises(ProjectionDomainError, match=re.escape(
                 "survey 's1': latitude 86.0 outside EPSG:3857 domain")):

@@ -169,3 +169,15 @@ def test_paired_tap_col2im_matches_per_tap(stride, kernel, dtype):
         want = per_tap_dx(x, w, dout, stride)
         assert dx.dtype == dtype
         assert dx.tobytes() == want.tobytes(), width
+
+
+@pytest.mark.skipif(kernels._openblas_threads() is None, reason="numpy links no OpenBLAS")
+def test_single_blas_thread_sets_one_thread():
+    """From two threads to one, read back through OpenBLAS's own getter; a
+    second call leaves one thread."""
+    set_threads, get_threads = kernels._openblas_threads()
+    set_threads(2)
+    kernels.single_blas_thread()
+    assert get_threads() == 1
+    kernels.single_blas_thread()
+    assert get_threads() == 1
