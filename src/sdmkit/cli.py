@@ -19,7 +19,7 @@ from . import engine, evalkit
 from .config import load_config
 from .errors import FormatError, SdmkitError
 from .geodata import (build_time_series_cubes, load_observations, load_raster, multi_hot,
-                      read_csv, read_json)
+                      read_json, read_table, replaced_on_success)
 from .pipeline import build_model, load_data, resolve_split
 from .split import block_holdout, save_split
 from .synthetic import default_config_yaml, make_synthetic
@@ -53,10 +53,10 @@ def cmd_train(args) -> int:
     val_source = data.source_for(split.partition("val"))
     model = build_model(cfg, data.cube_shapes())
     run_dir = engine.fit(cfg, model, train_source, val_source, out_root=args.out)
-    metrics = read_csv(os.path.join(run_dir, "metrics.csv"), ("val_loss",))
+    metrics = read_table(os.path.join(run_dir, "metrics.csv"), ("val_loss",))
     # an epoch whose validation batches were all non-finite has a nan val_loss
     # and never writes best.ckpt, so it is not the best either
-    losses = [float(loss) for _, (loss,) in metrics]
+    losses = [float(loss) for _, (column,) in metrics for loss in column]
     best = min((loss for loss in losses if math.isfinite(loss)), default=math.nan)
     print(run_dir)
     print(f"best val loss: {best}", file=sys.stderr)
@@ -150,7 +150,7 @@ def cmd_make_synthetic(args) -> int:
     for path in (os.path.join(args.out, "observations.csv"), config_path):
         _check_clobber(path, args.force)
     paths = make_synthetic(args.out, n_surveys=args.n, num_species=args.species, seed=args.seed)
-    with open(config_path, "w", encoding="utf-8") as fh:
+    with replaced_on_success(config_path, "w", encoding="utf-8") as fh:
         fh.write(default_config_yaml(args.out, n_species=args.species))
     for path in [*paths.values(), config_path]:
         print(path)

@@ -28,7 +28,7 @@ import numpy as np
 from .config import ExperimentConfig, config_digest, render_config
 from .errors import CheckpointMismatchError, FormatError, SdmkitError, ShapeError
 from .evalkit import Predictions, bad_topk_rows, evaluate
-from .geodata import collate, parse_field, read_csv, replaced_on_success
+from .geodata import collate, parse_field, read_table, replaced_on_success
 from .kernels import single_blas_thread
 from .pipeline import model_encoders
 
@@ -481,45 +481,27 @@ def _csv_field(text: str) -> str:
     return text
 
 
-# characters of field text that load_predictions parses in one block of rows
-TEXT_BLOCK = 1 << 20
-
-
 def load_predictions(path: str) -> Predictions:
     """Read a predictions.csv. Each survey has one row, every row holds as
     many top-k ids and scores as the first one, and a row's top-k ids are
-    distinct class indices below the score count.
-
-    The rows are parsed a block at a time as the CSV pass yields them, so
-    only one block's field texts are held: once about TEXT_BLOCK characters
-    of topk and scores text are read, one np.loadtxt call parses each numeric
-    column of the block into the (N, k) and (N, S) arrays, made once with
-    room for every row the file can hold. Where numpy rejects or warns about
-    a block's column, skips a blank field, a field holds a line break, or the
-    block's widths differ from the first row's, the per-row parse runs over
-    that block instead: it raises the FormatError naming the first bad row,
-    or reads what Python's number syntax accepts but numpy's does not (such
-    as 1_0)."""
-    row_of, parsed = {}, _ParsedRows(path)  # row_of: surveyId -> row number
-    block, chars = [], 0  # rows read but not parsed: (row, topk text, scores text)
-    try:
-        for i, (sid, topk_text, score_text) in read_csv(path, ("surveyId", "topk", "scores")):
-            block.append((i, topk_text, score_text))
-            if row_of.setdefault(sid, i) != i:
-                raise FormatError(f"{path} row {i}: survey {sid!r} already in row {row_of[sid]}")
-            chars += len(topk_text) + len(score_text)
-            if chars >= TEXT_BLOCK:
-                parsed.add(block)
-                block, chars = [], 0
-    except FormatError:
-        # rows are checked in file order: a bad field up to here is reported first
-        _parse_rows(path, block, parsed.widths())
-        raise
-    if block:
-        parsed.add(block)
-    if not row_of:
-        return Predictions([], np.empty((0, 0)), np.empty((0, 0), dtype=np.int64))
-    topk, scores = parsed.topk[:parsed.rows], parsed.scores[:parsed.rows]
+    distinct class indices below the score count. Each block of read_table
+    is parsed by _parse_block into (N, k) and (N, S) arrays that grow in place
+    to the row count the file's size implies, and are cut to the rows read."""
+    size, chars, rows, row_of = os.path.getsize(path), 0, 0, {}  # row_of: surveyId -> row number
+    topk, scores = np.empty((0, 0), dtype=np.int64), np.empty((0, 0))
+    for start, (sids, topk_texts, score_texts) in read_table(path, ("surveyId", "topk", "scores")):
+        widths = (topk.shape[1], scores.shape[1]) if rows else None
+        block = _parse_block(path, start, sids, topk_texts, score_texts, widths, row_of)
+        chars += sum(map(len, sids)) + sum(map(len, topk_texts)) + sum(map(len, score_texts))
+        end = rows + len(sids)
+        if end > len(scores):  # to the rows size implies at chars per row, at least end
+            for array, parsed in zip((topk, scores), block):
+                array.resize((end * max(size, chars) // max(chars, 1), parsed.shape[1]),
+                             refcheck=False)
+        topk[rows:end], scores[rows:end] = block
+        rows = end
+    for array in (topk, scores):
+        array.resize((rows, array.shape[1]), refcheck=False)
     bad = bad_topk_rows(topk, scores.shape[1])
     if bad.any():
         bad_rows = np.fromiter(row_of.values(), np.int64, len(row_of))[bad]
@@ -530,92 +512,42 @@ def load_predictions(path: str) -> Predictions:
     return Predictions(list(row_of), scores, topk)
 
 
-class _ParsedRows:
-    """load_predictions' (rows, k) top-k and (rows, S) scores arrays, made at
-    the first block with one row for each line end of the file (a CSV file
-    holds no more rows after its header) and filled a block at a time; the
-    first rows of them are parsed."""
-
-    def __init__(self, path: str):
-        self.path = path
-        self.topk = self.scores = None
-        self.rows = 0
-
-    def widths(self) -> tuple[int, int] | None:
-        """(top-k ids, scores) per row; None before the first block."""
-        return None if self.topk is None else (self.topk.shape[1], self.scores.shape[1])
-
-    def add(self, block) -> None:
-        """Parse a block of (row, topk text, scores text) into the next rows."""
-        _, topk_texts, score_texts = zip(*block)
-        topk = _parse_column(topk_texts, np.int64)
-        scores = _parse_column(score_texts, np.float64)
-        widths = self.widths()
-        if topk is None or scores is None or (
-                widths is not None and (topk.shape[1], scores.shape[1]) != widths):
-            topk, scores = map(np.stack, _parse_rows(self.path, block, widths))
-        if self.topk is None:
-            capacity = _line_ends(self.path)
-            self.topk = np.empty((capacity, topk.shape[1]), dtype=np.int64)
-            self.scores = np.empty((capacity, scores.shape[1]))
-        end = self.rows + len(block)
-        if end > len(self.scores):
-            raise FormatError(f"{self.path}: more rows than line ends; the file changed "
-                              "while it was read")
-        self.topk[self.rows:end] = topk
-        self.scores[self.rows:end] = scores
-        self.rows = end
-
-
-def _line_ends(path: str) -> int:
-    """The line ends of the file at path: each LF, CRLF and lone CR, the
-    ends of a CSV row (a CRLF split between two reads counts twice, which
-    only raises the count)."""
-    ends = 0
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            text = np.frombuffer(chunk, dtype=np.uint8)
-            lf, cr = text == ord("\n"), text == ord("\r")
-            ends += np.count_nonzero(lf) + np.count_nonzero(cr) - np.count_nonzero(cr[:-1] & lf[1:])
-    return int(ends)
-
-
-def _parse_column(texts, dtype) -> np.ndarray | None:
-    """One (rows, values) array of whitespace-separated numbers, or None if
-    numpy rejects or warns about a field, or the column is not one array of
-    len(texts) rows."""
-    if any("\n" in text or "\r" in text for text in texts):
-        return None  # numpy's reader may end a row at a line break inside a field
+def _parse_block(path, start, sids, topk_texts, score_texts, widths, row_of):
+    """The (rows, k) top-k ids and (rows, S) scores of a block of rows from
+    start, by one np.loadtxt call per column, recording each survey's row in
+    row_of. Where numpy rejects, warns or skips, a field holds a line break, a
+    survey repeats or the widths are not widths (the first row's), the row by
+    row parse raises the FormatError naming the first bad row, or reads what
+    Python's number syntax accepts but numpy's does not (such as 1_0)."""
+    fresh = all(row_of.setdefault(sid, i) == i for i, sid in enumerate(sids, start))
     try:
+        if any("\n" in text or "\r" in text for text in (*topk_texts, *score_texts)):
+            raise ValueError("a line break in a field")
         with warnings.catch_warnings():
             # numpy warns where it reads a field the per-row parse rejects (older
             # numpy casts an int field such as 1.5 from float) or skips every line
             warnings.simplefilter("error")
             # comments=None: a '#' would otherwise cut a row short without an error
-            values = np.loadtxt(texts, dtype=dtype, comments=None, ndmin=2)
+            topk, scores = (np.loadtxt(texts, dtype=dtype, comments=None, ndmin=2)
+                            for texts, dtype in ((topk_texts, np.int64), (score_texts, np.float64)))
+        if (fresh and len(topk) == len(scores) == len(sids)  # blank lines are skipped
+                and widths in (None, (topk.shape[1], scores.shape[1]))):
+            return topk, scores
     except (ValueError, Warning):
-        return None
-    return values if len(values) == len(texts) else None  # blank lines are skipped
-
-
-def _parse_rows(path, block, widths):
-    """Parse a block of (row, topk text, scores text) row by row, raising a
-    FormatError naming the first bad row, or the first whose (top-k ids,
-    scores) counts differ from widths, row 2's (the block's first row's when
-    widths is None); the per-row arrays otherwise."""
-    topks, scores = [], []
-    for i, topk, row_scores in block:
+        pass
+    topks, score_rows = [], []
+    for i, (sid, topk, row_scores) in enumerate(zip(sids, topk_texts, score_texts), start):
         topk = parse_field(path, i, "topk", _int_array, topk)
         row_scores = parse_field(path, i, "scores", _float_array, row_scores)
         widths = widths or (topk.size, row_scores.size)
         if (topk.size, row_scores.size) != widths:
-            raise FormatError(
-                f"{path} row {i}: {topk.size} top-k ids and {row_scores.size} "
-                f"scores, row 2 has {widths[0]} and {widths[1]}"
-            )
+            raise FormatError(f"{path} row {i}: {topk.size} top-k ids and {row_scores.size} "
+                              f"scores, row 2 has {widths[0]} and {widths[1]}")
+        if row_of.setdefault(sid, i) != i:
+            raise FormatError(f"{path} row {i}: survey {sid!r} already in row {row_of[sid]}")
         topks.append(topk)
-        scores.append(row_scores)
-    return topks, scores
+        score_rows.append(row_scores)
+    return np.stack(topks), np.stack(score_rows)
 
 
 def _int_array(text: str) -> np.ndarray:

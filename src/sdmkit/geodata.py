@@ -39,23 +39,19 @@ File formats (all little-endian, sizes bit-exact):
                 class (its repr), both space-separated; rows end in CRLF and
                 a survey id is quoted as csv.writer's excel dialect quotes it
 
-The CSV tables follow one contract, that of read_csv: columns are found by
-header name (extra columns are ignored), blank lines are skipped, every row
-must hold as many fields as the header, a field may hold up to 2**31 - 1
-characters (one scores field per survey, whatever the class count), and
-parse_field turns a bad field into a FormatError naming the file, the row
-(the header is row 1) and the column. Splits and predictions are read by
-read_csv. Observations are read a block of lines at a time: each block's
-fields are split at once, each distinct lon, lat and speciesId text is parsed
-once and the checks run on arrays; a file with a quote, NUL or lone CR, or
-one that fails any check, is read again row by row through read_csv, so
-every error still names the file and the row.
+The CSV tables are read by read_table, in one pass over the file. Each
+loader checks a block of rows at a time as arrays and parses a block that
+fails a check again row by row, its one error path: its FormatError or
+DataError names the file, the row (the header is row 1) and, through
+parse_field, the column.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
+import itertools
 import json
 import logging
 import math
@@ -151,33 +147,67 @@ class ObservationTable:
         )
 
 
-def read_csv(path: str, columns):
-    """Stream (row number, fields of the named columns) over a CSV table's
-    non-blank rows; the header is row 1."""
+# characters of CSV text that read_table reads at a time, up to a line's end
+TEXT_BLOCK = 1 << 16
+
+
+def read_table(path: str, columns):
+    """Stream a CSV table in one pass, a block of about TEXT_BLOCK characters
+    of whole lines at a time: (the block's first row number, one list of field
+    texts per named column). Columns are found by header name, each named
+    once (others are ignored); blank lines are skipped and not counted. A
+    block without a quote, NUL or lone CR, each of whose lines holds as many
+    fields as the header, is split at commas and line ends; any other block,
+    and the first, goes through csv.reader, which reads on past the block
+    only to end a quoted field. A ragged row or a csv.Error is a FormatError
+    naming its row, raised after the rows before it are yielded."""
     # the default 131 072-character limit is one scores field of ~6 600 classes;
     # 2**31 - 1 fits a C long on every platform
     csv.field_size_limit(2**31 - 1)
     # utf-8-sig drops the byte-order mark that spreadsheet exports put first
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        row = 0  # rows read so far, the header included
+        row, index, width = 0, None, 0  # rows read so far, the header included
         try:
-            header = next(reader, [])
-            row = 1
-            missing = [c for c in columns if c not in header]
-            if missing:
-                raise FormatError(f"{path} row 1: missing column(s) {missing}")
-            index = [header.index(c) for c in columns]
-            for fields in reader:
-                if not fields:
-                    continue
-                row += 1
-                if len(fields) != len(header):
-                    raise FormatError(f"{path} row {row}: {len(fields)} fields, "
-                                      f"the header has {len(header)}")
-                yield row, [fields[i] for i in index]
-        except csv.Error as exc:
-            raise FormatError(f"{path} row {row + 1}: {exc}") from None
+            while text := fh.read(TEXT_BLOCK) + fh.readline():
+                start, fault = row + 1, None
+                plain = text.replace("\r\n", "\n")
+                lines = list(filter(None, plain.split("\n")))
+                if (index is not None and not any(c in plain for c in '"\0\r')
+                        and not set(map(str.count, lines, itertools.repeat(","))) - {width - 1}):
+                    # without quotes or CRs csv.reader splits text at commas and line ends
+                    fields = ",".join(lines).split(",") if lines else []
+                    row += len(lines)
+                else:
+                    fields, block = [], io.StringIO(text, newline="")
+                    try:
+                        for cells in csv.reader(itertools.chain(block, iter(fh.readline, ""))):
+                            if index is None:  # the header
+                                missing = [c for c in columns if c not in cells]
+                                if missing:
+                                    raise FormatError(f"{path} row 1: missing column(s) {missing}")
+                                repeated = [c for c in columns if cells.count(c) > 1]
+                                if repeated:
+                                    raise FormatError(f"{path} row 1: column(s) {repeated} named "
+                                                      "more than once")
+                                index, width = [cells.index(c) for c in columns], len(cells)
+                                row, start = 1, 2
+                            elif cells and len(cells) != width:
+                                fault = FormatError(f"{path} row {row + 1}: {len(cells)} fields, "
+                                                    f"the header has {width}")
+                                break
+                            elif cells:
+                                fields += cells
+                                row += 1
+                            if block.tell() == len(text):
+                                break
+                    except csv.Error as exc:
+                        fault = FormatError(f"{path} row {row + 1}: {exc}")
+                if fields:
+                    yield start, [fields[i::width] for i in index]
+                if fault:
+                    raise fault
+            if index is None:  # an empty file
+                raise FormatError(f"{path} row 1: missing column(s) {list(columns)}")
         except UnicodeDecodeError as exc:  # decoded in blocks, so the row is not known
             raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
 
@@ -213,9 +243,8 @@ def read_json(path: str, kind: type, keys=()):
 def replaced_on_success(path: str, mode: str, **kwargs):
     """Open a temporary file next to path and move it onto path only once the
     block completes, so a failed write leaves the previous file intact and no
-    temporary file behind. Checkpoints, predictions.csv, split.csv, the
-    evaluate report and the cube manifests and payloads are written through
-    it."""
+    temporary file behind. Checkpoints, the predictions, split and observation
+    tables, the evaluate report and the cube files are written through it."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode, **kwargs) as fh:
@@ -228,98 +257,38 @@ def replaced_on_success(path: str, mode: str, **kwargs):
 
 
 def load_observations(path: str, num_classes: int) -> ObservationTable:
-    """Load an observation CSV, grouping species rows per survey.
-
-    Every row of a survey must repeat its coordinates; a conflicting row
-    raises DataError. A file the block reader does not accept whole is read
-    again by the row loop, which raises the error naming the file and row.
-    """
-    table = _load_observation_blocks(path, num_classes)
-    return table if table is not None else _load_observation_rows(path, num_classes)
-
-
-_OBSERVATION_COLUMNS = ("surveyId", "lon", "lat", "speciesId")
-# characters of observation text split and checked at a time by _load_observation_blocks
-_OBSERVATION_BLOCK_CHARS = 1 << 16
-
-
-def _distinct_index(texts: list) -> tuple[list, np.ndarray]:
-    """(the distinct texts in first-seen order, each text's index into them)."""
-    position = {text: i for i, text in enumerate(dict.fromkeys(texts))}
-    return list(position), np.fromiter(map(position.__getitem__, texts), np.intp, len(texts))
-
-
-def _load_observation_blocks(path: str, num_classes: int) -> ObservationTable | None:
-    """The table of load_observations, read a block of lines at a time, or
-    None when the file holds anything the row loop alone handles: a missing
-    column, a quote, NUL or lone CR, text that is not UTF-8, a ragged row, a
-    field that does not parse, a value out of range or a conflicting row.
-
-    Without quotes or CRs a row's fields are its text split at commas, as
-    csv.reader splits them. Each distinct lon, lat and speciesId text of a
-    block is parsed once with float or int, as the row loop parses it.
-    """
+    """Load an observation CSV, grouping species rows per survey. Each block
+    of read_table is checked as arrays, each distinct lon, lat and speciesId
+    text parsed once; every row of a survey must repeat the coordinates of
+    its first row. A block that fails a check goes to _raise_first_fault."""
     codes: dict[str, int] = {}  # surveyId -> survey code, in first-seen order
-    first_lon = first_lat = np.empty(0)  # by survey code: its first row's coordinates
+    # by survey code: its first row's (lon, lat) and row number
+    first_xy, first_row = np.empty((0, 2)), np.empty(0, np.intp)
     kept_codes, kept_species = [], []  # per block: survey code and species of each species row
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            header = fh.readline().removesuffix("\n").removesuffix("\r")
-            names = header.split(",")
-            if any(c in header for c in '"\0\r') or not set(_OBSERVATION_COLUMNS) <= set(names):
-                return None
-            width = len(names)
-            at_sid, at_lon, at_lat, at_species = map(names.index, _OBSERVATION_COLUMNS)
-            while text := fh.read(_OBSERVATION_BLOCK_CHARS):
-                text = (text + fh.readline()).replace("\r\n", "\n")  # up to a line's end
-                if any(c in text for c in '"\0\r'):
-                    return None
-                while "\n\n" in text:
-                    text = text.replace("\n\n", "\n")
-                text = text.strip("\n")
-                if not text:
-                    continue
-                raw = np.frombuffer(text.encode("utf-8"), np.uint8)
-                seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
-                rows = text.count("\n") + 1
-                # width - 1 commas then a line break, on every row
-                if (len(seps) != rows * width - 1
-                        or not (raw[seps[width - 1::width]] == ord("\n")).all()):
-                    return None
-                fields = text.replace("\n", ",").split(",")
-
-                sids = fields[at_sid::width]
-                new = [sid for sid in dict.fromkeys(sids) if sid not in codes]
-                codes.update(zip(new, range(len(codes), len(codes) + len(new))))
-                code = np.fromiter(map(codes.__getitem__, sids), np.intp, rows)
-                lon_texts, lon_at = _distinct_index(fields[at_lon::width])
-                lat_texts, lat_at = _distinct_index(fields[at_lat::width])
-                species_texts, species_at = _distinct_index(fields[at_species::width])
-                blank = np.array([not t.strip() for t in species_texts])
-                try:
-                    lons = np.array(list(map(float, lon_texts)))
-                    lats = np.array(list(map(float, lat_texts)))
-                    species = np.array([int(t) if t.strip() else 0 for t in species_texts],
-                                       dtype=np.int64)
-                except (ValueError, OverflowError):
-                    return None
-                if (not ((-180.0 <= lons) & (lons <= 180.0)).all()
-                        or not ((-90.0 <= lats) & (lats <= 90.0)).all()
-                        or (~blank & ((species < 0) | (species >= num_classes))).any()):
-                    return None
-
-                lon, lat = lons[lon_at], lats[lat_at]
-                if new:
-                    first_new = np.unique(code, return_index=True)[1][-len(new):]
-                    first_lon = np.concatenate([first_lon, lon[first_new]])
-                    first_lat = np.concatenate([first_lat, lat[first_new]])
-                if ((first_lon[code] != lon) | (first_lat[code] != lat)).any():
-                    return None
-                keep = ~blank[species_at]
-                kept_codes.append(code[keep])
-                kept_species.append(species[species_at][keep])
-    except UnicodeDecodeError:
-        return None
+    for start, columns in read_table(path, ("surveyId", "lon", "lat", "speciesId")):
+        sids, lon_texts, lat_texts, species_texts = columns
+        known = len(codes)
+        codes.update(zip([s for s in dict.fromkeys(sids) if s not in codes], itertools.count(known)))
+        code = np.fromiter(map(codes.__getitem__, sids), np.intp, len(sids))
+        try:
+            xy = _parsed(lon_texts + lat_texts, float).reshape(2, -1).T
+            # NaN stands for a blank speciesId: a survey row without a species
+            species = _parsed(species_texts, lambda t: int(t) if t.strip() else math.nan)
+        except (ValueError, OverflowError):
+            valid = False
+        else:
+            seen, first_at = np.unique(code, return_index=True)
+            new_first = first_at[seen >= known]
+            block_xy = np.concatenate([first_xy, xy[new_first]])
+            blank = np.isnan(species)
+            valid = ((np.abs(xy) <= (180.0, 90.0)).all() and (block_xy[code] == xy).all()
+                     and (blank | (0 <= species) & (species < num_classes)).all())
+        if not valid:
+            grouped = dict(zip(codes, zip(*first_xy.T.tolist(), first_row.tolist())))
+            _raise_first_fault(path, num_classes, start, columns, grouped)
+        first_xy, first_row = block_xy, np.concatenate([first_row, start + new_first])
+        kept_codes.append(code[~blank])
+        kept_species.append(species[~blank].astype(np.int64))
 
     code = np.concatenate([np.empty(0, np.intp), *kept_codes])
     species = np.concatenate([np.empty(0, np.int64), *kept_species])
@@ -328,44 +297,40 @@ def _load_observation_blocks(path: str, num_classes: int) -> ObservationTable | 
     # frozenset(set) sizes its table to the set, which frozenset(list) overallocates
     records = tuple(
         ObservationRecord(sid, lon, lat, frozenset(set(species[start:end])))
-        for sid, lon, lat, start, end in zip(codes, first_lon.tolist(), first_lat.tolist(),
-                                             [0, *ends], ends)
+        for sid, lon, lat, start, end in zip(codes, *first_xy.T.tolist(), [0, *ends], ends)
     )
     return ObservationTable(records=records, num_classes=num_classes)
 
 
-def _load_observation_rows(path: str, num_classes: int) -> ObservationTable:
-    """load_observations by a loop over read_csv's rows: the reader of any
-    file the block reader refuses, and of its errors."""
-    grouped: dict[str, tuple] = {}  # surveyId -> (lon, lat, first row, species set)
-    for i, (sid, lon, lat, species) in read_csv(path, _OBSERVATION_COLUMNS):
+def _parsed(texts: list, parse) -> np.ndarray:
+    """The float64 array of parse(text) for each of texts, each distinct text parsed once."""
+    values = {text: parse(text) for text in set(texts)}
+    return np.fromiter(map(values.__getitem__, texts), np.float64, len(texts))
+
+
+def _raise_first_fault(path: str, num_classes: int, start: int, columns, grouped) -> None:
+    """Parse a block of observation rows numbered from start row by row, and
+    raise the error of its first bad row. grouped maps the surveyId of each
+    survey of the earlier blocks to (lon, lat, first row)."""
+    for i, (sid, lon, lat, species) in enumerate(zip(*columns), start):
         lon, lat = parse_field(path, i, "lon", float, lon), parse_field(path, i, "lat", float, lat)
         if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
             raise DataError(f"{path} row {i}: coordinate ({lon}, {lat}) out of range")
         species = parse_field(path, i, "speciesId", int, species) if species.strip() else None
         if species is not None and not (0 <= species < num_classes):
             raise DataError(f"{path} row {i}: speciesId {species} outside [0, {num_classes})")
-        entry = grouped.get(sid)
-        if entry is None:
-            entry = grouped[sid] = (lon, lat, i, set())
-        elif entry[0] != lon or entry[1] != lat:
-            raise DataError(
-                f"{path} row {i}: survey {sid!r} at ({lon}, {lat}) conflicts with "
-                f"({entry[0]}, {entry[1]}) in row {entry[2]}"
-            )
-        if species is not None:
-            entry[3].add(species)
-    records = tuple(
-        ObservationRecord(sid, lon, lat, frozenset(species))
-        for sid, (lon, lat, _, species) in grouped.items()
-    )
-    return ObservationTable(records=records, num_classes=num_classes)
+        first = grouped.setdefault(sid, (lon, lat, i))
+        if first[0] != lon or first[1] != lat:
+            raise DataError(f"{path} row {i}: survey {sid!r} at ({lon}, {lat}) conflicts with "
+                            f"({first[0]}, {first[1]}) in row {first[2]}")
+    raise AssertionError(f"{path}: no bad row in the block from row {start}")
 
 
 def save_observations(survey_ids, lons, lats, labels, path: str) -> None:
     """Write one row per (survey, species) from N ids, N lons and lats and an
-    (N, num_classes) boolean label matrix, species in ascending order."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    (N, num_classes) boolean label matrix, species in ascending order; the
+    file is replaced whole (replaced_on_success)."""
+    with replaced_on_success(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["surveyId", "lon", "lat", "speciesId"])
         for sid, lon, lat, row in zip(survey_ids, np.asarray(lons).tolist(),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSplitError, FormatError
-from .geodata import ObservationTable, parse_field, read_csv, replaced_on_success
+from .geodata import ObservationTable, parse_field, read_table, replaced_on_success
 
 CELL_SIZE = 1.0 / 6.0  # 10 arcminutes
 VAL_FRACTION = 0.15  # val takes cells until it holds at least this share of surveys
@@ -91,7 +91,9 @@ def load_split(path: str) -> SpatialSplit:
     assignment: dict[str, str] = {}
     cell_of: dict[str, tuple[int, int]] = {}
     first_row: dict[str, int] = {}
-    for i, (sid, part, cx, cy) in read_csv(path, ("surveyId", "partition", "cx", "cy")):
+    rows = read_table(path, ("surveyId", "partition", "cx", "cy"))
+    for i, (sid, part, cx, cy) in (row for start, columns in rows
+                                   for row in enumerate(zip(*columns), start)):
         if first_row.setdefault(sid, i) != i:
             raise FormatError(f"{path} row {i}: survey {sid!r} already in row {first_row[sid]}")
         part = "val" if part == "test" else part

@@ -6,6 +6,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from sdmkit.geodata import ObservationRecord, ObservationTable, RasterLayer
 
@@ -25,6 +26,15 @@ def toy_raster():
         nodata=-9999.0,
         values=np.arange(16, dtype=np.float32).reshape(4, 4),
     )
+
+
+# survey ids that csv.writer quotes: a comma, LF, CRLF or lone CR inside
+ID_SUFFIXES = st.sampled_from(["", "", ",x", "\nx", "\r\nx", "\rx"])
+
+
+def quoted_if_needed(text: str) -> str:
+    """text as a field of csv.writer's excel dialect."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
 
 def make_table(points, num_classes=5):

@@ -24,6 +24,8 @@ from sdmkit.pipeline import build_model, load_data
 from sdmkit.split import block_holdout, load_split
 from sdmkit.synthetic import default_config_yaml, make_synthetic
 
+from conftest import failing_writes
+
 
 @pytest.fixture(scope="module")
 def synthetic_dir(tmp_path_factory):
@@ -65,6 +67,25 @@ def test_make_synthetic_refuses_to_overwrite(tmp_path, capsys):
         # seed 1, so a rerun at the default seed 7 would change the bytes
         assert main(argv + ["--seed", "1", "--force"]) == 0
     assert len(load_observations(str(out / "observations.csv"), 4)) == 30
+
+
+@pytest.mark.parametrize("name, written", [("observations", "observations.csv"),
+                                           ("config", "config.yaml")])
+def test_make_synthetic_failed_rewrite_keeps_previous_file(tmp_path, capsys, monkeypatch,
+                                                           name, written):
+    """A --force rewrite whose write of the table or config.yaml fails exits 1
+    with one error line and leaves the previous file as it was, with no
+    temporary file behind."""
+    out = tmp_path / "syn"
+    argv = ["make-synthetic", "--out", str(out), "--n", "30", "--species", "4"]
+    assert main(argv) == 0
+    before = (out / written).read_bytes()
+    capsys.readouterr()
+    with failing_writes(monkeypatch, name, 0):
+        assert main(argv + ["--seed", "1", "--force"]) == 1
+    assert error_lines(capsys) == ["error: disk full"]
+    assert (out / written).read_bytes() == before
+    assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
 
 
 def test_every_flag_is_read_by_its_command():
@@ -485,7 +506,7 @@ def write_conflict_in_later_block(synthetic_dir, tmp_path):
     filler = [f"f{i:05d},1.2345678901234567,43.123456789012345,1" for i in range(4000)]
     labels.write_text("\n".join(["surveyId,lon,lat,speciesId", "s00000,3.0,43.0,2", *filler,
                                   "s00000,3.5,43.0,4"]) + "\n")
-    assert os.path.getsize(labels) > 2 * geodata._OBSERVATION_BLOCK_CHARS
+    assert os.path.getsize(labels) > 2 * geodata.TEXT_BLOCK
     pred = tmp_path / "p.csv"
     pred.write_text("surveyId,topk,scores\ns00000,0 1,0.9 0.8 0.1 0.2 0.3\n")
     return ["evaluate", "--predictions", str(pred), "--labels", str(labels), "--k", "2"], (

@@ -32,14 +32,14 @@ from sdmkit.engine import (
 from sdmkit.errors import CheckpointMismatchError, FormatError, SdmkitError, ShapeError
 from sdmkit.evalkit import Predictions, top_k
 from sdmkit import geodata
-from sdmkit.geodata import (ObservationRecord, ObservationTable, load_raster, parse_field,
-                            read_csv, save_raster)
+from sdmkit.geodata import ObservationRecord, ObservationTable, load_raster, save_raster
 from sdmkit.nn import Module, build_encoder, modify_first_layer, register_encoder
 from sdmkit.nn.layers import Linear, ReLU, Sequential
 from sdmkit.pipeline import build_model, load_data, resolve_split
 from sdmkit.synthetic import CUBE_SHAPE, N_CHANNELS, PATCH_SIZE, default_config_yaml, make_synthetic
 
-from conftest import failing_writes, traced_peak
+from conftest import ID_SUFFIXES, failing_writes, quoted_if_needed, traced_peak
+from csv_oracles import per_row_load_predictions
 
 
 class TestWeightedBce:
@@ -781,35 +781,6 @@ class TestCheckpointAndPredict:
         assert list(top_k(np.zeros(10), 4)) == [0, 1, 2, 3]
 
 
-def per_row_load_predictions(path):
-    """The row-by-row predictions reader, one numpy call per field: the
-    reference the column parse of load_predictions must reproduce."""
-    row_of, topks, scores = {}, [], []
-    for i, (sid, topk, row_scores) in read_csv(path, ("surveyId", "topk", "scores")):
-        topk = parse_field(path, i, "topk", engine._int_array, topk)
-        row_scores = parse_field(path, i, "scores", engine._float_array, row_scores)
-        if topks and (topk.size, row_scores.size) != (topks[0].size, scores[0].size):
-            raise FormatError(
-                f"{path} row {i}: {topk.size} top-k ids and {row_scores.size} "
-                f"scores, row 2 has {topks[0].size} and {scores[0].size}"
-            )
-        if row_of.setdefault(sid, i) != i:
-            raise FormatError(f"{path} row {i}: survey {sid!r} already in row {row_of[sid]}")
-        topks.append(topk)
-        scores.append(row_scores)
-    topk, scores = np.stack(topks), np.stack(scores)
-    ranked = np.sort(topk, axis=1)
-    bad = (((topk < 0) | (topk >= scores.shape[1])).any(axis=1)
-           | (ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
-    if bad.any():
-        rows = np.array(list(row_of.values()))[bad]
-        raise FormatError(
-            f"{path} row {rows[0]}, column topk: ids {topk[bad][0].tolist()} are not distinct "
-            f"class indices in [0, {scores.shape[1]}) ({rows.size} such rows)"
-        )
-    return Predictions(list(row_of), scores, topk)
-
-
 def load_outcome(load, path):
     """The FormatError text, or the ids and the exact dtype, shape and bytes
     of both arrays."""
@@ -862,24 +833,52 @@ def prediction_tables(draw):
     # csv quotes a field holding a line break; numpy's reader would end a row there
     gaps = st.sampled_from([" ", "  ", "\t", " \t ", "\n", "\r", " \r\n"])
     pads = st.sampled_from(["", " ", "\t", "\n", "\r\n"])
-    return [[sid] + [draw(pads) + draw(gaps).join(tokens) + draw(pads) for tokens in (topk, sc)]
+    return [[sid + draw(ID_SUFFIXES)]
+            + [draw(pads) + draw(gaps).join(tokens) + draw(pads) for tokens in (topk, sc)]
             for sid, topk, sc in rows]
+
+
+@st.composite
+def prediction_files(draw):
+    """The bytes of a predictions.csv of prediction_tables' rows, each field
+    quoted as csv.writer quotes it, then the hazards of exported files: a
+    literal quote inside an unquoted id before a quoted multi-line id, blank
+    lines, a ragged row, LF or CRLF line ends and a BOM."""
+    lines = [list(map(quoted_if_needed, row))
+             for row in [["surveyId", "topk", "scores"], *draw(prediction_tables())]]
+    for _ in range(draw(st.integers(0, 2))):
+        hazard = draw(st.sampled_from(["literal_quote", "blank", "short", "long"]))
+        at = draw(st.integers(1, len(lines) - 1))
+        later = draw(st.integers(at, len(lines) - 1))
+        if hazard == "literal_quote" and at < later and lines[at] and lines[later]:
+            lines[at][0] = lines[at][0][:1] + '"' + lines[at][0][1:]
+            lines[later][0] = draw(st.sampled_from(['"m\nx"', '"m\r\nx"', '"m\rx"']))
+        elif hazard == "blank":
+            lines.insert(at, [])
+        elif hazard == "short" and lines[at]:
+            del lines[at][-1]
+        elif hazard == "long":
+            lines[at].append("9")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(",".join(cells) for cells in lines) + draw(st.sampled_from(["", end]))
+    return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode("utf-8")
 
 
 class TestLoadPredictionsColumnParse:
     """load_predictions parses each numeric column of a block of rows in one
     call and falls back to the row-by-row parse for that block; either way,
-    at any block size, it reads what that parse reads."""
+    at any block size, it reads what the row-by-row parse over csv.reader
+    reads."""
 
     @settings(max_examples=400, deadline=None)
-    @given(table=prediction_tables(), block=st.sampled_from([1, 12, engine.TEXT_BLOCK]))
-    def test_equal_to_per_row_parse(self, table, block):
+    @given(data=prediction_files(), block=st.sampled_from([1, 12, 40, geodata.TEXT_BLOCK]))
+    def test_equal_to_per_row_parse(self, data, block):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "predictions.csv")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                csv.writer(fh).writerows([["surveyId", "topk", "scores"], *table])
+            with open(path, "wb") as fh:
+                fh.write(data)
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(engine, "TEXT_BLOCK", block)
+                patch.setattr(geodata, "TEXT_BLOCK", block)
                 got, caught = outcome_and_warnings(path)
             assert got == load_outcome(per_row_load_predictions, path)
             assert caught == []
@@ -963,24 +962,25 @@ class TestLoadPredictionsColumnParse:
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_every_line_end_makes_room_for_a_row(self, tmp_path, monkeypatch, end):
         """A lone CR ends a CSV row as LF and CRLF do, and each row is read
-        into the arrays made from the line ends, also a block of one row at a
-        time."""
+        into the arrays, also a block of one row at a time."""
         path = tmp_path / "predictions.csv"
         path.write_bytes(end.join(["surveyId,topk,scores", "a,1,0.1 0.7", "b,0,0.6 0.5"]).encode())
-        monkeypatch.setattr(engine, "TEXT_BLOCK", 1)
+        monkeypatch.setattr(geodata, "TEXT_BLOCK", 1)
         preds = engine.load_predictions(str(path))
         assert preds.survey_ids == ["a", "b"]
         assert preds.scores.tolist() == [[0.1, 0.7], [0.6, 0.5]]
 
-    def test_file_grown_while_read_rejected(self, tmp_path, monkeypatch):
-        """Rows are written into arrays made with one row per line end; a file
-        holding more rows than that when read is a FormatError, not a numpy
-        error."""
+    def test_file_larger_than_its_size_read_whole(self, tmp_path, monkeypatch):
+        """The arrays grow to the rows the file's size implies, and to every
+        row read, also where the file holds more than its size said (one that
+        grew after it was measured)."""
         path = tmp_path / "predictions.csv"
-        path.write_text("surveyId,topk,scores\na,1,0.1 0.7\nb,0,0.6 0.5\n")
-        monkeypatch.setattr(engine, "_line_ends", lambda path: 1)
-        with pytest.raises(FormatError, match=r"predictions\.csv: more rows than line ends"):
-            engine.load_predictions(str(path))
+        path.write_text("surveyId,topk,scores\na,1,0.1 0.7\nb,0,0.6 0.5\nc,1,0.2 0.3\n")
+        monkeypatch.setattr(geodata, "TEXT_BLOCK", 1)
+        monkeypatch.setattr(os.path, "getsize", lambda path: 1)
+        preds = engine.load_predictions(str(path))
+        assert preds.survey_ids == ["a", "b", "c"]
+        assert preds.scores.tolist() == [[0.1, 0.7], [0.6, 0.5], [0.2, 0.3]]
 
     def test_bad_field_before_a_repeated_survey_reported_first(self, tmp_path):
         path = tmp_path / "predictions.csv"

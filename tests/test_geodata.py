@@ -47,7 +47,8 @@ from sdmkit.engine import load_predictions
 from sdmkit.pipeline import LoadedData, load_data
 from sdmkit.split import load_split
 from sdmkit.synthetic import default_config_yaml, make_synthetic
-from conftest import failing_writes, make_table
+from conftest import ID_SUFFIXES, failing_writes, make_table, quoted_if_needed
+from csv_oracles import per_row_load_observations
 
 
 def cube_payload(manifest_path) -> str:
@@ -119,7 +120,7 @@ def assert_same_table(reader, a, b):
 class TestReadCsv:
     @pytest.mark.parametrize("reader", CSV_READERS)
     @pytest.mark.parametrize("case", ["non_numeric", "short_row", "extra_field",
-                                      "missing_column"])
+                                      "missing_column", "repeated_column"])
     def test_malformed_file_rejected(self, tmp_path, reader, case):
         load, lines, column = CSV_READERS[reader]
         table = [line.split(",") for line in lines]
@@ -133,10 +134,14 @@ class TestReadCsv:
         elif case == "extra_field":
             table[2].append("9")
             expected = f"row 3: {width + 1} fields, the header has {width}"
-        else:
+        elif case == "missing_column":
             for row in table:
                 del row[at]
             expected = f"row 1: missing column(s) ['{column}']"
+        else:  # a second column of that name, whose values are never valid
+            for row in table:
+                row.append(column if row is table[0] else "99.0")
+            expected = f"row 1: column(s) ['{column}'] named more than once"
         path = tmp_path / f"{reader}.csv"
         path.write_text("".join(",".join(row) + "\n" for row in table))
         with pytest.raises(FormatError) as err:
@@ -222,17 +227,18 @@ ODD_FIELDS = st.sampled_from(["nan", "inf", "-inf", "1e400", "181", "-91", "abc"
                               "1_0", "\u0663", "-1", "5.0", "99999999999999999999999", "0x10",
                               "\ufeff3", "a b", "s\u2028t", "s\x85t", "s\x0ct"])
 HAZARDS = ["conflict", "repeat", "short", "long", "odd", "quote", "nul", "lone_cr", "not_utf8",
-           "blank_lines", "blank_species", "minus_one_species"]
+           "blank_lines", "blank_species", "minus_one_species", "literal_quote"]
 
 
 @st.composite
 def observation_files(draw):
     """(bytes of an observation CSV, num_classes): a valid table of up to 5
-    surveys whose rows spell the same coordinates in several ways, then up to
-    three hazards; extra columns, any column order, a BOM and CRLF endings."""
+    surveys whose rows spell the same coordinates in several ways, survey ids
+    that need quotes (a comma, LF, CRLF or lone CR inside), then up to three
+    hazards; extra columns, any column order, a BOM and CRLF endings."""
     num_classes = draw(st.integers(1, 5))
-    surveys = [(f"s{i}", draw(COORDINATES), draw(COORDINATES))
-               for i in range(draw(st.integers(1, 5)))]
+    surveys = [(quoted_if_needed(f"s{i}" + draw(ID_SUFFIXES)), draw(COORDINATES),
+                draw(COORDINATES)) for i in range(draw(st.integers(1, 5)))]
     rows = []  # [fields in header order, line end]; no fields is a run of blank lines
     for _ in range(draw(st.integers(0, 25))):
         sid, lon, lat = draw(st.sampled_from(surveys))
@@ -250,7 +256,15 @@ def observation_files(draw):
             rows.insert(at, [[], "\n" * draw(st.integers(1, 3))])
             continue
         filled = [row for row in rows if row[0]]
-        if not filled:
+        if hazard == "literal_quote" and len(filled) > 1:
+            # csv.reader keeps a quote inside an unquoted field as text, so a
+            # quoted multi-line id on a later row still opens its own field
+            early, late = sorted(draw(st.lists(st.integers(0, len(filled) - 1), min_size=2,
+                                               max_size=2, unique=True)))
+            filled[early][0][0] = filled[early][0][0][:1] + '"' + filled[early][0][0][1:]
+            filled[late][0][0] = draw(st.sampled_from(['"m\nx"', '"m\r\nx"', '"m\rx"']))
+            continue
+        if not filled or hazard == "literal_quote":
             continue
         row = draw(st.sampled_from(filled))
         fields, col = row[0], draw(st.integers(0, len(row[0]) - 1))
@@ -296,43 +310,63 @@ def load_outcome(load, path, num_classes):
 
 
 class TestObservationBlocks:
-    """load_observations reads a block of lines at a time and leaves every
-    file it does not accept whole to the row loop; either way it gives what
-    the row loop gives."""
+    """load_observations checks read_table's blocks as arrays and parses a
+    block that fails a check row by row; at any block size it gives what the
+    row loop over csv.reader gives."""
 
     @settings(max_examples=400, deadline=None)
-    @given(file=observation_files(), block_chars=st.sampled_from([1, 16, 40, 100, 300, 1 << 16]))
+    @given(file=observation_files(), block_chars=st.sampled_from([1, 12, 40, geodata.TEXT_BLOCK]))
     def test_equal_to_row_loop(self, file, block_chars):
         data, num_classes = file
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "obs.csv")
             with open(path, "wb") as fh:
                 fh.write(data)
-            expected = load_outcome(geodata._load_observation_rows, path, num_classes)
-            with mock.patch.object(geodata, "_OBSERVATION_BLOCK_CHARS", block_chars):
+            expected = load_outcome(per_row_load_observations, path, num_classes)
+            with mock.patch.object(geodata, "TEXT_BLOCK", block_chars):
                 assert load_outcome(load_observations, path, num_classes) == expected
-                blocks = geodata._load_observation_blocks(path, num_classes)
-            assert blocks is None or blocks == expected
-
 
     def test_export_conventions_read_in_blocks(self, tmp_path, monkeypatch):
         """A BOM, CRLF endings, blank lines, an extra column, padded numbers,
-        one coordinate spelled 3 and 3.0, and blank species are read by the
-        block reader, blocks splitting a survey's rows."""
+        one coordinate spelled 3 and 3.0, and blank species are split without
+        csv.reader past the first block, blocks splitting a survey's rows."""
         path = tmp_path / "obs.csv"
         path.write_bytes(b"\xef\xbb\xbf" + "\r\n".join([
             "note,surveyId,lon,lat,speciesId", "a,s1,3,43.5, 4 ", "", "b,s1,3.0,43.50,1",
             "c,s2, -0.25 ,1e1,", "", "", "d,s1,3,43.5,4", "e,s3,0,-0,  ", "f,s2,-0.25,10,2", "",
         ]).encode())
-        expected = geodata._load_observation_rows(str(path), 5)
+        expected = per_row_load_observations(str(path), 5)
         assert expected.records == (
             geodata.ObservationRecord("s1", 3.0, 43.5, frozenset({1, 4})),
             geodata.ObservationRecord("s2", -0.25, 10.0, frozenset({2})),
             geodata.ObservationRecord("s3", 0.0, -0.0, frozenset()),
         )
-        monkeypatch.setattr(geodata, "_OBSERVATION_BLOCK_CHARS", 30)
-        monkeypatch.setattr(geodata, "_load_observation_rows", None)  # not called
+        readers = []
+        real_reader = csv.reader
+        monkeypatch.setattr(csv, "reader", lambda lines: readers.append(1) or real_reader(lines))
+        monkeypatch.setattr(geodata, "TEXT_BLOCK", 30)
         assert load_observations(str(path), 5) == expected
+        assert len(readers) == 1  # the first block, which holds the header
+
+    def test_each_file_opened_once(self, tmp_path, monkeypatch):
+        """A quoted field or a conflict in the last row of a file of many
+        blocks is read in the one pass; the conflict still names both rows."""
+        filler = [f"f{i:05d},1.25,43.5,1" for i in range(8000)]
+        quoted, conflict = tmp_path / "quoted.csv", tmp_path / "conflict.csv"
+        quoted.write_text("\n".join(["surveyId,lon,lat,speciesId", *filler,
+                                     '"s,1",3.0,43.0,2']) + "\n")
+        conflict.write_text("\n".join(["surveyId,lon,lat,speciesId", "s1,3.0,43.0,2", *filler,
+                                       "s1,3.5,43.0,4"]) + "\n")
+        assert os.path.getsize(conflict) > 2 * geodata.TEXT_BLOCK
+        opened = []
+        real_open = open
+        monkeypatch.setattr("builtins.open", lambda file, *args, **kwargs: (
+            opened.append(str(file)) or real_open(file, *args, **kwargs)))
+        assert load_observations(str(quoted), 5).survey_ids()[-1] == "s,1"
+        with pytest.raises(DataError, match=r"conflict\.csv row 8003: survey 's1' at \(3\.5, "
+                                            r"43\.0\) conflicts with \(3\.0, 43\.0\) in row 2$"):
+            load_observations(str(conflict), 5)
+        assert opened == [str(quoted), str(conflict)]
 
     @pytest.mark.parametrize("rows, expected", [
         (["1,2,3", "4,5,6,7,8"], "row 2: 3 fields, the header has 4"),
@@ -357,7 +391,7 @@ class TestObservationBlocks:
     def test_conflict_in_later_block_rejected(self, tmp_path, monkeypatch):
         rows = ["s1,3.0,43.0,5"] + [f"f{i},1.0,1.0,2" for i in range(20)] + ["s1,3.0,43.25,7"]
         path = write_obs(tmp_path, rows)
-        monkeypatch.setattr(geodata, "_OBSERVATION_BLOCK_CHARS", 40)
+        monkeypatch.setattr(geodata, "TEXT_BLOCK", 40)
         with pytest.raises(DataError, match=r"obs\.csv row 23: survey 's1' at \(3\.0, 43\.25\) "
                                             r"conflicts with \(3\.0, 43\.0\) in row 2"):
             load_observations(path, num_classes=10)
