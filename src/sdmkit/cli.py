@@ -18,8 +18,8 @@ import sys
 from . import engine, evalkit
 from .config import load_config
 from .errors import FormatError, SdmkitError
-from .geodata import (build_time_series_cubes, load_observations, load_raster, multi_hot,
-                      read_json, read_table, replaced_on_success)
+from .geodata import (build_time_series_cubes, load_observations, load_raster, read_json,
+                      read_table, replaced_on_success)
 from .pipeline import build_model, load_data, resolve_split
 from .split import block_holdout, save_split
 from .synthetic import default_config_yaml, make_synthetic
@@ -87,11 +87,11 @@ def cmd_evaluate(args) -> int:
         raise SdmkitError(f"{args.predictions}: no prediction rows")
     num_classes = predictions.scores.shape[1]
     table = load_observations(args.labels, num_classes)
-    by_id = {r.survey_id: r for r in table.records}
-    unlabeled = [sid for sid in predictions.survey_ids if sid not in by_id]
+    row_of = {sid: i for i, sid in enumerate(table.survey_ids)}
+    unlabeled = [sid for sid in predictions.survey_ids if sid not in row_of]
     if unlabeled:
         raise SdmkitError(f"survey {unlabeled[0]!r} has predictions but no labels")
-    labels = multi_hot([by_id[sid] for sid in predictions.survey_ids], num_classes)
+    labels = table.labels([row_of[sid] for sid in predictions.survey_ids])
     report = evalkit.evaluate(predictions, labels, args.k)
     os.makedirs(out_dir, exist_ok=True)
     evalkit.write_report(report, json_path, txt_path)

@@ -1,10 +1,10 @@
 """Geospatial data loading and sampling.
 
-Observations are geolocated multilabel surveys; predictors come in two
-flavors: georeferenced raster grids (patches are cut around each point,
-transforming the point into each layer's CRS rather than warping the
-raster) and per-survey time-series cubes (bands x steps x years blocks
-pre-extracted at the observation locations).
+Observations are geolocated multilabel surveys, held as the columns of an
+ObservationTable; predictors come in two flavors: georeferenced raster grids
+(patches are cut around each point, transforming the point into each layer's
+CRS rather than warping the raster) and per-survey time-series cubes (bands x
+steps x years blocks pre-extracted at the observation locations).
 
 Patches are cut from rasters normalized once by normalize_layers: missing
 pixels (nodata, NaN or +-inf) take FILL_VALUE, each layer is normalized into
@@ -24,7 +24,8 @@ surveys; extract_patches, which knows no survey ids, logs nothing.
 
 File formats (all little-endian, sizes bit-exact):
   observations  CSV with header surveyId,lon,lat,speciesId, one row per
-                (survey, species) pair; a survey's rows repeat its lon,lat
+                (survey, species) pair (a pair listed twice counts once);
+                a survey's rows repeat its lon,lat
   raster        JSON header (width, height: positive integers; origin_x,
                 origin_y, pixel_size_x, pixel_size_y, nodata: numbers; crs,
                 name and the optional payload: strings) next to a .f32 file
@@ -56,7 +57,7 @@ import json
 import logging
 import math
 import os
-from collections import Counter
+from collections import Counter, namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -120,31 +121,46 @@ def transform_point(lon: float, lat: float, crs: str) -> tuple[float, float]:
     return fn(lon, lat)
 
 
-@dataclass(frozen=True)
-class ObservationRecord:
-    survey_id: str
-    lon: float
-    lat: float
-    species_ids: frozenset[int]
+ObservationRecord = namedtuple("ObservationRecord", "survey_id lon lat")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationTable:
-    records: tuple[ObservationRecord, ...]
+    """The surveys of an observation table as columns: row i is survey
+    survey_ids[i] at (lon[i], lat[i]) (float64), and its distinct species,
+    in ascending order, are indices[indptr[i]:indptr[i + 1]] (CSR rows)."""
+
+    survey_ids: list[str]
+    lon: np.ndarray
+    lat: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
     num_classes: int
 
     def __len__(self):
-        return len(self.records)
+        return len(self.survey_ids)
 
-    def survey_ids(self) -> list[str]:
-        return [r.survey_id for r in self.records]
+    @property
+    def records(self) -> tuple[ObservationRecord, ...]:
+        """Each row's (survey_id, lon, lat), built on each access for perfbench."""
+        return tuple(map(ObservationRecord, self.survey_ids, self.lon.tolist(), self.lat.tolist()))
 
-    def subset(self, survey_ids) -> "ObservationTable":
+    def subset(self, survey_ids) -> ObservationTable:
+        """The rows whose id is one of survey_ids, in table order."""
         wanted = set(survey_ids)
-        return ObservationTable(
-            records=tuple(r for r in self.records if r.survey_id in wanted),
-            num_classes=self.num_classes,
-        )
+        keep = np.array([sid in wanted for sid in self.survey_ids], dtype=bool)
+        counts = np.diff(self.indptr)
+        return ObservationTable([sid for sid in self.survey_ids if sid in wanted], self.lon[keep],
+                                self.lat[keep], np.r_[0, np.cumsum(counts[keep])],
+                                self.indices[np.repeat(keep, counts)], self.num_classes)
+
+    def labels(self, rows) -> np.ndarray:
+        """(len(rows), num_classes) bool labels of the surveys at rows, set with one scatter."""
+        counts = self.indptr[1:][rows] - self.indptr[rows]
+        at = np.repeat(self.indptr[rows] - np.cumsum(counts) + counts, counts)
+        labels = np.zeros((len(rows), self.num_classes), dtype=bool)
+        labels[np.repeat(np.arange(len(rows)), counts), self.indices[at + np.arange(len(at))]] = True
+        return labels
 
 
 # characters of CSV text that read_table reads at a time, up to a line's end
@@ -257,14 +273,16 @@ def replaced_on_success(path: str, mode: str, **kwargs):
 
 
 def load_observations(path: str, num_classes: int) -> ObservationTable:
-    """Load an observation CSV, grouping species rows per survey. Each block
-    of read_table is checked as arrays, each distinct lon, lat and speciesId
-    text parsed once; every row of a survey must repeat the coordinates of
-    its first row. A block that fails a check goes to _raise_first_fault."""
+    """Load an observation CSV as an ObservationTable of its surveys in
+    first-seen order, each with its distinct species: a (survey, species)
+    pair listed twice counts once. Each block of read_table is checked as
+    arrays, each distinct lon, lat and speciesId text parsed once; every row
+    of a survey must repeat the coordinates of its first row. A block that
+    fails a check goes to _raise_first_fault."""
     codes: dict[str, int] = {}  # surveyId -> survey code, in first-seen order
     # by survey code: its first row's (lon, lat) and row number
     first_xy, first_row = np.empty((0, 2)), np.empty(0, np.intp)
-    kept_codes, kept_species = [], []  # per block: survey code and species of each species row
+    kept = []  # per block: survey code * num_classes + species of each species row
     for start, columns in read_table(path, ("surveyId", "lon", "lat", "speciesId")):
         sids, lon_texts, lat_texts, species_texts = columns
         known = len(codes)
@@ -287,19 +305,12 @@ def load_observations(path: str, num_classes: int) -> ObservationTable:
             grouped = dict(zip(codes, zip(*first_xy.T.tolist(), first_row.tolist())))
             _raise_first_fault(path, num_classes, start, columns, grouped)
         first_xy, first_row = block_xy, np.concatenate([first_row, start + new_first])
-        kept_codes.append(code[~blank])
-        kept_species.append(species[~blank].astype(np.int64))
+        kept.append(code[~blank] * num_classes + species[~blank].astype(np.int64))
 
-    code = np.concatenate([np.empty(0, np.intp), *kept_codes])
-    species = np.concatenate([np.empty(0, np.int64), *kept_species])
-    species = species[np.argsort(code, kind="stable")].tolist()
-    ends = np.cumsum(np.bincount(code, minlength=len(codes))).tolist()
-    # frozenset(set) sizes its table to the set, which frozenset(list) overallocates
-    records = tuple(
-        ObservationRecord(sid, lon, lat, frozenset(set(species[start:end])))
-        for sid, lon, lat, start, end in zip(codes, *first_xy.T.tolist(), [0, *ends], ends)
-    )
-    return ObservationTable(records=records, num_classes=num_classes)
+    # one sort of the keys orders each survey's species and merges a pair listed twice
+    keys = np.unique(np.concatenate([np.empty(0, np.int64), *kept]))
+    indptr = np.searchsorted(keys, np.arange(len(codes) + 1) * num_classes)
+    return ObservationTable(list(codes), *first_xy.T, indptr, keys % num_classes, num_classes)
 
 
 def _parsed(texts: list, parse) -> np.ndarray:
@@ -553,19 +564,18 @@ def extract_patches(grids, spec: PatchSpec, lons, lats) -> np.ndarray:
     return _gather(grids, spec.side, patch_windows(grids, spec.side, lons, lats)[0])
 
 
-def _survey_windows(grids, side: int, records, outside_of: str) -> list[np.ndarray]:
-    """patch_windows' starts for the records' points. A survey outside a grid's
+def _survey_windows(grids, side: int, table, outside_of: str) -> list[np.ndarray]:
+    """patch_windows' starts for the table's points. A survey outside a grid's
     projection is refused by id, and the surveys whose windows miss every grid
     are logged once, as a count and the first id."""
     try:
-        starts, overlaps = patch_windows(grids, side, [r.lon for r in records],
-                                         [r.lat for r in records])
+        starts, overlaps = patch_windows(grids, side, table.lon.tolist(), table.lat.tolist())
     except ProjectionDomainError as exc:
-        raise ProjectionDomainError(f"survey {records[exc.point].survey_id!r}: {exc}") from None
+        raise ProjectionDomainError(f"survey {table.survey_ids[exc.point]!r}: {exc}") from None
     outside = np.flatnonzero(~overlaps)
     if outside.size:
         log.warning("%d of %d surveys outside %s, first %r; filled", outside.size,
-                    len(records), outside_of, records[outside[0]].survey_id)
+                    len(table), outside_of, table.survey_ids[outside[0]])
     return starts
 
 
@@ -726,16 +736,16 @@ def build_time_series_cubes(
     ]
     if gaps:
         raise CoverageError(f"missing (band, step, year) combinations: {gaps[:10]}")
-    values = np.empty((len(table.records), b, q, y), dtype=np.float32)
+    values = np.empty((len(table), b, q, y), dtype=np.float32)
     for (bi, qi, yi), layer in layers.items():
         # patch_windows reads only a grid's geometry, which a RasterLayer has too
-        start = _survey_windows([layer], 1, table.records, f"layer {layer.name!r}")[0]
+        start = _survey_windows([layer], 1, table, f"layer {layer.name!r}")[0]
         row, col = np.divmod(start, layer.width + 2)  # in a frame of one pixel
         inside = (0 < row) & (row <= layer.height) & (0 < col) & (col <= layer.width)
         pixels = layer.values[row[inside] - 1, col[inside] - 1]
         values[:, bi, qi, yi] = FILL_VALUE
         values[inside, bi, qi, yi] = np.where(layer.missing(pixels), FILL_VALUE, pixels)
-    save_cubes(table.survey_ids(), values, [f"band{i}" for i in range(b)], manifest_path)
+    save_cubes(table.survey_ids, values, [f"band{i}" for i in range(b)], manifest_path)
 
 
 @dataclass
@@ -754,34 +764,22 @@ class SampleSource:
 
     def __post_init__(self):
         for modality, cube_map in self.cube_maps.items():
-            for rec in self.table.records:
-                if rec.survey_id not in cube_map:
-                    raise MissingModalityError(
-                        f"survey {rec.survey_id!r} missing from cube modality {modality!r}"
-                    )
+            missing = [sid for sid in self.table.survey_ids if sid not in cube_map]
+            if missing:
+                raise MissingModalityError(f"survey {missing[0]!r} missing from cube modality "
+                                           f"{modality!r}")
         if self.labels_mode == "train" and self.table.num_classes:
-            for rec in self.table.records:
-                if not rec.species_ids:
-                    raise DataError(
-                        f"survey {rec.survey_id!r} has an empty species set in train mode"
-                    )
+            empty = np.flatnonzero(np.diff(self.table.indptr) == 0)
+            if empty.size:
+                raise DataError(f"survey {self.table.survey_ids[empty[0]]!r} has an empty "
+                                "species set in train mode")
         self.starts = []  # per grid: each survey's window start (patch_windows)
         if self.patch_spec is not None:
-            self.starts = _survey_windows(self.grids, self.patch_spec.side, self.table.records,
+            self.starts = _survey_windows(self.grids, self.patch_spec.side, self.table,
                                           "all patch layers")
 
     def __len__(self):
-        return len(self.table.records)
-
-
-def multi_hot(records, num_classes: int) -> np.ndarray:
-    """(len(records), num_classes) bool labels, True at each record's species:
-    1 byte per (survey, class) entry. The loss casts them to float64."""
-    labels = np.zeros((len(records), num_classes), dtype=bool)
-    counts = [len(rec.species_ids) for rec in records]
-    cols = np.fromiter((sp for rec in records for sp in rec.species_ids), np.intp, sum(counts))
-    labels[np.repeat(np.arange(len(records)), counts), cols] = True
-    return labels
+        return len(self.table)
 
 
 def collate(source: SampleSource, indices) -> dict:
@@ -790,16 +788,16 @@ def collate(source: SampleSource, indices) -> dict:
     take per grid), one (B, *cube shape) array per cube modality, location
     (B, 2) as (lon, lat), and in train mode multi-hot labels (B, num_classes);
     patch and cubes are COMPUTE_DTYPE, location float64 and labels bool."""
-    records = [source.table.records[int(i)] for i in indices]
-    batch: dict = {"survey_ids": [rec.survey_id for rec in records]}
+    table, rows = source.table, np.asarray(indices, dtype=np.intp)
+    batch: dict = {"survey_ids": [table.survey_ids[i] for i in rows.tolist()]}
     if source.patch_spec is not None:
         batch["patch"] = _gather(source.grids, source.patch_spec.side,
-                                 [start[indices] for start in source.starts])
+                                 [start[rows] for start in source.starts])
     for modality, cube_map in source.cube_maps.items():
-        batch[modality] = np.stack([cube_map[rec.survey_id].values for rec in records],
+        batch[modality] = np.stack([cube_map[sid].values for sid in batch["survey_ids"]],
                                    dtype=COMPUTE_DTYPE)
-    batch["location"] = np.array([(rec.lon, rec.lat) for rec in records], dtype=np.float64)
+    batch["location"] = np.stack([table.lon[rows], table.lat[rows]], axis=1)
     if source.labels_mode == "train":
-        batch["labels"] = multi_hot(records, source.table.num_classes)
+        batch["labels"] = table.labels(rows)
     return batch
 

@@ -73,6 +73,8 @@ def load_data(cfg: ExperimentConfig) -> LoadedData:
     if not cfg.data.observations or not os.path.exists(cfg.data.observations):
         raise SdmkitError(f"data.observations: file not found: {cfg.data.observations!r}")
     table = load_observations(cfg.data.observations, cfg.task.num_classes)
+    if not len(table):
+        raise DataError(f"{cfg.data.observations}: no survey rows")
     layers, patch_spec = [], None
     if cfg.data.raster_manifest:
         layers = load_raster_manifest(cfg.data.raster_manifest)
@@ -95,7 +97,7 @@ def resolve_split(cfg: ExperimentConfig, table: ObservationTable) -> SpatialSpli
     if not os.path.exists(path):
         raise DataError(f"data.split_path: file not found: {path!r}")
     split = load_split(path)
-    omitted = [sid for sid in table.survey_ids() if sid not in split.assignment]
+    omitted = [sid for sid in table.survey_ids if sid not in split.assignment]
     if omitted:
         raise DataError(f"{path}: omits {len(omitted)} of the {len(table)} surveys in the "
                         f"observation table, first {omitted[0]!r}")

@@ -10,7 +10,7 @@ val, all others to train, which guarantees no cell mixes partitions.
 from __future__ import annotations
 
 import csv
-import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +22,10 @@ CELL_SIZE = 1.0 / 6.0  # 10 arcminutes
 VAL_FRACTION = 0.15  # val takes cells until it holds at least this share of surveys
 
 
-def cell_index(lon: float, lat: float) -> tuple[int, int]:
-    """Integer cell indices of a point on the fixed global grid."""
-    cx = math.floor((lon + 180.0) / CELL_SIZE)
-    cy = math.floor((lat + 90.0) / CELL_SIZE)
+def cell_index(lon, lat) -> tuple[np.ndarray, np.ndarray]:
+    """Integer cell indices (cx, cy) of points (arrays or scalars) on the fixed global grid."""
+    cx = np.floor((lon + 180.0) / CELL_SIZE).astype(np.int64)
+    cy = np.floor((lat + 90.0) / CELL_SIZE).astype(np.int64)
     return cx, cy
 
 
@@ -45,12 +45,11 @@ class SpatialSplit:
 
 def block_holdout(table: ObservationTable, seed: int) -> SpatialSplit:
     """Greedy shuffled-cell holdout reaching at least VAL_FRACTION of the surveys."""
-    if not table.records:
+    if not len(table):
         raise DegenerateSplitError("cannot split an empty observation table")
-    cell_of = {r.survey_id: cell_index(r.lon, r.lat) for r in table.records}
-    cells: dict[tuple[int, int], list[str]] = {}
-    for sid, cell in cell_of.items():
-        cells.setdefault(cell, []).append(sid)
+    cx, cy = cell_index(table.lon, table.lat)
+    cell_of = dict(zip(table.survey_ids, zip(cx.tolist(), cy.tolist())))
+    cells = Counter(cell_of.values())  # cell -> its survey count
     if len(cells) < 2:
         raise DegenerateSplitError(
             "all observations fall in a single cell; cannot form both partitions"
@@ -58,16 +57,15 @@ def block_holdout(table: ObservationTable, seed: int) -> SpatialSplit:
     order = sorted(cells)
     rng = np.random.default_rng(seed)
     rng.shuffle(order)
-    total = len(table.records)
     val_cells: set[tuple[int, int]] = set()
     val_count = 0
     for cell in order:
-        if val_count / total >= VAL_FRACTION:
+        if val_count / len(table) >= VAL_FRACTION:
             break
         if len(val_cells) == len(cells) - 1:
             break  # keep at least one train cell
         val_cells.add(cell)
-        val_count += len(cells[cell])
+        val_count += cells[cell]
     assignment = {
         sid: ("val" if cell in val_cells else "train") for sid, cell in cell_of.items()
     }

@@ -19,6 +19,7 @@ from .geodata import (
     RasterLayer,
     extract_patches,
     normalize_layers,
+    replaced_on_success,
     save_cubes,
     save_observations,
     save_raster,
@@ -73,7 +74,7 @@ def make_synthetic(out_dir: str, n_surveys: int = 500, num_species: int = 20,
         save_raster(layer, os.path.join(out_dir, f"chan{c}.json"))
         layers.append(layer)
     manifest_path = os.path.join(out_dir, "rasters.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
+    with replaced_on_success(manifest_path, "w", encoding="utf-8") as fh:
         json.dump({"layers": [f"chan{c}.json" for c in range(N_CHANNELS)]}, fh, indent=2)
 
     # keep points far enough from the border for full patches

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from sdmkit.geodata import ObservationRecord, ObservationTable, RasterLayer
+from sdmkit.geodata import ObservationTable, RasterLayer
 
 
 @pytest.fixture
@@ -37,12 +37,31 @@ def quoted_if_needed(text: str) -> str:
     return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
 
-def make_table(points, num_classes=5):
-    records = tuple(
-        ObservationRecord(f"s{i}", lon, lat, frozenset(species))
-        for i, (lon, lat, species) in enumerate(points)
+def table_of(surveys, num_classes=5):
+    """The ObservationTable of (survey id, lon, lat, species) tuples, one per
+    survey in table order, each survey's distinct species as its CSR row."""
+    rows = [sorted(set(species)) for _, _, _, species in surveys]
+    return ObservationTable(
+        [sid for sid, _, _, _ in surveys],
+        np.array([lon for _, lon, _, _ in surveys], dtype=np.float64),
+        np.array([lat for _, _, lat, _ in surveys], dtype=np.float64),
+        np.cumsum([0] + [len(row) for row in rows]),
+        np.array([sp for row in rows for sp in row], dtype=np.int64),
+        num_classes,
     )
-    return ObservationTable(records=records, num_classes=num_classes)
+
+
+def make_table(points, num_classes=5):
+    """The table of (lon, lat, species) points as surveys s0, s1, ..."""
+    return table_of([(f"s{i}", *point) for i, point in enumerate(points)], num_classes)
+
+
+def table_rows(table):
+    """(survey id, lon, lat, species list) of each row of table, and its
+    num_classes: what two equal tables share, in a form == compares."""
+    species = np.split(table.indices, table.indptr[1:-1])
+    return list(zip(table.survey_ids, table.lon.tolist(), table.lat.tolist(),
+                    [row.tolist() for row in species])), table.num_classes
 
 
 def traced_peak(fn, *args):

@@ -10,7 +10,8 @@ import numpy as np
 from sdmkit import engine
 from sdmkit.errors import DataError, FormatError
 from sdmkit.evalkit import Predictions
-from sdmkit.geodata import ObservationRecord, ObservationTable, parse_field
+from sdmkit.geodata import ObservationTable, parse_field
+from conftest import table_of
 
 
 def csv_rows(path: str, columns):
@@ -65,11 +66,8 @@ def per_row_load_observations(path: str, num_classes: int) -> ObservationTable:
             )
         if species is not None:
             entry[3].add(species)
-    records = tuple(
-        ObservationRecord(sid, lon, lat, frozenset(species))
-        for sid, (lon, lat, _, species) in grouped.items()
-    )
-    return ObservationTable(records=records, num_classes=num_classes)
+    return table_of([(sid, lon, lat, species) for sid, (lon, lat, _, species) in grouped.items()],
+                    num_classes)
 
 
 def per_row_load_predictions(path: str) -> Predictions:

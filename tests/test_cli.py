@@ -70,10 +70,10 @@ def test_make_synthetic_refuses_to_overwrite(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name, written", [("observations", "observations.csv"),
-                                           ("config", "config.yaml")])
+                                           ("config", "config.yaml"), ("rasters", "rasters.json")])
 def test_make_synthetic_failed_rewrite_keeps_previous_file(tmp_path, capsys, monkeypatch,
                                                            name, written):
-    """A --force rewrite whose write of the table or config.yaml fails exits 1
+    """A --force rewrite whose write of the table, config.yaml or rasters.json fails exits 1
     with one error line and leaves the previous file as it was, with no
     temporary file behind."""
     out = tmp_path / "syn"
@@ -165,7 +165,9 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     predictions.csv bytes. The train partition of these 300 surveys is not a
     multiple of the batch size, so every epoch ends in a partial batch, whose
     weight-gradient GEMMs summed differently at 1 thread than at 2 and 4
-    while the thread count followed the environment."""
+    while the thread count followed the environment. Each run reports the
+    count OpenBLAS read before fit pinned it; OpenBLAS caps it at the CPUs it
+    sees, so on a host where it runs one thread there is nothing to compare."""
     data = str(tmp_path / "syn")
     assert main(["make-synthetic", "--out", data, "--n", "300", "--species", "8"]) == 0
     cfg_path = os.path.join(data, "config.yaml")
@@ -176,26 +178,34 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
                           seed=cfg.run.seed)
     assert len(split.partition("train")) % cfg.data.batch_size != 0
     src = os.path.dirname(os.path.dirname(engine.__file__))
-    script = ("import os, sys; from sdmkit.cli import main; runs, pred = sys.argv[2:]; "
+    script = ("import os, sys; from sdmkit import kernels; from sdmkit.cli import main; "
+              "runs, pred = sys.argv[2:]; functions = kernels._openblas_threads(); "
+              "print(functions[1]() if functions else 0, flush=True); "
               "assert main(['train', '--config', sys.argv[1], '--out', runs]) == 0; "
               "weights = os.path.join(runs, os.listdir(runs)[0], 'best.ckpt'); "
               "sys.exit(main(['predict', '--config', sys.argv[1], '--weights', weights, "
               "'--out', pred]))")
-    outputs = {}
+    outputs, read = {}, {}  # by OPENBLAS_NUM_THREADS: the files, the count OpenBLAS read
     for threads in ("1", "2", "4"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
                                               if p))
         runs, pred = tmp_path / f"runs{threads}", tmp_path / f"pred{threads}.csv"
-        subprocess.run([sys.executable, "-c", script, cfg_path, str(runs), str(pred)], env=env,
-                       check=True, capture_output=True)
+        done = subprocess.run([sys.executable, "-c", script, cfg_path, str(runs), str(pred)],
+                              env=env, check=True, capture_output=True, text=True)
+        read[threads] = int(done.stdout.split()[0])
         (run_dir,) = runs.iterdir()
         outputs[threads] = {name: (run_dir / name).read_bytes()
                             for name in ("metrics.csv", "last.ckpt", "best.ckpt")}
         outputs[threads]["predictions.csv"] = pred.read_bytes()
+    if max(read.values()) <= 1:
+        pytest.skip(f"OpenBLAS ran at most one thread at OPENBLAS_NUM_THREADS 1, 2 and 4 (read "
+                    f"{read}; 0 is no OpenBLAS), so no two thread counts can be compared")
+    assert len(set(read.values())) >= 2, f"fewer than two distinct OpenBLAS thread counts: {read}"
     for threads in ("2", "4"):
         for name, content in outputs[threads].items():
-            assert content == outputs["1"][name], (threads, name)
+            assert content == outputs["1"][name], (
+                f"{name} at {read[threads]} OpenBLAS threads differs from {read['1']}")
 
 
 def test_train_missing_data_path(tmp_path, capsys):
@@ -288,7 +298,7 @@ def test_messy_inputs_train_predict_evaluate(tmp_path, capsys):
     assert main(["predict", "--config", str(cfg), "--weights",
                  os.path.join(run_dir, "best.ckpt"), "--out", str(predictions)]) == 0
     preds = engine.load_predictions(str(predictions))
-    assert preds.survey_ids == table.survey_ids() and preds.scores.shape == (surveys, 6)
+    assert preds.survey_ids == table.survey_ids and preds.scores.shape == (surveys, 6)
     assert np.isfinite(preds.scores).all() and len(np.unique(preds.scores)) > surveys
     assert main(["evaluate", "--predictions", str(predictions), "--labels",
                  str(observations), "--k", "3", "--out", str(tmp_path / "report")]) == 0
@@ -341,7 +351,7 @@ def test_evaluate_bad_predictions_one_error_line(tmp_path, synthetic_dir, capsys
 
 def write_predictions(synthetic_dir, path, k=3):
     """Random scores for every survey of the synthetic labels."""
-    ids = load_observations(os.path.join(synthetic_dir, "observations.csv"), 8).survey_ids()
+    ids = load_observations(os.path.join(synthetic_dir, "observations.csv"), 8).survey_ids
     scores = np.random.default_rng(0).random((len(ids), 8))
     engine.save_predictions(Predictions.from_scores(ids, scores, k), str(path))
 
@@ -752,6 +762,18 @@ def write_epochs_past_t_max(synthetic_dir, tmp_path):
     return argv, "trainer.epochs: 26 exceeds optimizer.t_max 25"
 
 
+def write_observations_without_surveys(synthetic_dir, tmp_path):
+    # cube manifests of no survey hold no cube whose shape a model could take
+    observations = tmp_path / "observations.csv"
+    observations.write_text("surveyId,lon,lat,speciesId\n")
+    cubes = str(tmp_path / "cubes.json")
+    geodata.save_cubes([], np.empty((0, 1, 1, 1), np.float32), ["band0"], cubes)
+    argv = train_args(synthetic_dir, tmp_path, data={
+        "observations": str(observations), "cube_manifests": {"cube_a": cubes, "cube_b": cubes}})
+    return ["predict", "--config", argv[2], "--weights", str(tmp_path / "w.ckpt"), "--out",
+            str(tmp_path / "p.csv")], f"{observations}: no survey rows"
+
+
 def predict_args(synthetic_dir, tmp_path, weights):
     return ["predict", "--config", os.path.join(synthetic_dir, "config.yaml"),
             "--weights", str(weights), "--out", str(tmp_path / "p.csv")]
@@ -814,6 +836,7 @@ def train_args(synthetic_dir, tmp_path, data=(), encoders=(), trainer=()):
                                    write_cube_survey_ids_integers, write_cube_survey_repeated,
                                    write_cube_bands_string, write_cube_payload_number,
                                    write_survey_outside_mercator_domain,
+                                   write_observations_without_surveys,
                                    write_epochs_past_t_max, write_weights_yaml,
                                    write_checkpoint_without_meta, write_checkpoint_meta_not_json,
                                    write_checkpoint_meta_without_state],
@@ -830,7 +853,8 @@ def train_args(synthetic_dir, tmp_path, data=(), encoders=(), trainer=()):
                               "cube-manifest-without-shape", "cube-shape-negative",
                               "cube-survey-ids-integers", "cube-survey-repeated",
                               "cube-bands-string", "cube-payload-number",
-                              "survey-outside-mercator-domain", "epochs-past-t-max",
+                              "survey-outside-mercator-domain", "observations-without-surveys",
+                              "epochs-past-t-max",
                               "weights-yaml", "checkpoint-without-meta",
                               "checkpoint-meta-not-json", "checkpoint-meta-without-state"])
 def test_rejected_input_one_error_line(synthetic_dir, tmp_path, capsys, write):

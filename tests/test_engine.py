@@ -32,13 +32,14 @@ from sdmkit.engine import (
 from sdmkit.errors import CheckpointMismatchError, FormatError, SdmkitError, ShapeError
 from sdmkit.evalkit import Predictions, top_k
 from sdmkit import geodata
-from sdmkit.geodata import ObservationRecord, ObservationTable, load_raster, save_raster
+from sdmkit.geodata import load_raster, save_raster
 from sdmkit.nn import Module, build_encoder, modify_first_layer, register_encoder
 from sdmkit.nn.layers import Linear, ReLU, Sequential
 from sdmkit.pipeline import build_model, load_data, resolve_split
 from sdmkit.synthetic import CUBE_SHAPE, N_CHANNELS, PATCH_SIZE, default_config_yaml, make_synthetic
 
-from conftest import ID_SUFFIXES, failing_writes, quoted_if_needed, traced_peak
+from conftest import (ID_SUFFIXES, failing_writes, quoted_if_needed, table_of, table_rows,
+                      traced_peak)
 from csv_oracles import per_row_load_predictions
 
 
@@ -451,7 +452,7 @@ def test_collate_matches_per_sample_stack(tiny_experiment):
         if source.labels_mode == "train":
             assert np.array_equal(batch["labels"], np.concatenate([s["labels"] for s in items]))
             for row, i in zip(batch["labels"], indices):
-                assert np.flatnonzero(row).tolist() == sorted(source.table.records[i].species_ids)
+                assert np.flatnonzero(row).tolist() == table_rows(source.table)[0][i][3]
         else:
             assert "labels" not in batch
 
@@ -1070,7 +1071,7 @@ def test_single_modality_model_fits_and_predicts(tmp_path):
     out = str(tmp_path / "predictions.csv")
     preds = engine.predict(cfg, build_model(cfg, data.cube_shapes()),
                            os.path.join(run_dir, "best.ckpt"), source, out_path=out)
-    assert preds.survey_ids == data.table.survey_ids()
+    assert preds.survey_ids == data.table.survey_ids
     assert preds.scores.shape == (200, 20)
     assert engine.load_predictions(out).survey_ids == preds.survey_ids
 
@@ -1127,9 +1128,9 @@ def patch_only_fit_data(tmp_path, outside=()):
                     "encoders": {"patch": doc["model"]["encoders"]["patch"]}}
     cfg = parse_config(yaml.safe_dump(doc))
     data = load_data(cfg)
-    extra = tuple(ObservationRecord(f"outside{i}", lon, lat, frozenset({0}))
-                  for i, (lon, lat) in enumerate(outside))
-    data.table = ObservationTable(data.table.records + extra, data.table.num_classes)
+    rows, num_classes = table_rows(data.table)
+    data.table = table_of(rows + [(f"outside{i}", lon, lat, {0})
+                                  for i, (lon, lat) in enumerate(outside)], num_classes)
     split = resolve_split(cfg, data.table)
     return cfg, data, split.partition("train"), split.partition("val")
 

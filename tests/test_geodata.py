@@ -37,7 +37,6 @@ from sdmkit.geodata import (
     load_observations,
     load_raster,
     load_raster_manifest,
-    multi_hot,
     normalize_layers,
     save_cubes,
     save_raster,
@@ -47,7 +46,8 @@ from sdmkit.engine import load_predictions
 from sdmkit.pipeline import LoadedData, load_data
 from sdmkit.split import load_split
 from sdmkit.synthetic import default_config_yaml, make_synthetic
-from conftest import ID_SUFFIXES, failing_writes, make_table, quoted_if_needed
+from conftest import (ID_SUFFIXES, failing_writes, make_table, quoted_if_needed, table_rows,
+                      traced_peak)
 from csv_oracles import per_row_load_observations
 
 
@@ -68,8 +68,8 @@ class TestLoadObservations:
     def test_grouping(self, tmp_path):
         path = write_obs(tmp_path, ["s1,3.0,43.0,5", "s1,3.0,43.0,7"])
         table = load_observations(path, num_classes=10)
-        assert len(table) == 1
-        assert table.records[0].species_ids == frozenset({5, 7})
+        assert table_rows(table) == ([("s1", 3.0, 43.0, [5, 7])], 10)
+        assert [(r.survey_id, r.lon, r.lat) for r in table.records] == [("s1", 3.0, 43.0)]
 
     def test_out_of_range_lat(self, tmp_path):
         path = write_obs(tmp_path, ["s1,3.0,95.0,5"])
@@ -80,6 +80,33 @@ class TestLoadObservations:
         path = write_obs(tmp_path, ["a,0,0,1", "a,0,0,2", "b,1,1,3", "c,2,2,4"])
         table = load_observations(path, num_classes=10)
         assert len(table) == 3
+
+    def test_retained_memory_per_pair(self, tmp_path):
+        """What load_observations leaves allocated, the table it returns,
+        grows by at most 16 bytes per added (survey, species) pair on labels
+        shaped like perfbench's evaluate ones: 200 classes at 2-20% prevalence
+        and a few surveys with a blank species only."""
+        rng = np.random.default_rng(0)
+        paths, pairs = [], []
+        for n in (2_000, 8_000):
+            labels = rng.random((n, 200)) < rng.uniform(0.02, 0.20, size=200)
+            labels[rng.random(n) < 0.02] = False
+            points = zip(rng.uniform(-10, 10, n).tolist(), rng.uniform(40, 50, n).tolist())
+            paths.append(str(tmp_path / f"obs-{n}.csv"))
+            with open(paths[-1], "w") as fh:
+                fh.write("surveyId,lon,lat,speciesId\n")
+                fh.writelines(f"e{i:05d},{lon!r},{lat!r},{sp}\n"
+                              for i, ((lon, lat), row) in enumerate(zip(points, labels))
+                              for sp in np.flatnonzero(row).tolist() or [""])
+            pairs.append(int(labels.sum()))
+        load_observations(paths[0], 200)  # the first load fills caches that later loads reuse
+        retained = []
+        for path, n in zip(paths, (2_000, 8_000)):
+            table, _, kept = traced_peak(load_observations, path, 200)
+            assert len(table) == n
+            retained.append(kept)
+            del table
+        assert (retained[1] - retained[0]) / (pairs[1] - pairs[0]) <= 16, (retained, pairs)
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -113,6 +140,8 @@ def assert_same_table(reader, a, b):
     if reader == "predictions":
         assert a.survey_ids == b.survey_ids
         assert np.array_equal(a.scores, b.scores) and np.array_equal(a.topk, b.topk)
+    elif reader == "observations":
+        assert table_rows(a) == table_rows(b)
     else:
         assert a == b
 
@@ -203,7 +232,7 @@ class TestReadCsv:
     def test_field_longer_than_default_csv_limit(self, tmp_path):
         """Python's csv module stops at 131 072 characters a field by default."""
         path = write_obs(tmp_path, ["s1,3.0,43.0,5", "s2" + "0" * 200_000 + ",1.0,1.0,2"])
-        assert load_observations(path, num_classes=10).survey_ids() == ["s1", "s2" + "0" * 200_000]
+        assert load_observations(path, num_classes=10).survey_ids == ["s1", "s2" + "0" * 200_000]
 
     def test_not_utf8_rejected(self, tmp_path):
         path = tmp_path / "obs.csv"
@@ -304,7 +333,7 @@ def observation_files(draw):
 
 def load_outcome(load, path, num_classes):
     try:
-        return load(path, num_classes)
+        return table_rows(load(path, num_classes))
     except SdmkitError as exc:
         return type(exc), str(exc)
 
@@ -336,16 +365,13 @@ class TestObservationBlocks:
             "c,s2, -0.25 ,1e1,", "", "", "d,s1,3,43.5,4", "e,s3,0,-0,  ", "f,s2,-0.25,10,2", "",
         ]).encode())
         expected = per_row_load_observations(str(path), 5)
-        assert expected.records == (
-            geodata.ObservationRecord("s1", 3.0, 43.5, frozenset({1, 4})),
-            geodata.ObservationRecord("s2", -0.25, 10.0, frozenset({2})),
-            geodata.ObservationRecord("s3", 0.0, -0.0, frozenset()),
-        )
+        assert table_rows(expected) == ([("s1", 3.0, 43.5, [1, 4]), ("s2", -0.25, 10.0, [2]),
+                                         ("s3", 0.0, -0.0, [])], 5)
         readers = []
         real_reader = csv.reader
         monkeypatch.setattr(csv, "reader", lambda lines: readers.append(1) or real_reader(lines))
         monkeypatch.setattr(geodata, "TEXT_BLOCK", 30)
-        assert load_observations(str(path), 5) == expected
+        assert table_rows(load_observations(str(path), 5)) == table_rows(expected)
         assert len(readers) == 1  # the first block, which holds the header
 
     def test_each_file_opened_once(self, tmp_path, monkeypatch):
@@ -362,7 +388,7 @@ class TestObservationBlocks:
         real_open = open
         monkeypatch.setattr("builtins.open", lambda file, *args, **kwargs: (
             opened.append(str(file)) or real_open(file, *args, **kwargs)))
-        assert load_observations(str(quoted), 5).survey_ids()[-1] == "s,1"
+        assert load_observations(str(quoted), 5).survey_ids[-1] == "s,1"
         with pytest.raises(DataError, match=r"conflict\.csv row 8003: survey 's1' at \(3\.5, "
                                             r"43\.0\) conflicts with \(3\.0, 43\.0\) in row 2$"):
             load_observations(str(conflict), 5)
@@ -378,7 +404,7 @@ class TestObservationBlocks:
         two whole rows, a lone CR ends a row, and a quoted comma is text."""
         path = write_obs(tmp_path, rows)
         if expected is None:
-            assert load_observations(path, 10).survey_ids() == ["s1,x", "s2"]
+            assert load_observations(path, 10).survey_ids == ["s1,x", "s2"]
         else:
             with pytest.raises(FormatError, match=f"obs\\.csv {expected}$"):
                 load_observations(path, 10)
@@ -871,11 +897,11 @@ class TestBuildCubes:
         path = str(tmp_path / "c.json")
         build_time_series_cubes(tagged, table, (2, 1, 2), path)
         loaded = load_cubes(path)
-        for rec in table.records:
+        for sid, lon, lat in zip(table.survey_ids, table.lon.tolist(), table.lat.tolist()):
             for (band, step, year), layer in tagged.items():
                 spec = PatchSpec(side=1, layer_names=(layer.name,))
-                expected = oracle_patch([layer], spec, rec.lon, rec.lat)[0, 0, 0]
-                assert loaded[rec.survey_id].values[band, step, year] == np.float32(expected)
+                expected = oracle_patch([layer], spec, lon, lat)[0, 0, 0]
+                assert loaded[sid].values[band, step, year] == np.float32(expected)
 
     def test_missing_and_out_of_extent_pixels_read_zero(self, toy_raster, tmp_path, caplog):
         # nodata, NaN and inf pixels and points outside the layer read 0.0;
@@ -912,7 +938,7 @@ class TestBuildCubes:
         with caplog.at_level(logging.WARNING, logger="sdmkit.geodata"):
             for (band, step, year), layer in tagged.items():
                 grids = normalize_layers([layer], PatchSpec(side=1, layer_names=(layer.name,)))
-                starts = geodata._survey_windows(grids, 1, table.records, f"layer {layer.name!r}")
+                starts = geodata._survey_windows(grids, 1, table, f"layer {layer.name!r}")
                 expected[:, band, step, year] = geodata._gather(grids, 1, starts)[:, 0, 0, 0]
         expected_messages = list(caplog.messages)
         caplog.clear()
@@ -951,8 +977,8 @@ class TestMakeDataset:
         )
         spec = PatchSpec(side=1, layer_names=("toy",))
         cube_map = {
-            r.survey_id: TimeSeriesCube(np.full((1, 2, 2), float(i), dtype=np.float32))
-            for i, r in enumerate(table.records)
+            sid: TimeSeriesCube(np.full((1, 2, 2), float(i), dtype=np.float32))
+            for i, sid in enumerate(table.survey_ids)
         }
         return SampleSource(table, normalize_layers([toy_raster], spec), spec,
                             {"cube": cube_map}, labels_mode)
@@ -974,9 +1000,8 @@ class TestMakeDataset:
     def test_multi_hot_sum_property(self, toy_raster):
         source = self.make_source(toy_raster)
         labels = collate(source, range(len(source)))["labels"]
-        for label, rec in zip(labels, source.table.records):
-            assert label.sum() == len(rec.species_ids)
-        np.testing.assert_array_equal(labels, multi_hot(source.table.records, 5))
+        rows, _ = table_rows(source.table)
+        assert [np.flatnonzero(label).tolist() for label in labels] == [sp for *_, sp in rows]
 
     def test_missing_cube_survey(self, toy_raster):
         table = make_table([(0.5, 3.5, {0})])
@@ -984,6 +1009,26 @@ class TestMakeDataset:
         with pytest.raises(MissingModalityError, match="s0"):
             SampleSource(table, normalize_layers([toy_raster], spec), spec, {"cube": {}},
                          "train")
+
+
+class TestObservationTable:
+    @settings(max_examples=200, deadline=None)
+    @given(species=st.lists(st.sets(st.integers(0, 4), max_size=5), max_size=8), data=st.data())
+    def test_subset_and_labels_follow_the_csr_rows(self, species, data):
+        """labels(rows) is the dense multi-hot of the rows asked for, in their
+        order and with repeats; subset keeps the rows of the ids asked for, in
+        table order; a survey without species is an empty row in both."""
+        table = make_table([(float(i), -float(i), sp) for i, sp in enumerate(species)])
+        dense = np.zeros((len(species), 5), dtype=bool)
+        for i, sp in enumerate(species):
+            dense[i, list(sp)] = True
+        rows = data.draw(st.lists(st.integers(0, len(species) - 1), max_size=10)) if species else []
+        assert table.labels(rows).tolist() == dense[rows].tolist()
+        assert table.labels(np.array(rows, dtype=np.intp)).tolist() == dense[rows].tolist()
+        ids = data.draw(st.sets(st.sampled_from([f"s{i}" for i in range(len(species))] + ["x"])))
+        everything, _ = table_rows(table)
+        assert table_rows(table.subset(ids)) == (
+            [row for row in everything if row[0] in ids], 5)
 
 
 def test_raster_manifest_repeated_name_rejected(toy_raster, tmp_path):
@@ -1037,10 +1082,10 @@ class TestNormalizationStats:
         data = load_data(cfg)
         assert data.layers[0].values.tobytes() == values.astype(np.float32).tobytes()
         source = data.source_for(labels_mode="predict")
-        recs = source.table.records
-        patches = collate(source, range(len(recs)))["patch"]
-        expected = oracle_patches(data.layers, data.patch_spec, [r.lon for r in recs],
-                                  [r.lat for r in recs])
+        table = source.table
+        patches = collate(source, range(len(table)))["patch"]
+        expected = oracle_patches(data.layers, data.patch_spec, table.lon.tolist(),
+                                  table.lat.tolist())
         assert patches.tobytes() == expected.tobytes()
 
     def test_infinite_pixels_missing(self, synthetic):
@@ -1058,11 +1103,11 @@ class TestNormalizationStats:
         assert std == pytest.approx(float(valid.std()), rel=1e-6)
         assert data.layers[0].missing(data.layers[0].values).sum() == 2
         source = data.source_for(labels_mode="predict")
-        recs = source.table.records
-        patches = collate(source, range(len(recs)))["patch"]
+        table = source.table
+        patches = collate(source, range(len(table)))["patch"]
         assert np.isfinite(patches).all()
-        expected = oracle_patches(data.layers, data.patch_spec, [r.lon for r in recs],
-                                  [r.lat for r in recs])
+        expected = oracle_patches(data.layers, data.patch_spec, table.lon.tolist(),
+                                  table.lat.tolist())
         assert patches.tobytes() == expected.tobytes()
 
     def test_no_valid_pixel_names_raster(self, synthetic):
