@@ -20,7 +20,7 @@ from .config import load_config
 from .errors import FormatError, SdmkitError
 from .geodata import (build_time_series_cubes, load_observations, load_raster, read_json,
                       read_table, replaced_on_success)
-from .pipeline import build_model, load_data, resolve_split
+from .pipeline import build_model, load_data, load_table, resolve_split
 from .split import block_holdout, save_split
 from .synthetic import default_config_yaml, make_synthetic
 
@@ -104,8 +104,7 @@ def cmd_split(args) -> int:
     cfg = _apply_seed_override(load_config(args.config), args.seed)
     out_path = args.out or "split.csv"
     _check_clobber(out_path, args.force)
-    table = load_observations(cfg.data.observations, cfg.task.num_classes)
-    split = block_holdout(table, seed=cfg.run.seed)
+    split = block_holdout(load_table(cfg), seed=cfg.run.seed)
     save_split(split, out_path)
     print(out_path)
     print(f"val fraction: {split.val_fraction:.4f}", file=sys.stderr)

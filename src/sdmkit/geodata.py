@@ -3,8 +3,9 @@
 Observations are geolocated multilabel surveys, held as the columns of an
 ObservationTable; predictors come in two flavors: georeferenced raster grids
 (patches are cut around each point, transforming the point into each layer's
-CRS rather than warping the raster) and per-survey time-series cubes (bands x
-steps x years blocks pre-extracted at the observation locations).
+CRS rather than warping the raster) and time-series cubes (bands x steps x
+years blocks pre-extracted at the observation locations), one CubeStore of
+survey ids and an (N, B, Q, Y) array per modality.
 
 Patches are cut from rasters normalized once by normalize_layers: missing
 pixels (nodata, NaN or +-inf) take FILL_VALUE, each layer is normalized into
@@ -13,13 +14,14 @@ COMPUTE_DTYPE and framed by side pixels of its normalized fill, which costs
 pixel sizes, shape) become one PatchGrid, whose channels-last (H'W', C) stack
 holds them as columns. A RasterLayer is only ever a raw raster.
 patch_windows transforms each point once per grid into the first stack row
-of its window in the frame. A SampleSource finds its surveys' windows once,
-when it is built, and logs the surveys outside every layer once; collate then
-gathers each grid's window rows with one take, into an (N, side, side, C)
-batch that it returns as an (N, C, side, side) view. A single sample is a
-batch of one. Time-series cubes take each survey's side-1 window the same
-way, but read its one pixel from the raw layer, with the values a normalized
-side-1 patch without stats would hold, and one warning per layer that misses
+of its window in the frame. A SampleSource finds its surveys' windows and
+cube rows once, when it is built, and logs the surveys outside every layer
+once; collate then gathers each grid's window rows with one take, into an
+(N, side, side, C) batch that it returns as an (N, C, side, side) view, and
+each cube modality's rows with one take. A single sample is a batch of one.
+build_time_series_cubes takes each survey's side-1 window the same way, but
+reads its one pixel from the raw layer, with the values a normalized side-1
+patch without stats would hold, and logs one warning per layer that misses
 surveys; extract_patches, which knows no survey ids, logs nothing.
 
 File formats (all little-endian, sizes bit-exact):
@@ -60,6 +62,7 @@ import os
 from collections import Counter, namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -378,18 +381,8 @@ class RasterLayer:
 
 def save_raster(layer: RasterLayer, header_path: str) -> None:
     payload_path = os.path.splitext(header_path)[0] + ".f32"
-    header = {
-        "name": layer.name,
-        "width": layer.width,
-        "height": layer.height,
-        "origin_x": layer.origin_x,
-        "origin_y": layer.origin_y,
-        "pixel_size_x": layer.pixel_size_x,
-        "pixel_size_y": layer.pixel_size_y,
-        "crs": layer.crs,
-        "nodata": layer.nodata,
-        "payload": os.path.basename(payload_path),
-    }
+    header = {key: getattr(layer, key) for key in _RASTER_KEYS}
+    header["payload"] = os.path.basename(payload_path)
     with open(header_path, "w", encoding="utf-8") as fh:
         json.dump(header, fh, indent=2)
     layer.values.astype("<f4").tofile(payload_path)
@@ -399,7 +392,8 @@ def _is_number(value) -> bool:
     return type(value) in (int, float)  # a bool is not a number here
 
 
-# raster header key -> (test of its JSON value, what the value must be)
+# raster header key -> (test of its JSON value, what the value must be), in
+# RasterLayer's field order; save_raster writes them in this order
 _RASTER_KEYS = {
     "name": (lambda v: isinstance(v, str), "a string"),
     "width": (lambda v: type(v) is int and v > 0, "a positive integer"),
@@ -447,18 +441,8 @@ def load_raster(header_path: str) -> RasterLayer:
         raise FormatError(
             f"{payload_path}: {values.size} values, expected width*height={expected}"
         )
-    return RasterLayer(
-        name=header["name"],
-        width=header["width"],
-        height=header["height"],
-        origin_x=header["origin_x"],
-        origin_y=header["origin_y"],
-        pixel_size_x=header["pixel_size_x"],
-        pixel_size_y=header["pixel_size_y"],
-        crs=header["crs"],
-        nodata=header["nodata"],
-        values=values.reshape(header["height"], header["width"]),
-    )
+    return RasterLayer(**{key: header[key] for key in _RASTER_KEYS},
+                       values=values.reshape(header["height"], header["width"]))
 
 
 def load_raster_manifest(manifest_path: str) -> list[RasterLayer]:
@@ -627,9 +611,24 @@ def extract_patch(grids, spec: PatchSpec, lon: float, lat: float) -> np.ndarray:
     return extract_patches(grids, spec, [lon], [lat])[0]
 
 
-@dataclass(frozen=True)
-class TimeSeriesCube:
-    values: np.ndarray  # (B, Q, Y) float32, finite
+TimeSeriesCube = namedtuple("TimeSeriesCube", "values")  # one survey's (B, Q, Y) cube
+
+
+@dataclass(frozen=True, eq=False)
+class CubeStore:
+    """One cube modality as columns: survey survey_ids[i] (distinct strings)
+    has the cube values[i] of the (N, B, Q, Y) float32 payload, finite.
+    store[survey_id], through an index built on its first call, is perfbench's."""
+
+    survey_ids: list[str]
+    values: np.ndarray
+
+    @cached_property
+    def _rows(self) -> dict[str, int]:
+        return {sid: i for i, sid in enumerate(self.survey_ids)}
+
+    def __getitem__(self, survey_id: str) -> TimeSeriesCube:
+        return TimeSeriesCube(self.values[self._rows[survey_id]])
 
 
 def save_cubes(survey_ids, values: np.ndarray, band_names, manifest_path: str) -> None:
@@ -676,8 +675,8 @@ def _previous_payload(manifest_path: str) -> str | None:
     return previous if same_dir and os.path.isfile(previous) else None
 
 
-def load_cubes(manifest_path: str) -> dict[str, TimeSeriesCube]:
-    """Load a cube manifest + payload into per-survey cubes.
+def load_cubes(manifest_path: str) -> CubeStore:
+    """Load a cube manifest + payload into one CubeStore.
 
     Non-finite payload entries (NaN, +-inf) are imputed to 0 with a logged
     count.
@@ -710,7 +709,7 @@ def load_cubes(manifest_path: str) -> dict[str, TimeSeriesCube]:
         log.warning("%s: imputed %d non-finite cube entries to 0", manifest_path,
                     int(nonfinite.sum()))
         data[nonfinite] = 0.0
-    return {sid: TimeSeriesCube(values=data[i]) for i, sid in enumerate(surveys)}
+    return CubeStore(surveys, data)
 
 
 def build_time_series_cubes(
@@ -727,13 +726,7 @@ def build_time_series_cubes(
     surveys, not with the raster area; the values are those of a side-1
     patch of normalize_layers(...) without stats."""
     b, q, y = shape
-    gaps = [
-        (bi, qi, yi)
-        for bi in range(b)
-        for qi in range(q)
-        for yi in range(y)
-        if (bi, qi, yi) not in layers
-    ]
+    gaps = [tag for tag in itertools.product(range(b), range(q), range(y)) if tag not in layers]
     if gaps:
         raise CoverageError(f"missing (band, step, year) combinations: {gaps[:10]}")
     values = np.empty((len(table), b, q, y), dtype=np.float32)
@@ -753,21 +746,25 @@ class SampleSource:
     """Aligned multimodal samples of an observation table, batched by collate.
 
     grids are normalize_layers(raw, patch_spec). Building the source finds the
-    windows (patch_windows) and logs the surveys outside every layer, once.
+    windows (patch_windows) and cube rows and logs the surveys outside every layer, once.
     """
 
     table: ObservationTable
     grids: list[PatchGrid]
     patch_spec: PatchSpec | None
-    cube_maps: dict[str, dict[str, TimeSeriesCube]]
+    cubes: dict[str, CubeStore]
     labels_mode: str  # "train" | "predict"
 
     def __post_init__(self):
-        for modality, cube_map in self.cube_maps.items():
-            missing = [sid for sid in self.table.survey_ids if sid not in cube_map]
-            if missing:
-                raise MissingModalityError(f"survey {missing[0]!r} missing from cube modality "
-                                           f"{modality!r}")
+        self.cube_rows = {}  # per cube modality: each survey's row in its store
+        for modality, store in self.cubes.items():
+            row_of = {sid: i for i, sid in enumerate(store.survey_ids)}
+            try:
+                rows = [row_of[sid] for sid in self.table.survey_ids]
+            except KeyError as missing:
+                raise MissingModalityError(f"survey {missing.args[0]!r} missing from cube "
+                                           f"modality {modality!r}") from None
+            self.cube_rows[modality] = np.array(rows, dtype=np.intp)
         if self.labels_mode == "train" and self.table.num_classes:
             empty = np.flatnonzero(np.diff(self.table.indptr) == 0)
             if empty.size:
@@ -793,9 +790,8 @@ def collate(source: SampleSource, indices) -> dict:
     if source.patch_spec is not None:
         batch["patch"] = _gather(source.grids, source.patch_spec.side,
                                  [start[rows] for start in source.starts])
-    for modality, cube_map in source.cube_maps.items():
-        batch[modality] = np.stack([cube_map[sid].values for sid in batch["survey_ids"]],
-                                   dtype=COMPUTE_DTYPE)
+    for modality, store in source.cubes.items():
+        batch[modality] = store.values.take(source.cube_rows[modality][rows], axis=0)
     batch["location"] = np.stack([table.lon[rows], table.lat[rows]], axis=1)
     if source.labels_mode == "train":
         batch["labels"] = table.labels(rows)

@@ -50,8 +50,8 @@ class LoadedData:
         if self.patch_spec is not None:
             side = self.patch_spec.side
             shapes["patch"] = (len(self.patch_spec.layer_names), side, side)
-        for name, cube_map in self.cube_maps.items():
-            shapes[name] = next(iter(cube_map.values())).values.shape
+        for name, store in self.cube_maps.items():
+            shapes[name] = store.values.shape[1:]
         shapes["location"] = (2,)
         return shapes
 
@@ -69,12 +69,18 @@ def _valid_stats(layer) -> tuple[float, float]:
     return float(valid.mean()), float(valid.std()) or 1.0
 
 
-def load_data(cfg: ExperimentConfig) -> LoadedData:
+def load_table(cfg: ExperimentConfig) -> ObservationTable:
+    """The config's observation table, refused if it has no survey rows."""
     if not cfg.data.observations or not os.path.exists(cfg.data.observations):
         raise SdmkitError(f"data.observations: file not found: {cfg.data.observations!r}")
     table = load_observations(cfg.data.observations, cfg.task.num_classes)
     if not len(table):
         raise DataError(f"{cfg.data.observations}: no survey rows")
+    return table
+
+
+def load_data(cfg: ExperimentConfig) -> LoadedData:
+    table = load_table(cfg)
     layers, patch_spec = [], None
     if cfg.data.raster_manifest:
         layers = load_raster_manifest(cfg.data.raster_manifest)

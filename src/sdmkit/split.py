@@ -45,8 +45,6 @@ class SpatialSplit:
 
 def block_holdout(table: ObservationTable, seed: int) -> SpatialSplit:
     """Greedy shuffled-cell holdout reaching at least VAL_FRACTION of the surveys."""
-    if not len(table):
-        raise DegenerateSplitError("cannot split an empty observation table")
     cx, cy = cell_index(table.lon, table.lat)
     cell_of = dict(zip(table.survey_ids, zip(cx.tolist(), cy.tolist())))
     cells = Counter(cell_of.values())  # cell -> its survey count

@@ -127,7 +127,8 @@ def make_synthetic(out_dir: str, n_surveys: int = 500, num_species: int = 20,
 
 def default_config_yaml(data_dir: str, n_species: int = 20, epochs: int = 10,
                         top_k: int = 5, seed: int = 42, patch_size: int = PATCH_SIZE) -> str:
-    """Config document wired to a make_synthetic output directory."""
+    """Config document wired to a make_synthetic output directory; its
+    task.top_k is top_k, or n_species if that is smaller."""
     return f"""\
 run:
   seed: {seed}
@@ -141,7 +142,7 @@ data:
   patch_size: {patch_size}
 task:
   num_classes: {n_species}
-  top_k: {top_k}
+  top_k: {min(top_k, n_species)}
 trainer:
   epochs: {epochs}
   output_dir: {os.path.join(data_dir, 'runs')}

@@ -323,7 +323,7 @@ def test_criterion_10_round_trips(smoke_run, tmp_path):
     cube_path = str(tmp_path / "cubes.json")
     save_cubes(survey_ids, values, ["b0", "b1"], cube_path)
     loaded = load_cubes(cube_path)
-    cube_ok = all(np.array_equal(loaded[s].values, values[i]) for i, s in enumerate(survey_ids))
+    cube_ok = loaded.survey_ids == survey_ids and loaded.values.tobytes() == values.tobytes()
     # split save/load
     split_path = str(tmp_path / "split.csv")
     save_split(split, split_path)

@@ -88,6 +88,18 @@ def test_make_synthetic_failed_rewrite_keeps_previous_file(tmp_path, capsys, mon
     assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
 
 
+def test_make_synthetic_config_trains_with_fewer_species_than_top_k(tmp_path, capsys):
+    """make-synthetic with fewer species than the default top_k of 5 writes
+    top_k as the species count, so train runs the config it wrote."""
+    out = tmp_path / "syn"
+    assert main(["make-synthetic", "--out", str(out), "--n", "60", "--species", "4"]) == 0
+    cfg_path = str(out / "config.yaml")
+    assert load_config(cfg_path).task.top_k == 4
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "runs")]) == 0
+    assert error_lines(capsys) == []
+
+
 def test_every_flag_is_read_by_its_command():
     """Each subcommand registers only flags its command function reads."""
     subparsers = next(a for a in build_parser()._actions
@@ -399,8 +411,9 @@ def test_build_cubes_round_trip(synthetic_dir, tmp_path):
                  "--observations", os.path.join(synthetic_dir, "observations.csv"),
                  "--num-classes", "8", "--shape", "2,1,1", "--out", out]) == 0
     cubes = load_cubes(out)
-    assert len(cubes) == 150
-    assert next(iter(cubes.values())).values.shape == (2, 1, 1)
+    assert cubes.survey_ids == load_observations(
+        os.path.join(synthetic_dir, "observations.csv"), 8).survey_ids
+    assert cubes.values.shape == (150, 2, 1, 1)
 
 
 def test_build_cubes_logs_each_layer_missing_surveys_once(synthetic_dir, tmp_path, caplog):
@@ -774,6 +787,14 @@ def write_observations_without_surveys(synthetic_dir, tmp_path):
             str(tmp_path / "p.csv")], f"{observations}: no survey rows"
 
 
+def write_split_observations_without_surveys(synthetic_dir, tmp_path):
+    observations = tmp_path / "observations.csv"
+    observations.write_text("surveyId,lon,lat,speciesId\n")
+    argv = train_args(synthetic_dir, tmp_path, data={"observations": str(observations)})
+    return ["split", "--config", argv[2], "--out", str(tmp_path / "split.csv")], (
+        f"{observations}: no survey rows")
+
+
 def predict_args(synthetic_dir, tmp_path, weights):
     return ["predict", "--config", os.path.join(synthetic_dir, "config.yaml"),
             "--weights", str(weights), "--out", str(tmp_path / "p.csv")]
@@ -837,6 +858,7 @@ def train_args(synthetic_dir, tmp_path, data=(), encoders=(), trainer=()):
                                    write_cube_bands_string, write_cube_payload_number,
                                    write_survey_outside_mercator_domain,
                                    write_observations_without_surveys,
+                                   write_split_observations_without_surveys,
                                    write_epochs_past_t_max, write_weights_yaml,
                                    write_checkpoint_without_meta, write_checkpoint_meta_not_json,
                                    write_checkpoint_meta_without_state],
@@ -854,7 +876,7 @@ def train_args(synthetic_dir, tmp_path, data=(), encoders=(), trainer=()):
                               "cube-survey-ids-integers", "cube-survey-repeated",
                               "cube-bands-string", "cube-payload-number",
                               "survey-outside-mercator-domain", "observations-without-surveys",
-                              "epochs-past-t-max",
+                              "split-observations-without-surveys", "epochs-past-t-max",
                               "weights-yaml", "checkpoint-without-meta",
                               "checkpoint-meta-not-json", "checkpoint-meta-without-state"])
 def test_rejected_input_one_error_line(synthetic_dir, tmp_path, capsys, write):

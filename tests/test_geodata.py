@@ -25,10 +25,10 @@ from sdmkit.errors import (
 from sdmkit.geodata import (
     COMPUTE_DTYPE,
     FILL_VALUE,
+    CubeStore,
     PatchSpec,
     RasterLayer,
     SampleSource,
-    TimeSeriesCube,
     build_time_series_cubes,
     collate,
     extract_patch,
@@ -792,9 +792,42 @@ class TestCubes:
         path = str(tmp_path / "cubes.json")
         save_cubes(["a", "b"], values, ["b0", "b1"], path)
         loaded = load_cubes(path)
-        assert set(loaded) == {"a", "b"}
-        for i, sid in enumerate(["a", "b"]):
-            np.testing.assert_array_equal(loaded[sid].values, values[i])
+        assert loaded.survey_ids == ["a", "b"]
+        assert loaded.values.dtype == np.float32 and loaded.values.shape == (2, 2, 4, 3)
+        assert loaded.values.tobytes() == values.tobytes()
+
+    def test_lookup_by_survey_id(self, tmp_path):
+        """store[survey_id].values is that survey's row of the payload; the
+        index behind it is built once, on the first call."""
+        values = np.arange(3 * 2 * 1 * 2, dtype=np.float32).reshape(3, 2, 1, 2)
+        path = str(tmp_path / "cubes.json")
+        save_cubes(["c", "a", "b"], values, ["b0", "b1"], path)
+        loaded = load_cubes(path)
+        assert "_rows" not in vars(loaded)
+        for i, sid in enumerate(["c", "a", "b"]):
+            assert loaded[sid].values.tobytes() == values[i].tobytes()
+        assert vars(loaded)["_rows"] is loaded._rows
+        with pytest.raises(KeyError):
+            loaded["d"]
+
+    def test_retained_memory_per_survey(self, tmp_path):
+        """What load_cubes leaves allocated, the store it returns, grows by at
+        most 170 bytes per added survey of (2, 4, 3) cubes: their 96 bytes of
+        float32 values, the survey id and its list slot, and no object per
+        survey besides."""
+        rng = np.random.default_rng(0)
+        sizes, paths, retained = (1_000, 4_000), [], []
+        for n in sizes:
+            paths.append(str(tmp_path / f"cubes-{n}.json"))
+            save_cubes([f"s{i:05d}" for i in range(n)],
+                       rng.normal(size=(n, 2, 4, 3)).astype(np.float32), ["b0", "b1"], paths[-1])
+        load_cubes(paths[0])  # the first load fills caches that later loads reuse
+        for path, n in zip(paths, sizes):
+            store, _, kept = traced_peak(load_cubes, path)
+            assert store.values.shape == (n, 2, 4, 3)
+            retained.append(kept)
+            del store
+        assert (retained[1] - retained[0]) / (sizes[1] - sizes[0]) <= 170, retained
 
     def test_payload_size_check(self, tmp_path):
         path = str(tmp_path / "cubes.json")
@@ -828,7 +861,7 @@ class TestCubes:
             with caplog.at_level(logging.WARNING, logger="sdmkit.geodata"):
                 loaded = load_cubes(path)
             expected = [0.0 if not math.isfinite(v) else v for v in entries]
-            assert loaded["a"].values.ravel().tolist() == expected, entries
+            assert loaded.values.ravel().tolist() == expected, entries
             bad = sum(not math.isfinite(v) for v in entries)
             assert caplog.messages == [f"{path}: imputed {bad} non-finite cube entries to 0"]
 
@@ -849,16 +882,16 @@ class TestCubes:
             assert {name: (tmp_path / name).read_bytes()
                     for name in os.listdir(tmp_path)} == before, failing
             loaded = load_cubes(path)
-            for i, sid in enumerate(["a", "b"]):
-                assert loaded[sid].values.tobytes() == values[i].tobytes()
+            assert loaded.survey_ids == ["a", "b"]
+            assert loaded.values.tobytes() == values.tobytes()
         save_cubes(["b", "a"], values[::-1], ["b0", "b1"], path)
         assert len(os.listdir(tmp_path)) == 2
         assert open(path, "rb").read() != before["cubes.json"]
         with open(cube_payload(path), "rb") as fh:
             assert fh.read() == values[::-1].tobytes()
         loaded = load_cubes(path)
-        for i, sid in enumerate(["a", "b"]):
-            assert loaded[sid].values.tobytes() == values[i].tobytes()
+        assert loaded.survey_ids == ["b", "a"]
+        assert loaded.values.tobytes() == values[::-1].tobytes()
 
     def test_band_count_must_match_shape(self, tmp_path):
         path = str(tmp_path / "cubes.json")
@@ -873,7 +906,7 @@ class TestBuildCubes:
         path = str(tmp_path / "c.json")
         build_time_series_cubes({(0, 0, 0): toy_raster}, table, (1, 1, 1), path)
         loaded = load_cubes(path)
-        assert loaded["s0"].values[0, 0, 0] == 10.0
+        assert loaded.survey_ids == ["s0"] and loaded.values[0, 0, 0, 0] == 10.0
 
     def test_payload_size_arithmetic(self, toy_raster, tmp_path):
         table = make_table([(2.5, 1.5, {0}), (1.5, 2.5, {1})])
@@ -897,11 +930,12 @@ class TestBuildCubes:
         path = str(tmp_path / "c.json")
         build_time_series_cubes(tagged, table, (2, 1, 2), path)
         loaded = load_cubes(path)
-        for sid, lon, lat in zip(table.survey_ids, table.lon.tolist(), table.lat.tolist()):
+        assert loaded.survey_ids == table.survey_ids
+        for cube, lon, lat in zip(loaded.values, table.lon.tolist(), table.lat.tolist()):
             for (band, step, year), layer in tagged.items():
                 spec = PatchSpec(side=1, layer_names=(layer.name,))
                 expected = oracle_patch([layer], spec, lon, lat)[0, 0, 0]
-                assert loaded[sid].values[band, step, year] == np.float32(expected)
+                assert cube[band, step, year] == np.float32(expected)
 
     def test_missing_and_out_of_extent_pixels_read_zero(self, toy_raster, tmp_path, caplog):
         # nodata, NaN and inf pixels and points outside the layer read 0.0;
@@ -918,7 +952,9 @@ class TestBuildCubes:
             build_time_series_cubes({(0, 0, 0): nodata, (1, 0, 0): nan}, table, (2, 1, 1), path)
         assert caplog.messages == [f"1 of 6 surveys outside layer {name!r}, first 's5'; filled"
                                    for name in ("nodata", "nan")]
-        got = np.stack([c.values[:, 0, 0] for c in load_cubes(path).values()])
+        loaded = load_cubes(path)
+        assert loaded.survey_ids == table.survey_ids
+        got = loaded.values[:, :, 0, 0]
         expected = np.array([[0, -9999], [0, 0], [-0.0, -0.0], [0, 0], [10, 10], [0, 0]],
                             dtype=np.float32)
         assert got.tobytes() == expected.tobytes()
@@ -968,7 +1004,7 @@ class TestBuildCubes:
 
 
 class TestMakeDataset:
-    """A SampleSource over a table, a raster and a cube map, batched by collate."""
+    """A SampleSource over a table, a raster and a cube store, batched by collate."""
 
     def make_source(self, toy_raster, labels_mode="train"):
         table = make_table(
@@ -976,12 +1012,11 @@ class TestMakeDataset:
              (3.5, 0.5, {4}), (0.5, 0.5, {0})]
         )
         spec = PatchSpec(side=1, layer_names=("toy",))
-        cube_map = {
-            sid: TimeSeriesCube(np.full((1, 2, 2), float(i), dtype=np.float32))
-            for i, sid in enumerate(table.survey_ids)
-        }
+        # survey s<i> holds cube i, stored in reverse table order
+        cubes = np.repeat(np.arange(5, dtype=np.float32)[::-1], 4).reshape(5, 1, 2, 2)
+        store = CubeStore(table.survey_ids[::-1], cubes)
         return SampleSource(table, normalize_layers([toy_raster], spec), spec,
-                            {"cube": cube_map}, labels_mode)
+                            {"cube": store}, labels_mode)
 
     def test_length(self, toy_raster):
         assert len(self.make_source(toy_raster)) == 5
@@ -991,6 +1026,7 @@ class TestMakeDataset:
         a, b = collate(source, [3]), collate(source, [3])
         np.testing.assert_array_equal(a["patch"], b["patch"])
         np.testing.assert_array_equal(a["labels"], b["labels"])
+        assert a["cube"].dtype == COMPUTE_DTYPE and a["cube"].tolist() == [[[[3.0, 3.0]] * 2]]
 
     def test_multi_hot_encoding(self, toy_raster):
         label = collate(self.make_source(toy_raster), [0])["labels"][0]
@@ -1004,11 +1040,33 @@ class TestMakeDataset:
         assert [np.flatnonzero(label).tolist() for label in labels] == [sp for *_, sp in rows]
 
     def test_missing_cube_survey(self, toy_raster):
-        table = make_table([(0.5, 3.5, {0})])
+        table = make_table([(0.5, 3.5, {0}), (1.5, 2.5, {1}), (2.5, 1.5, {3})])
         spec = PatchSpec(side=1, layer_names=("toy",))
-        with pytest.raises(MissingModalityError, match="s0"):
-            SampleSource(table, normalize_layers([toy_raster], spec), spec, {"cube": {}},
+        store = CubeStore(["s0", "x"], np.zeros((2, 1, 2, 2), dtype=np.float32))
+        with pytest.raises(MissingModalityError,
+                           match=re.escape("survey 's1' missing from cube modality 'cube'")):
+            SampleSource(table, normalize_layers([toy_raster], spec), spec, {"cube": store},
                          "train")
+
+    def test_cube_batch_equals_payload_rows(self, tmp_path):
+        """At shuffled rows, repeats included, of a source over a table subset,
+        collate's cube batch holds each survey's row of the payload file,
+        found in the manifest's survey order, which is not the table's."""
+        rng = np.random.default_rng(3)
+        table = make_table([(float(i), 0.0, {i % 5}) for i in range(12)])
+        order = rng.permutation(12).tolist()
+        ids = [table.survey_ids[i] for i in order] + ["extra"]
+        path = str(tmp_path / "cubes.json")
+        save_cubes(ids, rng.normal(size=(13, 2, 3, 2)).astype(np.float32), ["b0", "b1"], path)
+        payload = np.fromfile(cube_payload(path), dtype="<f4").reshape(13, 2, 3, 2)
+        subset = table.subset(table.survey_ids[::2] + ["s1"])
+        source = SampleSource(subset, [], None, {"cube": load_cubes(path)}, "train")
+        rows = rng.permutation(np.r_[np.arange(len(subset)), [2, 2, 5]])
+        batch = collate(source, rows)
+        expected = np.stack([payload[ids.index(sid)] for sid in batch["survey_ids"]])
+        assert batch["survey_ids"] == [subset.survey_ids[i] for i in rows]
+        assert batch["cube"].dtype == COMPUTE_DTYPE
+        assert batch["cube"].tobytes() == expected.tobytes()
 
 
 class TestObservationTable:
