@@ -17,7 +17,7 @@ import sys
 
 from . import engine, evalkit
 from .config import load_config
-from .errors import FormatError, SdmkitError
+from .errors import CoverageError, FormatError, SdmkitError
 from .geodata import (build_time_series_cubes, load_observations, load_raster, read_json,
                       read_table, replaced_on_success)
 from .pipeline import build_model, load_data, load_table, resolve_split
@@ -139,7 +139,10 @@ def cmd_build_cubes(args) -> int:
     layers = {tag: load_raster(os.path.join(base, entries[i]["header"]))
               for tag, i in first.items()}
     table = load_observations(args.observations, args.num_classes)
-    build_time_series_cubes(layers, table, shape, args.out)
+    try:
+        build_time_series_cubes(layers, table, shape, args.out)
+    except CoverageError as exc:
+        raise CoverageError(f"{args.layers}: {exc}") from None
     print(args.out)
     return 0
 

@@ -169,6 +169,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
             f"model.name: {cfg.model.name!r} builds one encoder, but model.encoders lists "
             f"{list(cfg.model.encoders)}; only mme fuses several"
         )
+    if cfg.model.name == "mme" and cfg.model.provider != ModelSection.provider:
+        raise ConfigValidationError(f"model.provider: mme is builtin (got {cfg.model.provider!r}); "
+                                    "its encoders take theirs from model.encoders.<m>.provider")
     if cfg.model.name != "mme" and cfg.model.fusion != FusionSection():
         raise ConfigValidationError(
             f"model.fusion: model.name {cfg.model.name!r} has no fusion head; "

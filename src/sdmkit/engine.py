@@ -1,10 +1,10 @@
 """Training and inference loops.
 
 One training loop owns the model. Per epoch: a training pass (weighted BCE
-backprop, AdamW over the flat params, cosine schedule stepped on the epoch
-clock), a validation pass (loss + the full metric report), one metrics.csv
-row, last.ckpt every epoch and best.ckpt whenever the validation loss
-strictly improves.
+backprop, AdamW over the flat buffers model.flat records, cosine schedule
+stepped on the epoch clock), a validation pass (loss + the full metric
+report), one metrics.csv row, last.ckpt every epoch and best.ckpt whenever
+the validation loss strictly improves.
 
 Dropout, shuffling, and weight init draw from separate seeded RNG streams
 so toggling one never perturbs the others.
@@ -96,41 +96,43 @@ CHUNK = 1 << 16
 class AdamW:
     """Decoupled weight-decay adaptive-moment optimizer over a flat model.
 
-    The params and grads it steps must be the views Module.flatten_params
-    made (build_model flattens every model); any other triples are refused
-    with a ShapeError naming the first param outside that layout. A step
-    checks the flat grads' finiteness once and skips a step with a
-    non-finite gradient whole. Otherwise it runs its element-wise ops over
-    the flat buffers one slice of CHUNK elements at a time, into two
-    CHUNK-sized scratch buffers: besides the flat moments m and v it holds
-    2 x CHUNK values, and no step allocates a param-sized array. Each
-    element gets the same ops in the same order whatever the slice size.
+    It steps the (params, grads) buffers model.flat records, which
+    Module.flatten_params made (build_model flattens every model); a param
+    or grad outside them is refused with a ShapeError naming it. New
+    buffers, as on the first step or after a re-flatten, get zero moments
+    m and v and the step count at 0. A step checks the flat grads'
+    finiteness once and skips a step with a non-finite gradient whole.
+    Otherwise it runs its element-wise ops over the flat buffers one slice
+    of CHUNK elements at a time, into two CHUNK-sized scratch rows: besides
+    m and v it holds 2 x CHUNK values, and no step allocates a param-sized
+    array. Each element gets the same ops in the same order whatever the
+    slice size.
     """
 
-    def __init__(self, weight_decay: float = 0.0):
+    def __init__(self, model, weight_decay: float = 0.0):
+        self.model = model
         self.weight_decay = weight_decay
-        self.flat: _FlatState | None = None
+        self.flat = self.m = self.v = self.scratch = None
         self.t = 0
 
-    def step(self, named_params, lr: float) -> bool:
+    def step(self, lr: float) -> bool:
         """Apply one update in place; returns False if skipped. Updates
         m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, param *= 1 - lr wd,
         param -= lr (m / bc1) / (sqrt(v / bc2) + eps), each op as one ufunc
         over a slice of the flat buffers."""
-        triples = list(named_params)
-        flat = self._flat_state(triples)
-        if not _all_finite(flat.grads):
-            name = next(name for name, _, grad in triples if not _all_finite(grad))
+        params, grads = self._flat_store()
+        if not _all_finite(grads):
+            name = next(name for name, _, grad in self.model.named_params()
+                        if not _all_finite(grad))
             log.warning("AdamW: non-finite gradient in %s; step skipped", name)
             return False
         self.t += 1
         bc1 = 1 - ADAM_BETA1**self.t
         bc2 = 1 - ADAM_BETA2**self.t
-        chunk = flat.scratch[0].size
-        for start in range(0, flat.params.size, chunk or 1):
-            param, grad, m, v = (a[start:start + chunk]
-                                 for a in (flat.params, flat.grads, flat.m, flat.v))
-            s1, s2 = (s[:param.size] for s in flat.scratch)
+        chunk = self.scratch[0].size
+        for start in range(0, params.size, chunk or 1):
+            param, grad, m, v = (a[start:start + chunk] for a in (params, grads, self.m, self.v))
+            s1, s2 = (s[:param.size] for s in self.scratch)
             m *= ADAM_BETA1
             m += np.multiply(grad, 1 - ADAM_BETA1, out=s1)
             v *= ADAM_BETA2
@@ -147,67 +149,23 @@ class AdamW:
             param -= s1
         return True
 
-    def _flat_state(self, triples) -> _FlatState:
-        """The flat state of triples whose arrays are the views of one
-        flatten_params call, in order; made, with zero moments and the step
-        count at 0, on the first step of such a model."""
-        flat = self.flat
-        if flat is not None and len(flat.views) == len(triples) and all(
-                param is p and grad is g for (_, param, grad), (p, g) in zip(triples, flat.views)):
-            return flat
-        params, grads = _flat_buffers(triples)
-        self.t = 0  # bias correction for the new zero moments
-        chunk = min(CHUNK, params.size)
-        self.flat = _FlatState([(param, grad) for _, param, grad in triples], params, grads,
-                               np.zeros_like(params), np.zeros_like(params),
-                               (np.empty(chunk, params.dtype), np.empty(chunk, params.dtype)))
-        return self.flat
-
-
-@dataclass
-class _FlatState:
-    """AdamW's state for one flat model: the (param, grad) views it was made
-    for, the model's params and grads buffers, the moments in the same
-    layout, and two scratch buffers of min(CHUNK, params.size) elements,
-    the slice a step works on at a time."""
-
-    views: list
-    params: np.ndarray
-    grads: np.ndarray
-    m: np.ndarray
-    v: np.ndarray
-    scratch: tuple[np.ndarray, np.ndarray]
-
-
-def _flat_buffers(triples) -> tuple[np.ndarray, np.ndarray]:
-    """(params, grads) when the triples' params and grads are C-contiguous
-    views of one 1-D buffer each, laid end to end in order over the whole
-    buffer and each grad at its param's offset, as Module.flatten_params lays
-    them out; otherwise a ShapeError names the first param outside that
-    layout."""
-    bases = (triples[0][1].base, triples[0][2].base) if triples else (None, None)
-    offset = 0
-    for name, param, grad in triples:
-        if param.shape != grad.shape or not all(
-                _view_at(base, a, offset) for base, a in zip(bases, (param, grad))):
-            raise ShapeError(f"AdamW: {name} is not at its place in one flat param buffer; "
-                             f"call flatten_params on the model before stepping it")
-        offset += param.nbytes
-    if bases[0] is None or any(offset != base.nbytes for base in bases):
-        raise ShapeError("AdamW: the params do not fill one flat param buffer; call "
-                         "flatten_params on the model before stepping it")
-    return bases
-
-
-def _view_at(base, a: np.ndarray, offset: int) -> bool:
-    """Whether a is a C-contiguous view, in base's dtype, of the 1-D array
-    base at byte offset."""
-    return (base is not None and base.ndim == 1 and a.base is base and a.dtype == base.dtype
-            and a.flags.c_contiguous and _address(a) == _address(base) + offset)
-
-
-def _address(a: np.ndarray) -> int:
-    return a.__array_interface__["data"][0]
+    def _flat_store(self) -> tuple[np.ndarray, np.ndarray]:
+        """model.flat, once every param and grad is a view of it and the
+        params fill it, with new moments if they were made for other buffers."""
+        flat, size = self.model.flat, 0
+        for name, param, grad in self.model.named_params():
+            if flat is None or param.base is not flat[0] or grad.base is not flat[1]:
+                raise ShapeError(f"AdamW: {name} is not a view of the model's flat buffers; "
+                                 f"call flatten_params on the model before stepping it")
+            size += param.size
+        if flat is None or size != flat[0].size:
+            raise ShapeError("AdamW: the params do not fill the model's flat buffers; call "
+                             "flatten_params on the model before stepping it")
+        if flat is not self.flat:
+            self.flat, self.t = flat, 0
+            self.m, self.v = np.zeros_like(flat[0]), np.zeros_like(flat[0])
+            self.scratch = np.empty((2, min(CHUNK, flat[0].size)), flat[0].dtype)
+        return flat
 
 
 def _all_finite(a: np.ndarray) -> bool:
@@ -346,7 +304,7 @@ def _train_epoch(model, source, batches, pos_weight: float, optimizer, lr: float
         if math.isfinite(loss):
             grad = weighted_bce_logits_grad(logits, labels, pos_weight)
             model.backward(grad.astype(logits.dtype, copy=False))
-            optimizer.step(model.named_params(), lr)
+            optimizer.step(lr)
         losses.append((loss, len(ids)))
     return _mean_finite(losses)
 
@@ -371,7 +329,7 @@ def fit(cfg: ExperimentConfig, model, train_source, val_source,
     seed = cfg.run.seed
     model.set_dropout_rng(np.random.default_rng([seed, 1]))
     pos_weight = cfg.optimizer.pos_weight
-    optimizer = AdamW(weight_decay=cfg.optimizer.weight_decay)
+    optimizer = AdamW(model, weight_decay=cfg.optimizer.weight_decay)
     root = out_root or cfg.trainer.output_dir
     run_dir = os.path.join(
         root, f"{time.strftime('%Y%m%d-%H%M%S')}-{config_digest(cfg)}"

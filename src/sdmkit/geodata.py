@@ -59,6 +59,7 @@ import json
 import logging
 import math
 import os
+import re
 from collections import Counter, namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -175,60 +176,67 @@ def read_table(path: str, columns):
     of whole lines at a time: (the block's first row number, one list of field
     texts per named column). Columns are found by header name, each named
     once (others are ignored); blank lines are skipped and not counted. A
-    block without a quote, NUL or lone CR, each of whose lines holds as many
-    fields as the header, is split at commas and line ends; any other block,
-    and the first, goes through csv.reader, which reads on past the block
-    only to end a quoted field. A ragged row or a csv.Error is a FormatError
-    naming its row, raised after the rows before it are yielded."""
+    block without a quote, NUL, lone CR or non-UTF-8 byte, each of whose lines
+    holds as many fields as the header, is split at commas and line ends; any
+    other block, and the first, goes through csv.reader, which reads on past
+    the block only to end a quoted field. A ragged row, a non-UTF-8 byte or a
+    csv.Error is a FormatError naming its row, after the rows before it."""
     # the default 131 072-character limit is one scores field of ~6 600 classes;
     # 2**31 - 1 fits a C long on every platform
     csv.field_size_limit(2**31 - 1)
     # utf-8-sig drops the byte-order mark that spreadsheet exports put first
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         row, index, width = 0, None, 0  # rows read so far, the header included
-        try:
-            while text := fh.read(TEXT_BLOCK) + fh.readline():
-                start, fault = row + 1, None
-                plain = text.replace("\r\n", "\n")
-                lines = list(filter(None, plain.split("\n")))
-                if (index is not None and not any(c in plain for c in '"\0\r')
-                        and not set(map(str.count, lines, itertools.repeat(","))) - {width - 1}):
-                    # without quotes or CRs csv.reader splits text at commas and line ends
-                    fields = ",".join(lines).split(",") if lines else []
-                    row += len(lines)
-                else:
-                    fields, block = [], io.StringIO(text, newline="")
-                    try:
-                        for cells in csv.reader(itertools.chain(block, iter(fh.readline, ""))):
-                            if index is None:  # the header
-                                missing = [c for c in columns if c not in cells]
-                                if missing:
-                                    raise FormatError(f"{path} row 1: missing column(s) {missing}")
-                                repeated = [c for c in columns if cells.count(c) > 1]
-                                if repeated:
-                                    raise FormatError(f"{path} row 1: column(s) {repeated} named "
-                                                      "more than once")
-                                index, width = [cells.index(c) for c in columns], len(cells)
-                                row, start = 1, 2
-                            elif cells and len(cells) != width:
-                                fault = FormatError(f"{path} row {row + 1}: {len(cells)} fields, "
-                                                    f"the header has {width}")
-                                break
-                            elif cells:
-                                fields += cells
-                                row += 1
-                            if block.tell() == len(text):
-                                break
-                    except csv.Error as exc:
-                        fault = FormatError(f"{path} row {row + 1}: {exc}")
-                if fields:
-                    yield start, [fields[i::width] for i in index]
-                if fault:
-                    raise fault
-            if index is None:  # an empty file
-                raise FormatError(f"{path} row 1: missing column(s) {list(columns)}")
-        except UnicodeDecodeError as exc:  # decoded in blocks, so the row is not known
-            raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
+        while text := fh.read(TEXT_BLOCK) + fh.readline():
+            start, fault = row + 1, None
+            plain = text.replace("\r\n", "\n")
+            lines = list(filter(None, plain.split("\n")))
+            if (index is not None and not any(c in plain for c in '"\0\r')
+                    and not _undecoded(plain)
+                    and not set(map(str.count, lines, itertools.repeat(","))) - {width - 1}):
+                # without quotes or CRs csv.reader splits text at commas and line ends
+                fields = ",".join(lines).split(",") if lines else []
+                row += len(lines)
+            else:
+                fields, block = [], io.StringIO(text, newline="")
+                try:
+                    for cells in csv.reader(itertools.chain(block, iter(fh.readline, ""))):
+                        if any(map(_undecoded, cells)):
+                            fault = FormatError(f"{path} row {row + 1}: not UTF-8 text")
+                            break
+                        if index is None:  # the header
+                            missing = [c for c in columns if c not in cells]
+                            if missing:
+                                raise FormatError(f"{path} row 1: missing column(s) {missing}")
+                            repeated = [c for c in columns if cells.count(c) > 1]
+                            if repeated:
+                                raise FormatError(f"{path} row 1: column(s) {repeated} named "
+                                                  "more than once")
+                            index, width = [cells.index(c) for c in columns], len(cells)
+                            row, start = 1, 2
+                        elif cells and len(cells) != width:
+                            fault = FormatError(f"{path} row {row + 1}: {len(cells)} fields, "
+                                                f"the header has {width}")
+                            break
+                        elif cells:
+                            fields += cells
+                            row += 1
+                        if block.tell() == len(text):
+                            break
+                except csv.Error as exc:
+                    fault = FormatError(f"{path} row {row + 1}: {exc}")
+            if fields:
+                yield start, [fields[i::width] for i in index]
+            if fault:
+                raise fault
+        if index is None:  # an empty file
+            raise FormatError(f"{path} row 1: missing column(s) {list(columns)}")
+
+
+def _undecoded(text: str) -> bool:
+    """Whether text holds a byte that is not UTF-8, which the surrogateescape
+    error handler read_table opens with decodes to one of U+DC80..U+DCFF."""
+    return not text.isascii() and re.search("[\udc80-\udcff]", text) is not None
 
 
 def parse_field(path: str, row: int, column: str, parse, text: str):

@@ -16,8 +16,8 @@ set_dropout_rng walk the tree through it.
 Params are created in float64. flatten_params moves every param of a tree
 into one flat buffer of a given dtype, and every grad into another, as
 views in named_params() order (pipeline.build_model flattens into float32),
-so that AdamW can step the whole model in one pass over each buffer; AdamW
-refuses a model changed by surgery after that until it is flattened again.
+and records the pair as the module's flat, which AdamW steps; AdamW refuses
+a model changed by surgery after that until it is flattened again.
 Backward passes write their grads into the grads arrays they hold (matmul
 and sum with out=, or a copy) and never rebind them, so a flat model's grads
 stay views of its buffer. Every layer computes in the dtype of its params
@@ -45,6 +45,7 @@ class Module:
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
+        self.flat: tuple[np.ndarray, np.ndarray] | None = None  # set by flatten_params
 
     def forward(self, x, training: bool = False):
         raise NotImplementedError
@@ -71,15 +72,15 @@ class Module:
     def flatten_params(self, dtype) -> None:
         """Move every param of the tree into one flat buffer of dtype, and
         every grad into another, as views laid end to end in named_params()
-        order; the values are cast to dtype."""
+        order and cast to dtype; self.flat records the two, (params, grads)."""
         entries = [(module, key) for module in self.modules() for key in module.params]
         total = sum(module.params[key].size for module, key in entries)
-        flat_params, flat_grads = np.empty(total, dtype=dtype), np.empty(total, dtype=dtype)
+        self.flat = (np.empty(total, dtype=dtype), np.empty(total, dtype=dtype))
         offset = 0
         for module, key in entries:
             shape = module.params[key].shape
             end = offset + module.params[key].size
-            for store, flat in ((module.params, flat_params), (module.grads, flat_grads)):
+            for store, flat in zip((module.params, module.grads), self.flat):
                 view = flat[offset:end].reshape(shape)
                 view[...] = store[key]
                 store[key] = view

@@ -96,7 +96,8 @@ def load_data(cfg: ExperimentConfig) -> LoadedData:
 
 def resolve_split(cfg: ExperimentConfig, table: ObservationTable) -> SpatialSplit:
     """The config's split file, which must exist and assign every survey of
-    the table (it may list more); a block holdout only if no file is set."""
+    the table (it may list more), some to train and some to val; a block
+    holdout only if no file is set."""
     path = cfg.data.split_path
     if not path:
         return block_holdout(table, seed=cfg.run.seed)
@@ -107,6 +108,10 @@ def resolve_split(cfg: ExperimentConfig, table: ObservationTable) -> SpatialSpli
     if omitted:
         raise DataError(f"{path}: omits {len(omitted)} of the {len(table)} surveys in the "
                         f"observation table, first {omitted[0]!r}")
+    empty = {"train", "val"} - {split.assignment[sid] for sid in table.survey_ids}
+    if empty:
+        raise DataError(f"{path}: partition {empty.pop()!r} holds none of the {len(table)} "
+                        f"surveys in the observation table")
     return split
 
 

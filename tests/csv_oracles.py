@@ -4,6 +4,7 @@ geodata.read_table and the loaders built on it must reproduce, outcome for
 outcome: the same table, or the same exception type and text."""
 
 import csv
+import re
 
 import numpy as np
 
@@ -16,14 +17,16 @@ from conftest import table_of
 
 def csv_rows(path: str, columns):
     """Stream (row number, fields of the named columns) over a CSV table's
-    non-blank rows; the header is row 1 and names each column once."""
+    non-blank rows; the header is row 1 and names each column once, and a row
+    holding a byte that is not UTF-8 is refused."""
     csv.field_size_limit(2**31 - 1)
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         row = 0  # rows read so far, the header included
         try:
             header = next(reader, [])
             row = 1
+            check_utf8(path, row, header)
             missing = [c for c in columns if c not in header]
             if missing:
                 raise FormatError(f"{path} row 1: missing column(s) {missing}")
@@ -35,14 +38,20 @@ def csv_rows(path: str, columns):
                 if not fields:
                     continue
                 row += 1
+                check_utf8(path, row, fields)
                 if len(fields) != len(header):
                     raise FormatError(f"{path} row {row}: {len(fields)} fields, "
                                       f"the header has {len(header)}")
                 yield row, [fields[i] for i in index]
         except csv.Error as exc:
             raise FormatError(f"{path} row {row + 1}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def check_utf8(path: str, row: int, fields) -> None:
+    """Refuse a row with a byte that is not UTF-8, which the surrogateescape
+    error handler decodes to one of U+DC80..U+DCFF."""
+    if any(re.search("[\udc80-\udcff]", field) for field in fields):
+        raise FormatError(f"{path} row {row}: not UTF-8 text")
 
 
 def per_row_load_observations(path: str, num_classes: int) -> ObservationTable:

@@ -544,6 +544,16 @@ def write_split_survey_twice(synthetic_dir, tmp_path):
         f"{split} row 4: survey 's00000' already in row 2")
 
 
+def write_split_all_train(synthetic_dir, tmp_path):
+    observations = os.path.join(synthetic_dir, "observations.csv")
+    surveys = geodata.load_observations(observations, 8).survey_ids
+    split = tmp_path / "split.csv"
+    split.write_text("surveyId,partition,cx,cy\n" + "".join(f"{sid},train,0,0\n"
+                                                            for sid in surveys))
+    return train_args(synthetic_dir, tmp_path, data={"split_path": str(split)}), (
+        f"{split}: partition 'val' holds none of the {len(surveys)} surveys")
+
+
 def write_ragged_predictions(synthetic_dir, tmp_path):
     pred = tmp_path / "p.csv"
     pred.write_text("surveyId,topk,scores\ns00000,1 0,0.9 0.8 0.1\ns00001,0 1,0.9 0.8\n")
@@ -614,10 +624,10 @@ def write_cube_bool_step(synthetic_dir, tmp_path):
 
 def write_cube_shape_untagged(synthetic_dir, tmp_path):
     # every entry is well formed, but step 1 of the shape has no layer
-    _, argv = build_cubes_args(synthetic_dir, tmp_path,
-                               [{"header": "chan0.json", "band": 0, "step": 0, "year": 0}],
-                               "1,2,1")
-    return argv, "missing (band, step, year) combinations: [(0, 1, 0)]"
+    layers, argv = build_cubes_args(synthetic_dir, tmp_path,
+                                    [{"header": "chan0.json", "band": 0, "step": 0, "year": 0}],
+                                    "1,2,1")
+    return argv, f"{layers}: missing (band, step, year) combinations: [(0, 1, 0)]"
 
 
 def write_layers_trailing_comma(synthetic_dir, tmp_path):
@@ -842,6 +852,7 @@ def train_args(synthetic_dir, tmp_path, data=(), encoders=(), trainer=()):
 
 
 @pytest.mark.parametrize("write", [write_conflict_in_later_block, write_split_survey_twice,
+                                   write_split_all_train,
                                    write_ragged_predictions, write_encoder_without_modality,
                                    write_repeated_cube_tag, write_cube_tag_without_year,
                                    write_cube_band_past_shape, write_cube_negative_band,
@@ -862,7 +873,7 @@ def train_args(synthetic_dir, tmp_path, data=(), encoders=(), trainer=()):
                                    write_epochs_past_t_max, write_weights_yaml,
                                    write_checkpoint_without_meta, write_checkpoint_meta_not_json,
                                    write_checkpoint_meta_without_state],
-                         ids=["conflict-later-block", "split-survey-twice",
+                         ids=["conflict-later-block", "split-survey-twice", "split-all-train",
                               "ragged-predictions", "encoder-without-modality",
                               "repeated-cube-tag", "cube-tag-without-year",
                               "cube-band-past-shape", "cube-negative-band",

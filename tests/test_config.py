@@ -171,6 +171,14 @@ def test_fusion_on_single_modality_model_rejected():
     assert parse_config(render_config(cfg)) == cfg  # rendered defaults are accepted
 
 
+def test_provider_on_mme_rejected():
+    # mme's encoders take their provider from model.encoders.<modality>.provider
+    with pytest.raises(ConfigValidationError,
+                       match=re.escape("model.provider: mme is builtin (got 'nonexistent')")):
+        parse_config(MINIMAL + "model:\n  name: mme\n  provider: nonexistent\n")
+    assert parse_config(MINIMAL + "model:\n  name: mme\n  provider: builtin\n").model.name == "mme"
+
+
 def test_embedding_dim_on_single_modality_model_rejected():
     # the classifier replaces the encoder's last layer, so its width is never used
     doc = MINIMAL + "model:\n  name: micro_conv2d\n  encoders:\n    patch: {name: micro_conv2d"

@@ -134,26 +134,26 @@ def flat_module(values):
 def step_with_grad(opt, module, grad, lr):
     """Write grad into the module's flat grads, then step the module."""
     module.grads["w"][...] = grad
-    return opt.step(module.named_params(), lr=lr)
+    return opt.step(lr=lr)
 
 
 class TestAdamW:
     def test_zero_grad_fixed_point(self):
         module = flat_module(np.ones(3))
-        opt = AdamW(weight_decay=0.0)
+        opt = AdamW(module, weight_decay=0.0)
         step_with_grad(opt, module, np.zeros(3), lr=0.1)
         np.testing.assert_array_equal(module.params["w"], np.ones(3))
 
     def test_descent_on_quadratic(self):
         module = flat_module([1.0])
         w = module.params["w"]
-        opt = AdamW()
+        opt = AdamW(module)
         step_with_grad(opt, module, 2 * w.copy(), lr=0.1)
         assert abs(w[0]) < 1.0
 
     def test_decoupled_decay_closed_form(self):
         module = flat_module(np.full(4, 2.0))
-        opt = AdamW(weight_decay=0.01)
+        opt = AdamW(module, weight_decay=0.01)
         step_with_grad(opt, module, np.zeros(4), lr=0.5)
         np.testing.assert_allclose(module.params["w"], 2.0 * (1 - 0.5 * 0.01), atol=1e-15)
 
@@ -165,7 +165,7 @@ class TestAdamW:
         lr, wd, eps = 0.1, 0.5, 1e-8
         assert ADAM_EPS == eps
         module = flat_module(theta)
-        step_with_grad(AdamW(weight_decay=wd), module, g, lr=lr)
+        step_with_grad(AdamW(module, weight_decay=wd), module, g, lr=lr)
         np.testing.assert_allclose(module.params["w"],
                                    theta * (1 - lr * wd) - lr * g / (np.abs(g) + eps),
                                    rtol=1e-12)
@@ -174,21 +174,22 @@ class TestAdamW:
         """A model flattened again gets zero moments, so its next step is the
         first step of a fresh AdamW, bias correction included, bit for bit."""
         rng = np.random.default_rng(5)
-        module, opt = flat_module(rng.normal(size=6)), AdamW(weight_decay=0.01)
+        module = flat_module(rng.normal(size=6))
+        opt = AdamW(module, weight_decay=0.01)
         for _ in range(199):
             assert step_with_grad(opt, module, rng.normal(size=6), lr=1e-2)
         fresh = flat_module(module.params["w"].copy())
         module.flatten_params(np.float64)
         g = rng.normal(size=6)
         assert step_with_grad(opt, module, g, lr=1e-2)
-        assert step_with_grad(AdamW(weight_decay=0.01), fresh, g, lr=1e-2)
+        assert step_with_grad(AdamW(fresh, weight_decay=0.01), fresh, g, lr=1e-2)
         assert module.params["w"].tobytes() == fresh.params["w"].tobytes()
 
     def test_nonfinite_grad_skips_step(self, caplog):
         import logging
 
         module = flat_module(np.ones(2))
-        opt = AdamW()
+        opt = AdamW(module)
         with caplog.at_level(logging.WARNING):
             ok = step_with_grad(opt, module, np.array([np.nan, 0.0]), lr=0.1)
         assert not ok
@@ -249,15 +250,14 @@ class TestFlatAdamW:
     def test_flat_steps_match_per_array_reference(self, weight_decay):
         model = built_model()
         reference = [(name, param.copy()) for name, param, _ in model.named_params()]
-        optimizer, state = AdamW(weight_decay=weight_decay), {}
+        optimizer, state = AdamW(model, weight_decay=weight_decay), {}
         for step, lr in enumerate([1e-3, 8e-4, 5e-4, 2e-4, 1e-4]):
             backprop(model, seed=step)
-            triples = list(model.named_params())
             grads = [(name, param, grad.copy())
-                     for (name, param), (_, _, grad) in zip(reference, triples)]
-            assert optimizer.step(triples, lr)
+                     for (name, param), (_, _, grad) in zip(reference, model.named_params())]
+            assert optimizer.step(lr)
             reference_step(state, grads, lr, weight_decay)
-        assert optimizer.flat is not None and optimizer.t == 5
+        assert optimizer.flat is model.flat and optimizer.t == 5
         for (name, param, _), (_, want) in zip(model.named_params(), reference):
             assert param.tobytes() == want.tobytes(), name
 
@@ -266,12 +266,12 @@ class TestFlatAdamW:
 
         model = built_model()
         param_bytes = sum(param.nbytes for _, param, _ in model.named_params())
-        optimizer = AdamW(weight_decay=0.01)
+        optimizer = AdamW(model, weight_decay=0.01)
         backprop(model, seed=0)
-        optimizer.step(model.named_params(), 1e-3)
+        optimizer.step(1e-3)
         tracemalloc.start()
         try:
-            assert optimizer.step(model.named_params(), 1e-3)
+            assert optimizer.step(1e-3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -285,8 +285,8 @@ class TestFlatAdamW:
         param_bytes = sum(param.nbytes for _, param, _ in model.named_params())
         assert param_bytes // 4 > engine.CHUNK
         backprop(model, seed=0)
-        optimizer = AdamW(weight_decay=0.01)
-        stepped, _, retained = traced_peak(optimizer.step, model.named_params(), 1e-3)
+        optimizer = AdamW(model, weight_decay=0.01)
+        stepped, _, retained = traced_peak(optimizer.step, 1e-3)
         assert stepped
         assert retained <= 2 * param_bytes + 2 * engine.CHUNK * 4 + 16_384, (retained,
                                                                             param_bytes)
@@ -308,38 +308,39 @@ class TestFlatAdamW:
         lrs = [1e-3, 8e-4, 5e-4, 2e-4, 1e-4]
         reference, state = tiny(), {}
         for lr, grad in zip(lrs, grads):
-            next(reference.named_params())[2].base[...] = grad
+            reference.flat[1][...] = grad
             reference_step(state, list(reference.named_params()), lr, 0.01)
         want = [param.tobytes() for _, param, _ in reference.named_params()]
         for chunk in (1, 7, size + 1, engine.CHUNK):
-            model, optimizer = tiny(), AdamW(weight_decay=0.01)
+            model = tiny()
+            optimizer = AdamW(model, weight_decay=0.01)
             with monkeypatch.context() as patch:
                 patch.setattr(engine, "CHUNK", chunk)
                 for lr, grad in zip(lrs, grads):
-                    next(model.named_params())[2].base[...] = grad
-                    assert optimizer.step(model.named_params(), lr)
-            assert optimizer.flat.scratch[0].shape == (min(chunk, size),)
+                    model.flat[1][...] = grad
+                    assert optimizer.step(lr)
+            assert optimizer.scratch[0].shape == (min(chunk, size),)
             assert [param.tobytes() for _, param, _ in model.named_params()] == want, chunk
 
     def test_nan_grad_skips_step_and_names_first_param(self, caplog):
         model = built_model()
-        optimizer = AdamW(weight_decay=0.01)
+        optimizer = AdamW(model, weight_decay=0.01)
         backprop(model, seed=0)
-        assert optimizer.step(model.named_params(), 1e-3)
+        assert optimizer.step(1e-3)
         backprop(model, seed=1)
         triples = list(model.named_params())
         triples[5][2].flat[3] = np.nan
         triples[9][2].flat[0] = np.inf
         before = [param.copy() for _, param, _ in triples]
-        moments = optimizer.flat.m.copy(), optimizer.flat.v.copy()
+        moments = optimizer.m.copy(), optimizer.v.copy()
         with caplog.at_level(logging.WARNING, logger="sdmkit.engine"):
-            assert optimizer.step(model.named_params(), 1e-3) is False
+            assert optimizer.step(1e-3) is False
         assert caplog.messages == [f"AdamW: non-finite gradient in {triples[5][0]}; step skipped"]
         assert optimizer.t == 1
         for (name, param, _), want in zip(triples, before):
             assert param.tobytes() == want.tobytes(), name
-        assert optimizer.flat.m.tobytes() == moments[0].tobytes()
-        assert optimizer.flat.v.tobytes() == moments[1].tobytes()
+        assert optimizer.m.tobytes() == moments[0].tobytes()
+        assert optimizer.v.tobytes() == moments[1].tobytes()
 
     def test_step_after_first_layer_surgery_refused(self):
         """modify_first_layer gives the patch encoder's first weight an array
@@ -349,9 +350,9 @@ class TestFlatAdamW:
         modify_first_layer(model.encoders["patch"], 7)
         backprop(model, seed=2)
         before = {name: param.copy() for name, param, _ in model.named_params()}
-        optimizer = AdamW(weight_decay=0.01)
+        optimizer = AdamW(model, weight_decay=0.01)
         with pytest.raises(ShapeError, match=r"^AdamW: enc\.patch\.0\.w .*flatten_params"):
-            optimizer.step(model.named_params(), 1e-3)
+            optimizer.step(1e-3)
         assert optimizer.t == 0 and optimizer.flat is None
         for name, param, _ in model.named_params():
             assert param.tobytes() == before[name].tobytes(), name
@@ -362,16 +363,17 @@ class TestFlatAdamW:
         model = built_model()
         modify_first_layer(model.encoders["patch"], 7)
         model.flatten_params(np.float32)
-        flat = model.head.layers[-1].params["w"].base
+        flat = model.flat[0]
         assert model.encoders["patch"].layers[0].params["w"].base is flat
+        assert model.head.layers[-1].params["w"].base is flat
         before = {name: param.copy() for name, param, _ in model.named_params()}
         backprop(model, seed=2)
-        optimizer = AdamW(weight_decay=0.01)
+        optimizer = AdamW(model, weight_decay=0.01)
         reference = [(name, before[name].copy(), grad.copy())
                      for name, _, grad in model.named_params()]
-        assert optimizer.step(model.named_params(), 1e-3)
+        assert optimizer.step(1e-3)
         reference_step({}, reference, 1e-3, 0.01)
-        assert optimizer.flat.params is flat
+        assert optimizer.flat[0] is flat
         for (name, param, _), (_, want, _) in zip(model.named_params(), reference):
             assert not np.array_equal(param, before[name]), name
             assert param.tobytes() == want.tobytes(), name
@@ -1207,18 +1209,19 @@ def test_training_step_stays_float32(tmp_path):
 
         encoder.forward = recorded
     model.set_dropout_rng(np.random.default_rng(0))
-    optimizer = AdamW()
+    optimizer = AdamW(model)
     engine._train_epoch(model, data.source_for(), [np.arange(32)], 10.0, optimizer, lr=1e-3)
     assert optimizer.t == 1
     assert sorted(outputs) == ["cube_a", "cube_b", "location", "patch"]
     for name, out in outputs.items():
         assert out.dtype == np.float32, name
-    flat = optimizer.flat
-    for buffer in (flat.params, flat.grads, flat.m, flat.v):
-        assert buffer.dtype == np.float32 and buffer.shape == flat.params.shape
-    for buffer in flat.scratch:
+    params, grads = model.flat
+    assert optimizer.flat is model.flat
+    for buffer in (params, grads, optimizer.m, optimizer.v):
+        assert buffer.dtype == np.float32 and buffer.shape == params.shape
+    for buffer in optimizer.scratch:
         assert buffer.dtype == np.float32
-        assert buffer.shape == (min(engine.CHUNK, flat.params.size),)
+        assert buffer.shape == (min(engine.CHUNK, params.size),)
     for name, param, grad in model.named_params():
         assert (param.dtype, grad.dtype) == (np.float32, np.float32), name
-        assert param.base is flat.params and grad.base is flat.grads, name
+        assert param.base is params and grad.base is grads, name

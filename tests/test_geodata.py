@@ -237,7 +237,21 @@ class TestReadCsv:
     def test_not_utf8_rejected(self, tmp_path):
         path = tmp_path / "obs.csv"
         path.write_bytes(b"surveyId,lon,lat,speciesId\ns\xe9,3.0,43.0,5\n")
-        with pytest.raises(FormatError, match=r"obs\.csv: not UTF-8 text"):
+        with pytest.raises(FormatError, match=r"obs\.csv row 2: not UTF-8 text$"):
+            load_observations(str(path), num_classes=10)
+
+    def test_rows_before_a_byte_not_utf8_checked_first(self, tmp_path):
+        """A bad field in row 2 is named, though a byte that is not UTF-8
+        follows in the same block of text."""
+        path = tmp_path / "obs.csv"
+        filler = [f"f{i:05d},1.25,43.5,1" for i in range(2000)]
+        path.write_bytes("\n".join(["surveyId,lon,lat,speciesId", "s1,3.0,abc,5", *filler,
+                                    ""]).encode() + b"s\xff,3.0,43.0,5\n")
+        assert 30_000 < os.path.getsize(path) < geodata.TEXT_BLOCK
+        with pytest.raises(FormatError, match=r"obs\.csv row 2, column lat: "):
+            load_observations(str(path), num_classes=10)
+        path.write_bytes(path.read_bytes().replace(b"abc", b"43.0"))
+        with pytest.raises(FormatError, match=r"obs\.csv row 2003: not UTF-8 text$"):
             load_observations(str(path), num_classes=10)
 
 

@@ -212,7 +212,7 @@ class TestMme:
         before = {name: p.copy() for name, p, _ in model.named_params()}
         logits = model.forward(batch, training=True)
         model.backward(weighted_bce_logits_grad(logits, labels, 10.0))
-        AdamW().step(model.named_params(), lr=1e-3)
+        AdamW(model).step(lr=1e-3)
         for modality in "abc":
             moved = any(
                 not np.array_equal(p, before[name])

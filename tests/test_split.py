@@ -159,6 +159,19 @@ class TestResolveSplit:
         with pytest.raises(DataError, match=rf"split\.csv.* 1 of the 60 .*'{dropped}'"):
             resolve_split(self.config(tmp_path, str(path)), table)
 
+    @pytest.mark.parametrize("empty", ["train", "val"])
+    def test_split_with_an_empty_partition_rejected(self, tmp_path, empty):
+        """Every survey of the table in one partition; a survey beyond the
+        table in the other does not count."""
+        table = uniform_table(np.random.default_rng(0), n=60)
+        full = "val" if empty == "train" else "train"
+        path = tmp_path / "split.csv"
+        path.write_text("surveyId,partition,cx,cy\n" + "".join(
+            f"{sid},{full},0,0\n" for sid in table.survey_ids) + f"elsewhere,{empty},0,0\n")
+        with pytest.raises(DataError, match=rf"split\.csv: partition '{empty}' holds none of "
+                                            r"the 60 surveys in the observation table$"):
+            resolve_split(self.config(tmp_path, str(path)), table)
+
     def test_configured_split_file_must_exist(self, tmp_path):
         table = uniform_table(np.random.default_rng(0), n=60)
         path = str(tmp_path / "no_such_split.csv")
